@@ -13,10 +13,9 @@ from .analysis import (
     reduce_to_pair,
     schmidt,
 )
-from .channel import ChannelParams, depolarize_full, depolarize_partial, inject_bitflip
+from .channel import ChannelParams, depolarize_full, depolarize_partial
 from .fock import (
     MODES,
-    SPATIAL_MODES,
     DensityOperator,
     Mode,
     PureState,
@@ -28,13 +27,12 @@ from .fock import (
     to_density,
     vacuum,
 )
-from .optics import apply_pbs, rotate_polarization
+from .optics import apply_pbs
 from .protocol import (
     ProtocolKind,
     ProtocolResult,
     SweepSpec,
     bbpssw_fidelity,
-    ghz_state,
     input_fidelity,
     linear_grid,
     run_four_photon,
@@ -42,12 +40,7 @@ from .protocol import (
     run_two_photon,
     sweep,
 )
-from .source import (
-    SourceKind,
-    SourceParams,
-    independent_pairs_state,
-    spatially_entangled_state,
-)
+from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
 __version__ = "0.1.0"
 
@@ -62,10 +55,8 @@ __all__ = [
     "ProtocolKind",
     "ProtocolResult",
     "PureState",
-    "SPATIAL_MODES",
     "SelectionPattern",
     "Side",
-    "SourceKind",
     "SourceParams",
     "SpatialMode",
     "SweepSpec",
@@ -75,9 +66,7 @@ __all__ = [
     "depolarize_full",
     "depolarize_partial",
     "fidelity",
-    "ghz_state",
     "independent_pairs_state",
-    "inject_bitflip",
     "inner_product",
     "input_fidelity",
     "linear_grid",
@@ -86,7 +75,6 @@ __all__ = [
     "polarization_qubit_matrix",
     "postselect",
     "reduce_to_pair",
-    "rotate_polarization",
     "run_four_photon",
     "run_independent_pairs",
     "run_two_photon",

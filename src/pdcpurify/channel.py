@@ -7,16 +7,16 @@ n photons in the mode is replaced by the uniform mixture over the n+1 ways of
 distributing those photons between H and V.  Note that this also erases
 coherence between different photon numbers of the target mode, so it degrades
 spatial superpositions as well as polarization; that is intentional.
-
-A deterministic bit-flip (H/V exchange) is provided for error-injection
-tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import DensityOperator, Occupations, PureState, SpatialMode
+from .fock import DensityOperator, Occupations, SpatialMode
+
+#: spatial modes the noise channels act on by default (Alice's long arm)
+DEFAULT_CHANNEL_TARGETS = (SpatialMode.A1, SpatialMode.A2)
 
 
 def _target_positions(rho: DensityOperator, target: SpatialMode) -> tuple[int, int]:
@@ -64,16 +64,6 @@ def depolarize_partial(
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"survival probability must be in [0, 1], got {s}")
     return rho.scaled(s) + depolarize_full(rho, target).scaled(1.0 - s)
-
-
-def inject_bitflip(state: PureState, target: SpatialMode) -> PureState:
-    """Exchange the H and V occupations of one spatial mode (involution)."""
-    h, v = target.horizontal, target.vertical
-
-    def flip(occ: Occupations) -> Occupations:
-        return _with_pair(occ, h, v, occ[v], occ[h])
-
-    return state.map_basis(flip)
 
 
 @dataclass(frozen=True)

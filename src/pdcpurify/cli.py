@@ -10,16 +10,7 @@ import sys
 
 from .analysis import schmidt
 from .fock import MODES, Mode
-from .protocol import (
-    ProtocolKind,
-    ProtocolResult,
-    SweepSpec,
-    linear_grid,
-    run_four_photon,
-    run_independent_pairs,
-    run_two_photon,
-    sweep,
-)
+from .protocol import ProtocolKind, ProtocolResult, SweepSpec, linear_grid, sweep
 from .source import SourceParams, spatially_entangled_state
 
 CSV_HEADER = "s,f_in,p_success,f_upper,f_lower"
@@ -73,15 +64,33 @@ def _resolve(args, config: dict[str, str], name: str, cast, default=None):
     return default
 
 
+def _resolve_protocol(args, config: dict[str, str]) -> ProtocolKind:
+    protocol = _resolve(args, config, "protocol", str)
+    if protocol is None:
+        raise CliError("--protocol is required")
+    try:
+        return ProtocolKind(protocol)
+    except ValueError:
+        raise CliError(f"unknown protocol '{protocol}'")
+
+
 def _resolve_phi(args, config: dict[str, str]) -> float:
-    phi = _resolve(args, config, "phi", float)
-    cos_phi = _resolve(args, config, "cos-phi", float)
-    if getattr(args, "phi", None) is not None and getattr(args, "cos_phi", None) is not None:
+    """Phase from --phi or --cos-phi; either flag beats either config key."""
+    if args.phi is not None and args.cos_phi is not None:
         raise CliError("give either --phi or --cos-phi, not both")
-    if cos_phi is not None and getattr(args, "phi", None) is None:
+    if "phi" in config and "cos-phi" in config:
+        raise CliError("config file sets both 'phi' and 'cos-phi'; keep one")
+    if args.phi is None and args.cos_phi is None:
+        phi = _resolve(args, config, "phi", float)
+        cos_phi = _resolve(args, config, "cos-phi", float)
+    else:
+        phi, cos_phi = args.phi, args.cos_phi
+    if cos_phi is not None:
         if not -1.0 <= cos_phi <= 1.0:
             raise CliError(f"--cos-phi must be in [-1, 1], got {cos_phi}")
         return math.acos(cos_phi)
+    if phi is not None and not math.isfinite(phi):
+        raise CliError(f"--phi must be finite, got {phi}")
     return 0.0 if phi is None else phi
 
 
@@ -92,38 +101,21 @@ def _check_unit(name: str, value: float) -> float:
 
 
 def _cmd_run(args, config) -> int:
-    protocol = _resolve(args, config, "protocol", str)
-    if protocol is None:
-        raise CliError("--protocol is required")
-    try:
-        kind = ProtocolKind(protocol)
-    except ValueError:
-        raise CliError(f"unknown protocol '{protocol}'")
+    kind = _resolve_protocol(args, config)
     s = _resolve(args, config, "s", float)
     if s is None:
         raise CliError("--s is required")
     _check_unit("s", s)
     r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
     phi = _resolve_phi(args, config)
-    if kind is ProtocolKind.FOUR_PHOTON:
-        result = run_four_photon(r, phi, s)
-    elif kind is ProtocolKind.TWO_PHOTON:
-        result = run_two_photon(r, phi, s)
-    else:
-        result = run_independent_pairs(s)
+    result = sweep(SweepSpec((s,), r=r, phi=phi, protocol=kind))[0]
     json.dump(result.as_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
 
 def _cmd_sweep(args, config) -> int:
-    protocol = _resolve(args, config, "protocol", str)
-    if protocol is None:
-        raise CliError("--protocol is required")
-    try:
-        kind = ProtocolKind(protocol)
-    except ValueError:
-        raise CliError(f"unknown protocol '{protocol}'")
+    kind = _resolve_protocol(args, config)
     r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
     phi = _resolve_phi(args, config)
     s_min = _resolve(args, config, "s-min", float, 0.0)
@@ -206,17 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pairs", type=int, help="emitted pair count, 1 or 2")
 
     run_p = sub.add_parser("run", help="run one protocol instance, print JSON")
-    add_source_flags(run_p)
-    run_p.add_argument(
-        "--protocol", choices=[k.value for k in ProtocolKind], help="which pipeline"
-    )
-    run_p.add_argument("--s", type=float, help="channel survival probability")
-
     sweep_p = sub.add_parser("sweep", help="run a grid of s values, write a file")
-    add_source_flags(sweep_p)
-    sweep_p.add_argument(
-        "--protocol", choices=[k.value for k in ProtocolKind], help="which pipeline"
-    )
+    for p in (run_p, sweep_p):
+        add_source_flags(p)
+        p.add_argument(
+            "--protocol", choices=[k.value for k in ProtocolKind], help="which pipeline"
+        )
+    run_p.add_argument("--s", type=float, help="channel survival probability")
     sweep_p.add_argument("--s-min", type=float, dest="s_min")
     sweep_p.add_argument("--s-max", type=float, dest="s_max")
     sweep_p.add_argument("--steps", type=int, help="grid points (>= 2)")

@@ -101,14 +101,6 @@ class SpatialMode(Enum):
         return f"{side}{self.index}"
 
 
-#: spatial modes in the order used for detection patterns: (a1, a2, b1, b2)
-SPATIAL_MODES: tuple[SpatialMode, ...] = (
-    SpatialMode.A1,
-    SpatialMode.A2,
-    SpatialMode.B1,
-    SpatialMode.B2,
-)
-
 Occupations = tuple[int, ...]
 
 
@@ -295,25 +287,15 @@ class DensityOperator:
             out[key] = out.get(key, 0.0) + v
         return DensityOperator(out, self.modes)
 
-    def support_basis(self) -> list[Occupations]:
-        kets = {k for k, _ in self.entries} | {b for _, b in self.entries}
-        return sorted(kets)
-
-    def to_dense(
-        self, basis: list[Occupations] | None = None
-    ) -> tuple[list[Occupations], np.ndarray]:
-        basis = self.support_basis() if basis is None else basis
-        index = {occ: i for i, occ in enumerate(basis)}
-        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (ket, bra), v in self.entries.items():
-            matrix[index[ket], index[bra]] = v
-        return basis, matrix
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues over the stored support, ascending."""
         if not self.entries:
             return np.zeros(0)
-        _, matrix = self.to_dense()
+        basis = sorted({occ for key in self.entries for occ in key})
+        index = {occ: i for i, occ in enumerate(basis)}
+        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+        for (ket, bra), v in self.entries.items():
+            matrix[index[ket], index[bra]] = v
         return np.linalg.eigvalsh(matrix)
 
     def allclose(self, other: "DensityOperator", tol: float = 1e-12) -> bool:

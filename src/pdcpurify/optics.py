@@ -1,32 +1,14 @@
-"""Linear-optical elements: polarizing beam splitters and a 45-degree
-polarization rotation.
+"""Linear-optical elements: one polarizing beam splitter per side.
 
 The polarizing beam splitter on one side combines the two spatial modes; it
 transmits H and reflects V, which with our output labeling exchanges the H
 occupations of spatial modes 1 and 2 while leaving V untouched.  It is a
 lossless, phase-free permutation of basis states.
-
-The rotation maps H -> (H + V)/sqrt(2), V -> (H - V)/sqrt(2) on the creation
-operators of one spatial mode.  It is self-inverse (Hadamard-type) and turns
-phase flips into bit flips; any unitary with that property would do, this one
-is the recorded convention.
 """
 
 from __future__ import annotations
 
-import math
-
-from .fock import (
-    DensityOperator,
-    Mode,
-    Occupations,
-    PureState,
-    Side,
-    SpatialMode,
-    create,
-)
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+from .fock import DensityOperator, Mode, Occupations, PureState, Side, SpatialMode
 
 
 def _pbs_relabel(side: Side):
@@ -52,27 +34,3 @@ def apply_pbs(
     if isinstance(state, DensityOperator) and set(state.modes) != set(Mode):
         raise ValueError("beam splitter needs the full eight-mode operator")
     return state.map_basis(_pbs_relabel(side))
-
-
-def rotate_polarization(state: PureState, target: SpatialMode) -> PureState:
-    """Rotate the polarization basis of one spatial mode by 45 degrees."""
-    h, v = target.horizontal, target.vertical
-    result: PureState | None = None
-    for occ, amp in state.amplitudes.items():
-        nh, nv = occ[h], occ[v]
-        stripped = list(occ)
-        stripped[h] = 0
-        stripped[v] = 0
-        seed = PureState(
-            {tuple(stripped): amp / math.sqrt(math.factorial(nh) * math.factorial(nv))},
-            sector=state.sector - nh - nv,
-        )
-        # rebuild the target-mode photons with rotated creation operators
-        for _ in range(nh):
-            seed = (create(h, seed) + create(v, seed)).scaled(_SQRT_HALF)
-        for _ in range(nv):
-            seed = (create(h, seed) - create(v, seed)).scaled(_SQRT_HALF)
-        result = seed if result is None else result + seed
-    if result is None:
-        return state
-    return result

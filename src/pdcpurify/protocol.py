@@ -25,24 +25,10 @@ from .analysis import (
     postselect,
     reduce_to_pair,
 )
-from .channel import ChannelParams, inject_bitflip
-from .fock import (
-    DensityOperator,
-    Mode,
-    PureState,
-    Side,
-    SpatialMode,
-    create,
-    to_density,
-    vacuum,
-)
+from .channel import DEFAULT_CHANNEL_TARGETS, ChannelParams
+from .fock import DensityOperator, PureState, Side, SpatialMode, to_density
 from .optics import apply_pbs
-from .source import (
-    DEFAULT_CHANNEL_TARGETS,
-    SourceParams,
-    independent_pairs_state,
-    spatially_entangled_state,
-)
+from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
 
 class ProtocolKind(Enum):
@@ -108,24 +94,16 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     return ProtocolResult(input_fidelity(s), p_success, f_upper, f_lower, params)
 
 
-def run_two_photon(
-    r: float,
-    phi: float,
-    s: float,
-    inject_flip_on: SpatialMode | None = None,
-) -> ProtocolResult:
+def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Two-photon purification: keep events with both photons up or both down.
 
     The surviving pair sits in the upper or the lower modes depending on the
     branch; the reported fidelity mixes the two branches with their
     conditional weights and is carried in ``f_upper`` (``f_lower`` stays
-    ``None``).  ``inject_flip_on`` deterministically flips H and V of one
-    spatial mode before transmission, for error-injection tests.
+    ``None``).
     """
     params = {"protocol": ProtocolKind.TWO_PHOTON.value, "r": r, "phi": phi, "s": s}
     state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
-    if inject_flip_on is not None:
-        state = inject_bitflip(state, inject_flip_on)
     rho = _transmit(state, s)
     p_up, cond_up = postselect(rho, BOTH_UP)
     p_down, cond_down = postselect(rho, BOTH_DOWN)
@@ -195,22 +173,6 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     return ProtocolResult(input_fidelity(s), p_success, f_out, None, params)
 
 
-def ghz_state() -> PureState:
-    """Four photons sharing one polarization: (|HHHH> + |VVVV>)/sqrt(2).
-
-    This is the state left in the four output modes when two
-    identically-polarized pairs pass the beam splitters; it carries one ebit
-    between the two stations.
-    """
-    all_h = vacuum()
-    for mode in (Mode.A1H, Mode.A2H, Mode.B1H, Mode.B2H):
-        all_h = create(mode, all_h)
-    all_v = vacuum()
-    for mode in (Mode.A1V, Mode.A2V, Mode.B1V, Mode.B2V):
-        all_v = create(mode, all_v)
-    return (all_h + all_v).normalized()
-
-
 def bbpssw_fidelity(f: float) -> float:
     """Werner-state fidelity map of the classic two-pair recurrence.
 
@@ -244,16 +206,18 @@ class SweepSpec:
 
 
 def sweep(spec: SweepSpec) -> list[ProtocolResult]:
-    """Run the selected protocol at every grid point, ordered by s."""
-    results = []
-    for s in spec.s_values:
-        if spec.protocol is ProtocolKind.FOUR_PHOTON:
-            results.append(run_four_photon(spec.r, spec.phi, s))
-        elif spec.protocol is ProtocolKind.TWO_PHOTON:
-            results.append(run_two_photon(spec.r, spec.phi, s))
-        else:
-            results.append(run_independent_pairs(s))
-    return results
+    """Run the selected protocol at every grid point, ordered by s.
+
+    This is the package's one dispatch on ``ProtocolKind``; a single run is a
+    one-point sweep.
+    """
+    if spec.protocol is ProtocolKind.INDEPENDENT_PAIRS:
+        return [run_independent_pairs(s) for s in spec.s_values]
+    if spec.protocol is ProtocolKind.FOUR_PHOTON:
+        run = run_four_photon
+    else:
+        run = run_two_photon
+    return [run(spec.r, spec.phi, s) for s in spec.s_values]
 
 
 def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:

@@ -13,14 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .fock import Mode, PureState, SpatialMode, create, vacuum
-
-
-class SourceKind(Enum):
-    SPATIALLY_ENTANGLED = "spatially-entangled"
-    TWO_INDEPENDENT_PAIRS = "two-independent-pairs"
+from .fock import Mode, PureState, create, vacuum
 
 
 @dataclass(frozen=True)
@@ -36,16 +30,15 @@ class SourceParams:
     r: float = 1.0
     phi: float = 0.0
     pairs: int = 1
-    kind: SourceKind = SourceKind.SPATIALLY_ENTANGLED
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if self.pairs not in (1, 2):
             raise ValueError(f"pairs must be 1 or 2, got {self.pairs}")
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
-        if self.kind is SourceKind.TWO_INDEPENDENT_PAIRS and self.pairs != 2:
-            raise ValueError("independent-pairs source always emits 2 pairs")
 
 
 def _emit_pair(state: PureState, upper: complex, lower: complex) -> PureState:
@@ -68,8 +61,6 @@ def spatially_entangled_state(params: SourceParams) -> PureState:
     four kets (two ebits: one polarization, one spatial), and the two-pair
     state has ten equal-weight Schmidt terms.
     """
-    if params.kind is not SourceKind.SPATIALLY_ENTANGLED:
-        raise ValueError(f"wrong source kind: {params.kind}")
     lower = params.r * cmath.exp(1j * params.phi)
     state = vacuum()
     for _ in range(params.pairs):
@@ -86,7 +77,3 @@ def independent_pairs_state() -> PureState:
     state = _emit_pair(vacuum(), 1.0, 0.0)
     state = _emit_pair(state, 0.0, 1.0)
     return state.normalized()
-
-
-#: spatial modes the noise channels act on by default (Alice's long arm)
-DEFAULT_CHANNEL_TARGETS = (SpatialMode.A1, SpatialMode.A2)

@@ -20,7 +20,6 @@ from pdcpurify import (
     depolarize_partial,
     fidelity,
     independent_pairs_state,
-    inject_bitflip,
     postselect,
     reduce_to_pair,
     run_four_photon,
@@ -31,7 +30,8 @@ from pdcpurify import (
     vacuum,
 )
 from pdcpurify.cli import main as cli_main
-from pdcpurify.protocol import ghz_state, linear_grid
+from pdcpurify.protocol import linear_grid
+from helpers import ghz_state, inject_bitflip
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]

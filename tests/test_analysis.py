@@ -28,7 +28,7 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
-from pdcpurify.protocol import ghz_state
+from helpers import ghz_state
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]

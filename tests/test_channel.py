@@ -15,13 +15,13 @@ from pdcpurify import (
     depolarize_full,
     depolarize_partial,
     fidelity,
-    inject_bitflip,
     postselect,
     reduce_to_pair,
     spatially_entangled_state,
     to_density,
     vacuum,
 )
+from helpers import inject_bitflip
 
 
 def ket(*modes):

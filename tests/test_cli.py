@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from pdcpurify import bbpssw_fidelity, run_four_photon
+from helpers import run_direct
+from pdcpurify import ProtocolKind, bbpssw_fidelity, run_four_photon
 from pdcpurify.cli import CSV_HEADER, main
 
 
@@ -55,6 +56,66 @@ def test_run_rejects_phi_and_cos_phi_together(capsys):
     )
     assert status == 2
     assert "cos-phi" in err
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_run_matches_direct_call(kind, capsys):
+    status, out, _ = run_cli(
+        [
+            "run", "--protocol", kind.value, "--r", "0.9", "--phi", "0.45",
+            "--s", "0.6",
+        ],
+        capsys,
+    )
+    assert status == 0
+    expected = run_direct(kind, 0.9, 0.45, 0.6).as_dict()
+    assert json.loads(out) == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--protocol", "independent-pairs", "--s", "1"],
+        ["run", "--protocol", "four-photon", "--s", "1"],
+        ["sweep", "--protocol", "two-photon", "--out", "ignored.csv"],
+        ["state", "--pairs", "2"],
+    ],
+    ids=["run-independent-pairs", "run-four-photon", "sweep", "state"],
+)
+def test_non_finite_phi_exits_2(command, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run_cli(command + [f"--phi={value}"], capsys)
+    assert status == 2
+    assert out == ""
+    assert "--phi" in err
+    assert not (tmp_path / "ignored.csv").exists()
+
+
+def test_config_with_phi_and_cos_phi_exits_2(tmp_path, capsys):
+    config = tmp_path / "both.cfg"
+    config.write_text("protocol = two-photon\ns = 1\nphi = 0.3\ncos-phi = 0.9\n")
+    status, out, err = run_cli(["run", "--config", str(config)], capsys)
+    assert status == 2
+    assert out == ""
+    assert "cos-phi" in err
+
+
+@pytest.mark.parametrize(
+    "config_line,flag,expected_phi",
+    [
+        ("phi = 0.3", ["--cos-phi", "0.9"], math.acos(0.9)),
+        ("cos-phi = 0.9", ["--phi", "0.3"], 0.3),
+    ],
+)
+def test_phase_flag_overrides_either_config_key(
+    config_line, flag, expected_phi, tmp_path, capsys
+):
+    config = tmp_path / "one.cfg"
+    config.write_text(f"protocol = two-photon\ns = 1\n{config_line}\n")
+    status, out, _ = run_cli(["run", "--config", str(config)] + flag, capsys)
+    assert status == 0
+    assert json.loads(out)["params"]["phi"] == expected_phi
 
 
 def test_unknown_protocol_exits_2(capsys):

@@ -12,7 +12,6 @@ from pdcpurify import (
     apply_pbs,
     create,
     inner_product,
-    rotate_polarization,
     spatially_entangled_state,
     to_density,
     vacuum,
@@ -29,6 +28,33 @@ def ket(*modes):
 
 def both_pbs(state):
     return apply_pbs(apply_pbs(state, Side.ALICE), Side.BOB)
+
+
+def rotate_polarization(state, target):
+    """Rotate the polarization basis of one spatial mode by 45 degrees.
+
+    Maps H -> (H + V)/sqrt(2), V -> (H - V)/sqrt(2) on the creation operators
+    of the target mode: self-inverse (Hadamard-type) and turns phase flips
+    into bit flips.
+    """
+    h, v = target.horizontal, target.vertical
+    result = None
+    for occ, amp in state.amplitudes.items():
+        nh, nv = occ[h], occ[v]
+        stripped = list(occ)
+        stripped[h] = 0
+        stripped[v] = 0
+        seed = PureState(
+            {tuple(stripped): amp / math.sqrt(math.factorial(nh) * math.factorial(nv))},
+            sector=state.sector - nh - nv,
+        )
+        # rebuild the target-mode photons with rotated creation operators
+        for _ in range(nh):
+            seed = (create(h, seed) + create(v, seed)).scaled(1 / math.sqrt(2))
+        for _ in range(nv):
+            seed = (create(h, seed) - create(v, seed)).scaled(1 / math.sqrt(2))
+        result = seed if result is None else result + seed
+    return state if result is None else result
 
 
 def test_single_photon_mapping():

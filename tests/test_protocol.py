@@ -3,7 +3,10 @@ import math
 import pytest
 
 import dense_oracle as oracle
+from helpers import ghz_state, inject_bitflip, run_direct
 from pdcpurify import (
+    BOTH_DOWN,
+    BOTH_UP,
     FOUR_MODE,
     MODES,
     Mode,
@@ -14,9 +17,11 @@ from pdcpurify import (
     SweepSpec,
     apply_pbs,
     bbpssw_fidelity,
+    fidelity,
     independent_pairs_state,
     input_fidelity,
     postselect,
+    reduce_to_pair,
     run_four_photon,
     run_independent_pairs,
     run_two_photon,
@@ -25,7 +30,7 @@ from pdcpurify import (
     sweep,
     to_density,
 )
-from pdcpurify.protocol import ghz_state, linear_grid
+from pdcpurify.protocol import linear_grid
 
 ORACLE_POINTS = [
     (1.0, 0.0, 0.0),
@@ -108,9 +113,18 @@ def test_two_photon_purifies_at_moderate_noise():
 def test_two_photon_flip_hook_keeps_only_lower_branch():
     # flipping a1 diverts the upper-mode component entirely; what survives
     # is the lower emission, giving one pure |HH> or |VV> pair per branch
-    result = run_two_photon(1.0, 0.0, 1.0, inject_flip_on=SpatialMode.A1)
-    assert result.p_success == pytest.approx(0.5, abs=1e-12)
-    assert result.f_upper == pytest.approx(0.5, abs=1e-12)
+    state = spatially_entangled_state(SourceParams(r=1, phi=0, pairs=1))
+    rho = to_density(inject_bitflip(state, SpatialMode.A1))
+    rho = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
+    p_up, cond_up = postselect(rho, BOTH_UP)
+    p_down, cond_down = postselect(rho, BOTH_DOWN)
+    p_success = p_up + p_down
+    f_out = (
+        p_up * fidelity(reduce_to_pair(cond_up, 1, 1))
+        + p_down * fidelity(reduce_to_pair(cond_down, 2, 2))
+    ) / p_success
+    assert p_success == pytest.approx(0.5, abs=1e-12)
+    assert f_out == pytest.approx(0.5, abs=1e-12)
 
 
 def test_independent_pairs_ideal_endpoint():
@@ -208,6 +222,12 @@ def test_sweep_independent_pairs_single_point():
     (result,) = sweep(SweepSpec((1.0,), protocol=ProtocolKind.INDEPENDENT_PAIRS))
     assert result.f_in == pytest.approx(1.0)
     assert result.f_upper == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_sweep_equals_per_point_runs(kind):
+    spec = SweepSpec((0.0, 0.5, 1.0), r=0.9, phi=0.45, protocol=kind)
+    assert sweep(spec) == [run_direct(kind, 0.9, 0.45, s) for s in spec.s_values]
 
 
 def test_sweep_spec_validation():

@@ -6,7 +6,6 @@ import pytest
 from pdcpurify import (
     MODES,
     Mode,
-    SourceKind,
     SourceParams,
     independent_pairs_state,
     inner_product,
@@ -78,19 +77,17 @@ def test_upper_lower_exchange_symmetry_at_r_one(phi, pairs):
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_wrong_kind_rejected():
-    params = SourceParams(pairs=2, kind=SourceKind.TWO_INDEPENDENT_PAIRS)
-    with pytest.raises(ValueError):
-        spatially_entangled_state(params)
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         SourceParams(r=1.2)
     with pytest.raises(ValueError):
         SourceParams(pairs=3)
-    with pytest.raises(ValueError):
-        SourceParams(pairs=1, kind=SourceKind.TWO_INDEPENDENT_PAIRS)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_rejected(phi):
+    with pytest.raises(ValueError, match="phi"):
+        SourceParams(r=1, phi=phi)
 
 
 def test_phi_wraps_into_principal_range():
