@@ -13,7 +13,7 @@ from .analysis import (
     reduce_to_pair,
     schmidt,
 )
-from .channel import ChannelParams, depolarize_full, depolarize_partial
+from .channel import depolarize_alice, depolarize_full, depolarize_partial
 from .fock import (
     MODES,
     DensityOperator,
@@ -48,7 +48,6 @@ __all__ = [
     "BOTH_DOWN",
     "BOTH_UP",
     "FOUR_MODE",
-    "ChannelParams",
     "DensityOperator",
     "MODES",
     "Mode",
@@ -63,6 +62,7 @@ __all__ = [
     "apply_pbs",
     "bbpssw_fidelity",
     "create",
+    "depolarize_alice",
     "depolarize_full",
     "depolarize_partial",
     "fidelity",

@@ -77,8 +77,9 @@ def postselect(
             probability += value.real
     if probability <= ZERO_PROBABILITY:
         return probability, None
-    conditional = DensityOperator(kept, rho.modes).scaled(1.0 / probability)
-    return probability, conditional
+    factor = 1.0 / probability
+    conditional = {key: factor * value for key, value in kept.items()}
+    return probability, DensityOperator(conditional, rho.modes)
 
 
 def polarization_qubit_matrix(

@@ -32,8 +32,8 @@ def _result_row(result: ProtocolResult) -> str:
     )
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Parse a plain ``key = value`` defaults file (one flag per line)."""
+def _read_config(path: str, known: set[str]) -> dict[str, str]:
+    """Parse a plain ``key = value`` defaults file; keys must be in ``known``."""
     defaults: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -42,9 +42,20 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            defaults[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+            defaults[key] = value
     return defaults
+
+
+def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
+    """Long names, without ``--``, of the value-taking flags of all subcommands."""
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    actions = [a for p in commands.choices.values() for a in p._actions if a.nargs != 0]
+    return {o[2:] for a in actions for o in a.option_strings if o.startswith("--")}
 
 
 class CliError(Exception):
@@ -218,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
+        config = _read_config(args.config, _flag_names(parser)) if args.config else {}
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

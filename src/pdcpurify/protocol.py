@@ -25,7 +25,7 @@ from .analysis import (
     postselect,
     reduce_to_pair,
 )
-from .channel import DEFAULT_CHANNEL_TARGETS, ChannelParams
+from .channel import depolarize_alice
 from .fock import DensityOperator, PureState, Side, SpatialMode, to_density
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
@@ -70,8 +70,7 @@ def input_fidelity(s: float) -> float:
 
 def _transmit(state: PureState, s: float) -> DensityOperator:
     """Depolarize Alice's spatial modes, then pass both beam splitters."""
-    rho = to_density(state)
-    rho = ChannelParams(s, DEFAULT_CHANNEL_TARGETS).apply(rho)
+    rho = depolarize_alice(to_density(state), s)
     rho = apply_pbs(rho, Side.ALICE)
     rho = apply_pbs(rho, Side.BOB)
     return rho
@@ -221,10 +220,10 @@ def sweep(spec: SweepSpec) -> list[ProtocolResult]:
 
 
 def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
-    """Evenly spaced s grid with both endpoints included."""
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    """Evenly spaced s grid from exactly s_min to exactly s_max, held in memory."""
+    if not 2 <= steps <= 1_000_000:
+        raise ValueError(f"steps must be in [2, 1000000], got {steps}")
     if not 0.0 <= s_min < s_max <= 1.0:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
     step = (s_max - s_min) / (steps - 1)
-    return tuple(s_min + i * step for i in range(steps))
+    return tuple(s_min + i * step for i in range(steps - 1)) + (s_max,)

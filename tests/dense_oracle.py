@@ -40,6 +40,23 @@ def basis_index(n):
     return {occ: i for i, occ in enumerate(basis(n))}
 
 
+def _cached_matrix(build):
+    """Memoize a matrix builder on its (hashable) arguments.
+
+    The matrix is shared by every caller, so it is made read-only.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    @functools.wraps(build)
+    def cached(*args):
+        matrix = build(*args)
+        matrix.flags.writeable = False
+        return matrix
+
+    return cached
+
+
+@_cached_matrix
 def creation(mode, n):
     """Dense creation operator from the n-photon to the (n+1)-photon basis."""
     rows = basis_index(n + 1)
@@ -92,6 +109,7 @@ def kraus_family(spatial, n):
                         op[index[tuple(target)], col] = 1.0 / math.sqrt(ntot + 1)
                         hit = True
                 if hit:
+                    op.flags.writeable = False
                     ops.append(op)
     return tuple(ops)
 
@@ -101,7 +119,7 @@ def depolarize(rho, spatial, s, n):
     return s * rho + (1.0 - s) * mixed
 
 
-@functools.lru_cache(maxsize=None)
+@_cached_matrix
 def pbs_matrix(side, n):
     """Permutation exchanging the H occupations of the two spatial modes."""
     i0, i1 = (A1[0], A2[0]) if side == "alice" else (B1[0], B2[0])
@@ -122,6 +140,7 @@ def both_pbs(rho, n):
     return rho
 
 
+@_cached_matrix
 def pattern_projector(patterns, n):
     diag = [
         1.0 if tuple(occ[a] + occ[b] for a, b in SPATIAL) in patterns else 0.0
@@ -142,6 +161,7 @@ def _pair_overlap(occ, alice, bob):
     return rest
 
 
+@_cached_matrix
 def bell_witness(alice, bob, n):
     """Projector on the target Bell state of one pair, identity elsewhere."""
     states = basis(n)
@@ -156,6 +176,7 @@ def bell_witness(alice, bob, n):
     return witness
 
 
+@_cached_matrix
 def diagonal_basis_projector(spatial, sign, n):
     """|+/-><+/-| on the one-photon polarization of one spatial mode."""
     h, v = spatial
@@ -183,6 +204,7 @@ def diagonal_basis_projector(spatial, sign, n):
     return proj
 
 
+@_cached_matrix
 def phase_flip_matrix(spatial, n):
     return np.diag([(-1.0) ** occ[spatial[1]] for occ in basis(n)])
 

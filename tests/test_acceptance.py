@@ -7,7 +7,6 @@ from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
-    ChannelParams,
     MODES,
     Mode,
     Side,
@@ -16,6 +15,7 @@ from pdcpurify import (
     apply_pbs,
     bbpssw_fidelity,
     create,
+    depolarize_alice,
     depolarize_full,
     depolarize_partial,
     fidelity,
@@ -90,7 +90,7 @@ def test_criterion_03_input_fidelity_law():
     worst = 0.0
     for i in range(11):
         s = i / 10.0
-        rho = ChannelParams(s, (SpatialMode.A1, SpatialMode.A2)).apply(to_density(bell))
+        rho = depolarize_alice(to_density(bell), s)
         measured = fidelity(reduce_to_pair(rho, 1, 1))
         worst = max(worst, abs(measured - (1.0 + 3.0 * s) / 4.0))
     check(3, "single-pair fidelity equals (1+3s)/4", worst <= 1e-12)

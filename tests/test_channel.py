@@ -4,7 +4,6 @@ import pytest
 from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
-    ChannelParams,
     DensityOperator,
     Mode,
     Side,
@@ -12,6 +11,7 @@ from pdcpurify import (
     SpatialMode,
     apply_pbs,
     create,
+    depolarize_alice,
     depolarize_full,
     depolarize_partial,
     fidelity,
@@ -162,22 +162,12 @@ def test_fully_depolarized_pair_is_maximally_mixed():
     np.testing.assert_allclose(reduce_to_pair(rho, 1, 1), np.eye(4) / 4.0, atol=1e-12)
 
 
-def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(1.2, (SpatialMode.A1,))
-    with pytest.raises(ValueError):
-        ChannelParams(0.5, ())
-    with pytest.raises(ValueError):
-        ChannelParams(0.5, (SpatialMode.A1, SpatialMode.A1))
-
-
-def test_channel_params_apply_matches_sequential():
+def test_depolarize_alice_matches_sequential():
     rho = source_density(pairs=2)
-    params = ChannelParams(0.7, (SpatialMode.A1, SpatialMode.A2))
     expected = depolarize_partial(
         depolarize_partial(rho, SpatialMode.A1, 0.7), SpatialMode.A2, 0.7
     )
-    assert params.apply(rho).allclose(expected, tol=1e-13)
+    assert depolarize_alice(rho, 0.7).allclose(expected, tol=1e-13)
 
 
 def test_bitflip_single_photon():

@@ -191,6 +191,36 @@ def test_sweep_rejects_bad_grid(capsys):
     assert "steps" in err
 
 
+def test_sweep_grid_ends_exactly_at_s_max(tmp_path, capsys):
+    out_file = tmp_path / "curve.csv"
+    status, _, err = run_cli(
+        [
+            "sweep", "--protocol", "four-photon", "--s-min", "0.1",
+            "--s-max", "1", "--steps", "8", "--out", str(out_file),
+        ],
+        capsys,
+    )
+    assert status == 0, err
+    rows = out_file.read_text().splitlines()
+    assert len(rows) == 9
+    assert rows[-1].split(",")[0] == "1"
+
+
+def test_sweep_steps_beyond_cap_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "never.csv"
+    status, out, err = run_cli(
+        [
+            "sweep", "--protocol", "four-photon", "--steps", "100000000000",
+            "--out", str(out_file),
+        ],
+        capsys,
+    )
+    assert status == 2
+    assert out == ""
+    assert "steps" in err
+    assert not out_file.exists()
+
+
 def test_sweep_unwritable_path_exits_1(capsys):
     status, _, err = run_cli(
         [
@@ -215,6 +245,31 @@ def test_config_file_supplies_defaults_cli_wins(tmp_path, capsys):
     status, out, _ = run_cli(["run", "--config", str(config), "--r", "1"], capsys)
     assert status == 0
     assert json.loads(out)["f_upper"] < 1.0  # cos-phi 0.95 still from config
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--out", "x.csv"], ["state"]])
+def test_unknown_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "typo.cfg"
+    config.write_text("protocol = two-photon\ns = 1\ncosphi = 0.9\n")
+    status, out, err = run_cli(command + ["--config", str(config)], capsys)
+    assert status == 2
+    assert out == ""
+    assert "cosphi" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
+    config = tmp_path / "shared.cfg"
+    config.write_text(
+        "protocol = two-photon\ns = 1\npairs = 2\nsteps = 3\nformat = json\n"
+    )
+    status, out, _ = run_cli(["state", "--config", str(config)], capsys)
+    assert status == 0
+    assert json.loads(out)["params"]["pairs"] == 2
+    status, out, _ = run_cli(["run", "--config", str(config)], capsys)
+    assert status == 0
+    assert json.loads(out)["params"]["protocol"] == "two-photon"
 
 
 def test_state_diagnostics(capsys):

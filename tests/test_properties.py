@@ -1,0 +1,62 @@
+"""Property checks over random (r, phi, s), alongside the fixed-grid tests.
+
+Examples are derandomized, so every run draws the same inputs.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import run_direct
+from pdcpurify import (
+    ProtocolKind,
+    SourceParams,
+    SpatialMode,
+    depolarize_full,
+    depolarize_partial,
+    spatially_entangled_state,
+    to_density,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+phase = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@PROPERTY_SETTINGS
+@given(
+    r=unit,
+    phi=phase,
+    pairs=st.sampled_from([1, 2]),
+    target=st.sampled_from(list(SpatialMode)),
+    s=unit,
+)
+def test_partial_channel_is_the_mixture(r, phi, pairs, target, s):
+    rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs)))
+    out = depolarize_partial(rho, target, s)
+    expected = rho.scaled(s) + depolarize_full(rho, target).scaled(1.0 - s)
+    assert out.allclose(expected, tol=1e-13)
+    assert abs(out.trace() - rho.trace()) <= 1e-12
+
+
+def _fidelities(kind, result):
+    if kind is ProtocolKind.FOUR_PHOTON:
+        return (result.f_upper, result.f_lower)
+    assert result.f_lower is None
+    return (result.f_upper,)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, s=unit)
+def test_pipeline_outputs_are_probabilities(kind, r, phi, s):
+    result = run_direct(kind, r, phi, s)
+    assert 0.0 <= result.p_success <= 1.0 + 1e-12
+    for f in _fidelities(kind, result):
+        if result.p_success <= 1e-12:
+            assert f is None
+        else:
+            assert f is not None and -1e-12 <= f <= 1.0 + 1e-12

@@ -250,3 +250,19 @@ def test_grid_helper():
         linear_grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         linear_grid(0.5, 0.5, 3)
+
+
+def test_grid_ends_exactly_at_its_endpoints():
+    assert linear_grid(0.1, 1.0, 8)[-1] == 1.0
+    for hundredths in range(100):
+        s_min = hundredths / 100
+        for steps in range(2, 60):
+            grid = linear_grid(s_min, 1.0, steps)
+            assert grid[0] == s_min and grid[-1] == 1.0
+            SweepSpec(grid)  # in [0, 1] and strictly increasing
+    assert linear_grid(0.0, 0.9, 10)[-1] == 0.9
+
+
+def test_grid_size_is_capped():
+    with pytest.raises(ValueError, match="steps"):
+        linear_grid(0.0, 1.0, 1_000_001)
