@@ -5,9 +5,7 @@ from .analysis import (
     BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
-    SelectionPattern,
     fidelity,
-    pattern,
     polarization_qubit_matrix,
     postselect,
     reduce_to_pair,
@@ -23,7 +21,6 @@ from .fock import (
     SpatialMode,
     create,
     inner_product,
-    partial_trace,
     to_density,
     vacuum,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "ProtocolKind",
     "ProtocolResult",
     "PureState",
-    "SelectionPattern",
     "Side",
     "SourceParams",
     "SpatialMode",
@@ -70,8 +66,6 @@ __all__ = [
     "inner_product",
     "input_fidelity",
     "linear_grid",
-    "partial_trace",
-    "pattern",
     "polarization_qubit_matrix",
     "postselect",
     "reduce_to_pair",

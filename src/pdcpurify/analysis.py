@@ -4,73 +4,50 @@ and entanglement diagnostics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fock import (
     MODES,
+    PRUNE_TOL,
     DensityOperator,
     Mode,
     Occupations,
     PureState,
     SpatialMode,
-    partial_trace,
     spatial_totals,
 )
 
 #: conditional probabilities at or below this count as "never happens"
 ZERO_PROBABILITY = 1e-12
 
-
-@dataclass(frozen=True)
-class SelectionPattern:
-    """Set of admissible photon-count patterns over (a1, a2, b1, b2).
-
-    A basis state matches when its per-spatial-mode photon totals (H plus V)
-    equal one member of the set.  Patterns can be united with ``|``.
-    """
-
-    patterns: frozenset[tuple[int, int, int, int]]
-
-    def __or__(self, other: "SelectionPattern") -> "SelectionPattern":
-        return SelectionPattern(self.patterns | other.patterns)
-
-    def matches(self, occ: Occupations) -> bool:
-        return spatial_totals(occ) in self.patterns
-
-
-def pattern(*counts: tuple[int, int, int, int]) -> SelectionPattern:
-    return SelectionPattern(frozenset(counts))
-
-
 #: one photon in every spatial mode behind the beam splitters
-FOUR_MODE = pattern((1, 1, 1, 1))
+FOUR_MODE = frozenset({(1, 1, 1, 1)})
 #: both photons in the upper spatial modes
-BOTH_UP = pattern((1, 0, 1, 0))
+BOTH_UP = frozenset({(1, 0, 1, 0)})
 #: both photons in the lower spatial modes
-BOTH_DOWN = pattern((0, 1, 0, 1))
+BOTH_DOWN = frozenset({(0, 1, 0, 1)})
 
 
 def postselect(
-    rho: DensityOperator, selection: SelectionPattern
+    rho: DensityOperator, selection: frozenset[tuple[int, int, int, int]]
 ) -> tuple[float, DensityOperator | None]:
     """Condition on a detection pattern.
 
-    Returns the success probability and the renormalized conditional state,
-    or ``None`` when the pattern (almost) never occurs.  Projection keeps the
-    entries whose bra and ket sides both match.
+    ``selection`` is a set of photon-count tuples over (a1, a2, b1, b2); a
+    basis state matches when its per-spatial-mode totals (H plus V) are a
+    member.  Returns the success probability and the renormalized conditional
+    state, or ``None`` when the pattern (almost) never occurs.  Projection
+    keeps the entries whose bra and ket sides both match.
     """
-    if set(rho.modes) != set(Mode):
-        raise ValueError("post-selection needs the full eight-mode operator")
     trace = rho.trace()
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"expected a normalized state, trace is {trace}")
     kept: dict[tuple[Occupations, Occupations], complex] = {}
     probability = 0.0
     for (ket, bra), value in rho.items():
-        if not (selection.matches(ket) and selection.matches(bra)):
+        if not (spatial_totals(ket) in selection and spatial_totals(bra) in selection):
             continue
         kept[(ket, bra)] = value
         if ket == bra:
@@ -79,7 +56,7 @@ def postselect(
         return probability, None
     factor = 1.0 / probability
     conditional = {key: factor * value for key, value in kept.items()}
-    return probability, DensityOperator(conditional, rho.modes)
+    return probability, DensityOperator(conditional)
 
 
 def polarization_qubit_matrix(
@@ -93,18 +70,13 @@ def polarization_qubit_matrix(
     """
     if len(set(spatial_modes)) != len(spatial_modes):
         raise ValueError(f"duplicate spatial modes in {spatial_modes}")
-    keep: list[Mode] = []
-    for sm in spatial_modes:
-        keep.extend(sm.modes)
-    reduced = partial_trace(rho, keep)
-    positions = [
-        (reduced.modes.index(sm.horizontal), reduced.modes.index(sm.vertical))
-        for sm in spatial_modes
-    ]
+    pairs = [sm.value for sm in spatial_modes]
+    kept = {m for pair in pairs for m in pair}
+    traced = [m for m in MODES if m not in kept]
 
     def qubit_index(occ: Occupations) -> int:
         index = 0
-        for h, v in positions:
+        for h, v in pairs:
             pair = (occ[h], occ[v])
             if pair == (1, 0):
                 bit = 0
@@ -120,8 +92,11 @@ def polarization_qubit_matrix(
 
     dim = 2 ** len(spatial_modes)
     matrix = np.zeros((dim, dim), dtype=complex)
-    for (ket, bra), value in reduced.items():
-        matrix[qubit_index(ket), qubit_index(bra)] += value
+    for (ket, bra), value in rho.entries.items():
+        if all(ket[m] == bra[m] for m in traced):
+            matrix[qubit_index(ket), qubit_index(bra)] += value
+    # like a stored operator entry, a cell below PRUNE_TOL is dropped
+    matrix[abs(matrix) < PRUNE_TOL] = 0.0
     return matrix
 
 

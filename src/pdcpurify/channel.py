@@ -15,15 +15,6 @@ from __future__ import annotations
 from .fock import PRUNE_TOL, DensityOperator, Occupations, SpatialMode
 
 
-def _target_positions(rho: DensityOperator, target: SpatialMode) -> tuple[int, int]:
-    try:
-        h = rho.modes.index(target.horizontal)
-        v = rho.modes.index(target.vertical)
-    except ValueError:
-        raise ValueError(f"operator does not contain both modes of {target}")
-    return h, v
-
-
 def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
     out = list(occ)
     out[h] = nh
@@ -42,7 +33,7 @@ def depolarize_partial(
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"survival probability must be in [0, 1], got {s}")
-    h, v = _target_positions(rho, target)
+    h, v = target.value
     out: dict[tuple[Occupations, Occupations], complex] = {}
     mixed: dict[tuple[Occupations, Occupations], complex] = {}
     for (ket, bra), value in rho.entries.items():
@@ -59,7 +50,7 @@ def depolarize_partial(
     for key, m in mixed.items():
         if abs((1.0 - s) * m) >= PRUNE_TOL:
             out[key] = out.get(key, 0.0) + (1.0 - s) * m
-    return DensityOperator(out, rho.modes)
+    return DensityOperator(out)
 
 
 def depolarize_full(rho: DensityOperator, target: SpatialMode) -> DensityOperator:

@@ -50,12 +50,16 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
 
 
 def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
-    """Long names, without ``--``, of the value-taking flags of all subcommands."""
+    """Long names, without ``--``, of the value-taking flags of all subcommands.
+
+    ``config`` is left out: a config file cannot name another config file.
+    """
     (commands,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
     actions = [a for p in commands.choices.values() for a in p._actions if a.nargs != 0]
-    return {o[2:] for a in actions for o in a.option_strings if o.startswith("--")}
+    names = {o[2:] for a in actions for o in a.option_strings if o.startswith("--")}
+    return names - {"config"}
 
 
 class CliError(Exception):
@@ -239,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"run": _cmd_run, "sweep": _cmd_sweep, "state": _cmd_state}
     try:
         return commands[args.command](args, config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

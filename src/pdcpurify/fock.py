@@ -46,66 +46,31 @@ class Mode(IntEnum):
     B2V = 7
 
     @property
-    def side(self) -> Side:
-        return Side.ALICE if self < 4 else Side.BOB
-
-    @property
-    def spatial(self) -> int:
-        return 1 if self % 4 < 2 else 2
-
-    @property
-    def polarization(self) -> str:
-        return "H" if self % 2 == 0 else "V"
-
-    @property
     def label(self) -> str:
-        side = "a" if self.side is Side.ALICE else "b"
-        return f"{side}{self.spatial}{self.polarization}"
+        return self.name[0].lower() + self.name[1:]
 
 
 MODES: tuple[Mode, ...] = tuple(Mode)
 
 
 class SpatialMode(Enum):
-    """A spatial mode, i.e. a (horizontal, vertical) pair of Fock modes."""
+    """A spatial mode; its value is its (horizontal, vertical) pair of modes."""
 
-    A1 = (Side.ALICE, 1)
-    A2 = (Side.ALICE, 2)
-    B1 = (Side.BOB, 1)
-    B2 = (Side.BOB, 2)
-
-    @property
-    def side(self) -> Side:
-        return self.value[0]
-
-    @property
-    def index(self) -> int:
-        return self.value[1]
+    A1 = (Mode.A1H, Mode.A1V)
+    A2 = (Mode.A2H, Mode.A2V)
+    B1 = (Mode.B1H, Mode.B1V)
+    B2 = (Mode.B2H, Mode.B2V)
 
     @property
     def horizontal(self) -> Mode:
-        base = 0 if self.side is Side.ALICE else 4
-        return Mode(base + 2 * (self.index - 1))
+        return self.value[0]
 
     @property
     def vertical(self) -> Mode:
-        return Mode(self.horizontal + 1)
-
-    @property
-    def modes(self) -> tuple[Mode, Mode]:
-        return (self.horizontal, self.vertical)
-
-    @property
-    def label(self) -> str:
-        side = "a" if self.side is Side.ALICE else "b"
-        return f"{side}{self.index}"
+        return self.value[1]
 
 
 Occupations = tuple[int, ...]
-
-
-def total_photons(occ: Occupations) -> int:
-    return sum(occ)
 
 
 def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
@@ -113,10 +78,10 @@ def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
     return (occ[0] + occ[1], occ[2] + occ[3], occ[4] + occ[5], occ[6] + occ[7])
 
 
-def _clean_key(occ: Iterable[int], width: int) -> Occupations:
+def _clean_key(occ: Iterable[int]) -> Occupations:
     key = tuple(int(n) for n in occ)
-    if len(key) != width:
-        raise ValueError(f"occupation tuple must have {width} entries, got {key}")
+    if len(key) != N_MODES:
+        raise ValueError(f"occupation tuple must have {N_MODES} entries, got {key}")
     if any(n < 0 for n in key):
         raise ValueError(f"negative occupation in {key}")
     return key
@@ -137,8 +102,8 @@ class PureState:
             value = complex(amp)
             if abs(value) < PRUNE_TOL:
                 continue
-            key = _clean_key(occ, N_MODES)
-            total = total_photons(key)
+            key = _clean_key(occ)
+            total = sum(key)
             if sector is None:
                 sector = total
             elif total != sector:
@@ -229,34 +194,27 @@ class DensityOperator:
     """Sparse Hermitian operator over occupation tuples.
 
     May be subnormalized (trace < 1) when it represents an unnormalized
-    conditional state.  ``modes`` labels the tuple positions; full states use
-    all eight modes while partial traces return operators over fewer.  Every
-    stored entry connects bra and ket occupations with equal photon totals
-    (photon-number superselection).
+    conditional state.  Keys are (ket, bra) occupation tuples over all eight
+    modes, and every stored entry connects bra and ket occupations with equal
+    photon totals (photon-number superselection).
     """
 
-    __slots__ = ("entries", "modes")
+    __slots__ = ("entries",)
 
-    def __init__(
-        self,
-        entries: dict[tuple[Occupations, Occupations], complex],
-        modes: tuple[Mode, ...] = MODES,
-    ):
-        width = len(modes)
+    def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
         pruned: dict[tuple[Occupations, Occupations], complex] = {}
         for (ket, bra), value in entries.items():
             v = complex(value)
             if abs(v) < PRUNE_TOL:
                 continue
-            k = _clean_key(ket, width)
-            b = _clean_key(bra, width)
-            if total_photons(k) != total_photons(b):
+            k = _clean_key(ket)
+            b = _clean_key(bra)
+            if sum(k) != sum(b):
                 raise ValueError(
                     f"entry ({k}, {b}) mixes different photon totals"
                 )
             pruned[(k, b)] = v
         self.entries = pruned
-        self.modes = tuple(modes)
 
     def items(self) -> list[tuple[tuple[Occupations, Occupations], complex]]:
         return sorted(self.entries.items())
@@ -265,17 +223,13 @@ class DensityOperator:
         return sum(v.real for (k, b), v in self.items() if k == b)
 
     def scaled(self, factor: complex) -> "DensityOperator":
-        return DensityOperator(
-            {key: factor * v for key, v in self.entries.items()}, self.modes
-        )
+        return DensityOperator({key: factor * v for key, v in self.entries.items()})
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
-        if self.modes != other.modes:
-            raise ValueError("cannot add operators over different mode sets")
         out = dict(self.entries)
         for key, v in other.entries.items():
             out[key] = out.get(key, 0.0) + v
-        return DensityOperator(out, self.modes)
+        return DensityOperator(out)
 
     def map_basis(
         self, relabel: Callable[[Occupations], Occupations]
@@ -285,7 +239,7 @@ class DensityOperator:
         for (ket, bra), v in self.entries.items():
             key = (relabel(ket), relabel(bra))
             out[key] = out.get(key, 0.0) + v
-        return DensityOperator(out, self.modes)
+        return DensityOperator(out)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues over the stored support, ascending."""
@@ -299,8 +253,6 @@ class DensityOperator:
         return np.linalg.eigvalsh(matrix)
 
     def allclose(self, other: "DensityOperator", tol: float = 1e-12) -> bool:
-        if self.modes != other.modes:
-            return False
         keys = set(self.entries) | set(other.entries)
         return all(
             abs(self.entries.get(key, 0.0) - other.entries.get(key, 0.0)) <= tol
@@ -344,27 +296,3 @@ def to_density(state: PureState) -> DensityOperator:
     }
     return DensityOperator(entries)
 
-
-def partial_trace(rho: DensityOperator, keep: Iterable[Mode]) -> DensityOperator:
-    """Trace out every mode not in ``keep``.
-
-    The result is an operator over the kept modes, ordered as they appear in
-    ``rho.modes``.  Tracing everything out leaves a single scalar entry equal
-    to the trace.
-    """
-    keep_set = set(keep)
-    unknown = keep_set - set(rho.modes)
-    if unknown:
-        raise ValueError(f"modes {sorted(unknown)} not present in operator")
-    kept_pos = [i for i, m in enumerate(rho.modes) if m in keep_set]
-    rest_pos = [i for i, m in enumerate(rho.modes) if m not in keep_set]
-    out: dict[tuple[Occupations, Occupations], complex] = {}
-    for (ket, bra), v in rho.entries.items():
-        if any(ket[p] != bra[p] for p in rest_pos):
-            continue
-        key = (
-            tuple(ket[p] for p in kept_pos),
-            tuple(bra[p] for p in kept_pos),
-        )
-        out[key] = out.get(key, 0.0) + v
-    return DensityOperator(out, tuple(rho.modes[p] for p in kept_pos))

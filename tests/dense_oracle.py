@@ -1,11 +1,11 @@
 """Dense-matrix reference pipeline used as an independent oracle in tests.
 
-Everything works on explicit numpy arrays over full fixed-photon-number
+Everything works on explicit matrices over full fixed-photon-number
 occupation bases and deliberately shares no code with the package under
 test: creation operators are rectangular sector-raising matrices, the
-depolarizing channel is applied in Kraus form, the beam splitters are
-permutation matrices, post-selection uses diagonal projectors and
-fidelities come from witness operators.
+depolarizing channel is applied in Kraus form with sparse Kraus operators,
+the beam splitters are permutation matrices, post-selection uses diagonal
+projectors and fidelities come from witness operators.
 
 Mode order: a1H a1V a2H a2V b1H b1V b2H b2V.
 """
@@ -15,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 N_MODES = 8
 A1, A2, B1, B2 = (0, 1), (2, 3), (4, 5), (6, 7)
@@ -91,7 +92,11 @@ def independent_pairs_vector():
 
 @functools.lru_cache(maxsize=None)
 def kraus_family(spatial, n):
-    """Kraus operators of the fully depolarizing channel on one spatial mode."""
+    """Kraus operators of the fully depolarizing channel on one spatial mode.
+
+    Each operator moves the photons of one (H, V) split to another and has at
+    most one nonzero per row and column, so it is held as a sparse CSR matrix.
+    """
     h, v = spatial
     states = basis(n)
     index = basis_index(n)
@@ -99,17 +104,19 @@ def kraus_family(spatial, n):
     for ntot in range(n + 1):
         for k in range(ntot + 1):
             for kp in range(ntot + 1):
-                op = np.zeros((len(states), len(states)))
-                hit = False
+                rows, cols = [], []
                 for col, occ in enumerate(states):
                     if occ[h] == kp and occ[v] == ntot - kp:
                         target = list(occ)
                         target[h] = k
                         target[v] = ntot - k
-                        op[index[tuple(target)], col] = 1.0 / math.sqrt(ntot + 1)
-                        hit = True
-                if hit:
-                    op.flags.writeable = False
+                        rows.append(index[tuple(target)])
+                        cols.append(col)
+                if rows:
+                    values = np.full(len(rows), 1.0 / math.sqrt(ntot + 1))
+                    shape = (len(states), len(states))
+                    op = sparse.csr_array((values, (rows, cols)), shape=shape)
+                    op.data.flags.writeable = False
                     ops.append(op)
     return tuple(ops)
 

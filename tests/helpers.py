@@ -1,5 +1,7 @@
 """State builders and error injections that only the tests use."""
 
+import numpy as np
+
 from pdcpurify import (
     Mode,
     ProtocolKind,
@@ -37,6 +39,31 @@ def inject_bitflip(state, target):
         return tuple(out)
 
     return state.map_basis(flip)
+
+
+def reduced_density_matrix(state, keep):
+    """Dense reduced state of the modes in ``keep``, from the ket's amplitudes.
+
+    Entry (i, j) sums psi(i, rest) psi*(j, rest) over the occupations of the
+    other modes, divided by the squared norm; rows and columns are the kept
+    occupations that occur, sorted.
+    """
+    keep = sorted(keep)
+    split = [
+        (
+            tuple(occ[m] for m in keep),
+            tuple(n for m, n in enumerate(occ) if m not in keep),
+            amp,
+        )
+        for occ, amp in state.amplitudes.items()
+    ]
+    index = {k: i for i, k in enumerate(sorted({k for k, _, _ in split}))}
+    matrix = np.zeros((len(index), len(index)), dtype=complex)
+    for ket, ket_rest, ket_amp in split:
+        for bra, bra_rest, bra_amp in split:
+            if ket_rest == bra_rest:
+                matrix[index[ket], index[bra]] += ket_amp * np.conj(bra_amp)
+    return matrix / sum(abs(a) ** 2 for a in state.amplitudes.values())
 
 
 def run_direct(kind, r, phi, s):

@@ -129,7 +129,7 @@ def _dephase_photon_number(rho, target):
         for (k, b), val in rho.entries.items()
         if k[h] + k[v] == b[h] + b[v]
     }
-    return DensityOperator(kept, rho.modes)
+    return DensityOperator(kept)
 
 
 def test_channel_commutes_with_photon_number_measurement():

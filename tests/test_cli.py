@@ -72,23 +72,46 @@ def test_run_matches_direct_call(kind, capsys):
     assert json.loads(out) == json.loads(json.dumps(expected))
 
 
+RUN = ["run", "--protocol", "four-photon", "--s", "1"]
+SWEEP = ["sweep", "--protocol", "two-photon", "--out", "ignored.csv"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "command",
+    "command,flag,named",
     [
-        ["run", "--protocol", "independent-pairs", "--s", "1"],
-        ["run", "--protocol", "four-photon", "--s", "1"],
-        ["sweep", "--protocol", "two-photon", "--out", "ignored.csv"],
-        ["state", "--pairs", "2"],
+        (["run", "--protocol", "independent-pairs", "--s", "1"], "--phi", "--phi"),
+        (RUN, "--phi", "--phi"),
+        (SWEEP, "--phi", "--phi"),
+        (["state", "--pairs", "2"], "--phi", "--phi"),
+        (RUN, "--r", "--r"),
+        (["run", "--protocol", "two-photon"], "--s", "--s"),
+        (SWEEP, "--s-min", "s_min"),
+        (SWEEP, "--s-max", "s_max"),
+        (RUN, "--cos-phi", "--cos-phi"),
     ],
-    ids=["run-independent-pairs", "run-four-photon", "sweep", "state"],
+    ids=[
+        "run-independent-pairs",
+        "run-four-photon",
+        "sweep",
+        "state",
+        "run-r",
+        "run-s",
+        "sweep-s-min",
+        "sweep-s-max",
+        "run-cos-phi",
+    ],
 )
-def test_non_finite_phi_exits_2(command, value, tmp_path, monkeypatch, capsys):
+def test_non_finite_phi_exits_2(
+    command, flag, named, value, tmp_path, monkeypatch, capsys
+):
+    """Non-finite phase, ratio and survival values are rejected, not run."""
     monkeypatch.chdir(tmp_path)
-    status, out, err = run_cli(command + [f"--phi={value}"], capsys)
+    status, out, err = run_cli(command + [f"{flag}={value}"], capsys)
     assert status == 2
     assert out == ""
-    assert "--phi" in err
+    assert err.startswith("error: ")
+    assert named in err
     assert not (tmp_path / "ignored.csv").exists()
 
 
@@ -259,6 +282,15 @@ def test_unknown_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_config_key_naming_a_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "nested.cfg"
+    config.write_text("protocol = two-photon\ns = 1\nconfig = /nonexistent.cfg\n")
+    status, out, err = run_cli(["run", "--config", str(config)], capsys)
+    assert status == 2
+    assert out == ""
+    assert "unknown config key 'config'" in err
+
+
 def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
     config = tmp_path / "shared.cfg"
     config.write_text(
@@ -278,6 +310,9 @@ def test_state_diagnostics(capsys):
     )
     assert status == 0
     payload = json.loads(out)
+    assert payload["mode_order"] == [
+        "a1H", "a1V", "a2H", "a2V", "b1H", "b1V", "b2H", "b2V"
+    ]
     assert payload["entropy_ebits"] == pytest.approx(math.log2(10), abs=1e-9)
     assert len(payload["terms"]) == 10
     assert len(payload["schmidt_coefficients"]) == 10

@@ -3,6 +3,7 @@
 Examples are derandomized, so every run draws the same inputs.
 """
 
+import itertools
 import math
 
 import pytest
@@ -12,10 +13,14 @@ from hypothesis import strategies as st
 from helpers import run_direct
 from pdcpurify import (
     ProtocolKind,
+    Side,
     SourceParams,
     SpatialMode,
+    apply_pbs,
+    depolarize_alice,
     depolarize_full,
     depolarize_partial,
+    postselect,
     spatially_entangled_state,
     to_density,
 )
@@ -40,6 +45,22 @@ def test_partial_channel_is_the_mixture(r, phi, pairs, target, s):
     expected = rho.scaled(s) + depolarize_full(rho, target).scaled(1.0 - s)
     assert out.allclose(expected, tol=1e-13)
     assert abs(out.trace() - rho.trace()) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, pairs=st.sampled_from([1, 2]), s=unit)
+def test_pattern_probabilities_sum_to_one(r, phi, pairs, s):
+    """Every spatial count pattern of the sector, each as its own selection."""
+    state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs))
+    rho = depolarize_alice(to_density(state), s)
+    rho = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
+    patterns = [
+        frozenset({counts})
+        for counts in itertools.product(range(2 * pairs + 1), repeat=4)
+        if sum(counts) == 2 * pairs
+    ]
+    total = sum(postselect(rho, selection)[0] for selection in patterns)
+    assert abs(total - 1.0) <= 1e-10
 
 
 def _fidelities(kind, result):
