@@ -56,7 +56,7 @@ def postselect(
         return probability, None
     factor = 1.0 / probability
     conditional = {key: factor * value for key, value in kept.items()}
-    return probability, DensityOperator(conditional)
+    return probability, DensityOperator._trusted(conditional)
 
 
 def polarization_qubit_matrix(

@@ -50,7 +50,7 @@ def depolarize_partial(
     for key, m in mixed.items():
         if abs((1.0 - s) * m) >= PRUNE_TOL:
             out[key] = out.get(key, 0.0) + (1.0 - s) * m
-    return DensityOperator(out)
+    return DensityOperator._trusted(out)
 
 
 def depolarize_full(rho: DensityOperator, target: SpatialMode) -> DensityOperator:

@@ -17,7 +17,16 @@ CSV_HEADER = "s,f_in,p_success,f_upper,f_lower"
 
 
 def _fmt(value: float | None) -> str:
-    return "" if value is None else format(value, ".12g")
+    if value is None:
+        return ""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite result {value}")
+    return format(value, ".12g")
+
+
+def _json(payload) -> str:
+    """Indented JSON text; a NaN or infinity raises instead of being written."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _result_row(result: ProtocolResult) -> str:
@@ -124,8 +133,7 @@ def _cmd_run(args, config) -> int:
     r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
     phi = _resolve_phi(args, config)
     result = sweep(SweepSpec((s,), r=r, phi=phi, protocol=kind))[0]
-    json.dump(result.as_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(result.as_dict()))
     return 0
 
 
@@ -133,8 +141,10 @@ def _cmd_sweep(args, config) -> int:
     kind = _resolve_protocol(args, config)
     r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
     phi = _resolve_phi(args, config)
-    s_min = _resolve(args, config, "s-min", float, 0.0)
-    s_max = _resolve(args, config, "s-max", float, 1.0)
+    s_min = _check_unit("s-min", _resolve(args, config, "s-min", float, 0.0))
+    s_max = _check_unit("s-max", _resolve(args, config, "s-max", float, 1.0))
+    if s_min >= s_max:
+        raise CliError(f"--s-min must be below --s-max, got {s_min} and {s_max}")
     steps = _resolve(args, config, "steps", int, 21)
     out_path = _resolve(args, config, "out", str)
     if out_path is None:
@@ -148,15 +158,15 @@ def _cmd_sweep(args, config) -> int:
         raise CliError(str(exc))
 
     results = sweep(SweepSpec(grid, r=r, phi=phi, protocol=kind))
+    # serialized before the file is opened, so a rejected value leaves no file
+    if out_format == "csv":
+        rows = [CSV_HEADER] + [_result_row(result) for result in results]
+        text = "".join(row + "\n" for row in rows)
+    else:
+        text = _json([result.as_dict() for result in results])
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            if out_format == "csv":
-                handle.write(CSV_HEADER + "\n")
-                for result in results:
-                    handle.write(_result_row(result) + "\n")
-            else:
-                json.dump([result.as_dict() for result in results], handle, indent=2)
-                handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         print(f"error: cannot write '{out_path}': {exc}", file=sys.stderr)
         return 1
@@ -186,8 +196,7 @@ def _cmd_state(args, config) -> int:
         "entropy_ebits": entropy,
         "params": {"r": r, "phi": phi, "pairs": pairs},
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(payload))
     return 0
 
 

@@ -79,12 +79,25 @@ def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
 
 
 def _clean_key(occ: Iterable[int]) -> Occupations:
-    key = tuple(int(n) for n in occ)
+    key = tuple(occ)
     if len(key) != N_MODES:
         raise ValueError(f"occupation tuple must have {N_MODES} entries, got {key}")
-    if any(n < 0 for n in key):
+    try:
+        counts = tuple(int(n) for n in key)
+    except (TypeError, ValueError, OverflowError):
+        counts = None
+    if counts is None or counts != key:
+        raise ValueError(f"non-integral occupation in {key}")
+    if any(n < 0 for n in counts):
         raise ValueError(f"negative occupation in {key}")
-    return key
+    return counts
+
+
+def _pruned(values: dict) -> dict:
+    """The entries of ``values`` at or above ``PRUNE_TOL``, as complex, in order."""
+    return {
+        key: v for key, value in values.items() if abs(v := complex(value)) >= PRUNE_TOL
+    }
 
 
 class PureState:
@@ -98,10 +111,7 @@ class PureState:
         sector: int | None = None,
     ):
         pruned: dict[Occupations, complex] = {}
-        for occ, amp in amplitudes.items():
-            value = complex(amp)
-            if abs(value) < PRUNE_TOL:
-                continue
+        for occ, value in _pruned(amplitudes).items():
             key = _clean_key(occ)
             total = sum(key)
             if sector is None:
@@ -115,6 +125,14 @@ class PureState:
             raise ValueError("sector is required for a state without terms")
         self.amplitudes = pruned
         self.sector = int(sector)
+
+    @classmethod
+    def _trusted(cls, amplitudes: dict[Occupations, complex], sector: int) -> "PureState":
+        """Build from keys the package made itself: prune only, no key checks."""
+        state = cls.__new__(cls)
+        state.amplitudes = _pruned(amplitudes)
+        state.sector = sector
+        return state
 
     def terms(self) -> list[tuple[Occupations, complex]]:
         """Terms in canonical (lexicographic) order."""
@@ -130,9 +148,8 @@ class PureState:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "PureState":
-        return PureState(
-            {occ: factor * amp for occ, amp in self.amplitudes.items()},
-            sector=self.sector,
+        return PureState._trusted(
+            {occ: factor * amp for occ, amp in self.amplitudes.items()}, self.sector
         )
 
     def __add__(self, other: "PureState") -> "PureState":
@@ -143,7 +160,7 @@ class PureState:
         out = dict(self.amplitudes)
         for occ, amp in other.amplitudes.items():
             out[occ] = out.get(occ, 0.0) + amp
-        return PureState(out, sector=self.sector)
+        return PureState._trusted(out, self.sector)
 
     def __sub__(self, other: "PureState") -> "PureState":
         return self + other.scaled(-1.0)
@@ -162,7 +179,7 @@ class PureState:
 
 
 def vacuum() -> PureState:
-    return PureState({(0,) * N_MODES: 1.0})
+    return PureState._trusted({(0,) * N_MODES: 1.0}, 0)
 
 
 def create(mode: Mode, state: PureState) -> PureState:
@@ -175,7 +192,7 @@ def create(mode: Mode, state: PureState) -> PureState:
         n = occ[mode]
         raised = occ[:mode] + (n + 1,) + occ[mode + 1 :]
         out[raised] = out.get(raised, 0.0) + amp * math.sqrt(n + 1)
-    return PureState(out, sector=state.sector + 1)
+    return PureState._trusted(out, state.sector + 1)
 
 
 def inner_product(x: PureState, y: PureState) -> complex:
@@ -203,10 +220,7 @@ class DensityOperator:
 
     def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
         pruned: dict[tuple[Occupations, Occupations], complex] = {}
-        for (ket, bra), value in entries.items():
-            v = complex(value)
-            if abs(v) < PRUNE_TOL:
-                continue
+        for (ket, bra), v in _pruned(entries).items():
             k = _clean_key(ket)
             b = _clean_key(bra)
             if sum(k) != sum(b):
@@ -216,20 +230,31 @@ class DensityOperator:
             pruned[(k, b)] = v
         self.entries = pruned
 
+    @classmethod
+    def _trusted(
+        cls, entries: dict[tuple[Occupations, Occupations], complex]
+    ) -> "DensityOperator":
+        """Build from keys the package made itself: prune only, no key checks."""
+        rho = cls.__new__(cls)
+        rho.entries = _pruned(entries)
+        return rho
+
     def items(self) -> list[tuple[tuple[Occupations, Occupations], complex]]:
         return sorted(self.entries.items())
 
     def trace(self) -> float:
-        return sum(v.real for (k, b), v in self.items() if k == b)
+        return sum(v.real for (k, b), v in self.entries.items() if k == b)
 
     def scaled(self, factor: complex) -> "DensityOperator":
-        return DensityOperator({key: factor * v for key, v in self.entries.items()})
+        return DensityOperator._trusted(
+            {key: factor * v for key, v in self.entries.items()}
+        )
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         out = dict(self.entries)
         for key, v in other.entries.items():
             out[key] = out.get(key, 0.0) + v
-        return DensityOperator(out)
+        return DensityOperator._trusted(out)
 
     def map_basis(
         self, relabel: Callable[[Occupations], Occupations]
@@ -294,5 +319,5 @@ def to_density(state: PureState) -> DensityOperator:
         for ki, ai in state.amplitudes.items()
         for kj, aj in state.amplitudes.items()
     }
-    return DensityOperator(entries)
+    return DensityOperator._trusted(entries)
 

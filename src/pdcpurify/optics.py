@@ -31,4 +31,10 @@ def apply_pbs(
     Works on pure states and on density operators (conjugation on both
     sides).  Unitary, involutive, photon-number preserving.
     """
-    return state.map_basis(_pbs_relabel(side))
+    swap = _pbs_relabel(side)
+    # a permutation of valid keys: no term merges, no key needs checking
+    if isinstance(state, PureState):
+        amplitudes = {swap(occ): amp for occ, amp in state.amplitudes.items()}
+        return PureState._trusted(amplitudes, state.sector)
+    entries = {(swap(ket), swap(bra)): v for (ket, bra), v in state.entries.items()}
+    return DensityOperator._trusted(entries)

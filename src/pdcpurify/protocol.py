@@ -10,6 +10,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,20 +38,48 @@ class ProtocolKind(Enum):
     INDEPENDENT_PAIRS = "independent-pairs"
 
 
-@dataclass(frozen=True)
+class _RunParams(Mapping):
+    """The protocol, r, phi and s of one run, as a read-only mapping.
+
+    A sweep holds one per grid point; with slots it takes about a third of
+    the memory of the equivalent dict.
+    """
+
+    __slots__ = ("protocol", "r", "phi", "s")
+
+    def __init__(self, protocol: str, r: float | None, phi: float | None, s: float):
+        self.protocol, self.r, self.phi, self.s = protocol, r, phi, s
+
+    def __getitem__(self, key: str):
+        if key not in self.__slots__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.__slots__)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+@dataclass(frozen=True, slots=True)
 class ProtocolResult:
     """Success probability and fidelities of one protocol run.
 
     ``f_in`` is the polarization fidelity each pair would have before
     purification, (1 + 3s)/4.  Output fidelities are ``None`` when the
-    selected detection pattern never occurs.
+    selected detection pattern never occurs.  ``params`` holds the run's
+    protocol, r, phi and s.
     """
 
     f_in: float
     p_success: float
     f_upper: float | None
     f_lower: float | None
-    params: dict
+    params: Mapping
 
     def as_dict(self) -> dict:
         return {
@@ -82,7 +111,7 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     Both the upper and the lower output pair are kept; their fidelities are
     reported separately.
     """
-    params = {"protocol": ProtocolKind.FOUR_PHOTON.value, "r": r, "phi": phi, "s": s}
+    params = _RunParams(ProtocolKind.FOUR_PHOTON.value, r, phi, s)
     source = SourceParams(r=r, phi=phi, pairs=2)
     rho = _transmit(spatially_entangled_state(source), s)
     p_success, conditional = postselect(rho, FOUR_MODE)
@@ -101,7 +130,7 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     conditional weights and is carried in ``f_upper`` (``f_lower`` stays
     ``None``).
     """
-    params = {"protocol": ProtocolKind.TWO_PHOTON.value, "r": r, "phi": phi, "s": s}
+    params = _RunParams(ProtocolKind.TWO_PHOTON.value, r, phi, s)
     state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
     rho = _transmit(state, s)
     p_up, cond_up = postselect(rho, BOTH_UP)
@@ -158,12 +187,7 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     out and only the upper pair survives, so there is a single output
     fidelity (in ``f_upper``).
     """
-    params = {
-        "protocol": ProtocolKind.INDEPENDENT_PAIRS.value,
-        "r": None,
-        "phi": None,
-        "s": s,
-    }
+    params = _RunParams(ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s)
     rho = _transmit(independent_pairs_state(), s)
     p_success, conditional = postselect(rho, FOUR_MODE)
     f_out = None

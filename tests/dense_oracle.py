@@ -4,7 +4,7 @@ Everything works on explicit matrices over full fixed-photon-number
 occupation bases and deliberately shares no code with the package under
 test: creation operators are rectangular sector-raising matrices, the
 depolarizing channel is applied in Kraus form with sparse Kraus operators,
-the beam splitters are permutation matrices, post-selection uses diagonal
+the beam splitters are basis permutations, post-selection uses diagonal
 projectors and fidelities come from witness operators.
 
 Mode order: a1H a1V a2H a2V b1H b1V b2H b2V.
@@ -127,24 +127,30 @@ def depolarize(rho, spatial, s, n):
 
 
 @_cached_matrix
-def pbs_matrix(side, n):
-    """Permutation exchanging the H occupations of the two spatial modes."""
+def pbs_permutation(side, n):
+    """Basis index of the state each basis state comes from when the H
+    occupations of the two spatial modes are exchanged (an involution)."""
     i0, i1 = (A1[0], A2[0]) if side == "alice" else (B1[0], B2[0])
-    states = basis(n)
     index = basis_index(n)
-    matrix = np.zeros((len(states), len(states)))
-    for col, occ in enumerate(states):
-        target = list(occ)
-        target[i0], target[i1] = target[i1], target[i0]
-        matrix[index[tuple(target)], col] = 1.0
-    return matrix
+    perm = np.zeros(len(basis(n)), dtype=int)
+    for row, occ in enumerate(basis(n)):
+        source = list(occ)
+        source[i0], source[i1] = source[i1], source[i0]
+        perm[row] = index[tuple(source)]
+    return perm
 
 
 def both_pbs(rho, n):
+    """P rho P^T for each side's permutation P, taken as a re-indexing."""
     for side in ("alice", "bob"):
-        perm = pbs_matrix(side, n)
-        rho = perm @ rho @ perm.T
+        perm = pbs_permutation(side, n)
+        rho = rho[np.ix_(perm, perm)]
     return rho
+
+
+def trace_of_product(w, x):
+    """Tr(w @ x), summed elementwise without forming the product."""
+    return np.einsum("ij,ji->", w, x)
 
 
 @_cached_matrix
@@ -224,10 +230,10 @@ def four_photon_reference(r, phi, s):
     rho = depolarize(rho, A2, s, 4)
     rho = both_pbs(rho, 4)
     proj = pattern_projector(frozenset(FOUR_MODE), 4)
-    p = float(np.real(np.trace(proj @ rho)))
+    p = float(np.real(trace_of_product(proj, rho)))
     cond = proj @ rho @ proj / p
-    f_upper = float(np.real(np.trace(bell_witness(A1, B1, 4) @ cond)))
-    f_lower = float(np.real(np.trace(bell_witness(A2, B2, 4) @ cond)))
+    f_upper = float(np.real(trace_of_product(bell_witness(A1, B1, 4), cond)))
+    f_lower = float(np.real(trace_of_product(bell_witness(A2, B2, 4), cond)))
     return p, f_upper, f_lower
 
 
@@ -239,10 +245,10 @@ def two_photon_reference(r, phi, s):
     rho = both_pbs(rho, 2)
     proj_up = pattern_projector(frozenset(BOTH_UP), 2)
     proj_down = pattern_projector(frozenset(BOTH_DOWN), 2)
-    p_up = float(np.real(np.trace(proj_up @ rho)))
-    p_down = float(np.real(np.trace(proj_down @ rho)))
-    weighted = np.trace(bell_witness(A1, B1, 2) @ proj_up @ rho @ proj_up)
-    weighted += np.trace(bell_witness(A2, B2, 2) @ proj_down @ rho @ proj_down)
+    p_up = float(np.real(trace_of_product(proj_up, rho)))
+    p_down = float(np.real(trace_of_product(proj_down, rho)))
+    weighted = trace_of_product(bell_witness(A1, B1, 2), proj_up @ rho @ proj_up)
+    weighted += trace_of_product(bell_witness(A2, B2, 2), proj_down @ rho @ proj_down)
     return p_up + p_down, float(np.real(weighted)) / (p_up + p_down)
 
 
@@ -253,7 +259,7 @@ def independent_pairs_reference(s):
     rho = depolarize(rho, A2, s, 4)
     rho = both_pbs(rho, 4)
     proj = pattern_projector(frozenset(FOUR_MODE), 4)
-    p = float(np.real(np.trace(proj @ rho)))
+    p = float(np.real(trace_of_product(proj, rho)))
     cond = proj @ rho @ proj / p
     flip = phase_flip_matrix(A1, 4)
     kept = np.zeros_like(cond)
@@ -264,4 +270,4 @@ def independent_pairs_reference(s):
             if sign_a != sign_b:
                 branch = flip @ branch @ flip
             kept += branch
-    return p, float(np.real(np.trace(bell_witness(A1, B1, 4) @ kept)))
+    return p, float(np.real(trace_of_product(bell_witness(A1, B1, 4), kept)))

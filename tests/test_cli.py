@@ -4,7 +4,8 @@ import math
 import pytest
 
 from helpers import run_direct
-from pdcpurify import ProtocolKind, bbpssw_fidelity, run_four_photon
+from pdcpurify import ProtocolKind, ProtocolResult, bbpssw_fidelity, run_four_photon
+from pdcpurify import cli
 from pdcpurify.cli import CSV_HEADER, main
 
 
@@ -78,17 +79,17 @@ SWEEP = ["sweep", "--protocol", "two-photon", "--out", "ignored.csv"]
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "command,flag,named",
+    "command,flag",
     [
-        (["run", "--protocol", "independent-pairs", "--s", "1"], "--phi", "--phi"),
-        (RUN, "--phi", "--phi"),
-        (SWEEP, "--phi", "--phi"),
-        (["state", "--pairs", "2"], "--phi", "--phi"),
-        (RUN, "--r", "--r"),
-        (["run", "--protocol", "two-photon"], "--s", "--s"),
-        (SWEEP, "--s-min", "s_min"),
-        (SWEEP, "--s-max", "s_max"),
-        (RUN, "--cos-phi", "--cos-phi"),
+        (["run", "--protocol", "independent-pairs", "--s", "1"], "--phi"),
+        (RUN, "--phi"),
+        (SWEEP, "--phi"),
+        (["state", "--pairs", "2"], "--phi"),
+        (RUN, "--r"),
+        (["run", "--protocol", "two-photon"], "--s"),
+        (SWEEP, "--s-min"),
+        (SWEEP, "--s-max"),
+        (RUN, "--cos-phi"),
     ],
     ids=[
         "run-independent-pairs",
@@ -102,16 +103,14 @@ SWEEP = ["sweep", "--protocol", "two-photon", "--out", "ignored.csv"]
         "run-cos-phi",
     ],
 )
-def test_non_finite_phi_exits_2(
-    command, flag, named, value, tmp_path, monkeypatch, capsys
-):
-    """Non-finite phase, ratio and survival values are rejected, not run."""
+def test_non_finite_phi_exits_2(command, flag, value, tmp_path, monkeypatch, capsys):
+    """Non-finite phase, ratio and survival values are rejected, naming the flag."""
     monkeypatch.chdir(tmp_path)
     status, out, err = run_cli(command + [f"{flag}={value}"], capsys)
     assert status == 2
     assert out == ""
     assert err.startswith("error: ")
-    assert named in err
+    assert flag in err
     assert not (tmp_path / "ignored.csv").exists()
 
 
@@ -212,6 +211,50 @@ def test_sweep_rejects_bad_grid(capsys):
     )
     assert status == 2
     assert "steps" in err
+
+
+def test_sweep_s_range_names_both_flags(tmp_path, capsys):
+    out_file = tmp_path / "never.csv"
+    status, out, err = run_cli(
+        [
+            "sweep", "--protocol", "four-photon", "--s-min", "0.5",
+            "--s-max", "0.2", "--out", str(out_file),
+        ],
+        capsys,
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "--s-min" in err and "--s-max" in err
+    assert not out_file.exists()
+
+
+NAN_RESULT = ProtocolResult(0.25, math.nan, math.nan, None, {"s": 0.0})
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--protocol", "four-photon", "--s", "0"],
+        ["sweep", "--protocol", "four-photon", "--steps", "3", "--out", "out.csv"],
+        ["sweep", "--protocol", "four-photon", "--steps", "3", "--out", "out.json",
+         "--format", "json"],
+        ["state", "--pairs", "1"],
+    ],
+    ids=["run", "sweep-csv", "sweep-json", "state"],
+)
+def test_non_finite_result_exits_2_and_writes_nothing(
+    command, tmp_path, monkeypatch, capsys
+):
+    """A NaN that reaches the output is an error, not a non-standard 'NaN'."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "sweep", lambda spec: [NAN_RESULT] * len(spec.s_values))
+    monkeypatch.setattr(cli, "schmidt", lambda *args: ([math.nan], math.nan))
+    status, out, err = run_cli(command, capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_grid_ends_exactly_at_s_max(tmp_path, capsys):

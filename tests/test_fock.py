@@ -146,6 +146,32 @@ def test_density_operator_rejects_photon_number_mixing():
         DensityOperator({((1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8): 1.0})
 
 
+BAD_KEYS = {
+    "wrong-width": (0,) * 7,
+    "negative-count": (2, -1, 0, 0, 0, 0, 0, 0),
+    "non-integral-count": (1.5, 0.5, 0, 0, 0, 0, 0, 0),
+    "count-below-one": (0.9, 0, 0, 0, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("key", BAD_KEYS.values(), ids=BAD_KEYS.keys())
+def test_public_constructors_reject_bad_keys(key):
+    """Users' keys are checked; ``int(n)`` must not truncate 1.5 or 0.9."""
+    with pytest.raises(ValueError, match="occupation"):
+        PureState({key: 1.0})
+    with pytest.raises(ValueError, match="occupation"):
+        DensityOperator({(key, key): 1.0})
+
+
+def test_integral_float_counts_become_ints():
+    key = (1.0, 0, 0, 0, 0, 0, 0, 0)
+    (occ,) = PureState({key: 1.0}).amplitudes
+    assert occ == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert all(type(n) is int for n in occ)
+    ((ket, bra),) = DensityOperator({(key, key): 1.0}).entries
+    assert ket == bra == occ
+
+
 def test_density_validate_catches_non_hermitian():
     ket = (1, 0, 0, 0, 0, 0, 0, 0)
     bra = (0, 1, 0, 0, 0, 0, 0, 0)

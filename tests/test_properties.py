@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from helpers import run_direct
 from pdcpurify import (
+    BOTH_DOWN,
+    BOTH_UP,
+    FOUR_MODE,
+    DensityOperator,
     ProtocolKind,
+    PureState,
     Side,
     SourceParams,
     SpatialMode,
@@ -20,6 +25,7 @@ from pdcpurify import (
     depolarize_alice,
     depolarize_full,
     depolarize_partial,
+    independent_pairs_state,
     postselect,
     spatially_entangled_state,
     to_density,
@@ -81,3 +87,39 @@ def test_pipeline_outputs_are_probabilities(kind, r, phi, s):
             assert f is None
         else:
             assert f is not None and -1e-12 <= f <= 1.0 + 1e-12
+
+
+def _pipeline_stages(kind, r, phi, s):
+    """The source state and every operator the pipeline of ``kind`` builds."""
+    if kind is ProtocolKind.INDEPENDENT_PAIRS:
+        state, selections = independent_pairs_state(), (FOUR_MODE,)
+    elif kind is ProtocolKind.FOUR_PHOTON:
+        state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=2))
+        selections = (FOUR_MODE,)
+    else:
+        state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
+        selections = (BOTH_UP, BOTH_DOWN)
+    rho = to_density(state)
+    stages = [rho]
+    for target in (SpatialMode.A1, SpatialMode.A2):
+        rho = depolarize_partial(rho, target, s)
+        stages.append(rho)
+    for side in (Side.ALICE, Side.BOB):
+        rho = apply_pbs(rho, side)
+        stages.append(rho)
+    for selection in selections:
+        _, conditional = postselect(rho, selection)
+        if conditional is not None:
+            stages.append(conditional)
+    return state, stages
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, s=unit)
+def test_internal_builds_pass_the_public_checks(kind, r, phi, s):
+    """Stage outputs skip key validation; the public constructors accept them."""
+    state, stages = _pipeline_stages(kind, r, phi, s)
+    assert PureState(state.amplitudes, sector=state.sector).amplitudes == state.amplitudes
+    for op in stages:
+        assert DensityOperator(op.entries).allclose(op, tol=0.0)

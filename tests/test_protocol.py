@@ -204,6 +204,18 @@ def test_sweep_ordering_and_determinism():
     assert first == second  # bit-identical dataclasses
 
 
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_result_params_are_a_read_only_mapping(kind):
+    result = run_direct(kind, 0.9, 0.45, 0.6)
+    r, phi = (None, None) if kind is ProtocolKind.INDEPENDENT_PAIRS else (0.9, 0.45)
+    assert list(result.params) == ["protocol", "r", "phi", "s"]
+    assert dict(result.params) == {"protocol": kind.value, "r": r, "phi": phi, "s": 0.6}
+    with pytest.raises(KeyError):
+        result.params["f_in"]
+    with pytest.raises(TypeError):
+        result.params["s"] = 0.1
+
+
 def test_sweep_four_photon_monotone_in_s():
     results = sweep(SweepSpec((0.0, 0.5, 1.0)))
     assert results[0].f_upper < results[1].f_upper < results[2].f_upper
