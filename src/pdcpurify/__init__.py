@@ -5,13 +5,11 @@ from .analysis import (
     BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
-    fidelity,
-    polarization_qubit_matrix,
+    pair_fidelity,
     postselect,
-    reduce_to_pair,
     schmidt,
 )
-from .channel import depolarize_alice, depolarize_full, depolarize_partial
+from .channel import depolarize_alice, depolarize_partial
 from .fock import (
     MODES,
     DensityOperator,
@@ -20,7 +18,6 @@ from .fock import (
     Side,
     SpatialMode,
     create,
-    inner_product,
     to_density,
     vacuum,
 )
@@ -59,16 +56,12 @@ __all__ = [
     "bbpssw_fidelity",
     "create",
     "depolarize_alice",
-    "depolarize_full",
     "depolarize_partial",
-    "fidelity",
     "independent_pairs_state",
-    "inner_product",
     "input_fidelity",
     "linear_grid",
-    "polarization_qubit_matrix",
+    "pair_fidelity",
     "postselect",
-    "reduce_to_pair",
     "run_four_photon",
     "run_independent_pairs",
     "run_two_photon",

@@ -1,16 +1,14 @@
-"""Detection-pattern post-selection, polarization-qubit reduction, fidelity
-and entanglement diagnostics."""
+"""Detection-pattern post-selection, pair fidelity and entanglement
+diagnostics."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
-
-import numpy as np
+from operator import itemgetter
+from typing import Iterable
 
 from .fock import (
     MODES,
-    PRUNE_TOL,
     DensityOperator,
     Mode,
     Occupations,
@@ -59,68 +57,46 @@ def postselect(
     return probability, DensityOperator._trusted(conditional)
 
 
-def polarization_qubit_matrix(
-    rho: DensityOperator, spatial_modes: Sequence[SpatialMode]
-) -> np.ndarray:
-    """Dense qubit matrix for spatial modes carrying exactly one photon each.
+def polarization_bit(occ: Occupations, spatial: SpatialMode) -> int:
+    """Polarization qubit of a spatial mode holding one photon: H = 0, V = 1.
 
-    All other modes are traced out; each listed spatial mode's single photon
-    becomes a qubit (H = 0, V = 1).  The matrix is indexed with the first
-    listed mode as the most significant qubit.
+    Raises ``ValueError`` unless the mode holds exactly one photon.
     """
-    if len(set(spatial_modes)) != len(spatial_modes):
-        raise ValueError(f"duplicate spatial modes in {spatial_modes}")
-    pairs = [sm.value for sm in spatial_modes]
-    kept = {m for pair in pairs for m in pair}
-    traced = [m for m in MODES if m not in kept]
+    h, v = spatial.value
+    pair = (occ[h], occ[v])
+    if pair == (1, 0):
+        return 0
+    if pair == (0, 1):
+        return 1
+    raise ValueError(
+        f"support occupation {occ} does not carry one photon in spatial mode "
+        f"{spatial.name.lower()}"
+    )
 
-    def qubit_index(occ: Occupations) -> int:
-        index = 0
-        for h, v in pairs:
-            pair = (occ[h], occ[v])
-            if pair == (1, 0):
-                bit = 0
-            elif pair == (0, 1):
-                bit = 1
-            else:
-                raise ValueError(
-                    f"support occupation {occ} does not carry one photon "
-                    "in every designated spatial mode"
-                )
-            index = 2 * index + bit
-        return index
 
-    dim = 2 ** len(spatial_modes)
-    matrix = np.zeros((dim, dim), dtype=complex)
+def pair_fidelity(rho: DensityOperator, alice: SpatialMode, bob: SpatialMode) -> float:
+    """Overlap of the (alice, bob) photon pair with (|HH> + |VV>)/sqrt(2).
+
+    This is Tr(W rho) for the witness W = |Phi+><Phi+| on the pair times the
+    identity on the other six modes.  An entry contributes half its real part
+    when those six modes agree on ket and bra and ket and bra each hold HH or
+    VV on the pair; every other entry has weight 0.  An entry whose other modes
+    agree but whose ket or bra lacks one photon in each of the pair's spatial
+    modes raises ``ValueError``.  The result scales with the trace of ``rho``.
+    """
+    if alice == bob:
+        raise ValueError(f"a pair needs two spatial modes, got {alice} twice")
+    kept = {*alice.value, *bob.value}
+    others = itemgetter(*(m for m in MODES if m not in kept))
+    total = 0.0
     for (ket, bra), value in rho.entries.items():
-        if all(ket[m] == bra[m] for m in traced):
-            matrix[qubit_index(ket), qubit_index(bra)] += value
-    # like a stored operator entry, a cell below PRUNE_TOL is dropped
-    matrix[abs(matrix) < PRUNE_TOL] = 0.0
-    return matrix
-
-
-def reduce_to_pair(
-    rho: DensityOperator, alice_spatial: int, bob_spatial: int
-) -> np.ndarray:
-    """Two-qubit polarization state of one (Alice mode, Bob mode) photon pair.
-
-    Basis order (HH, HV, VH, VV); trace equals the trace of ``rho``.
-    """
-    alice = SpatialMode.A1 if alice_spatial == 1 else SpatialMode.A2
-    bob = SpatialMode.B1 if bob_spatial == 1 else SpatialMode.B2
-    return polarization_qubit_matrix(rho, (alice, bob))
-
-
-#: target Bell state (|HH> + |VV>)/sqrt(2) in the (HH, HV, VH, VV) basis
-TARGET_BELL = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-
-
-def fidelity(two_qubit: np.ndarray) -> float:
-    """Overlap of a two-qubit polarization state with (|HH> + |VV>)/sqrt(2)."""
-    if two_qubit.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {two_qubit.shape}")
-    return float(np.real(TARGET_BELL.conj() @ two_qubit @ TARGET_BELL))
+        if others(ket) != others(bra):
+            continue
+        ket_aligned = polarization_bit(ket, alice) == polarization_bit(ket, bob)
+        bra_aligned = polarization_bit(bra, alice) == polarization_bit(bra, bob)
+        if ket_aligned and bra_aligned:
+            total += value.real
+    return 0.5 * total
 
 
 def schmidt(
@@ -135,6 +111,8 @@ def schmidt(
     -sum(c^2 log2 c^2) in ebits.  The state must be normalized and the two
     mode sets must partition all eight modes.
     """
+    import numpy as np  # imported here so that run and sweep never load numpy
+
     alice = sorted(set(alice_modes))
     bob = sorted(set(bob_modes))
     if sorted(alice + bob) != list(MODES) or set(alice) & set(bob):

@@ -53,11 +53,6 @@ def depolarize_partial(
     return DensityOperator._trusted(out)
 
 
-def depolarize_full(rho: DensityOperator, target: SpatialMode) -> DensityOperator:
-    """Fully depolarize one spatial mode (s = 0); idempotent."""
-    return depolarize_partial(rho, target, 0.0)
-
-
 def depolarize_alice(rho: DensityOperator, s: float) -> DensityOperator:
     """Apply ``C_s`` to Alice's two spatial modes, a1 and then a2."""
     for target in (SpatialMode.A1, SpatialMode.A2):

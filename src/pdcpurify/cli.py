@@ -42,8 +42,10 @@ def _result_row(result: ProtocolResult) -> str:
 
 
 def _read_config(path: str, known: set[str]) -> dict[str, str]:
-    """Parse a plain ``key = value`` defaults file; keys must be in ``known``."""
+    """Parse a plain ``key = value`` defaults file; keys must be in ``known``
+    and appear once."""
     defaults: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -54,7 +56,13 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key in lines:
+                raise ValueError(
+                    f"{path}:{lineno}: config key '{key}' is already set on "
+                    f"line {lines[key]}"
+                )
             defaults[key] = value
+            lines[key] = lineno
     return defaults
 
 

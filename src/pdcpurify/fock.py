@@ -2,18 +2,16 @@
 
 All states live in a sector of fixed total photon number (0, 2 or 4 in
 practice).  The canonical representation is a sparse map from occupation
-tuples to complex amplitudes; dense matrices only appear inside eigenvalue
-routines.  Values are immutable after construction and every operation is a
-pure function, so everything here is safe to share across threads.
+tuples to complex amplitudes; nothing here builds a dense matrix.  Values
+are immutable after construction and every operation is a pure function, so
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum, IntEnum
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Iterable
 
 # Amplitudes below this are dropped after every linear operation so that
 # sparse maps stay canonical for equality-based tests.
@@ -162,17 +160,6 @@ class PureState:
             out[occ] = out.get(occ, 0.0) + amp
         return PureState._trusted(out, self.sector)
 
-    def __sub__(self, other: "PureState") -> "PureState":
-        return self + other.scaled(-1.0)
-
-    def map_basis(self, relabel: Callable[[Occupations], Occupations]) -> "PureState":
-        """Apply an occupation-tuple permutation to every term."""
-        out: dict[Occupations, complex] = {}
-        for occ, amp in self.amplitudes.items():
-            key = relabel(occ)
-            out[key] = out.get(key, 0.0) + amp
-        return PureState(out, sector=self.sector)
-
     def __repr__(self) -> str:
         inside = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.terms())
         return f"PureState(sector={self.sector}, {{{inside}}})"
@@ -193,18 +180,6 @@ def create(mode: Mode, state: PureState) -> PureState:
         raised = occ[:mode] + (n + 1,) + occ[mode + 1 :]
         out[raised] = out.get(raised, 0.0) + amp * math.sqrt(n + 1)
     return PureState._trusted(out, state.sector + 1)
-
-
-def inner_product(x: PureState, y: PureState) -> complex:
-    """Hermitian inner product <x|y> of two same-sector states."""
-    if x.sector != y.sector:
-        raise ValueError(f"sector mismatch: {x.sector} vs {y.sector}")
-    total = 0.0 + 0.0j
-    for occ, amp in x.terms():
-        other = y.amplitudes.get(occ)
-        if other is not None:
-            total += amp.conjugate() * other
-    return total
 
 
 class DensityOperator:
@@ -256,51 +231,12 @@ class DensityOperator:
             out[key] = out.get(key, 0.0) + v
         return DensityOperator._trusted(out)
 
-    def map_basis(
-        self, relabel: Callable[[Occupations], Occupations]
-    ) -> "DensityOperator":
-        """Apply an occupation permutation to bra and ket sides."""
-        out: dict[tuple[Occupations, Occupations], complex] = {}
-        for (ket, bra), v in self.entries.items():
-            key = (relabel(ket), relabel(bra))
-            out[key] = out.get(key, 0.0) + v
-        return DensityOperator(out)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues over the stored support, ascending."""
-        if not self.entries:
-            return np.zeros(0)
-        basis = sorted({occ for key in self.entries for occ in key})
-        index = {occ: i for i, occ in enumerate(basis)}
-        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (ket, bra), v in self.entries.items():
-            matrix[index[ket], index[bra]] = v
-        return np.linalg.eigvalsh(matrix)
-
     def allclose(self, other: "DensityOperator", tol: float = 1e-12) -> bool:
         keys = set(self.entries) | set(other.entries)
         return all(
             abs(self.entries.get(key, 0.0) - other.entries.get(key, 0.0)) <= tol
             for key in keys
         )
-
-    def validate(
-        self,
-        hermitian_tol: float = 1e-12,
-        trace_tol: float = 1e-12,
-        psd_tol: float = 1e-10,
-    ) -> None:
-        """Raise ValueError unless Hermitian, trace in [0, 1] and PSD."""
-        for (ket, bra), v in self.entries.items():
-            mirror = self.entries.get((bra, ket), 0.0)
-            if abs(v - mirror.conjugate()) > hermitian_tol:
-                raise ValueError(f"entry ({ket}, {bra}) breaks Hermiticity")
-        tr = self.trace()
-        if tr < -trace_tol or tr > 1.0 + trace_tol:
-            raise ValueError(f"trace {tr} outside [0, 1]")
-        eigs = self.eigenvalues()
-        if eigs.size and eigs[0] < -psd_tol * max(tr, 1.0):
-            raise ValueError(f"minimum eigenvalue {eigs[0]} below tolerance")
 
     def __repr__(self) -> str:
         return (

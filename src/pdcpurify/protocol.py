@@ -9,22 +9,18 @@ bit-identical results.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .analysis import (
     BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
     ZERO_PROBABILITY,
-    fidelity,
-    polarization_qubit_matrix,
+    pair_fidelity,
+    polarization_bit,
     postselect,
-    reduce_to_pair,
 )
 from .channel import depolarize_alice
 from .fock import DensityOperator, PureState, Side, SpatialMode, to_density
@@ -97,6 +93,11 @@ def input_fidelity(s: float) -> float:
     return (1.0 + 3.0 * s) / 4.0
 
 
+#: the (Alice, Bob) spatial modes of the upper and of the lower pair
+_UPPER = (SpatialMode.A1, SpatialMode.B1)
+_LOWER = (SpatialMode.A2, SpatialMode.B2)
+
+
 def _transmit(state: PureState, s: float) -> DensityOperator:
     """Depolarize Alice's spatial modes, then pass both beam splitters."""
     rho = depolarize_alice(to_density(state), s)
@@ -117,8 +118,8 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     p_success, conditional = postselect(rho, FOUR_MODE)
     f_upper = f_lower = None
     if conditional is not None:
-        f_upper = fidelity(reduce_to_pair(conditional, 1, 1))
-        f_lower = fidelity(reduce_to_pair(conditional, 2, 2))
+        f_upper = pair_fidelity(conditional, *_UPPER)
+        f_lower = pair_fidelity(conditional, *_LOWER)
     return ProtocolResult(input_fidelity(s), p_success, f_upper, f_lower, params)
 
 
@@ -140,44 +141,45 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     if p_success > ZERO_PROBABILITY:
         weighted = 0.0
         if cond_up is not None:
-            weighted += p_up * fidelity(reduce_to_pair(cond_up, 1, 1))
+            weighted += p_up * pair_fidelity(cond_up, *_UPPER)
         if cond_down is not None:
-            weighted += p_down * fidelity(reduce_to_pair(cond_down, 2, 2))
+            weighted += p_down * pair_fidelity(cond_down, *_LOWER)
         f_out = weighted / p_success
     return ProtocolResult(input_fidelity(s), p_success, f_out, None, params)
 
 
-_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
-_MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
-_PHASE_FLIP = np.diag([1.0, -1.0])
+def _measured_out_fidelity(conditional: DensityOperator) -> float:
+    """Fidelity of the (a1, b1) pair after measuring out (a2, b2) at 45 degrees.
 
+    Each lower photon is projected onto |+> or |->, (H +/- V)/sqrt(2), and
+    when the outcomes x and y disagree Alice's kept qubit gets a phase flip Z.
+    Summing the four branches, the fidelity with Phi+ = (|HH> + |VV>)/sqrt(2)
+    is
 
-def _measure_out_lower_pair(conditional: DensityOperator) -> np.ndarray:
-    """Measure the (a2, b2) photons at 45 degrees and correct the kept pair.
+        sum over x, y in {+, -} of <Phi_xy, x, y| rho |Phi_xy, x, y>,
 
-    Both lower photons are projected onto the (H +/- V)/sqrt(2) basis; when
-    the two outcomes disagree, a phase flip is applied to Alice's kept qubit.
-    Returns the resulting (a1, b1) two-qubit state (all four outcome branches
-    summed, trace 1).
+    with Phi_xy = Phi+ if x = y and Phi- = (Z x 1) Phi+ otherwise, in the
+    qubit order (a1, b1, a2, b2).  So it is Tr(W rho) for the fixed witness
+    W = sum_xy |Phi_xy><Phi_xy| x |xy><xy|.  Write |Phi+-><Phi+-| as D +- O,
+    D = (|HH><HH| + |VV><VV|)/2 and O = (|HH><VV| + |VV><HH|)/2, and use
+    sum_xy |xy><xy| = 1 and sum_xy (+-1 for x = y or not) |xy><xy| = X x X:
+
+        W = D x 1 + O x (X x X).
+
+    An entry of ``conditional`` has weight 1/2 under W exactly when ket
+    holds HH or VV on (a1, b1) and bra equals ket (D x 1) or ket with every
+    polarization flipped (O x X x X); every other entry has weight 0.  Each
+    entry must hold one photon per spatial mode (``ValueError`` otherwise).
     """
-    order = (SpatialMode.A1, SpatialMode.B1, SpatialMode.A2, SpatialMode.B2)
-    four_qubit = polarization_qubit_matrix(conditional, order).reshape((2,) * 8)
-    correction = np.kron(_PHASE_FLIP, np.eye(2))
-    kept = np.zeros((4, 4), dtype=complex)
-    for alice_vec in (_PLUS, _MINUS):
-        for bob_vec in (_PLUS, _MINUS):
-            branch = np.einsum(
-                "abcdefgh,c,d,g,h->abef",
-                four_qubit,
-                alice_vec.conj(),
-                bob_vec.conj(),
-                alice_vec,
-                bob_vec,
-            ).reshape(4, 4)
-            if alice_vec is not bob_vec:
-                branch = correction @ branch @ correction
-            kept += branch
-    return kept
+    order = _UPPER + _LOWER
+    total = 0.0
+    for (ket, bra), value in conditional.entries.items():
+        ket_bits = [polarization_bit(ket, spatial) for spatial in order]
+        bra_bits = [polarization_bit(bra, spatial) for spatial in order]
+        flips = {k ^ b for k, b in zip(ket_bits, bra_bits)}
+        if ket_bits[0] == ket_bits[1] and len(flips) == 1:
+            total += value.real
+    return 0.5 * total
 
 
 def run_independent_pairs(s: float) -> ProtocolResult:
@@ -192,7 +194,7 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     p_success, conditional = postselect(rho, FOUR_MODE)
     f_out = None
     if conditional is not None:
-        f_out = fidelity(_measure_out_lower_pair(conditional))
+        f_out = _measured_out_fidelity(conditional)
     return ProtocolResult(input_fidelity(s), p_success, f_out, None, params)
 
 

@@ -122,7 +122,8 @@ def kraus_family(spatial, n):
 
 
 def depolarize(rho, spatial, s, n):
-    mixed = sum(op @ rho @ op.T for op in kraus_family(spatial, n))
+    # op @ rho @ op.T, with both products taken sparse-times-dense
+    mixed = sum((op @ (op @ rho).T).T for op in kraus_family(spatial, n))
     return s * rho + (1.0 - s) * mixed
 
 

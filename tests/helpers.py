@@ -1,16 +1,24 @@
-"""State builders and error injections that only the tests use."""
+"""State builders, error injections and dense references that only the
+tests use."""
+
+import math
 
 import numpy as np
 
 from pdcpurify import (
+    MODES,
     Mode,
     ProtocolKind,
+    PureState,
+    SpatialMode,
     create,
+    depolarize_partial,
     run_four_photon,
     run_independent_pairs,
     run_two_photon,
     vacuum,
 )
+from pdcpurify.fock import PRUNE_TOL
 
 
 def ghz_state():
@@ -38,7 +46,158 @@ def inject_bitflip(state, target):
         out[h], out[v] = occ[v], occ[h]
         return tuple(out)
 
-    return state.map_basis(flip)
+    return map_basis(state, flip)
+
+
+def map_basis(state, relabel):
+    """Apply an occupation-tuple relabeling to every term of a pure state.
+
+    The result goes through the public ``PureState`` constructor, so a
+    relabeling that produces an invalid key is rejected.
+    """
+    out = {}
+    for occ, amp in state.amplitudes.items():
+        key = relabel(occ)
+        out[key] = out.get(key, 0.0) + amp
+    return PureState(out, sector=state.sector)
+
+
+def inner_product(x, y):
+    """Hermitian inner product <x|y> of two same-sector states."""
+    if x.sector != y.sector:
+        raise ValueError(f"sector mismatch: {x.sector} vs {y.sector}")
+    total = 0.0 + 0.0j
+    for occ, amp in x.terms():
+        other = y.amplitudes.get(occ)
+        if other is not None:
+            total += amp.conjugate() * other
+    return total
+
+
+def depolarize_full(rho, target):
+    """Fully depolarize one spatial mode: the channel at s = 0 (idempotent)."""
+    return depolarize_partial(rho, target, 0.0)
+
+
+def eigenvalues(rho):
+    """Eigenvalues of a ``DensityOperator`` over its stored support, ascending."""
+    if not rho.entries:
+        return np.zeros(0)
+    basis = sorted({occ for key in rho.entries for occ in key})
+    index = {occ: i for i, occ in enumerate(basis)}
+    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    for (ket, bra), v in rho.entries.items():
+        matrix[index[ket], index[bra]] = v
+    return np.linalg.eigvalsh(matrix)
+
+
+def validate(rho, hermitian_tol=1e-12, trace_tol=1e-12, psd_tol=1e-10):
+    """Raise ValueError unless ``rho`` is Hermitian, has trace in [0, 1] and is PSD."""
+    for (ket, bra), v in rho.entries.items():
+        mirror = rho.entries.get((bra, ket), 0.0)
+        if abs(v - mirror.conjugate()) > hermitian_tol:
+            raise ValueError(f"entry ({ket}, {bra}) breaks Hermiticity")
+    tr = rho.trace()
+    if tr < -trace_tol or tr > 1.0 + trace_tol:
+        raise ValueError(f"trace {tr} outside [0, 1]")
+    eigs = eigenvalues(rho)
+    if eigs.size and eigs[0] < -psd_tol * max(tr, 1.0):
+        raise ValueError(f"minimum eigenvalue {eigs[0]} below tolerance")
+
+
+def polarization_qubit_matrix(rho, spatial_modes):
+    """Dense qubit matrix for spatial modes carrying exactly one photon each.
+
+    All other modes are traced out; each listed spatial mode's single photon
+    becomes a qubit (H = 0, V = 1).  The matrix is indexed with the first
+    listed mode as the most significant qubit.  This is the dense reference
+    for the package's sparse fidelity sums.
+    """
+    if len(set(spatial_modes)) != len(spatial_modes):
+        raise ValueError(f"duplicate spatial modes in {spatial_modes}")
+    pairs = [sm.value for sm in spatial_modes]
+    kept = {m for pair in pairs for m in pair}
+    traced = [m for m in MODES if m not in kept]
+
+    def qubit_index(occ):
+        index = 0
+        for h, v in pairs:
+            pair = (occ[h], occ[v])
+            if pair == (1, 0):
+                bit = 0
+            elif pair == (0, 1):
+                bit = 1
+            else:
+                raise ValueError(
+                    f"support occupation {occ} does not carry one photon "
+                    "in every designated spatial mode"
+                )
+            index = 2 * index + bit
+        return index
+
+    dim = 2 ** len(spatial_modes)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for (ket, bra), value in rho.entries.items():
+        if all(ket[m] == bra[m] for m in traced):
+            matrix[qubit_index(ket), qubit_index(bra)] += value
+    # like a stored operator entry, a cell below PRUNE_TOL is dropped
+    matrix[abs(matrix) < PRUNE_TOL] = 0.0
+    return matrix
+
+
+def reduce_to_pair(rho, alice_spatial, bob_spatial):
+    """Two-qubit polarization state of one (Alice mode, Bob mode) photon pair.
+
+    Spatial modes are given as 1 (upper) or 2 (lower).  Basis order (HH, HV,
+    VH, VV); trace equals the trace of ``rho``.
+    """
+    alice = SpatialMode.A1 if alice_spatial == 1 else SpatialMode.A2
+    bob = SpatialMode.B1 if bob_spatial == 1 else SpatialMode.B2
+    return polarization_qubit_matrix(rho, (alice, bob))
+
+
+#: target Bell state (|HH> + |VV>)/sqrt(2) in the (HH, HV, VH, VV) basis
+TARGET_BELL = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+
+
+def fidelity(two_qubit):
+    """Overlap of a dense two-qubit polarization state with (|HH> + |VV>)/sqrt(2)."""
+    if two_qubit.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {two_qubit.shape}")
+    return float(np.real(TARGET_BELL.conj() @ two_qubit @ TARGET_BELL))
+
+
+_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+_MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
+_PHASE_FLIP = np.diag([1.0, -1.0])
+
+
+def measure_out_lower_pair(conditional):
+    """Measure the (a2, b2) photons at 45 degrees and correct the kept pair.
+
+    Both lower photons are projected onto the (H +/- V)/sqrt(2) basis; when
+    the two outcomes disagree, a phase flip is applied to Alice's kept qubit.
+    Returns the resulting dense (a1, b1) two-qubit state (all four outcome
+    branches summed, trace 1).
+    """
+    order = (SpatialMode.A1, SpatialMode.B1, SpatialMode.A2, SpatialMode.B2)
+    four_qubit = polarization_qubit_matrix(conditional, order).reshape((2,) * 8)
+    correction = np.kron(_PHASE_FLIP, np.eye(2))
+    kept = np.zeros((4, 4), dtype=complex)
+    for alice_vec in (_PLUS, _MINUS):
+        for bob_vec in (_PLUS, _MINUS):
+            branch = np.einsum(
+                "abcdefgh,c,d,g,h->abef",
+                four_qubit,
+                alice_vec.conj(),
+                bob_vec.conj(),
+                alice_vec,
+                bob_vec,
+            ).reshape(4, 4)
+            if alice_vec is not bob_vec:
+                branch = correction @ branch @ correction
+            kept += branch
+    return kept
 
 
 def reduced_density_matrix(state, keep):

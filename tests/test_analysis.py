@@ -8,6 +8,7 @@ from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
+    DensityOperator,
     MODES,
     Mode,
     SourceParams,
@@ -15,18 +16,23 @@ from pdcpurify import (
     SpatialMode,
     apply_pbs,
     create,
-    depolarize_full,
     depolarize_partial,
-    fidelity,
     independent_pairs_state,
+    pair_fidelity,
     postselect,
-    reduce_to_pair,
     schmidt,
     spatially_entangled_state,
     to_density,
     vacuum,
 )
-from helpers import ghz_state, reduced_density_matrix
+from helpers import (
+    depolarize_full,
+    fidelity,
+    ghz_state,
+    reduce_to_pair,
+    reduced_density_matrix,
+    validate,
+)
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]
@@ -61,7 +67,7 @@ def test_four_mode_probability_ideal_four_photons():
     probability, conditional = postselect(rho, FOUR_MODE)
     assert probability == pytest.approx(0.4, abs=1e-12)
     assert conditional is not None
-    conditional.validate()
+    validate(conditional)
     assert conditional.trace() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -118,6 +124,16 @@ def test_reduce_rejects_wrong_support():
     rho = to_density(ket(Mode.A1H, Mode.A1V))  # two photons in a1, none at Bob
     with pytest.raises(ValueError):
         reduce_to_pair(rho, 1, 1)
+    with pytest.raises(ValueError, match="one photon"):
+        pair_fidelity(rho, SpatialMode.A1, SpatialMode.B1)
+    with pytest.raises(ValueError, match="two spatial modes"):
+        pair_fidelity(rho, SpatialMode.A1, SpatialMode.A1)
+    # the bra is checked too, whatever the ket holds (HH or HV here)
+    bad = (1, 1, 0, 0, 0, 0, 0, 0)
+    for good in ((1, 0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 1, 0, 0)):
+        op = DensityOperator({(good, bad): 0.5})
+        with pytest.raises(ValueError, match="one photon"):
+            pair_fidelity(op, SpatialMode.A1, SpatialMode.B1)
 
 
 def test_fidelity_examples():

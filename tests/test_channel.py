@@ -12,16 +12,13 @@ from pdcpurify import (
     apply_pbs,
     create,
     depolarize_alice,
-    depolarize_full,
     depolarize_partial,
-    fidelity,
     postselect,
-    reduce_to_pair,
     spatially_entangled_state,
     to_density,
     vacuum,
 )
-from helpers import inject_bitflip
+from helpers import depolarize_full, fidelity, inject_bitflip, reduce_to_pair, validate
 
 
 def ket(*modes):
@@ -82,7 +79,7 @@ def test_channel_preserves_trace_and_positivity(s):
     rho = source_density(pairs=2)
     out = depolarize_partial(rho, SpatialMode.A1, s)
     assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
-    out.validate()
+    validate(out)
 
 
 def test_partial_endpoints():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,19 @@ def test_unknown_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--out", "x.csv"], ["state"]])
+def test_duplicate_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "twice.cfg"
+    config.write_text("protocol = two-photon\ns = 1\nr = 0.5\n# again\nr = 0.9\n")
+    status, out, err = run_cli(command + ["--config", str(config)], capsys)
+    assert status == 2
+    assert out == ""
+    assert "'r'" in err
+    assert ":5:" in err and "line 3" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_key_naming_a_config_file_exits_2(tmp_path, capsys):
     config = tmp_path / "nested.cfg"
     config.write_text("protocol = two-photon\ns = 1\nconfig = /nonexistent.cfg\n")
@@ -365,3 +382,37 @@ def test_state_diagnostics(capsys):
 
     status, out, _ = run_cli(["state", "--pairs", "1", "--r", "0"], capsys)
     assert json.loads(out)["entropy_ebits"] == pytest.approx(1.0, abs=1e-9)
+
+
+NUMPY_PROBE = """
+import json, sys
+from pdcpurify.cli import main
+for argv in json.loads(sys.argv[1]):
+    print(main(argv), "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_state_imports_numpy(tmp_path):
+    """``run`` and ``sweep`` work in a fresh interpreter without loading numpy;
+    ``state``, which needs it for the Schmidt decomposition, still works."""
+    commands = [["run", "--protocol", kind.value, "--s", "0.5"] for kind in ProtocolKind]
+    commands += [
+        ["sweep", "--protocol", "four-photon", "--steps", "3", "--out", "c.csv"],
+        ["sweep", "--protocol", "two-photon", "--steps", "3", "--format", "json",
+         "--out", "c.json"],
+        ["state", "--pairs", "2"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == ["0 False"] * 5 + ["0 True"]
+    assert (tmp_path / "c.csv").is_file() and (tmp_path / "c.json").is_file()
+    assert done.stdout.count('"p_success"') == 3
+    assert '"schmidt_coefficients"' in done.stdout

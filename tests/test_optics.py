@@ -11,11 +11,11 @@ from pdcpurify import (
     SpatialMode,
     apply_pbs,
     create,
-    inner_product,
     spatially_entangled_state,
     to_density,
     vacuum,
 )
+from helpers import inner_product
 from pdcpurify.fock import spatial_totals
 
 
@@ -52,7 +52,8 @@ def rotate_polarization(state, target):
         for _ in range(nh):
             seed = (create(h, seed) + create(v, seed)).scaled(1 / math.sqrt(2))
         for _ in range(nv):
-            seed = (create(h, seed) - create(v, seed)).scaled(1 / math.sqrt(2))
+            minus_v = create(v, seed).scaled(-1.0)
+            seed = (create(h, seed) + minus_v).scaled(1 / math.sqrt(2))
         result = seed if result is None else result + seed
     return state if result is None else result
 
@@ -142,7 +143,9 @@ def test_rotation_preserves_target_photon_count():
 
 
 def test_rotation_turns_phase_flip_into_bit_flip():
-    phase_flipped = (ket(Mode.A1H, Mode.B1H) - ket(Mode.A1V, Mode.B1V)).normalized()
+    phase_flipped = (
+        ket(Mode.A1H, Mode.B1H) + ket(Mode.A1V, Mode.B1V).scaled(-1.0)
+    ).normalized()
     rotated = rotate_polarization(
         rotate_polarization(phase_flipped, SpatialMode.A1), SpatialMode.B1
     )

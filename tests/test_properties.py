@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import run_direct
+import dense_oracle as oracle
+from helpers import (
+    depolarize_full,
+    fidelity,
+    measure_out_lower_pair,
+    reduce_to_pair,
+    run_direct,
+)
 from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
@@ -23,13 +30,15 @@ from pdcpurify import (
     SpatialMode,
     apply_pbs,
     depolarize_alice,
-    depolarize_full,
     depolarize_partial,
     independent_pairs_state,
+    pair_fidelity,
     postselect,
+    run_four_photon,
     spatially_entangled_state,
     to_density,
 )
+from pdcpurify.protocol import _measured_out_fidelity
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -89,16 +98,25 @@ def test_pipeline_outputs_are_probabilities(kind, r, phi, s):
             assert f is not None and -1e-12 <= f <= 1.0 + 1e-12
 
 
+def _source(kind, r, phi):
+    if kind is ProtocolKind.INDEPENDENT_PAIRS:
+        return independent_pairs_state()
+    pairs = 2 if kind is ProtocolKind.FOUR_PHOTON else 1
+    return spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs))
+
+
+#: each protocol's detection patterns, with the indices i of the (ai, bi)
+#: pairs that hold one photon per spatial mode once the pattern is selected
+SELECTIONS = {
+    ProtocolKind.FOUR_PHOTON: ((FOUR_MODE, (1, 2)),),
+    ProtocolKind.TWO_PHOTON: ((BOTH_UP, (1,)), (BOTH_DOWN, (2,))),
+    ProtocolKind.INDEPENDENT_PAIRS: ((FOUR_MODE, (1, 2)),),
+}
+
+
 def _pipeline_stages(kind, r, phi, s):
     """The source state and every operator the pipeline of ``kind`` builds."""
-    if kind is ProtocolKind.INDEPENDENT_PAIRS:
-        state, selections = independent_pairs_state(), (FOUR_MODE,)
-    elif kind is ProtocolKind.FOUR_PHOTON:
-        state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=2))
-        selections = (FOUR_MODE,)
-    else:
-        state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
-        selections = (BOTH_UP, BOTH_DOWN)
+    state = _source(kind, r, phi)
     rho = to_density(state)
     stages = [rho]
     for target in (SpatialMode.A1, SpatialMode.A2):
@@ -107,7 +125,7 @@ def _pipeline_stages(kind, r, phi, s):
     for side in (Side.ALICE, Side.BOB):
         rho = apply_pbs(rho, side)
         stages.append(rho)
-    for selection in selections:
+    for selection, _ in SELECTIONS[kind]:
         _, conditional = postselect(rho, selection)
         if conditional is not None:
             stages.append(conditional)
@@ -123,3 +141,59 @@ def test_internal_builds_pass_the_public_checks(kind, r, phi, s):
     assert PureState(state.amplitudes, sector=state.sector).amplitudes == state.amplitudes
     for op in stages:
         assert DensityOperator(op.entries).allclose(op, tol=0.0)
+
+
+def _conditionals(kind, r, phi, s):
+    """Each conditional state of ``kind``'s pipeline, with its pair indices."""
+    rho = depolarize_alice(to_density(_source(kind, r, phi)), s)
+    rho = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
+    for selection, pairs in SELECTIONS[kind]:
+        _, conditional = postselect(rho, selection)
+        if conditional is not None:
+            yield conditional, pairs
+
+
+PAIR_MODES = {1: (SpatialMode.A1, SpatialMode.B1), 2: (SpatialMode.A2, SpatialMode.B2)}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, s=unit)
+def test_witness_sums_match_the_dense_reduction(kind, r, phi, s):
+    for conditional, pairs in _conditionals(kind, r, phi, s):
+        for i in pairs:
+            dense = fidelity(reduce_to_pair(conditional, i, i))
+            assert abs(pair_fidelity(conditional, *PAIR_MODES[i]) - dense) <= 1e-14
+        if kind is not ProtocolKind.TWO_PHOTON:
+            dense = fidelity(measure_out_lower_pair(conditional))
+            assert abs(_measured_out_fidelity(conditional) - dense) <= 1e-14
+
+
+def _oracle(kind, r, phi, s):
+    """The dense oracle's (p_success, f_upper[, f_lower]) for one run."""
+    if kind is ProtocolKind.FOUR_PHOTON:
+        return oracle.four_photon_reference(r, phi, s)
+    if kind is ProtocolKind.TWO_PHOTON:
+        return oracle.two_photon_reference(r, phi, s)
+    return oracle.independent_pairs_reference(s)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@settings(PROPERTY_SETTINGS, max_examples=3)
+@given(r=unit, phi=phase, s=unit)
+def test_runs_match_the_dense_oracle(kind, r, phi, s):
+    result = run_direct(kind, r, phi, s)
+    p_ref, *f_refs = _oracle(kind, r, phi, s)
+    assert abs(result.p_success - p_ref) <= 1e-12
+    for f, f_ref in zip(_fidelities(kind, result), f_refs):
+        if f is None:
+            assert p_ref <= 1e-12
+        else:
+            assert abs(f - f_ref) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(phi=phase, s=unit)
+def test_upper_and_lower_pairs_agree_at_r_one(phi, s):
+    result = run_four_photon(1.0, phi, s)
+    assert abs(result.f_upper - result.f_lower) <= 1e-12

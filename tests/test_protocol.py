@@ -3,7 +3,7 @@ import math
 import pytest
 
 import dense_oracle as oracle
-from helpers import ghz_state, inject_bitflip, run_direct
+from helpers import fidelity, ghz_state, inject_bitflip, reduce_to_pair, run_direct
 from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
@@ -17,11 +17,9 @@ from pdcpurify import (
     SweepSpec,
     apply_pbs,
     bbpssw_fidelity,
-    fidelity,
     independent_pairs_state,
     input_fidelity,
     postselect,
-    reduce_to_pair,
     run_four_photon,
     run_independent_pairs,
     run_two_photon,

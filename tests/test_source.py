@@ -8,10 +8,10 @@ from pdcpurify import (
     Mode,
     SourceParams,
     independent_pairs_state,
-    inner_product,
     schmidt,
     spatially_entangled_state,
 )
+from helpers import inner_product, map_basis
 from pdcpurify.fock import spatial_totals
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
@@ -73,7 +73,7 @@ def test_upper_lower_exchange_symmetry_at_r_one(phi, pairs):
     # up to a global phase
     state = spatially_entangled_state(SourceParams(r=1, phi=phi, pairs=pairs))
     partner = spatially_entangled_state(SourceParams(r=1, phi=-phi, pairs=pairs))
-    overlap = inner_product(state.map_basis(_exchange_spatial), partner)
+    overlap = inner_product(map_basis(state, _exchange_spatial), partner)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
