@@ -13,7 +13,7 @@ from .fock import MODES, Mode
 from .protocol import ProtocolKind, ProtocolResult, SweepSpec, linear_grid, sweep
 from .source import SourceParams, spatially_entangled_state
 
-CSV_HEADER = "s,f_in,p_success,f_upper,f_lower"
+CSV_HEADER = ",".join(ProtocolResult.COLUMNS)
 
 
 def _fmt(value: float | None) -> str:
@@ -30,15 +30,7 @@ def _json(payload) -> str:
 
 
 def _result_row(result: ProtocolResult) -> str:
-    return ",".join(
-        [
-            _fmt(result.params["s"]),
-            _fmt(result.f_in),
-            _fmt(result.p_success),
-            _fmt(result.f_upper),
-            _fmt(result.f_lower),
-        ]
-    )
+    return ",".join(_fmt(getattr(result, name)) for name in ProtocolResult.COLUMNS)
 
 
 def _read_config(path: str, known: set[str]) -> dict[str, str]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import ClassVar
 
 from .analysis import (
     BOTH_DOWN,
@@ -34,58 +36,42 @@ class ProtocolKind(Enum):
     INDEPENDENT_PAIRS = "independent-pairs"
 
 
-class _RunParams(Mapping):
-    """The protocol, r, phi and s of one run, as a read-only mapping.
-
-    A sweep holds one per grid point; with slots it takes about a third of
-    the memory of the equivalent dict.
-    """
-
-    __slots__ = ("protocol", "r", "phi", "s")
-
-    def __init__(self, protocol: str, r: float | None, phi: float | None, s: float):
-        self.protocol, self.r, self.phi, self.s = protocol, r, phi, s
-
-    def __getitem__(self, key: str):
-        if key not in self.__slots__:
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def __iter__(self):
-        return iter(self.__slots__)
-
-    def __len__(self) -> int:
-        return len(self.__slots__)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 @dataclass(frozen=True, slots=True)
 class ProtocolResult:
-    """Success probability and fidelities of one protocol run.
+    """Inputs, success probability and fidelities of one protocol run.
 
-    ``f_in`` is the polarization fidelity each pair would have before
-    purification, (1 + 3s)/4.  Output fidelities are ``None`` when the
-    selected detection pattern never occurs.  ``params`` holds the run's
-    protocol, r, phi and s.
+    Output fidelities are ``None`` when the selected detection pattern never
+    occurs; r and phi are ``None`` for independent pairs.  ``f_in`` and
+    ``params`` are derived from the stored fields.
     """
 
-    f_in: float
+    #: the output columns, in order: CSV header and cells, leading JSON keys
+    COLUMNS: ClassVar[tuple] = ("s", "f_in", "p_success", "f_upper", "f_lower")
+
+    protocol: str
+    r: float | None
+    phi: float | None
+    s: float
     p_success: float
     f_upper: float | None
     f_lower: float | None
-    params: Mapping
+
+    @property
+    def f_in(self) -> float:
+        """Polarization fidelity of each pair before purification, (1 + 3s)/4."""
+        return input_fidelity(self.s)
+
+    @property
+    def params(self) -> Mapping:
+        """The run's protocol, r, phi and s, as a read-only mapping."""
+        return MappingProxyType(
+            {"protocol": self.protocol, "r": self.r, "phi": self.phi, "s": self.s}
+        )
 
     def as_dict(self) -> dict:
-        return {
-            "s": self.params.get("s"),
-            "f_in": self.f_in,
-            "p_success": self.p_success,
-            "f_upper": self.f_upper,
-            "f_lower": self.f_lower,
-            "params": dict(self.params),
-        }
+        row = {name: getattr(self, name) for name in self.COLUMNS}
+        row["params"] = dict(self.params)
+        return row
 
 
 def input_fidelity(s: float) -> float:
@@ -112,7 +98,6 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     Both the upper and the lower output pair are kept; their fidelities are
     reported separately.
     """
-    params = _RunParams(ProtocolKind.FOUR_PHOTON.value, r, phi, s)
     source = SourceParams(r=r, phi=phi, pairs=2)
     rho = _transmit(spatially_entangled_state(source), s)
     p_success, conditional = postselect(rho, FOUR_MODE)
@@ -120,7 +105,9 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     if conditional is not None:
         f_upper = pair_fidelity(conditional, *_UPPER)
         f_lower = pair_fidelity(conditional, *_LOWER)
-    return ProtocolResult(input_fidelity(s), p_success, f_upper, f_lower, params)
+    return ProtocolResult(
+        ProtocolKind.FOUR_PHOTON.value, r, phi, s, p_success, f_upper, f_lower
+    )
 
 
 def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
@@ -131,7 +118,6 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     conditional weights and is carried in ``f_upper`` (``f_lower`` stays
     ``None``).
     """
-    params = _RunParams(ProtocolKind.TWO_PHOTON.value, r, phi, s)
     state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
     rho = _transmit(state, s)
     p_up, cond_up = postselect(rho, BOTH_UP)
@@ -145,7 +131,9 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
         if cond_down is not None:
             weighted += p_down * pair_fidelity(cond_down, *_LOWER)
         f_out = weighted / p_success
-    return ProtocolResult(input_fidelity(s), p_success, f_out, None, params)
+    return ProtocolResult(
+        ProtocolKind.TWO_PHOTON.value, r, phi, s, p_success, f_out, None
+    )
 
 
 def _measured_out_fidelity(conditional: DensityOperator) -> float:
@@ -189,13 +177,14 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     out and only the upper pair survives, so there is a single output
     fidelity (in ``f_upper``).
     """
-    params = _RunParams(ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s)
     rho = _transmit(independent_pairs_state(), s)
     p_success, conditional = postselect(rho, FOUR_MODE)
     f_out = None
     if conditional is not None:
         f_out = _measured_out_fidelity(conditional)
-    return ProtocolResult(input_fidelity(s), p_success, f_out, None, params)
+    return ProtocolResult(
+        ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p_success, f_out, None
+    )
 
 
 def bbpssw_fidelity(f: float) -> float:
@@ -214,14 +203,19 @@ def bbpssw_fidelity(f: float) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of survival probabilities plus fixed source parameters."""
+    """Grid of survival probabilities plus fixed source parameters.
+
+    ``protocol`` is a ``ProtocolKind`` or its value; anything else raises
+    ``ValueError``.
+    """
 
     s_values: tuple[float, ...]
     r: float = 1.0
     phi: float = 0.0
-    protocol: ProtocolKind = ProtocolKind.FOUR_PHOTON
+    protocol: ProtocolKind | str = ProtocolKind.FOUR_PHOTON
 
     def __post_init__(self):
+        object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
         if not self.s_values:
             raise ValueError("s grid must not be empty")
         if any(not 0.0 <= s <= 1.0 for s in self.s_values):

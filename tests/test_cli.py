@@ -233,7 +233,7 @@ def test_sweep_s_range_names_both_flags(tmp_path, capsys):
     assert not out_file.exists()
 
 
-NAN_RESULT = ProtocolResult(0.25, math.nan, math.nan, None, {"s": 0.0})
+NAN_RESULT = ProtocolResult("four-photon", 1.0, 0.0, 0.0, math.nan, math.nan, None)
 
 
 @pytest.mark.parametrize(
@@ -341,6 +341,29 @@ def test_duplicate_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
     assert ":5:" in err and "line 3" in err
     assert not (tmp_path / "x.csv").exists()
 
+
+
+@pytest.mark.parametrize(
+    "command,line,key",
+    [
+        (["run", "--protocol", "two-photon", "--s", "1"], "r = abc", "r"),
+        (["sweep", "--protocol", "two-photon", "--out", "x.csv"], "steps = 2.5", "steps"),
+        (["state"], "pairs = two", "pairs"),
+    ],
+    ids=["run", "sweep", "state"],
+)
+def test_unconvertible_config_value_exits_2(
+    command, line, key, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    status, out, err = run_cli(command + ["--config", str(config)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"config value for '{key}' is invalid" in err
+    assert list(tmp_path.iterdir()) == [config]
 
 def test_config_key_naming_a_config_file_exits_2(tmp_path, capsys):
     config = tmp_path / "nested.cfg"

@@ -236,8 +236,10 @@ def test_sweep_independent_pairs_single_point():
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_sweep_equals_per_point_runs(kind):
-    spec = SweepSpec((0.0, 0.5, 1.0), r=0.9, phi=0.45, protocol=kind)
-    assert sweep(spec) == [run_direct(kind, 0.9, 0.45, s) for s in spec.s_values]
+    expected = [run_direct(kind, 0.9, 0.45, s) for s in (0.0, 0.5, 1.0)]
+    for protocol in (kind, kind.value):  # the enum's value selects the same runs
+        spec = SweepSpec((0.0, 0.5, 1.0), r=0.9, phi=0.45, protocol=protocol)
+        assert sweep(spec) == expected
 
 
 def test_sweep_spec_validation():
@@ -249,6 +251,9 @@ def test_sweep_spec_validation():
         SweepSpec((0.5, 0.5))
     with pytest.raises(ValueError):
         SweepSpec((0.8, 0.2))
+    for protocol in ("bogus", None):
+        with pytest.raises(ValueError):
+            SweepSpec((0.5,), protocol=protocol)
 
 
 def test_grid_helper():
