@@ -58,108 +58,101 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
     return defaults
 
 
-def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
-    """Long names, without ``--``, of the value-taking flags of all subcommands.
-
-    ``config`` is left out: a config file cannot name another config file.
-    """
+def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
     (commands,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    actions = [a for p in commands.choices.values() for a in p._actions if a.nargs != 0]
-    names = {o[2:] for a in actions for o in a.option_strings if o.startswith("--")}
-    return names - {"config"}
+    return commands.choices
 
 
-class CliError(Exception):
-    """Bad flag combination or out-of-range value (exit status 2)."""
+def _flag_names(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Value-taking flags of all subcommands, by long name without ``--``.
+
+    ``config`` is left out: a config file cannot name another config file.
+    """
+    actions = [
+        a for p in _subcommands(parser).values() for a in p._actions if a.nargs != 0
+    ]
+    flags = {o[2:]: a for a in actions for o in a.option_strings if o.startswith("--")}
+    del flags["config"]
+    return flags
 
 
-def _resolve(args, config: dict[str, str], name: str, cast, default=None):
-    """Command-line value if given, else config file, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise CliError(f"config value for '{name}' is invalid: {exc}")
-    return default
-
-
-def _resolve_protocol(args, config: dict[str, str]) -> ProtocolKind:
-    protocol = _resolve(args, config, "protocol", str)
-    if protocol is None:
-        raise CliError("--protocol is required")
-    try:
-        return ProtocolKind(protocol)
-    except ValueError:
-        raise CliError(f"unknown protocol '{protocol}'")
-
-
-def _resolve_phi(args, config: dict[str, str]) -> float:
-    """Phase from --phi or --cos-phi; either flag beats either config key."""
-    if args.phi is not None and args.cos_phi is not None:
-        raise CliError("give either --phi or --cos-phi, not both")
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Install the ``--config`` file's values as defaults of ``args.command``,
+    each converted with its flag's ``type`` and checked against its ``choices``
+    (every key, whichever subcommand runs). Either phase flag drops both phase keys.
+    """
+    flags = _flag_names(parser)
+    config = _read_config(args.config, set(flags))
     if "phi" in config and "cos-phi" in config:
-        raise CliError("config file sets both 'phi' and 'cos-phi'; keep one")
-    if args.phi is None and args.cos_phi is None:
-        phi = _resolve(args, config, "phi", float)
-        cos_phi = _resolve(args, config, "cos-phi", float)
-    else:
-        phi, cos_phi = args.phi, args.cos_phi
-    if cos_phi is not None:
-        if not -1.0 <= cos_phi <= 1.0:
-            raise CliError(f"--cos-phi must be in [-1, 1], got {cos_phi}")
-        return math.acos(cos_phi)
-    if phi is not None and not math.isfinite(phi):
-        raise CliError(f"--phi must be finite, got {phi}")
-    return 0.0 if phi is None else phi
+        raise ValueError("config file sets both 'phi' and 'cos-phi'; keep one")
+    values = {}
+    for key, text in config.items():
+        action = flags[key]
+        try:
+            value = action.type(text) if action.type else text
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"'{value}' is not one of {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"config value for '{key}' is invalid: {exc}")
+        values[action.dest] = value
+    if args.phi is not None or args.cos_phi is not None:
+        values.pop("phi", None)
+        values.pop("cos_phi", None)
+    _subcommands(parser)[args.command].set_defaults(**values)
+
+
+def _r_phi(args) -> tuple[float, float]:
+    """--r, and the phase from --phi or --cos-phi (flags or config keys)."""
+    r = _check_unit("r", args.r)
+    if args.phi is not None and args.cos_phi is not None:
+        raise ValueError("give either --phi or --cos-phi, not both")
+    if args.cos_phi is not None:
+        if not -1.0 <= args.cos_phi <= 1.0:
+            raise ValueError(f"--cos-phi must be in [-1, 1], got {args.cos_phi}")
+        return r, math.acos(args.cos_phi)
+    phi = 0.0 if args.phi is None else args.phi
+    if not math.isfinite(phi):
+        raise ValueError(f"--phi must be finite, got {phi}")
+    return r, phi
 
 
 def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
-        raise CliError(f"--{name} must be in [0, 1], got {value}")
+        raise ValueError(f"--{name} must be in [0, 1], got {value}")
     return value
 
 
-def _cmd_run(args, config) -> int:
-    kind = _resolve_protocol(args, config)
-    s = _resolve(args, config, "s", float)
-    if s is None:
-        raise CliError("--s is required")
-    _check_unit("s", s)
-    r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
-    phi = _resolve_phi(args, config)
-    result = sweep(SweepSpec((s,), r=r, phi=phi, protocol=kind))[0]
+def _required(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"--{name} is required")
+    return value
+
+
+def _cmd_run(args) -> int:
+    protocol = _required(args, "protocol")
+    s = _check_unit("s", _required(args, "s"))
+    r, phi = _r_phi(args)
+    result = sweep(SweepSpec((s,), r=r, phi=phi, protocol=protocol))[0]
     sys.stdout.write(_json(result.as_dict()))
     return 0
 
 
-def _cmd_sweep(args, config) -> int:
-    kind = _resolve_protocol(args, config)
-    r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
-    phi = _resolve_phi(args, config)
-    s_min = _check_unit("s-min", _resolve(args, config, "s-min", float, 0.0))
-    s_max = _check_unit("s-max", _resolve(args, config, "s-max", float, 1.0))
+def _cmd_sweep(args) -> int:
+    protocol = _required(args, "protocol")
+    r, phi = _r_phi(args)
+    s_min = _check_unit("s-min", args.s_min)
+    s_max = _check_unit("s-max", args.s_max)
     if s_min >= s_max:
-        raise CliError(f"--s-min must be below --s-max, got {s_min} and {s_max}")
-    steps = _resolve(args, config, "steps", int, 21)
-    out_path = _resolve(args, config, "out", str)
-    if out_path is None:
-        raise CliError("--out is required")
-    out_format = _resolve(args, config, "format", str, "csv")
-    if out_format not in ("csv", "json"):
-        raise CliError(f"--format must be csv or json, got '{out_format}'")
-    try:
-        grid = linear_grid(s_min, s_max, steps)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        raise ValueError(f"--s-min must be below --s-max, got {s_min} and {s_max}")
+    out_path = _required(args, "out")
+    grid = linear_grid(s_min, s_max, args.steps)
 
-    results = sweep(SweepSpec(grid, r=r, phi=phi, protocol=kind))
+    results = sweep(SweepSpec(grid, r=r, phi=phi, protocol=protocol))
     # serialized before the file is opened, so a rejected value leaves no file
-    if out_format == "csv":
+    if args.format == "csv":
         rows = [CSV_HEADER] + [_result_row(result) for result in results]
         text = "".join(row + "\n" for row in rows)
     else:
@@ -173,13 +166,11 @@ def _cmd_sweep(args, config) -> int:
     return 0
 
 
-def _cmd_state(args, config) -> int:
-    pairs = _resolve(args, config, "pairs", int, 1)
-    if pairs not in (1, 2):
-        raise CliError(f"--pairs must be 1 or 2, got {pairs}")
-    r = _check_unit("r", _resolve(args, config, "r", float, 1.0))
-    phi = _resolve_phi(args, config)
-    state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs))
+def _cmd_state(args) -> int:
+    if args.pairs not in (1, 2):
+        raise ValueError(f"--pairs must be 1 or 2, got {args.pairs}")
+    r, phi = _r_phi(args)
+    state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=args.pairs))
     coefficients, entropy = schmidt(
         state, [m for m in MODES if m < Mode.B1H], [m for m in MODES if m >= Mode.B1H]
     )
@@ -194,7 +185,7 @@ def _cmd_state(args, config) -> int:
         ],
         "schmidt_coefficients": coefficients,
         "entropy_ebits": entropy,
-        "params": {"r": r, "phi": phi, "pairs": pairs},
+        "params": {"r": r, "phi": phi, "pairs": args.pairs},
     }
     sys.stdout.write(_json(payload))
     return 0
@@ -208,35 +199,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source_flags(p, with_pairs=False):
+    run_p = sub.add_parser("run", help="run one protocol instance, print JSON")
+    sweep_p = sub.add_parser("sweep", help="run a grid of s values, write a file")
+    state_p = sub.add_parser("state", help="print source-state diagnostics as JSON")
+    for p in (run_p, sweep_p, state_p):
         p.add_argument("--config", help="key = value file with flag defaults")
-        p.add_argument("--r", type=float, help="lower-mode amplitude ratio in [0, 1]")
+        p.add_argument(
+            "--r", type=float, default=1.0, help="lower-mode amplitude ratio in [0, 1]"
+        )
         p.add_argument("--phi", type=float, help="lower-mode phase in radians")
         p.add_argument(
             "--cos-phi",
             type=float,
-            dest="cos_phi",
             help="set the phase via its cosine (alternative to --phi)",
         )
-        if with_pairs:
-            p.add_argument("--pairs", type=int, help="emitted pair count, 1 or 2")
-
-    run_p = sub.add_parser("run", help="run one protocol instance, print JSON")
-    sweep_p = sub.add_parser("sweep", help="run a grid of s values, write a file")
     for p in (run_p, sweep_p):
-        add_source_flags(p)
         p.add_argument(
             "--protocol", choices=[k.value for k in ProtocolKind], help="which pipeline"
         )
     run_p.add_argument("--s", type=float, help="channel survival probability")
-    sweep_p.add_argument("--s-min", type=float, dest="s_min")
-    sweep_p.add_argument("--s-max", type=float, dest="s_max")
-    sweep_p.add_argument("--steps", type=int, help="grid points (>= 2)")
+    sweep_p.add_argument("--s-min", type=float, default=0.0)
+    sweep_p.add_argument("--s-max", type=float, default=1.0)
+    sweep_p.add_argument("--steps", type=int, default=21, help="grid points (>= 2)")
     sweep_p.add_argument("--out", help="output file path")
-    sweep_p.add_argument("--format", choices=["csv", "json"], help="output format")
-
-    state_p = sub.add_parser("state", help="print source-state diagnostics as JSON")
-    add_source_flags(state_p, with_pairs=True)
+    sweep_p.add_argument(
+        "--format", choices=["csv", "json"], default="csv", help="output format"
+    )
+    state_p.add_argument(
+        "--pairs", type=int, default=1, help="emitted pair count, 1 or 2"
+    )
 
     return parser
 
@@ -244,15 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _read_config(args.config, _flag_names(parser)) if args.config else {}
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.config:
+        try:
+            _apply_config(parser, args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)  # a flag on the command line still wins
     commands = {"run": _cmd_run, "sweep": _cmd_sweep, "state": _cmd_state}
     try:
-        return commands[args.command](args, config)
-    except (CliError, ValueError) as exc:
+        return commands[args.command](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

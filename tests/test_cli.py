@@ -349,8 +349,16 @@ def test_duplicate_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
         (["run", "--protocol", "two-photon", "--s", "1"], "r = abc", "r"),
         (["sweep", "--protocol", "two-photon", "--out", "x.csv"], "steps = 2.5", "steps"),
         (["state"], "pairs = two", "pairs"),
+        # every key is checked, whether or not the subcommand reads it or a
+        # flag overrides it
+        (["state"], "steps = abc", "steps"),
+        (["state"], "format = xml", "format"),
+        (["run", "--protocol", "two-photon", "--s", "1"], "pairs = two", "pairs"),
+        (["sweep", "--protocol", "two-photon", "--out", "x.csv"], "s = abc", "s"),
+        (["run", "--protocol", "two-photon", "--s", "1", "--r", "1"], "r = abc", "r"),
     ],
-    ids=["run", "sweep", "state"],
+    ids=["run", "sweep", "state", "state-steps", "state-format", "run-pairs",
+         "sweep-s", "overridden-r"],
 )
 def test_unconvertible_config_value_exits_2(
     command, line, key, tmp_path, monkeypatch, capsys
@@ -385,6 +393,56 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
     status, out, _ = run_cli(["run", "--config", str(config)], capsys)
     assert status == 0
     assert json.loads(out)["params"]["protocol"] == "two-photon"
+
+
+@pytest.mark.parametrize(
+    "command,config_line,names",
+    [
+        (["run", "--s", "1"], "protocol = bogus", ["protocol", "bogus"]),
+        (
+            ["sweep", "--protocol", "two-photon", "--out", "x.csv"],
+            "format = xml",
+            ["format", "xml"],
+        ),
+        (["state", "--pairs", "3"], None, ["--pairs"]),
+        (["state"], "pairs = 3", ["--pairs"]),
+        (["run", "--s", "1"], None, ["--protocol"]),
+        (["sweep", "--out", "x.csv"], None, ["--protocol"]),
+        (["run", "--protocol", "two-photon"], None, ["--s"]),
+        (["sweep", "--protocol", "two-photon"], None, ["--out"]),
+        (
+            ["sweep", "--protocol", "two-photon", "--out", "x.csv",
+             "--config", "missing.cfg"],
+            None,
+            ["missing.cfg"],
+        ),
+    ],
+    ids=[
+        "config-protocol",
+        "config-format",
+        "pairs-flag",
+        "config-pairs",
+        "run-no-protocol",
+        "sweep-no-protocol",
+        "run-no-s",
+        "sweep-no-out",
+        "missing-config-file",
+    ],
+)
+def test_bad_or_missing_value_exits_2_naming_it(
+    command, config_line, names, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    if config_line is not None:
+        (tmp_path / "bad.cfg").write_text(config_line + "\n")
+        command = command + ["--config", "bad.cfg"]
+    status, out, err = run_cli(command, capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    for name in names:
+        assert name in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_state_diagnostics(capsys):
@@ -439,3 +497,35 @@ def test_only_state_imports_numpy(tmp_path):
     assert (tmp_path / "c.csv").is_file() and (tmp_path / "c.json").is_file()
     assert done.stdout.count('"p_success"') == 3
     assert '"schmidt_coefficients"' in done.stdout
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    """``python -m pdcpurify.cli`` turns ``main``'s return value into the exit
+    status: 0 on success, 2 on a bad input, 1 on an unwritable ``--out``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def cli_process(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pdcpurify.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    done = cli_process("run", "--protocol", "two-photon", "--s", "1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["params"]["protocol"] == "two-photon"
+
+    done = cli_process("state", "--config", "missing.cfg")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+
+    done = cli_process(
+        "sweep", "--protocol", "two-photon", "--steps", "2",
+        "--out", str(tmp_path / "no-such-dir" / "curve.csv"),
+    )
+    assert done.returncode == 1
+    assert "cannot write" in done.stderr
