@@ -9,11 +9,10 @@ bit-identical results.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from types import MappingProxyType
-from typing import ClassVar
 
 from .analysis import (
     BOTH_DOWN,
@@ -36,25 +35,20 @@ class ProtocolKind(Enum):
     INDEPENDENT_PAIRS = "independent-pairs"
 
 
-@dataclass(frozen=True, slots=True)
-class ProtocolResult:
+class ProtocolResult(
+    namedtuple("ProtocolResult", "protocol r phi s p_success f_upper f_lower")
+):
     """Inputs, success probability and fidelities of one protocol run.
 
-    Output fidelities are ``None`` when the selected detection pattern never
-    occurs; r and phi are ``None`` for independent pairs.  ``f_in`` and
-    ``params`` are derived from the stored fields.
+    An immutable named tuple.  Output fidelities are ``None`` when the
+    selected detection pattern never occurs; r and phi are ``None`` for
+    independent pairs.  ``f_in`` and ``params`` are derived from the fields.
     """
 
-    #: the output columns, in order: CSV header and cells, leading JSON keys
-    COLUMNS: ClassVar[tuple] = ("s", "f_in", "p_success", "f_upper", "f_lower")
+    __slots__ = ()
 
-    protocol: str
-    r: float | None
-    phi: float | None
-    s: float
-    p_success: float
-    f_upper: float | None
-    f_lower: float | None
+    #: the output columns, in order: CSV header and cells, leading JSON keys
+    COLUMNS = ("s", "f_in", "p_success", "f_upper", "f_lower")
 
     @property
     def f_in(self) -> float:
@@ -201,27 +195,29 @@ def bbpssw_fidelity(f: float) -> float:
     return numerator / denominator
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
     """Grid of survival probabilities plus fixed source parameters.
 
-    ``protocol`` is a ``ProtocolKind`` or its value; anything else raises
+    An immutable named tuple.  ``s_values`` is copied into a tuple;
+    ``protocol`` is a ``ProtocolKind`` or its value, anything else raises
     ``ValueError``.
     """
 
-    s_values: tuple[float, ...]
-    r: float = 1.0
-    phi: float = 0.0
-    protocol: ProtocolKind | str = ProtocolKind.FOUR_PHOTON
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
-        if not self.s_values:
+    #: ``_replace`` builds through ``_make``, so route both through the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, s_values: Iterable[float], r: float = 1.0, phi: float = 0.0,
+                protocol: ProtocolKind | str = ProtocolKind.FOUR_PHOTON):
+        s_values = tuple(s_values)
+        if not s_values:
             raise ValueError("s grid must not be empty")
-        if any(not 0.0 <= s <= 1.0 for s in self.s_values):
-            raise ValueError(f"s values must lie in [0, 1]: {self.s_values}")
-        if any(b <= a for a, b in zip(self.s_values, self.s_values[1:])):
+        if any(not 0.0 <= s <= 1.0 for s in s_values):
+            raise ValueError(f"s values must lie in [0, 1]: {s_values}")
+        if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("s grid must be strictly increasing")
+        return super().__new__(cls, s_values, r, phi, ProtocolKind(protocol))
 
 
 def sweep(spec: SweepSpec) -> list[ProtocolResult]:

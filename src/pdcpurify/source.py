@@ -12,33 +12,33 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fock import Mode, PureState, create, vacuum
 
 
-@dataclass(frozen=True)
-class SourceParams:
-    """Source configuration.
+class SourceParams(namedtuple("SourceParams", "r phi pairs")):
+    """Source configuration, an immutable named tuple.
 
     ``r`` is the relative amplitude of emission into the lower spatial modes
     (r = 1 means both passes are balanced), ``phi`` the phase between the two
-    emission possibilities.  ``pairs`` selects the post-selected photon-number
-    component: 1 pair (two photons) or 2 pairs (four photons).
+    emission possibilities, wrapped into [0, 2 pi).  ``pairs`` selects the
+    post-selected photon-number component: the int 1 (two photons) or 2 (four).
     """
 
-    r: float = 1.0
-    phi: float = 0.0
-    pairs: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        if self.pairs not in (1, 2):
-            raise ValueError(f"pairs must be 1 or 2, got {self.pairs}")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+    #: ``_replace`` builds through ``_make``, so route both through the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, r: float = 1.0, phi: float = 0.0, pairs: int = 1):
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"r must be in [0, 1], got {r}")
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        if type(pairs) is not int or pairs not in (1, 2):
+            raise ValueError(f"pairs must be the int 1 or 2, got {pairs!r}")
+        return super().__new__(cls, r, phi % (2.0 * math.pi), pairs)
 
 
 def _emit_pair(state: PureState, upper: complex, lower: complex) -> PureState:

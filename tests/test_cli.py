@@ -465,17 +465,26 @@ def test_state_diagnostics(capsys):
     assert json.loads(out)["entropy_ebits"] == pytest.approx(1.0, abs=1e-9)
 
 
+#: runs each command in one interpreter; prints its exit status, whether numpy
+#: is loaded, and which of the heavy stdlib modules (``dataclasses`` pulls in
+#: the rest) the package has added to those of a bare interpreter
 NUMPY_PROBE = """
-import json, sys
+import sys
+bare = set(sys.modules)
+import json
 from pdcpurify.cli import main
+heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 for argv in json.loads(sys.argv[1]):
-    print(main(argv), "numpy" in sys.modules, file=sys.stderr)
+    status = main(argv)
+    print(status, "numpy" in sys.modules, *sorted(heavy & set(sys.modules) - bare),
+          file=sys.stderr)
 """
 
 
 def test_only_state_imports_numpy(tmp_path):
-    """``run`` and ``sweep`` work in a fresh interpreter without loading numpy;
-    ``state``, which needs it for the Schmidt decomposition, still works."""
+    """``run`` and ``sweep`` work in a fresh interpreter without loading numpy
+    or ``dataclasses`` and what it imports; ``state``, which needs numpy for the
+    Schmidt decomposition, still works and loads no ``dataclasses`` either."""
     commands = [["run", "--protocol", kind.value, "--s", "0.5"] for kind in ProtocolKind]
     commands += [
         ["sweep", "--protocol", "four-photon", "--steps", "3", "--out", "c.csv"],
@@ -493,7 +502,10 @@ def test_only_state_imports_numpy(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines() == ["0 False"] * 5 + ["0 True"]
+    *lines, state_line = done.stderr.splitlines()
+    assert lines == ["0 False"] * 5
+    # numpy itself imports inspect, ast, dis and tokenize, but not dataclasses
+    assert state_line.startswith("0 True") and "dataclasses" not in state_line
     assert (tmp_path / "c.csv").is_file() and (tmp_path / "c.json").is_file()
     assert done.stdout.count('"p_success"') == 3
     assert '"schmidt_coefficients"' in done.stdout

@@ -197,3 +197,38 @@ def test_runs_match_the_dense_oracle(kind, r, phi, s):
 def test_upper_and_lower_pairs_agree_at_r_one(phi, s):
     result = run_four_photon(1.0, phi, s)
     assert abs(result.f_upper - result.f_lower) <= 1e-12
+
+
+def four_photon_closed_form(r, phi, s):
+    """Four-photon (P, N_upper) = (p, p * f_upper), two quadratics in s.
+
+    With D = 4(3r^4 + 4r^2 + 3):
+        D P(s) = (4/3)(r^4 + 3r^2 + 1) + (8/3)(r^4 + 1) s + 4 r^2 s^2,
+        D N_upper(s) = (2r^4/3 + r^2 + 2/3) + (4r^4/3 + 2r^2 + 4/3) s
+                       + (4 r^3 cos phi + r^2 + 4 r cos phi) s^2.
+    """
+    r2, r4, c = r * r, r**4, math.cos(phi)
+    d = 4.0 * (3.0 * r4 + 4.0 * r2 + 3.0)
+    p = (4.0 / 3.0) * (r4 + 3.0 * r2 + 1.0) + (8.0 / 3.0) * (r4 + 1.0) * s + 4.0 * r2 * s * s
+    n = (
+        (2.0 * r4 / 3.0 + r2 + 2.0 / 3.0)
+        + (4.0 * r4 / 3.0 + 2.0 * r2 + 4.0 / 3.0) * s
+        + (4.0 * r**3 * c + r2 + 4.0 * r * c) * s * s
+    )
+    return p / d, n / d
+
+
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, s=unit)
+def test_four_photon_matches_its_closed_form(r, phi, s):
+    result = run_four_photon(r, phi, s)
+    p, n = four_photon_closed_form(r, phi, s)
+    assert abs(result.p_success - p) <= 1e-12
+    assert abs(result.p_success * result.f_upper - n) <= 1e-12
+    assert abs(result.f_upper - n / p) <= 1e-12
+
+
+@pytest.mark.parametrize("s, p", [(0.0, 1.0 / 6.0), (1.0, 0.4)])
+def test_four_photon_closed_form_at_r_one(s, p):
+    assert abs(four_photon_closed_form(1.0, 0.0, s)[0] - p) <= 1e-15
+    assert abs(run_four_photon(1.0, 0.0, s).p_success - p) <= 1e-12

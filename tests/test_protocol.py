@@ -11,6 +11,7 @@ from pdcpurify import (
     MODES,
     Mode,
     ProtocolKind,
+    ProtocolResult,
     Side,
     SourceParams,
     SpatialMode,
@@ -199,7 +200,7 @@ def test_sweep_ordering_and_determinism():
     first = sweep(spec)
     second = sweep(spec)
     assert [r.params["s"] for r in first] == list(spec.s_values)
-    assert first == second  # bit-identical dataclasses
+    assert first == second  # bit-identical records
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
@@ -254,6 +255,71 @@ def test_sweep_spec_validation():
     for protocol in ("bogus", None):
         with pytest.raises(ValueError):
             SweepSpec((0.5,), protocol=protocol)
+
+
+def test_sweep_spec_keeps_its_own_grid():
+    grid = [0.2, 0.5]
+    spec = SweepSpec(grid)
+    grid.append(0.1)
+    assert spec.s_values == (0.2, 0.5)
+    assert [result.s for result in sweep(spec)] == [0.2, 0.5]
+
+
+def test_replaced_records_pass_the_checks_again():
+    assert SweepSpec((0.5,))._replace(s_values=[0.1, 0.2]).s_values == (0.1, 0.2)
+    with pytest.raises(ValueError, match="increasing"):
+        SweepSpec((0.5,))._replace(s_values=(0.2, 0.1))
+    assert SourceParams()._replace(phi=7.0).phi == pytest.approx(7.0 - 2.0 * math.pi)
+    with pytest.raises(ValueError, match="pairs"):
+        SourceParams()._replace(pairs=2.0)
+
+
+#: each record type with its field names, in order
+RECORD_FIELDS = {
+    SweepSpec: ("s_values", "r", "phi", "protocol"),
+    SourceParams: ("r", "phi", "pairs"),
+    ProtocolResult: ("protocol", "r", "phi", "s", "p_success", "f_upper", "f_lower"),
+}
+
+
+def test_records_build_compare_and_stay_frozen():
+    """The three records take their fields by position or keyword, with
+    defaults, compare and hash by value, and reject every assignment."""
+    spec = SweepSpec((0.5,))
+    assert tuple(getattr(spec, name) for name in RECORD_FIELDS[SweepSpec]) == (
+        (0.5,), 1.0, 0.0, ProtocolKind.FOUR_PHOTON
+    )
+    assert SweepSpec((0.5,), protocol="two-photon").protocol is ProtocolKind.TWO_PHOTON
+    source = SourceParams()
+    assert (source.r, source.phi, source.pairs) == (1.0, 0.0, 1)
+    result = ProtocolResult("four-photon", 1.0, 0.0, 1.0, 0.4, 1.0, None)
+    twins = [
+        (spec, SweepSpec(s_values=(0.5,), r=1.0, phi=0.0, protocol="four-photon")),
+        (source, SourceParams(1.0, 0.0, 1)),
+        (result, ProtocolResult(protocol="four-photon", r=1.0, phi=0.0, s=1.0,
+                                p_success=0.4, f_upper=1.0, f_lower=None)),
+    ]
+    for record, twin in twins:
+        assert record == twin and hash(record) == hash(twin)
+        for name in RECORD_FIELDS[type(record)]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.5)
+    assert SweepSpec((0.5,), 0.9) != spec and SourceParams(pairs=2) != source
+    assert repr(result) == (
+        "ProtocolResult(protocol='four-photon', r=1.0, phi=0.0, s=1.0, "
+        "p_success=0.4, f_upper=1.0, f_lower=None)"
+    )
+    assert repr(source) == "SourceParams(r=1.0, phi=0.0, pairs=1)"
+    assert repr(spec) == (
+        "SweepSpec(s_values=(0.5,), r=1.0, phi=0.0, "
+        "protocol=<ProtocolKind.FOUR_PHOTON: 'four-photon'>)"
+    )
+
+
+def test_records_take_no_new_attributes():
+    for record in (SweepSpec((0.5,)), SourceParams(), run_four_photon(1.0, 0.0, 1.0)):
+        with pytest.raises(AttributeError):
+            record.extra = 0.5
 
 
 def test_grid_helper():

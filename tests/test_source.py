@@ -84,6 +84,12 @@ def test_parameter_validation():
         SourceParams(pairs=3)
 
 
+@pytest.mark.parametrize("pairs", [0, 2.0, 1.0, True, "2", None])
+def test_pairs_must_be_the_int_one_or_two(pairs):
+    with pytest.raises(ValueError, match="pairs"):
+        SourceParams(pairs=pairs)
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_non_finite_phi_rejected(phi):
     with pytest.raises(ValueError, match="phi"):
