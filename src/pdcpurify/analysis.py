@@ -37,8 +37,12 @@ def postselect(
     basis state matches when its per-spatial-mode totals (H plus V) are a
     member.  Returns the success probability and the renormalized conditional
     state, or ``None`` when the pattern (almost) never occurs.  Projection
-    keeps the entries whose bra and ket sides both match.
+    keeps the entries whose bra and ket sides both match.  A pattern that is
+    not a tuple of four non-negative ints raises ``ValueError``.
     """
+    for p in selection:
+        if type(p) is not tuple or [type(n) for n in p] != [int] * 4 or min(p) < 0:
+            raise ValueError(f"selection needs tuples of four ints >= 0, got {p!r}")
     trace = rho.trace()
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"expected a normalized state, trace is {trace}")

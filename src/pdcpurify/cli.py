@@ -58,49 +58,24 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
     return defaults
 
 
-def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
-    (commands,) = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    return commands.choices
-
-
-def _flag_names(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Value-taking flags of all subcommands, by long name without ``--``.
-
-    ``config`` is left out: a config file cannot name another config file.
-    """
-    actions = [
-        a for p in _subcommands(parser).values() for a in p._actions if a.nargs != 0
-    ]
-    flags = {o[2:]: a for a in actions for o in a.option_strings if o.startswith("--")}
-    del flags["config"]
-    return flags
-
-
-def _apply_config(parser: argparse.ArgumentParser, args) -> None:
-    """Install the ``--config`` file's values as defaults of ``args.command``,
-    each converted with its flag's ``type`` and checked against its ``choices``
-    (every key, whichever subcommand runs). Either phase flag drops both phase keys.
-    """
-    flags = _flag_names(parser)
-    config = _read_config(args.config, set(flags))
+def _config_values(path: str) -> dict:
+    """The ``--config`` file's values by dest, converted and checked with their
+    flag's type and choices whichever subcommand runs; ``config`` is no key."""
+    config = _read_config(path, set(_FLAGS) - {"config"})
     if "phi" in config and "cos-phi" in config:
         raise ValueError("config file sets both 'phi' and 'cos-phi'; keep one")
     values = {}
     for key, text in config.items():
-        action = flags[key]
+        options = _FLAGS[key][2]
         try:
-            value = action.type(text) if action.type else text
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"'{value}' is not one of {', '.join(action.choices)}")
+            value = options.get("type", str)(text)
+            choices = options.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"'{value}' is not one of {', '.join(choices)}")
         except ValueError as exc:
             raise ValueError(f"config value for '{key}' is invalid: {exc}")
-        values[action.dest] = value
-    if args.phi is not None or args.cos_phi is not None:
-        values.pop("phi", None)
-        values.pop("cos_phi", None)
-    _subcommands(parser)[args.command].set_defaults(**values)
+        values[key.replace("-", "_")] = value
+    return values
 
 
 def _r_phi(args) -> tuple[float, float]:
@@ -191,60 +166,71 @@ def _cmd_state(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "run": "run one protocol instance, print JSON",
+    "sweep": "run a grid of s values, write a file",
+    "state": "print source-state diagnostics as JSON",
+}
+_EVERY = tuple(_COMMANDS)
+
+#: each flag once, in help order: the subcommands that take it, its built-in
+#: default and its argparse options
+_FLAGS = {
+    "config": (_EVERY, None, dict(help="key = value file with flag defaults")),
+    "r": (_EVERY, 1.0, dict(type=float, help="lower-mode amplitude ratio in [0, 1]")),
+    "phi": (_EVERY, None, dict(type=float, help="lower-mode phase in radians")),
+    "cos-phi": (_EVERY, None, dict(
+        type=float, help="set the phase via its cosine (alternative to --phi)")),
+    "protocol": (("run", "sweep"), None, dict(
+        choices=[k.value for k in ProtocolKind], help="which pipeline")),
+    "s": (("run",), None, dict(type=float, help="channel survival probability")),
+    "s-min": (("sweep",), 0.0, dict(type=float)),
+    "s-max": (("sweep",), 1.0, dict(type=float)),
+    "steps": (("sweep",), 21, dict(type=int, help="grid points (>= 2)")),
+    "out": (("sweep",), None, dict(help="output file path")),
+    "format": (("sweep",), "csv", dict(choices=["csv", "json"], help="output format")),
+    "pairs": (("state",), 1, dict(type=int, help="emitted pair count, 1 or 2")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; its namespace holds ``command`` and only the flags given."""
     parser = argparse.ArgumentParser(
         prog="pdcpurify",
         description="Simulate beam-splitter purification of polarization "
         "entanglement from a two-pass pair source.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one protocol instance, print JSON")
-    sweep_p = sub.add_parser("sweep", help="run a grid of s values, write a file")
-    state_p = sub.add_parser("state", help="print source-state diagnostics as JSON")
-    for p in (run_p, sweep_p, state_p):
-        p.add_argument("--config", help="key = value file with flag defaults")
-        p.add_argument(
-            "--r", type=float, default=1.0, help="lower-mode amplitude ratio in [0, 1]"
-        )
-        p.add_argument("--phi", type=float, help="lower-mode phase in radians")
-        p.add_argument(
-            "--cos-phi",
-            type=float,
-            help="set the phase via its cosine (alternative to --phi)",
-        )
-    for p in (run_p, sweep_p):
-        p.add_argument(
-            "--protocol", choices=[k.value for k in ProtocolKind], help="which pipeline"
-        )
-    run_p.add_argument("--s", type=float, help="channel survival probability")
-    sweep_p.add_argument("--s-min", type=float, default=0.0)
-    sweep_p.add_argument("--s-max", type=float, default=1.0)
-    sweep_p.add_argument("--steps", type=int, default=21, help="grid points (>= 2)")
-    sweep_p.add_argument("--out", help="output file path")
-    sweep_p.add_argument(
-        "--format", choices=["csv", "json"], default="csv", help="output format"
-    )
-    state_p.add_argument(
-        "--pairs", type=int, default=1, help="emitted pair count, 1 or 2"
-    )
-
+    commands = {
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for name, text in _COMMANDS.items()
+    }
+    for flag, (names, _, options) in _FLAGS.items():
+        for name in names:
+            commands[name].add_argument("--" + flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            _apply_config(parser, args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(argv)  # a flag on the command line still wins
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
+    try:
+        config = _config_values(given["config"]) if given.get("config") else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if "phi" in given or "cos_phi" in given:  # either phase flag drops both phase keys
+        config = {k: v for k, v in config.items() if k not in ("phi", "cos_phi")}
+    defaults = {
+        flag.replace("-", "_"): default
+        for flag, (names, default, _) in _FLAGS.items()
+        if command in names
+    }
+    # a config value beats a built-in default; a flag given beats both
+    args = argparse.Namespace(**{**defaults, **config, **given})
     commands = {"run": _cmd_run, "sweep": _cmd_sweep, "state": _cmd_state}
     try:
-        return commands[args.command](args)
+        return commands[command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,16 @@ lossless, phase-free permutation of basis states.
 
 from __future__ import annotations
 
-from .fock import DensityOperator, Occupations, PureState, Side, SpatialMode
+from .fock import DensityOperator, Mode, Occupations, PureState, Side
+
+#: the H modes of each side's upper and lower spatial mode, which its PBS swaps
+_SWAPPED = {Side.ALICE: (Mode.A1H, Mode.A2H), Side.BOB: (Mode.B1H, Mode.B2H)}
 
 
 def _pbs_relabel(side: Side):
-    h1 = (SpatialMode.A1 if side is Side.ALICE else SpatialMode.B1).horizontal
-    h2 = (SpatialMode.A2 if side is Side.ALICE else SpatialMode.B2).horizontal
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
+    h1, h2 = _SWAPPED[side]
 
     def swap(occ: Occupations) -> Occupations:
         out = list(occ)
@@ -29,7 +33,8 @@ def apply_pbs(
     """Send one side's two spatial modes through its polarizing beam splitter.
 
     Works on pure states and on density operators (conjugation on both
-    sides).  Unitary, involutive, photon-number preserving.
+    sides).  Unitary, involutive, photon-number preserving.  ``side`` must be
+    a ``Side``: anything else, such as the string ``"alice"``, raises ``ValueError``.
     """
     swap = _pbs_relabel(side)
     # a permutation of valid keys: no term merges, no key needs checking

@@ -198,9 +198,10 @@ def bbpssw_fidelity(f: float) -> float:
 class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
     """Grid of survival probabilities plus fixed source parameters.
 
-    An immutable named tuple.  ``s_values`` is copied into a tuple;
-    ``protocol`` is a ``ProtocolKind`` or its value, anything else raises
-    ``ValueError``.
+    An immutable named tuple.  ``s_values`` is copied into a tuple; ``r``
+    and ``phi`` must pass ``SourceParams``'s checks (for every protocol) and
+    are stored as given; ``protocol`` is a ``ProtocolKind`` or its value.
+    Anything else raises ``ValueError``.
     """
 
     __slots__ = ()
@@ -217,6 +218,7 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
             raise ValueError(f"s values must lie in [0, 1]: {s_values}")
         if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("s grid must be strictly increasing")
+        SourceParams(r, phi)  # r and phi follow the source's rule
         return super().__new__(cls, s_values, r, phi, ProtocolKind(protocol))
 
 
@@ -237,6 +239,8 @@ def sweep(spec: SweepSpec) -> list[ProtocolResult]:
 
 def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
     """Evenly spaced s grid from exactly s_min to exactly s_max, held in memory."""
+    if type(steps) is not int:
+        raise ValueError(f"steps must be an int, got {steps!r}")
     if not 2 <= steps <= 1_000_000:
         raise ValueError(f"steps must be in [2, 1000000], got {steps}")
     if not 0.0 <= s_min < s_max <= 1.0:

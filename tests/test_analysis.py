@@ -95,6 +95,20 @@ def test_postselect_requires_normalized_input():
         postselect(rho, FOUR_MODE)
 
 
+@pytest.mark.parametrize(
+    "selection",
+    [{(1, 1, 1)}, {(1, 1, 1, 1, 0)}, {(1, 1, 1, -1)}, {(1.0, 1, 1, 1)},
+     {(True, 1, 1, 1)}, [[1, 1, 1, 1]], (1, 1, 1, 1), FOUR_MODE | {(1, 1, 1)}],
+    ids=["three", "five", "negative", "float", "bool", "list", "bare-tuple", "mixed"],
+)
+def test_postselect_rejects_malformed_patterns(selection):
+    """A pattern that cannot be a photon count per spatial mode is refused,
+    not silently left unmatched."""
+    rho = transmitted(spatially_entangled_state(SourceParams(r=1, phi=0, pairs=2)))
+    with pytest.raises(ValueError, match="selection"):
+        postselect(rho, selection)
+
+
 @pytest.mark.parametrize("s", [1.0, 0.4])
 @pytest.mark.parametrize("pairs", [1, 2])
 def test_exhaustive_patterns_sum_to_one(pairs, s):

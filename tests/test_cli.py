@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -541,3 +542,72 @@ def test_module_entry_point_exit_status(tmp_path):
     )
     assert done.returncode == 1
     assert "cannot write" in done.stderr
+
+
+def _run_r(out, path):
+    return json.loads(out)["params"]["r"]
+
+
+def _sweep_rows(out, path):
+    return len((path / "c.csv").read_text().splitlines()) - 1
+
+
+def _state_pairs(out, path):
+    return json.loads(out)["params"]["pairs"]
+
+
+@pytest.mark.parametrize(
+    "command,key,read,layers",
+    [
+        (["run", "--protocol", "two-photon", "--s", "1"], "r", _run_r,
+         (1.0, "0.5", "0.25")),
+        (["sweep", "--protocol", "two-photon", "--out", "c.csv"], "steps", _sweep_rows,
+         (21, "3", "4")),
+        (["state"], "pairs", _state_pairs, (1, "2", "1")),
+    ],
+    ids=["run", "sweep", "state"],
+)
+def test_flag_beats_config_beats_builtin_default(
+    command, key, read, layers, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    default, config_value, flag_value = layers
+    (tmp_path / "layer.cfg").write_text(f"{key} = {config_value}\n")
+    config = ["--config", "layer.cfg"]
+    for argv, expected in [
+        (command, default),
+        (command + config, type(default)(config_value)),
+        (command + config + [f"--{key}", flag_value], type(default)(flag_value)),
+    ]:
+        status, out, err = run_cli(argv, capsys)
+        assert status == 0, err
+        assert read(out, tmp_path) == expected
+
+
+#: the flags that each subcommand takes, besides --help
+OWN_FLAGS = {
+    "run": {"--config", "--r", "--phi", "--cos-phi", "--protocol", "--s"},
+    "sweep": {"--config", "--r", "--phi", "--cos-phi", "--protocol", "--s-min",
+              "--s-max", "--steps", "--out", "--format"},
+    "state": {"--config", "--r", "--phi", "--cos-phi", "--pairs"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_help_names_exactly_the_subcommands_own_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == OWN_FLAGS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "state"])
+def test_main_dispatches_through_the_module_attribute(command, monkeypatch):
+    """A function installed as ``cli._cmd_<command>`` after import is the one
+    that ``main`` calls; wrappers that patch the module rely on this."""
+    calls = []
+    monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: calls.append(args) or 7)
+    assert main([command, "--r", "0.5"]) == 7
+    (args,) = calls
+    assert args.r == 0.5

@@ -151,3 +151,11 @@ def test_rotation_turns_phase_flip_into_bit_flip():
     )
     bit_flipped = (ket(Mode.A1H, Mode.B1V) + ket(Mode.A1V, Mode.B1H)).normalized()
     assert abs(inner_product(rotated, bit_flipped)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", ["alice", "bob", None, 0, SpatialMode.A1])
+def test_pbs_rejects_anything_but_a_side(side):
+    state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1.0})
+    for operand in (state, to_density(state)):
+        with pytest.raises(ValueError, match="side"):
+            apply_pbs(operand, side)

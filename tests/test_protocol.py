@@ -257,6 +257,18 @@ def test_sweep_spec_validation():
             SweepSpec((0.5,), protocol=protocol)
 
 
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_sweep_spec_checks_r_and_phi_for_every_protocol(protocol):
+    """r and phi follow ``SourceParams``'s rule when the spec is built, also
+    for independent pairs, which do not use them; phi is stored unwrapped."""
+    for r, phi, message in [(5.0, math.nan, "r must"), (-0.1, 0.0, "r must"),
+                            (math.nan, 0.0, "r must"), (1.0, math.nan, "phi must"),
+                            (1.0, math.inf, "phi must")]:
+        with pytest.raises(ValueError, match=message):
+            SweepSpec((0.5,), r=r, phi=phi, protocol=protocol)
+    assert SweepSpec((0.5,), r=0.5, phi=7.0, protocol=protocol)[1:3] == (0.5, 7.0)
+
+
 def test_sweep_spec_keeps_its_own_grid():
     grid = [0.2, 0.5]
     spec = SweepSpec(grid)
@@ -331,6 +343,9 @@ def test_grid_helper():
         linear_grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         linear_grid(0.5, 0.5, 3)
+    for steps in (3.0, 2.5):  # an integral float is no int either
+        with pytest.raises(ValueError, match="steps"):
+            linear_grid(0.0, 1.0, steps)
 
 
 def test_grid_ends_exactly_at_its_endpoints():
