@@ -6,7 +6,7 @@ from .analysis import (
     BOTH_UP,
     FOUR_MODE,
     pair_fidelity,
-    postselect,
+    project,
     schmidt,
 )
 from .channel import depolarize_alice, depolarize_partial
@@ -61,7 +61,7 @@ __all__ = [
     "input_fidelity",
     "linear_grid",
     "pair_fidelity",
-    "postselect",
+    "project",
     "run_four_photon",
     "run_independent_pairs",
     "run_two_photon",

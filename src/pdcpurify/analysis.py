@@ -17,7 +17,7 @@ from .fock import (
     spatial_totals,
 )
 
-#: conditional probabilities at or below this count as "never happens"
+#: pattern probabilities at or below this count as "never happens"
 ZERO_PROBABILITY = 1e-12
 
 #: one photon in every spatial mode behind the beam splitters
@@ -28,37 +28,26 @@ BOTH_UP = frozenset({(1, 0, 1, 0)})
 BOTH_DOWN = frozenset({(0, 1, 0, 1)})
 
 
-def postselect(
+def project(
     rho: DensityOperator, selection: frozenset[tuple[int, int, int, int]]
-) -> tuple[float, DensityOperator | None]:
-    """Condition on a detection pattern.
+) -> DensityOperator:
+    """Project onto a detection pattern, without renormalizing.
 
     ``selection`` is a set of photon-count tuples over (a1, a2, b1, b2); a
     basis state matches when its per-spatial-mode totals (H plus V) are a
-    member.  Returns the success probability and the renormalized conditional
-    state, or ``None`` when the pattern (almost) never occurs.  Projection
-    keeps the entries whose bra and ket sides both match.  A pattern that is
-    not a tuple of four non-negative ints raises ``ValueError``.
+    member.  The entries whose ket and bra both match are kept unchanged, so
+    the map is linear and the result's trace is the pattern's probability.  A
+    pattern that is not a tuple of four non-negative ints raises
+    ``ValueError``.
     """
     for p in selection:
         if type(p) is not tuple or [type(n) for n in p] != [int] * 4 or min(p) < 0:
             raise ValueError(f"selection needs tuples of four ints >= 0, got {p!r}")
-    trace = rho.trace()
-    if abs(trace - 1.0) > 1e-9:
-        raise ValueError(f"expected a normalized state, trace is {trace}")
-    kept: dict[tuple[Occupations, Occupations], complex] = {}
-    probability = 0.0
-    for (ket, bra), value in rho.items():
-        if not (spatial_totals(ket) in selection and spatial_totals(bra) in selection):
-            continue
-        kept[(ket, bra)] = value
-        if ket == bra:
-            probability += value.real
-    if probability <= ZERO_PROBABILITY:
-        return probability, None
-    factor = 1.0 / probability
-    conditional = {key: factor * value for key, value in kept.items()}
-    return probability, DensityOperator._trusted(conditional)
+    return DensityOperator._trusted({
+        (ket, bra): value
+        for (ket, bra), value in rho.entries.items()
+        if spatial_totals(ket) in selection and spatial_totals(bra) in selection
+    })
 
 
 def polarization_bit(occ: Occupations, spatial: SpatialMode) -> int:

@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     given = vars(build_parser().parse_args(argv))
     command = given.pop("command")
     try:
-        config = _config_values(given["config"]) if given.get("config") else {}
+        config = _config_values(given["config"]) if "config" in given else {}
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,14 +59,6 @@ class SpatialMode(Enum):
     B1 = (Mode.B1H, Mode.B1V)
     B2 = (Mode.B2H, Mode.B2V)
 
-    @property
-    def horizontal(self) -> Mode:
-        return self.value[0]
-
-    @property
-    def vertical(self) -> Mode:
-        return self.value[1]
-
 
 Occupations = tuple[int, ...]
 
@@ -185,8 +177,8 @@ def create(mode: Mode, state: PureState) -> PureState:
 class DensityOperator:
     """Sparse Hermitian operator over occupation tuples.
 
-    May be subnormalized (trace < 1) when it represents an unnormalized
-    conditional state.  Keys are (ket, bra) occupation tuples over all eight
+    May be subnormalized (trace < 1), as a projection onto a detection
+    pattern is.  Keys are (ket, bra) occupation tuples over all eight
     modes, and every stored entry connects bra and ket occupations with equal
     photon totals (photon-number superselection).
     """
@@ -214,29 +206,8 @@ class DensityOperator:
         rho.entries = _pruned(entries)
         return rho
 
-    def items(self) -> list[tuple[tuple[Occupations, Occupations], complex]]:
-        return sorted(self.entries.items())
-
     def trace(self) -> float:
         return sum(v.real for (k, b), v in self.entries.items() if k == b)
-
-    def scaled(self, factor: complex) -> "DensityOperator":
-        return DensityOperator._trusted(
-            {key: factor * v for key, v in self.entries.items()}
-        )
-
-    def __add__(self, other: "DensityOperator") -> "DensityOperator":
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            out[key] = out.get(key, 0.0) + v
-        return DensityOperator._trusted(out)
-
-    def allclose(self, other: "DensityOperator", tol: float = 1e-12) -> bool:
-        keys = set(self.entries) | set(other.entries)
-        return all(
-            abs(self.entries.get(key, 0.0) - other.entries.get(key, 0.0)) <= tol
-            for key in keys
-        )
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,7 @@ from .analysis import (
     ZERO_PROBABILITY,
     pair_fidelity,
     polarization_bit,
-    postselect,
+    project,
 )
 from .channel import depolarize_alice
 from .fock import DensityOperator, PureState, Side, SpatialMode, to_density
@@ -86,6 +86,12 @@ def _transmit(state: PureState, s: float) -> DensityOperator:
     return rho
 
 
+def _ratio(weighted: float, p: float) -> float | None:
+    """A fidelity conditional on a pattern of probability ``p``: the pattern's
+    witness sum over ``p``, or ``None`` where the pattern never happens."""
+    return weighted / p if p > ZERO_PROBABILITY else None
+
+
 def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Four-photon purification: keep one photon per output spatial mode.
 
@@ -93,14 +99,12 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     reported separately.
     """
     source = SourceParams(r=r, phi=phi, pairs=2)
-    rho = _transmit(spatially_entangled_state(source), s)
-    p_success, conditional = postselect(rho, FOUR_MODE)
-    f_upper = f_lower = None
-    if conditional is not None:
-        f_upper = pair_fidelity(conditional, *_UPPER)
-        f_lower = pair_fidelity(conditional, *_LOWER)
+    kept = project(_transmit(spatially_entangled_state(source), s), FOUR_MODE)
+    p = kept.trace()
+    f_upper = _ratio(pair_fidelity(kept, *_UPPER), p)
+    f_lower = _ratio(pair_fidelity(kept, *_LOWER), p)
     return ProtocolResult(
-        ProtocolKind.FOUR_PHOTON.value, r, phi, s, p_success, f_upper, f_lower
+        ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f_upper, f_lower
     )
 
 
@@ -108,30 +112,22 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Two-photon purification: keep events with both photons up or both down.
 
     The surviving pair sits in the upper or the lower modes depending on the
-    branch; the reported fidelity mixes the two branches with their
-    conditional weights and is carried in ``f_upper`` (``f_lower`` stays
+    branch; the reported fidelity is the two branches' witness sums over their
+    joint probability and is carried in ``f_upper`` (``f_lower`` stays
     ``None``).
     """
     state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
     rho = _transmit(state, s)
-    p_up, cond_up = postselect(rho, BOTH_UP)
-    p_down, cond_down = postselect(rho, BOTH_DOWN)
-    p_success = p_up + p_down
-    f_out = None
-    if p_success > ZERO_PROBABILITY:
-        weighted = 0.0
-        if cond_up is not None:
-            weighted += p_up * pair_fidelity(cond_up, *_UPPER)
-        if cond_down is not None:
-            weighted += p_down * pair_fidelity(cond_down, *_LOWER)
-        f_out = weighted / p_success
+    up, down = project(rho, BOTH_UP), project(rho, BOTH_DOWN)
+    p = up.trace() + down.trace()
+    weighted = pair_fidelity(up, *_UPPER) + pair_fidelity(down, *_LOWER)
     return ProtocolResult(
-        ProtocolKind.TWO_PHOTON.value, r, phi, s, p_success, f_out, None
+        ProtocolKind.TWO_PHOTON.value, r, phi, s, p, _ratio(weighted, p), None
     )
 
 
-def _measured_out_fidelity(conditional: DensityOperator) -> float:
-    """Fidelity of the (a1, b1) pair after measuring out (a2, b2) at 45 degrees.
+def _measured_out_fidelity(kept: DensityOperator) -> float:
+    """Witness sum of the (a1, b1) pair after measuring out (a2, b2) at 45 degrees.
 
     Each lower photon is projected onto |+> or |->, (H +/- V)/sqrt(2), and
     when the outcomes x and y disagree Alice's kept qubit gets a phase flip Z.
@@ -148,14 +144,15 @@ def _measured_out_fidelity(conditional: DensityOperator) -> float:
 
         W = D x 1 + O x (X x X).
 
-    An entry of ``conditional`` has weight 1/2 under W exactly when ket
-    holds HH or VV on (a1, b1) and bra equals ket (D x 1) or ket with every
-    polarization flipped (O x X x X); every other entry has weight 0.  Each
-    entry must hold one photon per spatial mode (``ValueError`` otherwise).
+    An entry of ``kept`` has weight 1/2 under W exactly when ket holds HH or
+    VV on (a1, b1) and bra equals ket (D x 1) or ket with every polarization
+    flipped (O x X x X); every other entry has weight 0.  Each entry must hold
+    one photon per spatial mode (``ValueError`` otherwise).  The result scales
+    with the trace of ``kept``.
     """
     order = _UPPER + _LOWER
     total = 0.0
-    for (ket, bra), value in conditional.entries.items():
+    for (ket, bra), value in kept.entries.items():
         ket_bits = [polarization_bit(ket, spatial) for spatial in order]
         bra_bits = [polarization_bit(bra, spatial) for spatial in order]
         flips = {k ^ b for k, b in zip(ket_bits, bra_bits)}
@@ -171,13 +168,11 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     out and only the upper pair survives, so there is a single output
     fidelity (in ``f_upper``).
     """
-    rho = _transmit(independent_pairs_state(), s)
-    p_success, conditional = postselect(rho, FOUR_MODE)
-    f_out = None
-    if conditional is not None:
-        f_out = _measured_out_fidelity(conditional)
+    kept = project(_transmit(independent_pairs_state(), s), FOUR_MODE)
+    p = kept.trace()
+    f_out = _ratio(_measured_out_fidelity(kept), p)
     return ProtocolResult(
-        ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p_success, f_out, None
+        ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p, f_out, None
     )
 
 

@@ -17,6 +17,14 @@ from collections import namedtuple
 from .fock import Mode, PureState, create, vacuum
 
 
+def _holds(test) -> bool:
+    """``test()``, or False where it raises ``TypeError`` (not a number)."""
+    try:
+        return test()
+    except TypeError:
+        return False
+
+
 class SourceParams(namedtuple("SourceParams", "r phi pairs")):
     """Source configuration, an immutable named tuple.
 
@@ -32,10 +40,10 @@ class SourceParams(namedtuple("SourceParams", "r phi pairs")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, r: float = 1.0, phi: float = 0.0, pairs: int = 1):
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {r}")
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi}")
+        if not _holds(lambda: 0.0 <= r <= 1.0):
+            raise ValueError(f"r must be a number in [0, 1], got {r!r}")
+        if not _holds(lambda: math.isfinite(phi)):
+            raise ValueError(f"phi must be a finite number, got {phi!r}")
         if type(pairs) is not int or pairs not in (1, 2):
             raise ValueError(f"pairs must be the int 1 or 2, got {pairs!r}")
         return super().__new__(cls, r, phi % (2.0 * math.pi), pairs)

@@ -7,18 +7,56 @@ import numpy as np
 
 from pdcpurify import (
     MODES,
+    DensityOperator,
     Mode,
     ProtocolKind,
     PureState,
     SpatialMode,
     create,
     depolarize_partial,
+    project,
     run_four_photon,
     run_independent_pairs,
     run_two_photon,
     vacuum,
 )
+from pdcpurify.analysis import ZERO_PROBABILITY
 from pdcpurify.fock import PRUNE_TOL
+
+
+def scaled(rho, factor):
+    """``rho`` with every entry multiplied by ``factor``."""
+    return DensityOperator._trusted({key: factor * v for key, v in rho.entries.items()})
+
+
+def added(*operators):
+    """Entry-wise sum of density operators."""
+    out = {}
+    for rho in operators:
+        for key, v in rho.entries.items():
+            out[key] = out.get(key, 0.0) + v
+    return DensityOperator._trusted(out)
+
+
+def allclose(x, y, tol=1e-12):
+    """Whether every entry of ``x`` and ``y`` agrees to ``tol`` (missing = 0)."""
+    return all(
+        abs(x.entries.get(key, 0.0) - y.entries.get(key, 0.0)) <= tol
+        for key in set(x.entries) | set(y.entries)
+    )
+
+
+def postselect(rho, selection):
+    """Condition ``rho`` on a detection pattern.
+
+    Returns the pattern's probability and the renormalized conditional state,
+    or ``None`` in its place where the pattern (almost) never occurs.
+    """
+    kept = project(rho, selection)
+    probability = kept.trace()
+    if probability <= ZERO_PROBABILITY:
+        return probability, None
+    return probability, scaled(kept, 1.0 / probability)
 
 
 def ghz_state():
@@ -39,7 +77,7 @@ def ghz_state():
 
 def inject_bitflip(state, target):
     """Exchange the H and V occupations of one spatial mode (involution)."""
-    h, v = target.horizontal, target.vertical
+    h, v = target.value
 
     def flip(occ):
         out = list(occ)

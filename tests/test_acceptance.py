@@ -18,7 +18,6 @@ from pdcpurify import (
     depolarize_alice,
     depolarize_partial,
     independent_pairs_state,
-    postselect,
     run_four_photon,
     run_independent_pairs,
     schmidt,
@@ -29,12 +28,16 @@ from pdcpurify import (
 from pdcpurify.cli import main as cli_main
 from pdcpurify.protocol import linear_grid
 from helpers import (
+    added,
+    allclose,
     depolarize_full,
     eigenvalues,
     fidelity,
     ghz_state,
     inject_bitflip,
+    postselect,
     reduce_to_pair,
+    scaled,
 )
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
@@ -104,7 +107,7 @@ def test_criterion_04_ideal_purification_endpoint():
     result = run_four_photon(1.0, 0.0, 1.0)
     rho = transmitted_density(spatially_entangled_state(SourceParams(pairs=2)))
     _, conditional = postselect(rho, FOUR_MODE)
-    product_ok = conditional.allclose(to_density(independent_pairs_state()), tol=1e-12)
+    product_ok = allclose(conditional, to_density(independent_pairs_state()), tol=1e-12)
     pair_ok = (
         abs(fidelity(reduce_to_pair(conditional, 1, 1)) - 1.0) <= 1e-12
         and abs(fidelity(reduce_to_pair(conditional, 2, 2)) - 1.0) <= 1e-12
@@ -168,7 +171,7 @@ def test_criterion_08_bitflip_rejection():
 def test_criterion_09_channel_algebra():
     rho = to_density(spatially_entangled_state(SourceParams(r=0.9, phi=0.4, pairs=2)))
     once = depolarize_full(rho, SpatialMode.A1)
-    idempotent = depolarize_full(once, SpatialMode.A1).allclose(once, tol=1e-12)
+    idempotent = allclose(depolarize_full(once, SpatialMode.A1), once, tol=1e-12)
 
     traces_ok = True
     psd_ok = True
@@ -178,19 +181,28 @@ def test_criterion_09_channel_algebra():
         eigs = eigenvalues(out)
         psd_ok = psd_ok and (eigs.size == 0 or eigs[0] >= -1e-10)
 
-    vac_ok = depolarize_full(to_density(vacuum()), SpatialMode.A1).allclose(
-        to_density(vacuum()), tol=1e-12
+    vac_ok = allclose(
+        depolarize_full(to_density(vacuum()), SpatialMode.A1),
+        to_density(vacuum()),
+        tol=1e-12,
     )
     one = depolarize_full(to_density(ket(Mode.A1H)), SpatialMode.A1)
-    one_ok = one.allclose(
-        to_density(ket(Mode.A1H)).scaled(0.5) + to_density(ket(Mode.A1V)).scaled(0.5),
+    one_ok = allclose(
+        one,
+        added(
+            scaled(to_density(ket(Mode.A1H)), 0.5),
+            scaled(to_density(ket(Mode.A1V)), 0.5),
+        ),
         tol=1e-12,
     )
     two = depolarize_full(to_density(ket(Mode.A1H, Mode.A1H)), SpatialMode.A1)
-    two_ok = two.allclose(
-        to_density(ket(Mode.A1H, Mode.A1H)).scaled(1 / 3)
-        + to_density(ket(Mode.A1H, Mode.A1V)).scaled(1 / 3)
-        + to_density(ket(Mode.A1V, Mode.A1V)).scaled(1 / 3),
+    two_ok = allclose(
+        two,
+        added(
+            scaled(to_density(ket(Mode.A1H, Mode.A1H)), 1 / 3),
+            scaled(to_density(ket(Mode.A1H, Mode.A1V)), 1 / 3),
+            scaled(to_density(ket(Mode.A1V, Mode.A1V)), 1 / 3),
+        ),
         tol=1e-12,
     )
     check(

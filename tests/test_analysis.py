@@ -19,7 +19,7 @@ from pdcpurify import (
     depolarize_partial,
     independent_pairs_state,
     pair_fidelity,
-    postselect,
+    project,
     schmidt,
     spatially_entangled_state,
     to_density,
@@ -29,8 +29,10 @@ from helpers import (
     depolarize_full,
     fidelity,
     ghz_state,
+    postselect,
     reduce_to_pair,
     reduced_density_matrix,
+    scaled,
     validate,
 )
 
@@ -89,10 +91,15 @@ def test_zero_probability_returns_none():
     assert conditional is None
 
 
-def test_postselect_requires_normalized_input():
-    rho = to_density(vacuum()).scaled(0.5)
-    with pytest.raises(ValueError):
-        postselect(rho, FOUR_MODE)
+@pytest.mark.parametrize("factor", [0.5, 0.3])
+def test_project_is_linear_and_accepts_subnormalized_input(factor):
+    rho = transmitted(
+        spatially_entangled_state(SourceParams(r=0.9, phi=0.3, pairs=2)), 0.4
+    )
+    kept = project(scaled(rho, factor), FOUR_MODE)  # input trace: factor < 1
+    full = project(rho, FOUR_MODE)
+    assert kept.entries == scaled(full, factor).entries
+    assert kept.trace() == pytest.approx(factor * full.trace(), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +113,7 @@ def test_postselect_rejects_malformed_patterns(selection):
     not silently left unmatched."""
     rho = transmitted(spatially_entangled_state(SourceParams(r=1, phi=0, pairs=2)))
     with pytest.raises(ValueError, match="selection"):
-        postselect(rho, selection)
+        project(rho, selection)
 
 
 @pytest.mark.parametrize("s", [1.0, 0.4])
@@ -115,7 +122,7 @@ def test_exhaustive_patterns_sum_to_one(pairs, s):
     rho = transmitted(
         spatially_entangled_state(SourceParams(r=0.9, phi=0.3, pairs=pairs)), s
     )
-    total = sum(postselect(rho, pat)[0] for pat in all_patterns(2 * pairs))
+    total = sum(project(rho, pat).trace() for pat in all_patterns(2 * pairs))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 

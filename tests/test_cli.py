@@ -417,6 +417,13 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
             None,
             ["missing.cfg"],
         ),
+        (["run", "--protocol", "two-photon", "--s", "1", "--config", ""], None, ["''"]),
+        (
+            ["sweep", "--protocol", "two-photon", "--out", "x.csv", "--config", ""],
+            None,
+            ["''"],
+        ),
+        (["state", "--config", ""], None, ["''"]),
     ],
     ids=[
         "config-protocol",
@@ -428,6 +435,9 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
         "run-no-s",
         "sweep-no-out",
         "missing-config-file",
+        "run-empty-config",
+        "sweep-empty-config",
+        "state-empty-config",
     ],
 )
 def test_bad_or_missing_value_exits_2_naming_it(

@@ -12,7 +12,7 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
-from helpers import inner_product, reduced_density_matrix, validate
+from helpers import allclose, inner_product, reduced_density_matrix, validate
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]
@@ -125,7 +125,7 @@ def test_to_density_zero_state_raises():
 
 def test_to_density_idempotent_normalization():
     state = pair_operator(vacuum())
-    assert to_density(state).allclose(to_density(state.normalized()), tol=1e-12)
+    assert allclose(to_density(state), to_density(state.normalized()), tol=1e-12)
 
 
 def test_partial_trace_single_pair_is_maximally_mixed():

@@ -15,7 +15,7 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
-from helpers import inner_product
+from helpers import allclose, inner_product
 from pdcpurify.fock import spatial_totals
 
 
@@ -37,7 +37,7 @@ def rotate_polarization(state, target):
     of the target mode: self-inverse (Hadamard-type) and turns phase flips
     into bit flips.
     """
-    h, v = target.horizontal, target.vertical
+    h, v = target.value
     result = None
     for occ, amp in state.amplitudes.items():
         nh, nv = occ[h], occ[v]
@@ -95,7 +95,7 @@ def test_pbs_sides_commute():
 def test_pbs_acts_on_density_operators_too():
     state = spatially_entangled_state(SourceParams(r=1, phi=0, pairs=1))
     rho = apply_pbs(apply_pbs(to_density(state), Side.ALICE), Side.BOB)
-    assert rho.allclose(to_density(state), tol=1e-12)
+    assert allclose(rho, to_density(state), tol=1e-12)
 
 
 def test_pbs_permutes_sector_basis_bijectively():

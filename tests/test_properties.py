@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from helpers import (
+    added,
+    allclose,
     depolarize_full,
     fidelity,
     measure_out_lower_pair,
+    postselect,
     reduce_to_pair,
     run_direct,
+    scaled,
 )
 from pdcpurify import (
     BOTH_DOWN,
@@ -33,7 +37,7 @@ from pdcpurify import (
     depolarize_partial,
     independent_pairs_state,
     pair_fidelity,
-    postselect,
+    project,
     run_four_photon,
     spatially_entangled_state,
     to_density,
@@ -57,8 +61,8 @@ phase = st.floats(min_value=-math.pi, max_value=math.pi)
 def test_partial_channel_is_the_mixture(r, phi, pairs, target, s):
     rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs)))
     out = depolarize_partial(rho, target, s)
-    expected = rho.scaled(s) + depolarize_full(rho, target).scaled(1.0 - s)
-    assert out.allclose(expected, tol=1e-13)
+    expected = added(scaled(rho, s), scaled(depolarize_full(rho, target), 1.0 - s))
+    assert allclose(out, expected, tol=1e-13)
     assert abs(out.trace() - rho.trace()) <= 1e-12
 
 
@@ -126,9 +130,7 @@ def _pipeline_stages(kind, r, phi, s):
         rho = apply_pbs(rho, side)
         stages.append(rho)
     for selection, _ in SELECTIONS[kind]:
-        _, conditional = postselect(rho, selection)
-        if conditional is not None:
-            stages.append(conditional)
+        stages.append(project(rho, selection))
     return state, stages
 
 
@@ -140,7 +142,7 @@ def test_internal_builds_pass_the_public_checks(kind, r, phi, s):
     state, stages = _pipeline_stages(kind, r, phi, s)
     assert PureState(state.amplitudes, sector=state.sector).amplitudes == state.amplitudes
     for op in stages:
-        assert DensityOperator(op.entries).allclose(op, tol=0.0)
+        assert allclose(DensityOperator(op.entries), op, tol=0.0)
 
 
 def _conditionals(kind, r, phi, s):
@@ -226,6 +228,27 @@ def test_four_photon_matches_its_closed_form(r, phi, s):
     assert abs(result.p_success - p) <= 1e-12
     assert abs(result.p_success * result.f_upper - n) <= 1e-12
     assert abs(result.f_upper - n / p) <= 1e-12
+
+
+def _p_and_witness_sum(kind, r, phi, s):
+    """A run's p_success and its witness sum, p_success * f_upper."""
+    result = run_direct(kind, r, phi, s)
+    return result.p_success, result.p_success * result.f_upper
+
+
+@pytest.mark.parametrize(
+    "kind", [ProtocolKind.TWO_PHOTON, ProtocolKind.INDEPENDENT_PAIRS]
+)
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, s=unit)
+def test_p_and_witness_sum_are_quadratic_in_s(kind, r, phi, s):
+    """Each equals the Lagrange quadratic through s = 0, 1/2, 1 (four-photon is
+    pinned by its closed form)."""
+    nodes = zip(*(_p_and_witness_sum(kind, r, phi, x) for x in (0.0, 0.5, 1.0)))
+    weights = (2.0 * (s - 0.5) * (s - 1.0), -4.0 * s * (s - 1.0), 2.0 * s * (s - 0.5))
+    for value, at_nodes in zip(_p_and_witness_sum(kind, r, phi, s), nodes):
+        fit = sum(w * y for w, y in zip(weights, at_nodes))
+        assert abs(value - fit) <= 1e-12
 
 
 @pytest.mark.parametrize("s, p", [(0.0, 1.0 / 6.0), (1.0, 0.4)])

@@ -3,7 +3,15 @@ import math
 import pytest
 
 import dense_oracle as oracle
-from helpers import fidelity, ghz_state, inject_bitflip, reduce_to_pair, run_direct
+from helpers import (
+    allclose,
+    fidelity,
+    ghz_state,
+    inject_bitflip,
+    postselect,
+    reduce_to_pair,
+    run_direct,
+)
 from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
@@ -20,7 +28,6 @@ from pdcpurify import (
     bbpssw_fidelity,
     independent_pairs_state,
     input_fidelity,
-    postselect,
     run_four_photon,
     run_independent_pairs,
     run_two_photon,
@@ -54,7 +61,7 @@ def test_four_photon_conditional_is_two_bell_pairs():
     rho = to_density(spatially_entangled_state(SourceParams(r=1, phi=0, pairs=2)))
     rho = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
     _, conditional = postselect(rho, FOUR_MODE)
-    assert conditional.allclose(to_density(independent_pairs_state()), tol=1e-12)
+    assert allclose(conditional, to_density(independent_pairs_state()), tol=1e-12)
 
 
 def test_four_photon_purifies_even_fully_depolarized_input():
@@ -137,7 +144,7 @@ def test_independent_pairs_conditional_is_ghz():
     rho = to_density(independent_pairs_state())
     rho = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
     _, conditional = postselect(rho, FOUR_MODE)
-    assert conditional.allclose(to_density(ghz_state()), tol=1e-12)
+    assert allclose(conditional, to_density(ghz_state()), tol=1e-12)
 
 
 def test_ghz_state_carries_one_ebit():

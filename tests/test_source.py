@@ -82,6 +82,9 @@ def test_parameter_validation():
         SourceParams(r=1.2)
     with pytest.raises(ValueError):
         SourceParams(pairs=3)
+    for field, value in (("r", None), ("r", "0.5"), ("phi", None)):
+        with pytest.raises(ValueError, match=field):
+            SourceParams(**{field: value})
 
 
 @pytest.mark.parametrize("pairs", [0, 2.0, 1.0, True, "2", None])
