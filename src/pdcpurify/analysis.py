@@ -4,6 +4,8 @@ diagnostics."""
 from __future__ import annotations
 
 import math
+import sys
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable
 
@@ -19,6 +21,9 @@ from .fock import (
 
 #: pattern probabilities at or below this count as "never happens"
 ZERO_PROBABILITY = 1e-12
+
+#: Jacobi sweeps allowed before ``_singular_values`` gives up
+_MAX_SWEEPS = 30
 
 #: one photon in every spatial mode behind the beam splitters
 FOUR_MODE = frozenset({(1, 1, 1, 1)})
@@ -92,6 +97,51 @@ def pair_fidelity(rho: DensityOperator, alice: SpatialMode, bob: SpatialMode) ->
     return 0.5 * total
 
 
+def _norm(vector: list[complex]) -> float:
+    """Euclidean length of a complex vector: ``hypot`` of the entries' moduli,
+    so a vector with one nonzero entry gets exactly that entry's ``abs``."""
+    return math.hypot(*map(abs, vector))
+
+
+def _singular_values(rows: list[list[complex]]) -> list[float]:
+    """Singular values of a complex matrix, descending, by one-sided Jacobi.
+
+    Hestenes' method: rotate pairs of vectors (the columns, or the rows if
+    there are fewer of them) until each pair is orthogonal to working
+    precision; the singular values are then their lengths.  Unlike the
+    eigenvalues of M M^dagger, small singular values come out accurate to
+    about machine precision times the largest.  Raises ``ArithmeticError``
+    if ``_MAX_SWEEPS`` sweeps do not converge.
+    """
+    if len(rows[0]) <= len(rows):
+        vectors = [list(column) for column in zip(*rows)]
+    else:
+        vectors = [list(row) for row in rows]
+    tol = len(vectors[0]) * sys.float_info.epsilon
+    norms = [_norm(v) for v in vectors]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for i, j in combinations(range(len(vectors)), 2):
+            a, b = vectors[i], vectors[j]
+            g = sum(x.conjugate() * y for x, y in zip(a, b))
+            magnitude = abs(g)
+            if magnitude <= tol * norms[i] * norms[j]:
+                continue
+            rotated = True
+            # the rotation that zeroes a^dagger b, with g's phase moved onto b
+            zeta = (norms[j] - norms[i]) * (norms[j] + norms[i]) / (2.0 * magnitude)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            phase = g / magnitude
+            sa, sb = c * t * phase.conjugate(), c * t * phase
+            vectors[i] = [c * x - sa * y for x, y in zip(a, b)]
+            vectors[j] = [sb * x + c * y for x, y in zip(a, b)]
+            norms[i], norms[j] = _norm(vectors[i]), _norm(vectors[j])
+        if not rotated:
+            return sorted(norms, reverse=True)
+    raise ArithmeticError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps")
+
+
 def schmidt(
     state: PureState,
     alice_modes: Iterable[Mode],
@@ -99,13 +149,11 @@ def schmidt(
 ) -> tuple[list[float], float]:
     """Schmidt coefficients and entanglement entropy across a mode bipartition.
 
-    The coefficients are the singular values of the amplitude matrix over
-    (Alice pattern, Bob pattern), sorted descending; the entropy is
-    -sum(c^2 log2 c^2) in ebits.  The state must be normalized and the two
+    The coefficients are the singular values above 1e-12 of the amplitude
+    matrix over (Alice pattern, Bob pattern), sorted descending; the entropy
+    is -sum(c^2 log2 c^2) in ebits.  The state must be normalized and the two
     mode sets must partition all eight modes.
     """
-    import numpy as np  # imported here so that run and sweep never load numpy
-
     alice = sorted(set(alice_modes))
     bob = sorted(set(bob_modes))
     if sorted(alice + bob) != list(MODES) or set(alice) & set(bob):
@@ -117,14 +165,11 @@ def schmidt(
     b_patterns = sorted({tuple(occ[m] for m in bob) for occ in state.amplitudes})
     a_index = {p: i for i, p in enumerate(a_patterns)}
     b_index = {p: i for i, p in enumerate(b_patterns)}
-    matrix = np.zeros((len(a_patterns), len(b_patterns)), dtype=complex)
+    matrix = [[0j] * len(b_patterns) for _ in a_patterns]
     for occ, amp in state.amplitudes.items():
-        matrix[
-            a_index[tuple(occ[m] for m in alice)],
-            b_index[tuple(occ[m] for m in bob)],
-        ] += amp
+        row = matrix[a_index[tuple(occ[m] for m in alice)]]
+        row[b_index[tuple(occ[m] for m in bob)]] += amp
 
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    coefficients = [float(c) for c in singular if c > 1e-12]
+    coefficients = [c for c in _singular_values(matrix) if c > 1e-12]
     entropy = -sum(c * c * math.log2(c * c) for c in coefficients if c > 0.0)
     return coefficients, entropy

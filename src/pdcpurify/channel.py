@@ -12,7 +12,7 @@ that is intentional.
 
 from __future__ import annotations
 
-from .fock import PRUNE_TOL, DensityOperator, Occupations, SpatialMode
+from .fock import PRUNE_TOL, DensityOperator, Occupations, SpatialMode, _holds
 
 
 def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
@@ -29,10 +29,11 @@ def depolarize_partial(
 
     Each entry becomes ``s * v + (1 - s) * m`` for input entry ``v`` and fully
     depolarized entry ``m``; like a stored entry, a term below ``PRUNE_TOL``
-    is dropped.  Trace preserving and completely positive.
+    is dropped.  Trace preserving and completely positive.  An ``s`` that is
+    not a number in [0, 1], such as ``None`` or ``"0.5"``, raises ``ValueError``.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"survival probability must be in [0, 1], got {s}")
+    if not _holds(lambda: 0.0 <= s <= 1.0):
+        raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
     h, v = target.value
     out: dict[tuple[Occupations, Occupations], complex] = {}
     mixed: dict[tuple[Occupations, Occupations], complex] = {}

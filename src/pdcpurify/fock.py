@@ -68,6 +68,14 @@ def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
     return (occ[0] + occ[1], occ[2] + occ[3], occ[4] + occ[5], occ[6] + occ[7])
 
 
+def _holds(test) -> bool:
+    """``test()``, or False where it raises ``TypeError`` (not a number)."""
+    try:
+        return test()
+    except TypeError:
+        return False
+
+
 def _clean_key(occ: Iterable[int]) -> Occupations:
     key = tuple(occ)
     if len(key) != N_MODES:

@@ -24,7 +24,7 @@ from .analysis import (
     project,
 )
 from .channel import depolarize_alice
-from .fock import DensityOperator, PureState, Side, SpatialMode, to_density
+from .fock import DensityOperator, PureState, Side, SpatialMode, _holds, to_density
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
@@ -193,10 +193,11 @@ def bbpssw_fidelity(f: float) -> float:
 class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
     """Grid of survival probabilities plus fixed source parameters.
 
-    An immutable named tuple.  ``s_values`` is copied into a tuple; ``r``
-    and ``phi`` must pass ``SourceParams``'s checks (for every protocol) and
-    are stored as given; ``protocol`` is a ``ProtocolKind`` or its value.
-    Anything else raises ``ValueError``.
+    An immutable named tuple.  ``s_values`` is copied into a tuple and must
+    be strictly increasing numbers in [0, 1]; ``r`` and ``phi`` must pass
+    ``SourceParams``'s checks (for every protocol) and are stored as given;
+    ``protocol`` is a ``ProtocolKind`` or its value.  Anything else raises
+    ``ValueError``.
     """
 
     __slots__ = ()
@@ -209,8 +210,8 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
         s_values = tuple(s_values)
         if not s_values:
             raise ValueError("s grid must not be empty")
-        if any(not 0.0 <= s <= 1.0 for s in s_values):
-            raise ValueError(f"s values must lie in [0, 1]: {s_values}")
+        if not all(_holds(lambda: 0.0 <= s <= 1.0) for s in s_values):
+            raise ValueError(f"s values must be numbers in [0, 1]: {s_values}")
         if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("s grid must be strictly increasing")
         SourceParams(r, phi)  # r and phi follow the source's rule

@@ -14,15 +14,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .fock import Mode, PureState, create, vacuum
-
-
-def _holds(test) -> bool:
-    """``test()``, or False where it raises ``TypeError`` (not a number)."""
-    try:
-        return test()
-    except TypeError:
-        return False
+from .fock import Mode, PureState, _holds, create, vacuum
 
 
 class SourceParams(namedtuple("SourceParams", "r phi pairs")):

@@ -263,6 +263,27 @@ def reduced_density_matrix(state, keep):
     return matrix / sum(abs(a) ** 2 for a in state.amplitudes.values())
 
 
+def numpy_schmidt(state, alice_modes, bob_modes):
+    """``schmidt`` with numpy's SVD in place of the package's Jacobi one.
+
+    Builds the same amplitude matrix over (Alice pattern, Bob pattern) and
+    applies the same 1e-12 cut-off and entropy formula; skips the checks.
+    """
+    alice, bob = sorted(alice_modes), sorted(bob_modes)
+
+    def index(modes):
+        patterns = sorted({tuple(occ[m] for m in modes) for occ in state.amplitudes})
+        return {p: i for i, p in enumerate(patterns)}
+
+    a_index, b_index = index(alice), index(bob)
+    matrix = np.zeros((len(a_index), len(b_index)), dtype=complex)
+    for occ, amp in state.amplitudes.items():
+        matrix[a_index[tuple(occ[m] for m in alice)], b_index[tuple(occ[m] for m in bob)]] += amp
+    coefficients = [float(c) for c in np.linalg.svd(matrix, compute_uv=False) if c > 1e-12]
+    entropy = -sum(c * c * math.log2(c * c) for c in coefficients if c > 0.0)
+    return coefficients, entropy
+
+
 def run_direct(kind, r, phi, s):
     """The ``run_*`` call for one protocol kind, bypassing ``sweep``."""
     if kind is ProtocolKind.FOUR_PHOTON:

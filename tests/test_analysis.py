@@ -25,10 +25,12 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
+from pdcpurify import analysis
 from helpers import (
     depolarize_full,
     fidelity,
     ghz_state,
+    numpy_schmidt,
     postselect,
     reduce_to_pair,
     reduced_density_matrix,
@@ -237,3 +239,53 @@ def test_schmidt_requires_normalization_and_partition():
         schmidt(good, ALICE_MODES[:-1], BOB_MODES)
     with pytest.raises(ValueError):
         schmidt(good, ALICE_MODES + [Mode.B1H], BOB_MODES)
+
+
+def random_matrices(count, seed):
+    """Seeded complex matrices of 1-10 rows and 1-10 columns; every third one
+    is a product through a narrower inner dimension, so rank deficient."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    for k in range(count):
+        rows, cols = (int(n) for n in rng.integers(1, 11, size=2))
+        if k % 3 == 0:
+            rank = int(rng.integers(0, min(rows, cols)))
+            yield gaussian(rows, rank) @ gaussian(rank, cols)
+        else:
+            yield gaussian(rows, cols)
+
+
+def test_singular_values_match_numpy_on_random_matrices():
+    for matrix in random_matrices(300, seed=12):
+        got = analysis._singular_values(matrix.tolist())
+        expected = np.linalg.svd(matrix, compute_uv=False)
+        assert len(got) == len(expected) == min(matrix.shape)
+        assert got == sorted(got, reverse=True)
+        scale = max(expected[0], np.finfo(float).tiny)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * scale)
+
+
+def test_singular_values_raise_when_the_sweeps_run_out(monkeypatch):
+    """One sweep rotates the two columns; only a second could confirm that
+    they are orthogonal, so with one allowed nothing is returned."""
+    monkeypatch.setattr(analysis, "_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        analysis._singular_values([[1 + 0j, 1 + 0j], [0j, 1 + 0j]])
+
+
+SCHMIDT_R = [0.0, 1e-9, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999, 1.0]
+SCHMIDT_PHI = [0.0, 0.4, 1.0, math.acos(0.95), 2.0, math.pi - 1e-9, math.pi, 4.0, 6.2]
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_schmidt_matches_numpy_svd_on_the_source_grid(pairs):
+    for r, phi in itertools.product(SCHMIDT_R, SCHMIDT_PHI):
+        state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs))
+        coefficients, ebits = schmidt(state, ALICE_MODES, BOB_MODES)
+        expected, expected_ebits = numpy_schmidt(state, ALICE_MODES, BOB_MODES)
+        assert len(coefficients) == len(expected), (r, phi)
+        np.testing.assert_allclose(coefficients, expected, rtol=0, atol=1e-14)
+        assert ebits == pytest.approx(expected_ebits, rel=0, abs=1e-14)

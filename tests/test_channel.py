@@ -118,6 +118,12 @@ def test_out_of_range_s_rejected():
         depolarize_partial(rho, SpatialMode.A1, -0.1)
 
 
+@pytest.mark.parametrize("s", [None, "0.5", 0.5j])
+def test_non_number_s_rejected_naming_it(s):
+    with pytest.raises(ValueError, match="survival probability s"):
+        depolarize_partial(source_density(), SpatialMode.A1, s)
+
+
 def test_channels_on_distinct_modes_commute():
     rho = source_density(r=0.9, phi=0.4)
     a_then_b = depolarize_partial(

@@ -26,7 +26,9 @@ from pdcpurify import (
     BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
+    MODES,
     DensityOperator,
+    Mode,
     ProtocolKind,
     PureState,
     Side,
@@ -39,6 +41,7 @@ from pdcpurify import (
     pair_fidelity,
     project,
     run_four_photon,
+    schmidt,
     spatially_entangled_state,
     to_density,
 )
@@ -255,3 +258,22 @@ def test_p_and_witness_sum_are_quadratic_in_s(kind, r, phi, s):
 def test_four_photon_closed_form_at_r_one(s, p):
     assert abs(four_photon_closed_form(1.0, 0.0, s)[0] - p) <= 1e-15
     assert abs(run_four_photon(1.0, 0.0, s).p_success - p) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, pairs=st.sampled_from([1, 2]))
+def test_schmidt_coefficients_are_a_sorted_unit_spectrum(r, phi, pairs):
+    """The squared coefficients sum to 1, they come sorted descending, and the
+    entropy lies between 0 and log2 of the amplitude matrix's smaller side (to
+    rounding: at r = 1 the bound is met, and the sum can exceed it by 1e-15)."""
+    state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=pairs))
+    alice = [m for m in MODES if m < Mode.B1H]
+    bob = [m for m in MODES if m >= Mode.B1H]
+    coefficients, ebits = schmidt(state, alice, bob)
+    assert abs(math.fsum(c * c for c in coefficients) - 1.0) <= 1e-14
+    assert coefficients == sorted(coefficients, reverse=True)
+    side = min(
+        len({tuple(occ[m] for m in modes) for occ in state.amplitudes})
+        for modes in (alice, bob)
+    )
+    assert -1e-14 <= ebits <= math.log2(side) + 1e-14

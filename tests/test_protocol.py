@@ -264,6 +264,25 @@ def test_sweep_spec_validation():
             SweepSpec((0.5,), protocol=protocol)
 
 
+@pytest.mark.parametrize("s", [None, "0.5", 0.5j])
+def test_sweep_spec_rejects_a_non_number_s(s):
+    with pytest.raises(ValueError, match="s values must be numbers"):
+        SweepSpec((0.25, s))
+
+
+@pytest.mark.parametrize("s", [None, "0.5"])
+def test_runs_reject_a_non_number_s(s):
+    """The channel's check names s, where a comparison used to raise
+    ``TypeError``."""
+    for run in (
+        lambda: run_four_photon(1.0, 0.0, s),
+        lambda: run_two_photon(1.0, 0.0, s),
+        lambda: run_independent_pairs(s),
+    ):
+        with pytest.raises(ValueError, match="survival probability s"):
+            run()
+
+
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 def test_sweep_spec_checks_r_and_phi_for_every_protocol(protocol):
     """r and phi follow ``SourceParams``'s rule when the spec is built, also
