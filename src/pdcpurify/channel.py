@@ -12,7 +12,7 @@ that is intentional.
 
 from __future__ import annotations
 
-from .fock import PRUNE_TOL, DensityOperator, Occupations, SpatialMode, _holds
+from .fock import PRUNE_TOL, DensityOperator, Occupations, SpatialMode, _in_range
 
 
 def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
@@ -30,9 +30,9 @@ def depolarize_partial(
     Each entry becomes ``s * v + (1 - s) * m`` for input entry ``v`` and fully
     depolarized entry ``m``; like a stored entry, a term below ``PRUNE_TOL``
     is dropped.  Trace preserving and completely positive.  An ``s`` that is
-    not a number in [0, 1], such as ``None`` or ``"0.5"``, raises ``ValueError``.
+    not a number in [0, 1] (``None``, ``"0.5"``, ``True``) raises ``ValueError``.
     """
-    if not _holds(lambda: 0.0 <= s <= 1.0):
+    if not _in_range(s):
         raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
     h, v = target.value
     out: dict[tuple[Occupations, Occupations], complex] = {}

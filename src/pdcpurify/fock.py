@@ -68,11 +68,14 @@ def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
     return (occ[0] + occ[1], occ[2] + occ[3], occ[4] + occ[5], occ[6] + occ[7])
 
 
-def _holds(test) -> bool:
-    """``test()``, or False where it raises ``TypeError`` (not a number)."""
+def _in_range(value, test=lambda x: 0.0 <= x <= 1.0) -> bool:
+    """``test(value)``, by default 0 <= value <= 1; False for a bool or where the
+    test raises ``TypeError`` or ``OverflowError`` (no float-sized number)."""
+    if isinstance(value, bool):
+        return False
     try:
-        return test()
-    except TypeError:
+        return test(value)
+    except (TypeError, OverflowError):
         return False
 
 

@@ -8,23 +8,16 @@ lossless, phase-free permutation of basis states.
 
 from __future__ import annotations
 
-from .fock import DensityOperator, Mode, Occupations, PureState, Side
+from operator import itemgetter
 
-#: the H modes of each side's upper and lower spatial mode, which its PBS swaps
-_SWAPPED = {Side.ALICE: (Mode.A1H, Mode.A2H), Side.BOB: (Mode.B1H, Mode.B2H)}
+from .fock import DensityOperator, PureState, Side
 
-
-def _pbs_relabel(side: Side):
-    if not isinstance(side, Side):
-        raise ValueError(f"side must be a Side, got {side!r}")
-    h1, h2 = _SWAPPED[side]
-
-    def swap(occ: Occupations) -> Occupations:
-        out = list(occ)
-        out[h1], out[h2] = out[h2], out[h1]
-        return tuple(out)
-
-    return swap
+#: each side's PBS as a fixed permutation of the eight mode indices: the H
+#: modes of its upper and lower spatial mode (a1H/a2H, b1H/b2H) trade places
+_PBS = {
+    Side.ALICE: itemgetter(2, 1, 0, 3, 4, 5, 6, 7),
+    Side.BOB: itemgetter(0, 1, 2, 3, 6, 5, 4, 7),
+}
 
 
 def apply_pbs(
@@ -36,7 +29,9 @@ def apply_pbs(
     sides).  Unitary, involutive, photon-number preserving.  ``side`` must be
     a ``Side``: anything else, such as the string ``"alice"``, raises ``ValueError``.
     """
-    swap = _pbs_relabel(side)
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
+    swap = _PBS[side]
     # a permutation of valid keys: no term merges, no key needs checking
     if isinstance(state, PureState):
         amplitudes = {swap(occ): amp for occ, amp in state.amplitudes.items()}

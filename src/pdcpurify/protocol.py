@@ -15,7 +15,6 @@ from enum import Enum
 from types import MappingProxyType
 
 from .analysis import (
-    BOTH_DOWN,
     BOTH_UP,
     FOUR_MODE,
     ZERO_PROBABILITY,
@@ -24,7 +23,7 @@ from .analysis import (
     project,
 )
 from .channel import depolarize_alice
-from .fock import DensityOperator, PureState, Side, SpatialMode, _holds, to_density
+from .fock import DensityOperator, PureState, Side, SpatialMode, _in_range, to_density
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
@@ -79,7 +78,15 @@ _LOWER = (SpatialMode.A2, SpatialMode.B2)
 
 
 def _transmit(state: PureState, s: float) -> DensityOperator:
-    """Depolarize Alice's spatial modes, then pass both beam splitters."""
+    """Depolarize Alice's spatial modes, then pass both beam splitters.
+
+    With F exchanging H and V in every spatial mode and S the upper and lower
+    spatial modes on both sides, the result T obeys F T F = S T S: each source
+    pair is HH + VV, the channel treats a1, a2 and H, V alike, and F PBS F =
+    S PBS (F turns the swap of the H modes into that of the V modes).  F fixes
+    the detection patterns and the upper Bell witness; S maps ``BOTH_UP`` and
+    that witness to their lower mirrors and fixes ``FOUR_MODE``.
+    """
     rho = depolarize_alice(to_density(state), s)
     rho = apply_pbs(rho, Side.ALICE)
     rho = apply_pbs(rho, Side.BOB)
@@ -95,35 +102,29 @@ def _ratio(weighted: float, p: float) -> float | None:
 def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Four-photon purification: keep one photon per output spatial mode.
 
-    Both the upper and the lower output pair are kept; their fidelities are
-    reported separately.
+    Both output pairs are kept; by the symmetry of ``_transmit`` they have equal
+    fidelities, so the upper pair's is reported in both columns.
     """
     source = SourceParams(r=r, phi=phi, pairs=2)
     kept = project(_transmit(spatially_entangled_state(source), s), FOUR_MODE)
     p = kept.trace()
-    f_upper = _ratio(pair_fidelity(kept, *_UPPER), p)
-    f_lower = _ratio(pair_fidelity(kept, *_LOWER), p)
-    return ProtocolResult(
-        ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f_upper, f_lower
-    )
+    f = _ratio(pair_fidelity(kept, *_UPPER), p)
+    return ProtocolResult(ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f, f)
 
 
 def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Two-photon purification: keep events with both photons up or both down.
 
     The surviving pair sits in the upper or the lower modes depending on the
-    branch; the reported fidelity is the two branches' witness sums over their
-    joint probability and is carried in ``f_upper`` (``f_lower`` stays
-    ``None``).
+    branch.  The down branch mirrors the up one (see ``_transmit``), so p and
+    the witness sum are twice the up branch's; their ratio is carried in
+    ``f_upper`` (``f_lower`` stays ``None``).
     """
     state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
-    rho = _transmit(state, s)
-    up, down = project(rho, BOTH_UP), project(rho, BOTH_DOWN)
-    p = up.trace() + down.trace()
-    weighted = pair_fidelity(up, *_UPPER) + pair_fidelity(down, *_LOWER)
-    return ProtocolResult(
-        ProtocolKind.TWO_PHOTON.value, r, phi, s, p, _ratio(weighted, p), None
-    )
+    up = project(_transmit(state, s), BOTH_UP)
+    p = 2.0 * up.trace()
+    f = _ratio(2.0 * pair_fidelity(up, *_UPPER), p)
+    return ProtocolResult(ProtocolKind.TWO_PHOTON.value, r, phi, s, p, f, None)
 
 
 def _measured_out_fidelity(kept: DensityOperator) -> float:
@@ -194,10 +195,10 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
     """Grid of survival probabilities plus fixed source parameters.
 
     An immutable named tuple.  ``s_values`` is copied into a tuple and must
-    be strictly increasing numbers in [0, 1]; ``r`` and ``phi`` must pass
-    ``SourceParams``'s checks (for every protocol) and are stored as given;
-    ``protocol`` is a ``ProtocolKind`` or its value.  Anything else raises
-    ``ValueError``.
+    be strictly increasing numbers (not bools) in [0, 1]; ``r`` and ``phi``
+    must pass ``SourceParams``'s checks (for every protocol) and are stored as
+    given; ``protocol`` is a ``ProtocolKind`` or its value.  Anything else
+    raises ``ValueError``.
     """
 
     __slots__ = ()
@@ -210,7 +211,7 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
         s_values = tuple(s_values)
         if not s_values:
             raise ValueError("s grid must not be empty")
-        if not all(_holds(lambda: 0.0 <= s <= 1.0) for s in s_values):
+        if not all(map(_in_range, s_values)):
             raise ValueError(f"s values must be numbers in [0, 1]: {s_values}")
         if any(b <= a for a, b in zip(s_values, s_values[1:])):
             raise ValueError("s grid must be strictly increasing")
@@ -239,7 +240,7 @@ def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
         raise ValueError(f"steps must be an int, got {steps!r}")
     if not 2 <= steps <= 1_000_000:
         raise ValueError(f"steps must be in [2, 1000000], got {steps}")
-    if not 0.0 <= s_min < s_max <= 1.0:
+    if not (_in_range(s_min) and _in_range(s_max) and s_min < s_max):
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
     step = (s_max - s_min) / (steps - 1)
     return tuple(s_min + i * step for i in range(steps - 1)) + (s_max,)

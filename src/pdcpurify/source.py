@@ -14,7 +14,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .fock import Mode, PureState, _holds, create, vacuum
+from .fock import Mode, PureState, _in_range, create, vacuum
 
 
 class SourceParams(namedtuple("SourceParams", "r phi pairs")):
@@ -32,9 +32,9 @@ class SourceParams(namedtuple("SourceParams", "r phi pairs")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, r: float = 1.0, phi: float = 0.0, pairs: int = 1):
-        if not _holds(lambda: 0.0 <= r <= 1.0):
+        if not _in_range(r):
             raise ValueError(f"r must be a number in [0, 1], got {r!r}")
-        if not _holds(lambda: math.isfinite(phi)):
+        if not _in_range(phi, math.isfinite):
             raise ValueError(f"phi must be a finite number, got {phi!r}")
         if type(pairs) is not int or pairs not in (1, 2):
             raise ValueError(f"pairs must be the int 1 or 2, got {pairs!r}")

@@ -2,6 +2,7 @@
 tests use."""
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from pdcpurify import (
     Mode,
     ProtocolKind,
     PureState,
+    Side,
     SpatialMode,
     create,
     depolarize_partial,
@@ -22,6 +24,17 @@ from pdcpurify import (
 )
 from pdcpurify.analysis import ZERO_PROBABILITY
 from pdcpurify.fock import PRUNE_TOL
+
+
+#: F, exchanging H and V in every spatial mode, as a map of mode indices
+FLIP = itemgetter(1, 0, 3, 2, 5, 4, 7, 6)
+#: S on one side, exchanging its upper and lower spatial modes
+SPATIAL_SWAP = {
+    Side.ALICE: itemgetter(2, 3, 0, 1, 4, 5, 6, 7),
+    Side.BOB: itemgetter(0, 1, 2, 3, 6, 7, 4, 5),
+}
+#: S on both sides: the mirror image of the upper and lower pairs
+MIRROR = itemgetter(2, 3, 0, 1, 6, 7, 4, 5)
 
 
 def scaled(rho, factor):
@@ -57,6 +70,14 @@ def postselect(rho, selection):
     if probability <= ZERO_PROBABILITY:
         return probability, None
     return probability, scaled(kept, 1.0 / probability)
+
+
+def ket(*modes):
+    """The basis state with one photon created in each listed mode, in order."""
+    state = vacuum()
+    for mode in modes:
+        state = create(mode, state)
+    return state
 
 
 def ghz_state():

@@ -14,7 +14,6 @@ from pdcpurify import (
     SpatialMode,
     apply_pbs,
     bbpssw_fidelity,
-    create,
     depolarize_alice,
     depolarize_partial,
     independent_pairs_state,
@@ -35,6 +34,7 @@ from helpers import (
     fidelity,
     ghz_state,
     inject_bitflip,
+    ket,
     postselect,
     reduce_to_pair,
     scaled,
@@ -48,13 +48,6 @@ S_GRID_21 = linear_grid(0.0, 1.0, 21)
 def check(number, label, ok):
     print(f"criterion {number:02d} [{label}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} failed: {label}"
-
-
-def ket(*modes):
-    state = vacuum()
-    for mode in modes:
-        state = create(mode, state)
-    return state
 
 
 def transmitted_density(state):

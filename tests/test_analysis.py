@@ -15,7 +15,6 @@ from pdcpurify import (
     Side,
     SpatialMode,
     apply_pbs,
-    create,
     depolarize_partial,
     independent_pairs_state,
     pair_fidelity,
@@ -23,13 +22,13 @@ from pdcpurify import (
     schmidt,
     spatially_entangled_state,
     to_density,
-    vacuum,
 )
 from pdcpurify import analysis
 from helpers import (
     depolarize_full,
     fidelity,
     ghz_state,
+    ket,
     numpy_schmidt,
     postselect,
     reduce_to_pair,
@@ -40,13 +39,6 @@ from helpers import (
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]
-
-
-def ket(*modes):
-    state = vacuum()
-    for mode in modes:
-        state = create(mode, state)
-    return state
 
 
 def transmitted(state, s=1.0):

@@ -10,7 +10,6 @@ from pdcpurify import (
     SourceParams,
     SpatialMode,
     apply_pbs,
-    create,
     depolarize_alice,
     depolarize_partial,
     spatially_entangled_state,
@@ -23,18 +22,12 @@ from helpers import (
     depolarize_full,
     fidelity,
     inject_bitflip,
+    ket,
     postselect,
     reduce_to_pair,
     scaled,
     validate,
 )
-
-
-def ket(*modes):
-    state = vacuum()
-    for mode in modes:
-        state = create(mode, state)
-    return state
 
 
 def projector(*modes):
@@ -118,7 +111,7 @@ def test_out_of_range_s_rejected():
         depolarize_partial(rho, SpatialMode.A1, -0.1)
 
 
-@pytest.mark.parametrize("s", [None, "0.5", 0.5j])
+@pytest.mark.parametrize("s", [None, "0.5", 0.5j, True, False])
 def test_non_number_s_rejected_naming_it(s):
     with pytest.raises(ValueError, match="survival probability s"):
         depolarize_partial(source_density(), SpatialMode.A1, s)

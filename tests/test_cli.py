@@ -177,6 +177,36 @@ def test_sweep_csv_schema_and_roundtrip(tmp_path, capsys):
         assert f_low == pytest.approx(reference.f_lower, abs=1e-10)
 
 
+#: the README's curve sweeps, by the file each writes; ``tests/data`` holds
+#: the files as written before f_lower was read off the upper pair
+README_SWEEPS = {
+    "curve_r100.csv": ["--protocol", "four-photon", "--r", "1", "--cos-phi", "1"],
+    "curve_r095.csv": ["--protocol", "four-photon", "--r", "0.95", "--cos-phi", "0.95"],
+    "curve_r090.csv": ["--protocol", "four-photon", "--r", "0.9", "--cos-phi", "0.9"],
+    "curve_single_pair.csv": ["--protocol", "independent-pairs"],
+}
+
+
+@pytest.mark.parametrize("name", list(README_SWEEPS))
+def test_readme_sweeps_reproduce_the_committed_files(name, tmp_path, capsys):
+    """Empty cells match exactly and numbers agree within 1e-12."""
+    out_file = tmp_path / name
+    argv = ["sweep", *README_SWEEPS[name], "--steps", "21", "--out", str(out_file)]
+    assert run_cli(argv, capsys)[0] == 0
+    expected = (Path(__file__).parent / "data" / name).read_text().splitlines()
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == expected[0] == CSV_HEADER
+    assert len(lines) == len(expected) == 22
+    for line, reference in zip(lines[1:], expected[1:]):
+        cells, reference_cells = line.split(","), reference.split(",")
+        assert len(cells) == len(reference_cells)
+        for cell, want in zip(cells, reference_cells):
+            if "" in (cell, want):
+                assert cell == want
+            else:
+                assert abs(float(cell) - float(want)) <= 1e-12
+
+
 def test_sweep_output_is_byte_stable(tmp_path, capsys):
     args = [
         "sweep", "--protocol", "two-photon", "--r", "0.9",

@@ -13,17 +13,9 @@ from pdcpurify import (
     create,
     spatially_entangled_state,
     to_density,
-    vacuum,
 )
-from helpers import allclose, inner_product
+from helpers import FLIP, SPATIAL_SWAP, allclose, inner_product, ket
 from pdcpurify.fock import spatial_totals
-
-
-def ket(*modes):
-    state = vacuum()
-    for mode in modes:
-        state = create(mode, state)
-    return state
 
 
 def both_pbs(state):
@@ -151,6 +143,20 @@ def test_rotation_turns_phase_flip_into_bit_flip():
     )
     bit_flipped = (ket(Mode.A1H, Mode.B1V) + ket(Mode.A1V, Mode.B1H)).normalized()
     assert abs(inner_product(rotated, bit_flipped)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_flipped_pbs_is_the_spatial_swap_after_it(side):
+    """F PBS F = S PBS as maps of mode indices: sent through the PBS, the
+    occupation tuple (0, 1, ..., 7) reads off the permutation it applies."""
+
+    def pbs(occ):
+        (image,) = apply_pbs(PureState({occ: 1.0}), side).amplitudes
+        return image
+
+    labels = tuple(range(8))
+    assert pbs(labels) != labels
+    assert FLIP(pbs(FLIP(labels))) == SPATIAL_SWAP[side](pbs(labels))
 
 
 @pytest.mark.parametrize("side", ["alice", "bob", None, 0, SpatialMode.A1])

@@ -6,12 +6,15 @@ Examples are derandomized, so every run draws the same inputs.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from helpers import (
+    FLIP,
+    MIRROR,
     added,
     allclose,
     depolarize_full,
@@ -45,7 +48,7 @@ from pdcpurify import (
     spatially_entangled_state,
     to_density,
 )
-from pdcpurify.protocol import _measured_out_fidelity
+from pdcpurify.protocol import _measured_out_fidelity, _transmit
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -195,6 +198,61 @@ def test_runs_match_the_dense_oracle(kind, r, phi, s):
             assert p_ref <= 1e-12
         else:
             assert abs(f - f_ref) <= 1e-12
+
+
+def _relabeled(rho, relabel):
+    """The entries of ``relabel rho relabel`` for an involutive mode map."""
+    return {(relabel(ket), relabel(bra)): v for (ket, bra), v in rho.entries.items()}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@PROPERTY_SETTINGS
+@given(r=unit, phi=phase, s=unit)
+def test_flipped_transmission_is_its_mirror(kind, r, phi, s):
+    """F T F = S T S for the transmitted operator T of each source, the
+    identity behind reporting f_lower = f_upper and doubling the both-up
+    branch."""
+    rho = _transmit(_source(kind, r, phi), s)
+    flipped, mirrored = _relabeled(rho, FLIP), _relabeled(rho, MIRROR)
+    assert rho.entries
+    assert max(
+        abs(flipped.get(key, 0.0) - mirrored.get(key, 0.0))
+        for key in flipped.keys() | mirrored.keys()
+    ) <= 1e-15
+
+
+def _oracle_branches(r, phi, pairs, s, branches):
+    """Probability and witness sum of each (pattern, Alice mode, Bob mode)
+    branch of the transmitted n-pair state, from the dense oracle alone."""
+    n = 2 * pairs
+    vec = oracle.two_pass_vector(r, phi, pairs)
+    rho = np.outer(vec, vec.conj())
+    for spatial in (oracle.A1, oracle.A2):
+        rho = oracle.depolarize(rho, spatial, s, n)
+    rho = oracle.both_pbs(rho, n)
+    for pattern, alice, bob in branches:
+        proj = oracle.pattern_projector(frozenset(pattern), n)
+        kept = proj @ rho @ proj
+        witness = oracle.bell_witness(alice, bob, n)
+        yield np.trace(kept).real, oracle.trace_of_product(witness, kept).real
+
+
+@settings(PROPERTY_SETTINGS, max_examples=5)
+@given(r=unit, phi=phase, s=unit)
+def test_dense_oracle_mirrors_upper_and_lower(r, phi, s):
+    """The same identity with no package code: the oracle's four-photon upper
+    and lower fidelities agree, and its two-photon up and down branches have
+    equal probabilities and witness sums."""
+    (p, upper), (_, lower) = _oracle_branches(r, phi, 2, s, [
+        (oracle.FOUR_MODE, oracle.A1, oracle.B1),
+        (oracle.FOUR_MODE, oracle.A2, oracle.B2),
+    ])
+    assert abs(upper / p - lower / p) <= 1e-12
+    up, down = _oracle_branches(r, phi, 1, s, [
+        (oracle.BOTH_UP, oracle.A1, oracle.B1),
+        (oracle.BOTH_DOWN, oracle.A2, oracle.B2),
+    ])
+    assert np.allclose(up, down, rtol=0.0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS

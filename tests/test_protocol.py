@@ -283,6 +283,36 @@ def test_runs_reject_a_non_number_s(s):
             run()
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_bools_are_no_numbers(value):
+    """A bool r, phi or s used to pass every check and reach the output, such
+    as ``"s": true`` in a sweep's JSON; each raises ``ValueError`` naming it."""
+    for build, message in [
+        (lambda: SweepSpec((value,), protocol="two-photon"), "s values must"),
+        (lambda: SweepSpec((0.5,), r=value), "r must"),
+        (lambda: SweepSpec((0.5,), phi=value), "phi must"),
+        (lambda: run_four_photon(value, 0, 0.5), "r must"),
+        (lambda: run_four_photon(1, value, 0.5), "phi must"),
+        (lambda: run_four_photon(1, 0, value), "survival probability s"),
+        (lambda: run_two_photon(1, 0, value), "survival probability s"),
+        (lambda: run_independent_pairs(value), "survival probability s"),
+        (lambda: linear_grid(value, 1.0, 3), "s_min"),
+        (lambda: linear_grid(0.0, value, 3), "s_max"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match="r must"):
+        run_four_photon(True, 0, False)
+    with pytest.raises(ValueError, match="s_min"):
+        linear_grid(False, True, 3)
+
+
+def test_int_r_phi_and_s_accepted():
+    assert SweepSpec((0, 1), r=1, phi=0)[:3] == ((0, 1), 1, 0)
+    assert linear_grid(0, 1, 3) == (0.0, 0.5, 1)
+    assert run_four_photon(1, 0, 1) == run_four_photon(1.0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 def test_sweep_spec_checks_r_and_phi_for_every_protocol(protocol):
     """r and phi follow ``SourceParams``'s rule when the spec is built, also

@@ -93,6 +93,23 @@ def test_pairs_must_be_the_int_one_or_two(pairs):
         SourceParams(pairs=pairs)
 
 
+@pytest.mark.parametrize("field", ["r", "phi"])
+@pytest.mark.parametrize("value", [True, False])
+def test_bools_are_no_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        SourceParams(**{field: value})
+
+
+def test_int_r_and_phi_accepted():
+    assert SourceParams(r=1, phi=0, pairs=2) == (1, 0.0, 2)
+
+
+def test_phi_beyond_float_range_rejected():
+    """An int phi too large for a float used to escape as ``OverflowError``."""
+    with pytest.raises(ValueError, match="phi"):
+        SourceParams(phi=10**400)
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_non_finite_phi_rejected(phi):
     with pytest.raises(ValueError, match="phi"):
