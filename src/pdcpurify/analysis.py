@@ -80,8 +80,12 @@ def pair_fidelity(rho: DensityOperator, alice: SpatialMode, bob: SpatialMode) ->
     when those six modes agree on ket and bra and ket and bra each hold HH or
     VV on the pair; every other entry has weight 0.  An entry whose other modes
     agree but whose ket or bra lacks one photon in each of the pair's spatial
-    modes raises ``ValueError``.  The result scales with the trace of ``rho``.
+    modes raises ``ValueError``, and so does an ``alice`` or ``bob`` that is
+    not a ``SpatialMode``.  The result scales with the trace of ``rho``.
     """
+    for name, spatial in (("alice", alice), ("bob", bob)):
+        if not isinstance(spatial, SpatialMode):
+            raise ValueError(f"{name} must be a SpatialMode, got {spatial!r}")
     if alice == bob:
         raise ValueError(f"a pair needs two spatial modes, got {alice} twice")
     kept = {*alice.value, *bob.value}

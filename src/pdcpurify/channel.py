@@ -12,7 +12,14 @@ that is intentional.
 
 from __future__ import annotations
 
-from .fock import PRUNE_TOL, DensityOperator, Occupations, SpatialMode, _in_range
+from .fock import (
+    PRUNE_TOL,
+    DensityOperator,
+    Occupations,
+    SpatialMode,
+    _in_range,
+    _pruned,
+)
 
 
 def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
@@ -29,11 +36,15 @@ def depolarize_partial(
 
     Each entry becomes ``s * v + (1 - s) * m`` for input entry ``v`` and fully
     depolarized entry ``m``; like a stored entry, a term below ``PRUNE_TOL``
-    is dropped.  Trace preserving and completely positive.  An ``s`` that is
-    not a number in [0, 1] (``None``, ``"0.5"``, ``True``) raises ``ValueError``.
+    is dropped, and so is a sum of terms that cancels below it.  Trace
+    preserving and completely positive.  An ``s`` that is not a number in
+    [0, 1] (``None``, ``"0.5"``, ``True``) and a ``target`` that is not a
+    ``SpatialMode`` raise ``ValueError``.
     """
     if not _in_range(s):
         raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
+    if not isinstance(target, SpatialMode):
+        raise ValueError(f"target must be a SpatialMode, got {target!r}")
     h, v = target.value
     out: dict[tuple[Occupations, Occupations], complex] = {}
     mixed: dict[tuple[Occupations, Occupations], complex] = {}
@@ -51,7 +62,7 @@ def depolarize_partial(
     for key, m in mixed.items():
         if abs((1.0 - s) * m) >= PRUNE_TOL:
             out[key] = out.get(key, 0.0) + (1.0 - s) * m
-    return DensityOperator._trusted(out)
+    return DensityOperator._trusted(_pruned(out))
 
 
 def depolarize_alice(rho: DensityOperator, s: float) -> DensityOperator:

@@ -5,16 +5,28 @@ practice).  The canonical representation is a sparse map from occupation
 tuples to complex amplitudes; nothing here builds a dense matrix.  Values
 are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
+
+Every stored value is complex, finite and of modulus at least ``PRUNE_TOL``.
+The public constructors convert, check and prune what they are given.  A map
+the package builds itself from valid keys is wrapped by ``_trusted`` as it
+is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
+quotient or a sum) prunes its result, once: ``to_density``,
+``PureState.scaled``, the channel and the source's pair emission.  A
+relabeling (the PBS), a subset (``project``) and ``create`` (it scales
+values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys)
+cannot, so they do not prune.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum, IntEnum
 from typing import Iterable
 
-# Amplitudes below this are dropped after every linear operation so that
-# sparse maps stay canonical for equality-based tests.
+# Values below this modulus are not stored: the builders that can make such a
+# value (products, quotients, sums) drop it once, where they make it, so the
+# sparse maps hold no numerical dust and stay small.
 PRUNE_TOL = 1e-14
 
 N_MODES = 8
@@ -94,11 +106,21 @@ def _clean_key(occ: Iterable[int]) -> Occupations:
     return counts
 
 
+def _finite(values: dict) -> dict:
+    """``values`` as complex, in order; a NaN or infinite real or imaginary part
+    raises ``ValueError`` naming its key."""
+    out = {}
+    for key, value in values.items():
+        v = complex(value)
+        if not cmath.isfinite(v):
+            raise ValueError(f"value {value!r} at {key} is not finite")
+        out[key] = v
+    return out
+
+
 def _pruned(values: dict) -> dict:
-    """The entries of ``values`` at or above ``PRUNE_TOL``, as complex, in order."""
-    return {
-        key: v for key, value in values.items() if abs(v := complex(value)) >= PRUNE_TOL
-    }
+    """The entries of ``values`` (complex) at or above ``PRUNE_TOL``, in order."""
+    return {key: v for key, v in values.items() if abs(v) >= PRUNE_TOL}
 
 
 class PureState:
@@ -112,7 +134,7 @@ class PureState:
         sector: int | None = None,
     ):
         pruned: dict[Occupations, complex] = {}
-        for occ, value in _pruned(amplitudes).items():
+        for occ, value in _pruned(_finite(amplitudes)).items():
             key = _clean_key(occ)
             total = sum(key)
             if sector is None:
@@ -129,9 +151,10 @@ class PureState:
 
     @classmethod
     def _trusted(cls, amplitudes: dict[Occupations, complex], sector: int) -> "PureState":
-        """Build from keys the package made itself: prune only, no key checks."""
+        """Wrap a map the package built from valid keys, as it is: no key
+        checks and no pruning (the builder prunes where it must)."""
         state = cls.__new__(cls)
-        state.amplitudes = _pruned(amplitudes)
+        state.amplitudes = amplitudes
         state.sector = sector
         return state
 
@@ -150,18 +173,9 @@ class PureState:
 
     def scaled(self, factor: complex) -> "PureState":
         return PureState._trusted(
-            {occ: factor * amp for occ, amp in self.amplitudes.items()}, self.sector
+            _pruned({occ: factor * amp for occ, amp in self.amplitudes.items()}),
+            self.sector,
         )
-
-    def __add__(self, other: "PureState") -> "PureState":
-        if self.sector != other.sector:
-            raise ValueError(
-                f"sector mismatch: {self.sector} vs {other.sector}"
-            )
-        out = dict(self.amplitudes)
-        for occ, amp in other.amplitudes.items():
-            out[occ] = out.get(occ, 0.0) + amp
-        return PureState._trusted(out, self.sector)
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.terms())
@@ -169,13 +183,14 @@ class PureState:
 
 
 def vacuum() -> PureState:
-    return PureState._trusted({(0,) * N_MODES: 1.0}, 0)
+    return PureState._trusted({(0,) * N_MODES: 1 + 0j}, 0)
 
 
 def create(mode: Mode, state: PureState) -> PureState:
     """Apply the bosonic creation operator of one mode.
 
     Each term picks up the usual sqrt(n+1) factor; the sector rises by one.
+    Distinct terms stay distinct and no value shrinks, so nothing is pruned.
     """
     out: dict[Occupations, complex] = {}
     for occ, amp in state.amplitudes.items():
@@ -198,7 +213,7 @@ class DensityOperator:
 
     def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
         pruned: dict[tuple[Occupations, Occupations], complex] = {}
-        for (ket, bra), v in _pruned(entries).items():
+        for (ket, bra), v in _pruned(_finite(entries)).items():
             k = _clean_key(ket)
             b = _clean_key(bra)
             if sum(k) != sum(b):
@@ -212,9 +227,10 @@ class DensityOperator:
     def _trusted(
         cls, entries: dict[tuple[Occupations, Occupations], complex]
     ) -> "DensityOperator":
-        """Build from keys the package made itself: prune only, no key checks."""
+        """Wrap a map the package built from valid keys, as it is: no key
+        checks and no pruning (the builder prunes where it must)."""
         rho = cls.__new__(cls)
-        rho.entries = _pruned(entries)
+        rho.entries = entries
         return rho
 
     def trace(self) -> float:
@@ -232,10 +248,11 @@ def to_density(state: PureState) -> DensityOperator:
     norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
     if norm_sq <= 0.0:
         raise ValueError("cannot build a density operator from a zero state")
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"cannot normalize a state of squared norm {norm_sq}")
     entries = {
         (ki, kj): ai * aj.conjugate() / norm_sq
         for ki, ai in state.amplitudes.items()
         for kj, aj in state.amplitudes.items()
     }
-    return DensityOperator._trusted(entries)
-
+    return DensityOperator._trusted(_pruned(entries))

@@ -14,7 +14,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .fock import Mode, PureState, _in_range, create, vacuum
+from .fock import Mode, PureState, _in_range, _pruned, create, vacuum
 
 
 class SourceParams(namedtuple("SourceParams", "r phi pairs")):
@@ -45,13 +45,21 @@ def _emit_pair(state: PureState, upper: complex, lower: complex) -> PureState:
     """One application of the coherent pair-creation operator.
 
     Adds one photon pair, as a superposition of the four creation channels
-    (upper/lower spatial mode, H/V polarization) with the given weights.
+    (upper/lower spatial mode, H/V polarization) with the given weights.  The
+    weighted channels are summed into one map, channel by channel, which is
+    pruned once.
     """
-    out = create(Mode.B1H, create(Mode.A1H, state)).scaled(upper)
-    out = out + create(Mode.B1V, create(Mode.A1V, state)).scaled(upper)
-    out = out + create(Mode.B2H, create(Mode.A2H, state)).scaled(lower)
-    out = out + create(Mode.B2V, create(Mode.A2V, state)).scaled(lower)
-    return out
+    channels = (
+        (Mode.A1H, Mode.B1H, upper),
+        (Mode.A1V, Mode.B1V, upper),
+        (Mode.A2H, Mode.B2H, lower),
+        (Mode.A2V, Mode.B2V, lower),
+    )
+    out: dict = {}
+    for alice, bob, weight in channels:
+        for occ, amp in create(bob, create(alice, state)).amplitudes.items():
+            out[occ] = out.get(occ, 0.0) + weight * amp
+    return PureState._trusted(_pruned(out), state.sector + 2)
 
 
 def spatially_entangled_state(params: SourceParams) -> PureState:

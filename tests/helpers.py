@@ -23,7 +23,7 @@ from pdcpurify import (
     vacuum,
 )
 from pdcpurify.analysis import ZERO_PROBABILITY
-from pdcpurify.fock import PRUNE_TOL
+from pdcpurify.fock import PRUNE_TOL, _pruned
 
 
 #: F, exchanging H and V in every spatial mode, as a map of mode indices
@@ -39,7 +39,9 @@ MIRROR = itemgetter(2, 3, 0, 1, 6, 7, 4, 5)
 
 def scaled(rho, factor):
     """``rho`` with every entry multiplied by ``factor``."""
-    return DensityOperator._trusted({key: factor * v for key, v in rho.entries.items()})
+    return DensityOperator._trusted(
+        _pruned({key: factor * v for key, v in rho.entries.items()})
+    )
 
 
 def added(*operators):
@@ -48,7 +50,18 @@ def added(*operators):
     for rho in operators:
         for key, v in rho.entries.items():
             out[key] = out.get(key, 0.0) + v
-    return DensityOperator._trusted(out)
+    return DensityOperator._trusted(_pruned(out))
+
+
+def superposed(first, *others):
+    """Amplitude-wise sum of same-sector pure states, pruned once."""
+    out = dict(first.amplitudes)
+    for state in others:
+        if state.sector != first.sector:
+            raise ValueError(f"sector mismatch: {first.sector} vs {state.sector}")
+        for occ, amp in state.amplitudes.items():
+            out[occ] = out.get(occ, 0.0) + amp
+    return PureState._trusted(_pruned(out), first.sector)
 
 
 def allclose(x, y, tol=1e-12):
@@ -93,7 +106,7 @@ def ghz_state():
     all_v = vacuum()
     for mode in (Mode.A1V, Mode.A2V, Mode.B1V, Mode.B2V):
         all_v = create(mode, all_v)
-    return (all_h + all_v).normalized()
+    return superposed(all_h, all_v).normalized()
 
 
 def inject_bitflip(state, target):

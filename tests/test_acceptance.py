@@ -38,6 +38,7 @@ from helpers import (
     postselect,
     reduce_to_pair,
     scaled,
+    superposed,
 )
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
@@ -86,7 +87,7 @@ def test_criterion_02_entanglement_entropies():
 
 
 def test_criterion_03_input_fidelity_law():
-    bell = (ket(Mode.A1H, Mode.B1H) + ket(Mode.A1V, Mode.B1V)).normalized()
+    bell = superposed(ket(Mode.A1H, Mode.B1H), ket(Mode.A1V, Mode.B1V)).normalized()
     worst = 0.0
     for i in range(11):
         s = i / 10.0

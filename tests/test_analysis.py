@@ -34,6 +34,7 @@ from helpers import (
     reduce_to_pair,
     reduced_density_matrix,
     scaled,
+    superposed,
     validate,
 )
 
@@ -130,7 +131,7 @@ def test_reduce_ideal_conditional_gives_target_bell_pairs():
 
 
 def test_reduce_fully_depolarized_pair():
-    bell = (ket(Mode.A1H, Mode.B1H) + ket(Mode.A1V, Mode.B1V)).normalized()
+    bell = superposed(ket(Mode.A1H, Mode.B1H), ket(Mode.A1V, Mode.B1V)).normalized()
     rho = depolarize_full(to_density(bell), SpatialMode.A1)
     np.testing.assert_allclose(reduce_to_pair(rho, 1, 1), np.eye(4) / 4, atol=1e-12)
 
@@ -143,6 +144,12 @@ def test_reduce_rejects_wrong_support():
         pair_fidelity(rho, SpatialMode.A1, SpatialMode.B1)
     with pytest.raises(ValueError, match="two spatial modes"):
         pair_fidelity(rho, SpatialMode.A1, SpatialMode.A1)
+    # the pair must be named by two SpatialModes
+    for bad in ("a1", Side.ALICE, Mode.A1H):
+        with pytest.raises(ValueError, match="alice"):
+            pair_fidelity(rho, bad, SpatialMode.B1)
+        with pytest.raises(ValueError, match="bob"):
+            pair_fidelity(rho, SpatialMode.A1, bad)
     # the bra is checked too, whatever the ket holds (HH or HV here)
     bad = (1, 1, 0, 0, 0, 0, 0, 0)
     for good in ((1, 0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 1, 0, 0)):

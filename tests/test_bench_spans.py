@@ -1,0 +1,55 @@
+"""The benchmark's span tracer (``bench/spans.py``) wrapped around the package.
+
+The tracer patches the stage functions under the names their callers look up
+and reads the operators they pass around (``optics.pbs`` reads its first
+argument's ``entries``).  A change to what a stage is handed can break every
+traced operation without failing any other test; these runs catch it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import pdcpurify.protocol as protocol
+from pdcpurify import ProtocolKind, SweepSpec
+
+_SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.Tracer()
+
+
+#: one call of each ``run_*``, looked up on the module as the tracer patches it
+CALLS = {
+    "four-photon": lambda: protocol.run_four_photon(0.95, 0.3, 0.6),
+    "two-photon": lambda: protocol.run_two_photon(0.95, 0.3, 0.6),
+    "independent-pairs": lambda: protocol.run_independent_pairs(0.6),
+    "sweep": lambda: protocol.sweep(
+        SweepSpec((0.0, 0.5, 1.0), 0.9, 0.45, ProtocolKind.FOUR_PHOTON)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_traced_calls_return_the_untraced_results(call):
+    expected = call()
+    tracer = _tracer()
+    tracer.install()
+    try:
+        traced = call()
+    finally:
+        tracer.uninstall()
+    assert traced == expected
+    calls = {name: count for name, (count, _) in tracer.by_name().items()}
+    runs = 3 if isinstance(expected, list) else 1
+    assert calls["protocol.run"] == runs
+    assert calls["source.state"] == runs
+    assert calls["optics.pbs"] == 2 * runs
+    assert calls["channel.depolarize"] == 2 * runs
+    assert tracer.counts["optics.entries"] > 0
+    assert call() == expected  # uninstalled: the originals are back

@@ -26,6 +26,7 @@ from helpers import (
     postselect,
     reduce_to_pair,
     scaled,
+    superposed,
     validate,
 )
 
@@ -60,11 +61,11 @@ def test_two_photon_component_rule():
 
 
 def test_off_diagonal_elements_erased():
-    plus = (ket(Mode.A1H) + ket(Mode.A1V)).normalized()
+    plus = superposed(ket(Mode.A1H), ket(Mode.A1V)).normalized()
     out = depolarize_full(to_density(plus), SpatialMode.A1)
     assert all(k == b for (k, b) in out.entries)
     # coherence between one photon in a1 and one in a2 dies as well
-    spatial = (ket(Mode.A1H) + ket(Mode.A2H)).normalized()
+    spatial = superposed(ket(Mode.A1H), ket(Mode.A2H)).normalized()
     out = depolarize_full(to_density(spatial), SpatialMode.A1)
     assert ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)) not in out.entries
 
@@ -117,6 +118,12 @@ def test_non_number_s_rejected_naming_it(s):
         depolarize_partial(source_density(), SpatialMode.A1, s)
 
 
+@pytest.mark.parametrize("target", ["a1", Side.ALICE, Mode.A1H, None, (0, 1)])
+def test_non_spatial_mode_target_rejected_naming_it(target):
+    with pytest.raises(ValueError, match="target"):
+        depolarize_partial(source_density(), target, 0.5)
+
+
 def test_channels_on_distinct_modes_commute():
     rho = source_density(r=0.9, phi=0.4)
     a_then_b = depolarize_partial(
@@ -156,7 +163,7 @@ def test_channel_commutes_with_photon_number_measurement():
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.8, 1.0])
 def test_single_pair_werner_fidelity(s):
     # Bell pair between a1 and b1, noise on Alice's side only
-    bell = (ket(Mode.A1H, Mode.B1H) + ket(Mode.A1V, Mode.B1V)).normalized()
+    bell = superposed(ket(Mode.A1H, Mode.B1H), ket(Mode.A1V, Mode.B1V)).normalized()
     rho = depolarize_partial(to_density(bell), SpatialMode.A1, s)
     assert fidelity(reduce_to_pair(rho, 1, 1)) == pytest.approx(
         (1.0 + 3.0 * s) / 4.0, abs=1e-12
@@ -164,7 +171,7 @@ def test_single_pair_werner_fidelity(s):
 
 
 def test_fully_depolarized_pair_is_maximally_mixed():
-    bell = (ket(Mode.A1H, Mode.B1H) + ket(Mode.A1V, Mode.B1V)).normalized()
+    bell = superposed(ket(Mode.A1H, Mode.B1H), ket(Mode.A1V, Mode.B1V)).normalized()
     rho = depolarize_full(to_density(bell), SpatialMode.A1)
     np.testing.assert_allclose(reduce_to_pair(rho, 1, 1), np.eye(4) / 4.0, atol=1e-12)
 

@@ -12,7 +12,13 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
-from helpers import allclose, inner_product, reduced_density_matrix, validate
+from helpers import (
+    allclose,
+    inner_product,
+    reduced_density_matrix,
+    superposed,
+    validate,
+)
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]
@@ -20,11 +26,12 @@ BOB_MODES = [m for m in MODES if m >= Mode.B1H]
 
 def pair_operator(state, lower=1.0):
     """Apply the coherent pair-creation sum once (unnormalized)."""
-    out = create(Mode.B1H, create(Mode.A1H, state))
-    out = out + create(Mode.B1V, create(Mode.A1V, state))
-    out = out + create(Mode.B2H, create(Mode.A2H, state)).scaled(lower)
-    out = out + create(Mode.B2V, create(Mode.A2V, state)).scaled(lower)
-    return out
+    return superposed(
+        create(Mode.B1H, create(Mode.A1H, state)),
+        create(Mode.B1V, create(Mode.A1V, state)),
+        create(Mode.B2H, create(Mode.A2H, state)).scaled(lower),
+        create(Mode.B2V, create(Mode.A2V, state)).scaled(lower),
+    )
 
 
 def random_state(rng, sector, terms=6):
@@ -36,7 +43,7 @@ def random_state(rng, sector, terms=6):
             ket = create(Mode(int(mode)), ket)
         amp = complex(rng.normal(), rng.normal())
         ket = ket.scaled(amp / ket.norm())
-        state = ket if state is None else state + ket
+        state = ket if state is None else superposed(state, ket)
     return state
 
 
@@ -192,5 +199,30 @@ def test_density_validate_catches_negative_eigenvalue():
 def test_prune_keeps_maps_canonical():
     state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e-15}, sector=1)
     assert state.amplitudes == {}
-    diff = create(Mode.A1H, vacuum()) + create(Mode.A1H, vacuum()).scaled(-1.0)
-    assert diff.amplitudes == {}
+    assert create(Mode.A1H, vacuum()).scaled(1e-15).amplitudes == {}
+
+
+NON_FINITE = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "nan-imag": complex(0.5, math.nan),
+    "inf-imag": complex(0.5, math.inf),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_public_constructors_reject_non_finite_values(value):
+    """A NaN used to vanish in pruning (an empty state, a trace-0 operator),
+    and an infinite amplitude made ``to_density`` return an empty operator."""
+    key = (1, 1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"\(1, 1, 0, 0, 0, 0, 0, 0\)"):
+        PureState({key: value}, sector=2)
+    with pytest.raises(ValueError, match=r"\(1, 1, 0, 0, 0, 0, 0, 0\)"):
+        DensityOperator({(key, key): value})
+
+
+def test_to_density_rejects_an_overflowing_norm():
+    state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e200}).scaled(1e200)
+    with pytest.raises(ValueError, match="squared norm"):
+        to_density(state)

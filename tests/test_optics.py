@@ -14,7 +14,7 @@ from pdcpurify import (
     spatially_entangled_state,
     to_density,
 )
-from helpers import FLIP, SPATIAL_SWAP, allclose, inner_product, ket
+from helpers import FLIP, SPATIAL_SWAP, allclose, inner_product, ket, superposed
 from pdcpurify.fock import spatial_totals
 
 
@@ -42,11 +42,11 @@ def rotate_polarization(state, target):
         )
         # rebuild the target-mode photons with rotated creation operators
         for _ in range(nh):
-            seed = (create(h, seed) + create(v, seed)).scaled(1 / math.sqrt(2))
+            seed = superposed(create(h, seed), create(v, seed)).scaled(1 / math.sqrt(2))
         for _ in range(nv):
             minus_v = create(v, seed).scaled(-1.0)
-            seed = (create(h, seed) + minus_v).scaled(1 / math.sqrt(2))
-        result = seed if result is None else result + seed
+            seed = superposed(create(h, seed), minus_v).scaled(1 / math.sqrt(2))
+        result = seed if result is None else superposed(result, seed)
     return state if result is None else result
 
 
@@ -107,7 +107,7 @@ def test_pbs_permutes_sector_basis_bijectively():
 
 def test_rotation_of_single_photon():
     out = rotate_polarization(ket(Mode.A1H), SpatialMode.A1)
-    expected = (ket(Mode.A1H) + ket(Mode.A1V)).scaled(1 / math.sqrt(2))
+    expected = superposed(ket(Mode.A1H), ket(Mode.A1V)).scaled(1 / math.sqrt(2))
     assert inner_product(out, expected) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -135,13 +135,13 @@ def test_rotation_preserves_target_photon_count():
 
 
 def test_rotation_turns_phase_flip_into_bit_flip():
-    phase_flipped = (
-        ket(Mode.A1H, Mode.B1H) + ket(Mode.A1V, Mode.B1V).scaled(-1.0)
+    phase_flipped = superposed(
+        ket(Mode.A1H, Mode.B1H), ket(Mode.A1V, Mode.B1V).scaled(-1.0)
     ).normalized()
     rotated = rotate_polarization(
         rotate_polarization(phase_flipped, SpatialMode.A1), SpatialMode.B1
     )
-    bit_flipped = (ket(Mode.A1H, Mode.B1V) + ket(Mode.A1V, Mode.B1H)).normalized()
+    bit_flipped = superposed(ket(Mode.A1H, Mode.B1V), ket(Mode.A1V, Mode.B1H)).normalized()
     assert abs(inner_product(rotated, bit_flipped)) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
@@ -48,6 +48,8 @@ from pdcpurify import (
     spatially_entangled_state,
     to_density,
 )
+from pdcpurify.fock import PRUNE_TOL
+from pdcpurify.optics import _PBS
 from pdcpurify.protocol import _measured_out_fidelity, _transmit
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -149,6 +151,41 @@ def test_internal_builds_pass_the_public_checks(kind, r, phi, s):
     assert PureState(state.amplitudes, sector=state.sector).amplitudes == state.amplitudes
     for op in stages:
         assert allclose(DensityOperator(op.entries), op, tol=0.0)
+
+
+#: the edges of r and s at which a stage could store a value below PRUNE_TOL
+EDGE_R = (0.0, 1e-9)
+EDGE_S = (0.0, 1e-15, 1.0 - 1e-15, 1.0)
+
+
+def _at_the_edges(test):
+    """``test`` with an explicit example at every (edge r, edge s) pair."""
+    for r, s in itertools.product(EDGE_R, EDGE_S):
+        test = example(r=r, phi=2.0, s=s)(test)
+    return test
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@PROPERTY_SETTINGS
+@_at_the_edges
+@given(
+    r=st.one_of(st.sampled_from(EDGE_R), unit),
+    phi=phase,
+    s=st.one_of(st.sampled_from(EDGE_S), unit),
+)
+def test_stage_maps_hold_only_complex_values_at_or_above_the_tolerance(kind, r, phi, s):
+    """Only the builders that can make a small value prune; the PBS relabels
+    its input's values and ``project`` keeps a sub-map of its input."""
+    state, stages = _pipeline_stages(kind, r, phi, s)
+    for values in [state.amplitudes] + [op.entries for op in stages]:
+        assert all(type(v) is complex and abs(v) >= PRUNE_TOL for v in values.values())
+    _, _, depolarized, alice, bob, *projected = stages
+    for before, after, side in ((depolarized, alice, Side.ALICE), (alice, bob, Side.BOB)):
+        swap = _PBS[side]
+        relabeled = {(swap(k), swap(b)): v for (k, b), v in before.entries.items()}
+        assert after.entries == relabeled
+    for kept in projected:
+        assert kept.entries.items() <= bob.entries.items()
 
 
 def _conditionals(kind, r, phi, s):

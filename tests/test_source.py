@@ -6,13 +6,16 @@ import pytest
 from pdcpurify import (
     MODES,
     Mode,
+    create,
     SourceParams,
     independent_pairs_state,
     schmidt,
     spatially_entangled_state,
+    vacuum,
 )
-from helpers import inner_product, map_basis
+from helpers import inner_product, map_basis, superposed
 from pdcpurify.fock import spatial_totals
+from pdcpurify.source import _emit_pair
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]
@@ -142,3 +145,53 @@ def test_source_entropies(pairs, expected):
     state = spatially_entangled_state(SourceParams(r=1, phi=0, pairs=pairs))
     _, entropy = schmidt(state, ALICE_MODES, BOB_MODES)
     assert entropy == pytest.approx(expected, abs=1e-10)
+
+
+def _pairs_built_stepwise(weights):
+    """The unnormalized state after one pair emission per (upper, lower)
+    weight pair, built channel by channel with ``scaled`` and a pruned sum."""
+    state = vacuum()
+    for upper, lower in weights:
+        out = create(Mode.B1H, create(Mode.A1H, state)).scaled(upper)
+        out = superposed(out, create(Mode.B1V, create(Mode.A1V, state)).scaled(upper))
+        out = superposed(out, create(Mode.B2H, create(Mode.A2H, state)).scaled(lower))
+        out = superposed(out, create(Mode.B2V, create(Mode.A2V, state)).scaled(lower))
+        state = out
+    return state
+
+
+def _emitted(weights):
+    """The unnormalized state after one ``_emit_pair`` per weight pair."""
+    state = vacuum()
+    for upper, lower in weights:
+        state = _emit_pair(state, upper, lower)
+    return state
+
+
+def _same_map(x, y):
+    """Equal sectors, and equal values under the same keys in the same order."""
+    return (
+        x.sector == y.sector
+        and x.amplitudes == y.amplitudes
+        and list(x.amplitudes) == list(y.amplitudes)
+    )
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+@pytest.mark.parametrize("r", [0.0, 1e-9, 0.9, 1.0])
+@pytest.mark.parametrize("phi", [0.0, 0.45, 2.0, math.pi])
+def test_emission_sums_channels_as_the_stepwise_build(r, phi, pairs):
+    """Summing the four channels into one map and pruning once changes no
+    amplitude and no term order against pruning after every step."""
+    params = SourceParams(r=r, phi=phi, pairs=pairs)
+    weights = [(1.0, r * cmath.exp(1j * params.phi))] * pairs
+    expected = _pairs_built_stepwise(weights)
+    assert _same_map(_emitted(weights), expected)
+    assert _same_map(spatially_entangled_state(params), expected.normalized())
+
+
+def test_independent_pairs_sum_channels_as_the_stepwise_build():
+    weights = [(1.0, 0.0), (0.0, 1.0)]
+    expected = _pairs_built_stepwise(weights)
+    assert _same_map(_emitted(weights), expected)
+    assert _same_map(independent_pairs_state(), expected.normalized())
