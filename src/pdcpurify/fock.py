@@ -234,7 +234,7 @@ class DensityOperator:
         return rho
 
     def trace(self) -> float:
-        return sum(v.real for (k, b), v in self.entries.items() if k == b)
+        return sum((v.real for (k, b), v in self.entries.items() if k == b), 0.0)
 
     def __repr__(self) -> str:
         return (

@@ -3,14 +3,16 @@
 Three experiments share the same plumbing: source state -> depolarizing
 channels on Alice's spatial modes -> polarizing beam splitters on both sides
 -> post-selection on a detection pattern -> polarization fidelity of the
-surviving pair(s).  Everything is deterministic; identical inputs give
-bit-identical results.
+surviving pair(s).  The source depends on r and phi only, so each protocol
+builds its source density once per curve and reads it out at every s; a
+single run is the same path at one s.  Everything is deterministic;
+identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
 from types import MappingProxyType
 
@@ -23,7 +25,7 @@ from .analysis import (
     project,
 )
 from .channel import depolarize_alice
-from .fock import DensityOperator, PureState, Side, SpatialMode, _in_range, to_density
+from .fock import DensityOperator, Side, SpatialMode, _in_range, to_density
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
@@ -77,8 +79,9 @@ _UPPER = (SpatialMode.A1, SpatialMode.B1)
 _LOWER = (SpatialMode.A2, SpatialMode.B2)
 
 
-def _transmit(state: PureState, s: float) -> DensityOperator:
-    """Depolarize Alice's spatial modes, then pass both beam splitters.
+def _transmit(rho: DensityOperator, s: float) -> DensityOperator:
+    """Depolarize Alice's spatial modes of a source density, then pass both
+    beam splitters.
 
     With F exchanging H and V in every spatial mode and S the upper and lower
     spatial modes on both sides, the result T obeys F T F = S T S: each source
@@ -87,7 +90,7 @@ def _transmit(state: PureState, s: float) -> DensityOperator:
     the detection patterns and the upper Bell witness; S maps ``BOTH_UP`` and
     that witness to their lower mirrors and fixes ``FOUR_MODE``.
     """
-    rho = depolarize_alice(to_density(state), s)
+    rho = depolarize_alice(rho, s)
     rho = apply_pbs(rho, Side.ALICE)
     rho = apply_pbs(rho, Side.BOB)
     return rho
@@ -99,17 +102,41 @@ def _ratio(weighted: float, p: float) -> float | None:
     return weighted / p if p > ZERO_PROBABILITY else None
 
 
+def _four_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult]:
+    """``run_four_photon`` at (r, phi) as a function of s; the source density
+    is built here, once."""
+    rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=2)))
+
+    def at(s: float) -> ProtocolResult:
+        kept = project(_transmit(rho, s), FOUR_MODE)
+        p = kept.trace()
+        f = _ratio(pair_fidelity(kept, *_UPPER), p)
+        return ProtocolResult(ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f, f)
+
+    return at
+
+
 def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Four-photon purification: keep one photon per output spatial mode.
 
     Both output pairs are kept; by the symmetry of ``_transmit`` they have equal
     fidelities, so the upper pair's is reported in both columns.
     """
-    source = SourceParams(r=r, phi=phi, pairs=2)
-    kept = project(_transmit(spatially_entangled_state(source), s), FOUR_MODE)
-    p = kept.trace()
-    f = _ratio(pair_fidelity(kept, *_UPPER), p)
-    return ProtocolResult(ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f, f)
+    return _four_photon_curve(r, phi)(s)
+
+
+def _two_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult]:
+    """``run_two_photon`` at (r, phi) as a function of s; the source density
+    is built here, once."""
+    rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1)))
+
+    def at(s: float) -> ProtocolResult:
+        up = project(_transmit(rho, s), BOTH_UP)
+        p = 2.0 * up.trace()
+        f = _ratio(2.0 * pair_fidelity(up, *_UPPER), p)
+        return ProtocolResult(ProtocolKind.TWO_PHOTON.value, r, phi, s, p, f, None)
+
+    return at
 
 
 def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
@@ -120,11 +147,7 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     the witness sum are twice the up branch's; their ratio is carried in
     ``f_upper`` (``f_lower`` stays ``None``).
     """
-    state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1))
-    up = project(_transmit(state, s), BOTH_UP)
-    p = 2.0 * up.trace()
-    f = _ratio(2.0 * pair_fidelity(up, *_UPPER), p)
-    return ProtocolResult(ProtocolKind.TWO_PHOTON.value, r, phi, s, p, f, None)
+    return _two_photon_curve(r, phi)(s)
 
 
 def _measured_out_fidelity(kept: DensityOperator) -> float:
@@ -162,6 +185,22 @@ def _measured_out_fidelity(kept: DensityOperator) -> float:
     return 0.5 * total
 
 
+def _independent_pairs_curve() -> Callable[[float], ProtocolResult]:
+    """``run_independent_pairs`` as a function of s; the source density is
+    built here, once."""
+    rho = to_density(independent_pairs_state())
+
+    def at(s: float) -> ProtocolResult:
+        kept = project(_transmit(rho, s), FOUR_MODE)
+        p = kept.trace()
+        f_out = _ratio(_measured_out_fidelity(kept), p)
+        return ProtocolResult(
+            ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p, f_out, None
+        )
+
+    return at
+
+
 def run_independent_pairs(s: float) -> ProtocolResult:
     """Purification with two independent pairs instead of the two-pass source.
 
@@ -169,12 +208,7 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     out and only the upper pair survives, so there is a single output
     fidelity (in ``f_upper``).
     """
-    kept = project(_transmit(independent_pairs_state(), s), FOUR_MODE)
-    p = kept.trace()
-    f_out = _ratio(_measured_out_fidelity(kept), p)
-    return ProtocolResult(
-        ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p, f_out, None
-    )
+    return _independent_pairs_curve()(s)
 
 
 def bbpssw_fidelity(f: float) -> float:
@@ -222,16 +256,17 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 def sweep(spec: SweepSpec) -> list[ProtocolResult]:
     """Run the selected protocol at every grid point, ordered by s.
 
-    This is the package's one dispatch on ``ProtocolKind``; a single run is a
-    one-point sweep.
+    The source density is built once and read out at each s.  This is the
+    package's one dispatch on ``ProtocolKind``; a single run is a one-point
+    sweep.
     """
     if spec.protocol is ProtocolKind.INDEPENDENT_PAIRS:
-        return [run_independent_pairs(s) for s in spec.s_values]
-    if spec.protocol is ProtocolKind.FOUR_PHOTON:
-        run = run_four_photon
+        at = _independent_pairs_curve()
+    elif spec.protocol is ProtocolKind.FOUR_PHOTON:
+        at = _four_photon_curve(spec.r, spec.phi)
     else:
-        run = run_two_photon
-    return [run(spec.r, spec.phi, s) for s in spec.s_values]
+        at = _two_photon_curve(spec.r, spec.phi)
+    return [at(s) for s in spec.s_values]
 
 
 def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:

@@ -3,9 +3,10 @@
 Everything works on explicit matrices over full fixed-photon-number
 occupation bases and deliberately shares no code with the package under
 test: creation operators are rectangular sector-raising matrices, the
-depolarizing channel is applied in Kraus form with sparse Kraus operators,
-the beam splitters are basis permutations, post-selection uses diagonal
-projectors and fidelities come from witness operators.
+depolarizing channel is applied in Kraus form (each Kraus operator a scaled
+partial permutation, applied by re-indexing), the beam splitters are basis
+permutations, post-selection uses diagonal projectors and fidelities come
+from witness operators.
 
 Mode order: a1H a1V a2H a2V b1H b1V b2H b2V.
 """
@@ -15,7 +16,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import sparse
 
 N_MODES = 8
 A1, A2, B1, B2 = (0, 1), (2, 3), (4, 5), (6, 7)
@@ -94,8 +94,9 @@ def independent_pairs_vector():
 def kraus_family(spatial, n):
     """Kraus operators of the fully depolarizing channel on one spatial mode.
 
-    Each operator moves the photons of one (H, V) split to another and has at
-    most one nonzero per row and column, so it is held as a sparse CSR matrix.
+    Each operator moves the photons of one (H, V) split to another: it is
+    1/sqrt(ntot + 1) times a partial permutation with distinct rows, held as
+    the read-only index arrays (rows, cols) of its nonzeros and ntot + 1.
     """
     h, v = spatial
     states = basis(n)
@@ -113,17 +114,18 @@ def kraus_family(spatial, n):
                         rows.append(index[tuple(target)])
                         cols.append(col)
                 if rows:
-                    values = np.full(len(rows), 1.0 / math.sqrt(ntot + 1))
-                    shape = (len(states), len(states))
-                    op = sparse.csr_array((values, (rows, cols)), shape=shape)
-                    op.data.flags.writeable = False
-                    ops.append(op)
+                    rows, cols = np.array(rows), np.array(cols)
+                    rows.flags.writeable = cols.flags.writeable = False
+                    ops.append((rows, cols, ntot + 1))
     return tuple(ops)
 
 
 def depolarize(rho, spatial, s, n):
-    # op @ rho @ op.T, with both products taken sparse-times-dense
-    mixed = sum((op @ (op @ rho).T).T for op in kraus_family(spatial, n))
+    # K rho K^T for each K = P / sqrt(ntot + 1), P a partial permutation
+    # taking column cols[i] to the distinct row rows[i]
+    mixed = np.zeros_like(rho)
+    for rows, cols, ntot_plus_one in kraus_family(spatial, n):
+        mixed[np.ix_(rows, rows)] += rho[np.ix_(cols, cols)] / ntot_plus_one
     return s * rho + (1.0 - s) * mixed
 
 

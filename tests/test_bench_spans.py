@@ -24,19 +24,26 @@ def _tracer():
     return spans.Tracer()
 
 
-#: one call of each ``run_*``, looked up on the module as the tracer patches it
+#: one call of each ``run_*`` and a 3-point sweep, looked up on the module as
+#: the tracer patches it, with the ``run_*`` calls, source builds and points
+#: each makes: a sweep builds its source once and calls no ``run_*``
 CALLS = {
-    "four-photon": lambda: protocol.run_four_photon(0.95, 0.3, 0.6),
-    "two-photon": lambda: protocol.run_two_photon(0.95, 0.3, 0.6),
-    "independent-pairs": lambda: protocol.run_independent_pairs(0.6),
-    "sweep": lambda: protocol.sweep(
-        SweepSpec((0.0, 0.5, 1.0), 0.9, 0.45, ProtocolKind.FOUR_PHOTON)
+    "four-photon": (lambda: protocol.run_four_photon(0.95, 0.3, 0.6), 1, 1, 1),
+    "two-photon": (lambda: protocol.run_two_photon(0.95, 0.3, 0.6), 1, 1, 1),
+    "independent-pairs": (lambda: protocol.run_independent_pairs(0.6), 1, 1, 1),
+    "sweep": (
+        lambda: protocol.sweep(
+            SweepSpec((0.0, 0.5, 1.0), 0.9, 0.45, ProtocolKind.FOUR_PHOTON)
+        ),
+        0,
+        1,
+        3,
     ),
 }
 
 
-@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
-def test_traced_calls_return_the_untraced_results(call):
+@pytest.mark.parametrize("call, runs, sources, points", CALLS.values(), ids=CALLS.keys())
+def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
     expected = call()
     tracer = _tracer()
     tracer.install()
@@ -46,10 +53,10 @@ def test_traced_calls_return_the_untraced_results(call):
         tracer.uninstall()
     assert traced == expected
     calls = {name: count for name, (count, _) in tracer.by_name().items()}
-    runs = 3 if isinstance(expected, list) else 1
-    assert calls["protocol.run"] == runs
-    assert calls["source.state"] == runs
-    assert calls["optics.pbs"] == 2 * runs
-    assert calls["channel.depolarize"] == 2 * runs
+    assert calls.get("protocol.run", 0) == runs
+    assert calls["source.state"] == sources
+    assert calls["fock.to_density"] == sources
+    assert calls["optics.pbs"] == 2 * points
+    assert calls["channel.depolarize"] == 2 * points
     assert tracer.counts["optics.entries"] > 0
     assert call() == expected  # uninstalled: the originals are back

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from pdcpurify import (
+    BOTH_UP,
     MODES,
     DensityOperator,
     Mode,
     PureState,
+    SourceParams,
     create,
+    project,
+    spatially_entangled_state,
     to_density,
     vacuum,
 )
@@ -115,6 +119,17 @@ def test_to_density_absorbs_normalization():
     rho = to_density(create(Mode.A1H, vacuum()).scaled(2.0))
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
     assert len(rho.entries) == 1
+
+
+def test_trace_is_a_float_without_diagonal_entries():
+    """An operator with no diagonal entry has trace 0.0, not the int 0."""
+    source = SourceParams(r=0.9, phi=0.45, pairs=2)
+    four = to_density(spatially_entangled_state(source))
+    ket, bra = (1, 0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 1, 0, 0)
+    for rho in (project(four, BOTH_UP), DensityOperator({}), DensityOperator({(ket, bra): 0.5})):
+        assert not any(k == b for k, b in rho.entries)
+        trace = rho.trace()
+        assert type(trace) is float and trace == 0.0
 
 
 def test_to_density_pair_state_entries():

@@ -249,7 +249,7 @@ def test_flipped_transmission_is_its_mirror(kind, r, phi, s):
     """F T F = S T S for the transmitted operator T of each source, the
     identity behind reporting f_lower = f_upper and doubling the both-up
     branch."""
-    rho = _transmit(_source(kind, r, phi), s)
+    rho = _transmit(to_density(_source(kind, r, phi)), s)
     flipped, mirrored = _relabeled(rho, FLIP), _relabeled(rho, MIRROR)
     assert rho.entries
     assert max(

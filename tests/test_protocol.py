@@ -36,6 +36,7 @@ from pdcpurify import (
     sweep,
     to_density,
 )
+import pdcpurify.protocol as protocol_module
 from pdcpurify.protocol import linear_grid
 
 ORACLE_POINTS = [
@@ -242,12 +243,49 @@ def test_sweep_independent_pairs_single_point():
     assert result.f_upper == pytest.approx(1.0, abs=1e-12)
 
 
+def _bits(result):
+    """Every field of a result, each number as its ``float.hex``."""
+    return tuple(
+        v if v is None or isinstance(v, str) else float(v).hex() for v in result
+    )
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_sweep_equals_per_point_runs(kind):
-    expected = [run_direct(kind, 0.9, 0.45, s) for s in (0.0, 0.5, 1.0)]
-    for protocol in (kind, kind.value):  # the enum's value selects the same runs
-        spec = SweepSpec((0.0, 0.5, 1.0), r=0.9, phi=0.45, protocol=protocol)
-        assert sweep(spec) == expected
+    grid = (0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0)
+    for r, phi in ((0, 0), (0.9, 0.45), (1, math.pi)):
+        expected = [run_direct(kind, r, phi, s) for s in grid]
+        for protocol in (kind, kind.value):  # the enum's value selects the same runs
+            spec = SweepSpec(grid, r=r, phi=phi, protocol=protocol)
+            assert sweep(spec) == expected
+            assert [_bits(res) for res in sweep(spec)] == [_bits(res) for res in expected]
+
+
+#: the source builder each protocol's sweep calls, looked up on the module
+SOURCE_BUILDER = {
+    ProtocolKind.FOUR_PHOTON: "spatially_entangled_state",
+    ProtocolKind.TWO_PHOTON: "spatially_entangled_state",
+    ProtocolKind.INDEPENDENT_PAIRS: "independent_pairs_state",
+}
+
+
+@pytest.mark.parametrize("points", [1, 3, 51])
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
+    calls = dict.fromkeys(("spatially_entangled_state", "independent_pairs_state", "to_density"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(protocol_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(protocol_module, name, counted)
+    grid = (0.5,) if points == 1 else linear_grid(0.0, 1.0, points)
+    results = sweep(SweepSpec(grid, r=0.9, phi=0.45, protocol=kind))
+    assert [res.s for res in results] == list(grid)
+    expected = dict.fromkeys(calls, 0)
+    expected.update({SOURCE_BUILDER[kind]: 1, "to_density": 1})
+    assert calls == expected
 
 
 def test_sweep_spec_validation():
