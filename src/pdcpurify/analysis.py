@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable
 
 from .fock import (
     MODES,

@@ -12,17 +12,19 @@ the package builds itself from valid keys is wrapped by ``_trusted`` as it
 is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
 quotient or a sum) prunes its result, once: ``to_density``,
 ``PureState.scaled``, the channel and the source's pair emission.  A
-relabeling (the PBS), a subset (``project``) and ``create`` (it scales
-values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys)
-cannot, so they do not prune.
+relabeling (the PBS), a subset (``project``, or the protocols' selection of a
+detection pattern, made in front of the beam splitters so that they relabel
+only the kept entries) and ``create`` (it scales values of modulus >=
+``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) cannot, so they do not
+prune.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from enum import Enum, IntEnum
-from typing import Iterable
 
 # Values below this modulus are not stored: the builders that can make such a
 # value (products, quotients, sums) drop it once, where they make it, so the

@@ -3,10 +3,12 @@
 Three experiments share the same plumbing: source state -> depolarizing
 channels on Alice's spatial modes -> polarizing beam splitters on both sides
 -> post-selection on a detection pattern -> polarization fidelity of the
-surviving pair(s).  The source depends on r and phi only, so each protocol
-builds its source density once per curve and reads it out at every s; a
-single run is the same path at one s.  Everything is deterministic;
-identical inputs give bit-identical results.
+surviving pair(s).  The beam splitters permute basis states, so the
+post-selection is made in front of them, on the occupations they send into
+the pattern, and only the kept entries are relabeled.  The source depends on
+r and phi only, so each protocol builds its source density once per curve
+and reads it out at every s; a single run is the same path at one s.
+Everything is deterministic; identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
+from itertools import product
 from types import MappingProxyType
 
 from .analysis import (
@@ -22,11 +25,10 @@ from .analysis import (
     ZERO_PROBABILITY,
     pair_fidelity,
     polarization_bit,
-    project,
 )
 from .channel import depolarize_alice
-from .fock import DensityOperator, Side, SpatialMode, _in_range, to_density
-from .optics import apply_pbs
+from .fock import DensityOperator, Occupations, Side, SpatialMode, _in_range, to_density
+from .optics import _PBS, apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
 
@@ -79,18 +81,56 @@ _UPPER = (SpatialMode.A1, SpatialMode.B1)
 _LOWER = (SpatialMode.A2, SpatialMode.B2)
 
 
-def _transmit(rho: DensityOperator, s: float) -> DensityOperator:
-    """Depolarize Alice's spatial modes of a source density, then pass both
-    beam splitters.
+def _in_front(pattern: frozenset[tuple[int, int, int, int]]) -> frozenset[Occupations]:
+    """The occupations that the two beam splitters send into ``pattern``.
+
+    Those behind them are every H/V split of each (a1, a2, b1, b2) photon
+    count in the pattern; each PBS is its own inverse and the two act on
+    different modes, so applying both to these gives the ones in front.
+    """
+    alice, bob = _PBS[Side.ALICE], _PBS[Side.BOB]
+    behind = (
+        sum(splits, ())
+        for counts in pattern
+        for splits in product(*([(h, n - h) for h in range(n + 1)] for n in counts))
+    )
+    return frozenset(alice(bob(occ)) for occ in behind)
+
+
+#: the occupations in front of both beam splitters that each pattern keeps
+_FOUR_MODE_KEYS = _in_front(FOUR_MODE)
+_BOTH_UP_KEYS = _in_front(BOTH_UP)
+
+
+def _transmit(
+    rho: DensityOperator, s: float, keys: frozenset[Occupations]
+) -> DensityOperator:
+    """Depolarize Alice's spatial modes of a source density, keep the entries
+    whose ket and bra are both in ``keys``, then pass both beam splitters.
+
+    With ``keys`` from ``_in_front(pattern)`` this is ``project(T, pattern)``
+    for the transmitted operator T (channel, then both beam splitters), entry
+    for entry and in the same order: a PBS is a permutation of basis states,
+    so selecting in front of it and behind it keeps the same entries, and only
+    those are relabeled.
 
     With F exchanging H and V in every spatial mode and S the upper and lower
-    spatial modes on both sides, the result T obeys F T F = S T S: each source
-    pair is HH + VV, the channel treats a1, a2 and H, V alike, and F PBS F =
-    S PBS (F turns the swap of the H modes into that of the V modes).  F fixes
-    the detection patterns and the upper Bell witness; S maps ``BOTH_UP`` and
-    that witness to their lower mirrors and fixes ``FOUR_MODE``.
+    spatial modes on both sides, T obeys F T F = S T S: each source pair is
+    HH + VV, the channel treats a1, a2 and H, V alike, and F PBS F = S PBS (F
+    turns the swap of the H modes into that of the V modes).  The patterns
+    count H + V, so F fixes each of them and the selection commutes with F;
+    S fixes ``FOUR_MODE`` and maps ``BOTH_UP`` to ``BOTH_DOWN``.  So the
+    ``FOUR_MODE`` result K obeys F K F = S K S, and the ``BOTH_UP`` and
+    ``BOTH_DOWN`` results obey F K_up F = S K_down S.  F fixes the upper Bell
+    witness and S maps it to the lower one, so each lower or both-down witness
+    sum and probability equals its upper or both-up mirror.
     """
     rho = depolarize_alice(rho, s)
+    rho = DensityOperator._trusted({
+        (ket, bra): value
+        for (ket, bra), value in rho.entries.items()
+        if ket in keys and bra in keys
+    })
     rho = apply_pbs(rho, Side.ALICE)
     rho = apply_pbs(rho, Side.BOB)
     return rho
@@ -108,7 +148,7 @@ def _four_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult
     rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=2)))
 
     def at(s: float) -> ProtocolResult:
-        kept = project(_transmit(rho, s), FOUR_MODE)
+        kept = _transmit(rho, s, _FOUR_MODE_KEYS)
         p = kept.trace()
         f = _ratio(pair_fidelity(kept, *_UPPER), p)
         return ProtocolResult(ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f, f)
@@ -131,7 +171,7 @@ def _two_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult]
     rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1)))
 
     def at(s: float) -> ProtocolResult:
-        up = project(_transmit(rho, s), BOTH_UP)
+        up = _transmit(rho, s, _BOTH_UP_KEYS)
         p = 2.0 * up.trace()
         f = _ratio(2.0 * pair_fidelity(up, *_UPPER), p)
         return ProtocolResult(ProtocolKind.TWO_PHOTON.value, r, phi, s, p, f, None)
@@ -191,7 +231,7 @@ def _independent_pairs_curve() -> Callable[[float], ProtocolResult]:
     rho = to_density(independent_pairs_state())
 
     def at(s: float) -> ProtocolResult:
-        kept = project(_transmit(rho, s), FOUR_MODE)
+        kept = _transmit(rho, s, _FOUR_MODE_KEYS)
         p = kept.trace()
         f_out = _ratio(_measured_out_fidelity(kept), p)
         return ProtocolResult(

@@ -27,11 +27,11 @@ BOTH_DOWN = {(0, 1, 0, 1)}
 
 @functools.lru_cache(maxsize=None)
 def basis(n):
-    """All occupation tuples with total photon number n, sorted."""
+    """All occupation tuples with total photon number n, sorted: one per
+    multiset of n modes."""
     states = [
-        occ
-        for occ in itertools.product(range(n + 1), repeat=N_MODES)
-        if sum(occ) == n
+        tuple(modes.count(mode) for mode in range(N_MODES))
+        for modes in itertools.combinations_with_replacement(range(N_MODES), n)
     ]
     return tuple(sorted(states))
 
@@ -194,30 +194,20 @@ def bell_witness(alice, bob, n):
 
 @_cached_matrix
 def diagonal_basis_projector(spatial, sign, n):
-    """|+/-><+/-| on the one-photon polarization of one spatial mode."""
+    """|+/-><+/-| on the one-photon polarization of one spatial mode.
+
+    Entry (i, j) is the product of the two states' amplitudes, 1/sqrt(2) for
+    H and sign/sqrt(2) for V, where both hold one photon in the mode and agree
+    on the other six modes; every other entry is zero.
+    """
     h, v = spatial
-    states = basis(n)
-
-    def amp(occ):
-        if (occ[h], occ[v]) == (1, 0):
-            return 1.0 / math.sqrt(2.0)
-        if (occ[h], occ[v]) == (0, 1):
-            return sign / math.sqrt(2.0)
-        return None
-
-    def rest(occ):
-        return tuple(x for i, x in enumerate(occ) if i not in (h, v))
-
-    proj = np.zeros((len(states), len(states)))
-    for i, occ_i in enumerate(states):
-        ai = amp(occ_i)
-        if ai is None:
-            continue
-        for j, occ_j in enumerate(states):
-            aj = amp(occ_j)
-            if aj is not None and rest(occ_j) == rest(occ_i):
-                proj[i, j] = ai * aj
-    return proj
+    occ = np.array(basis(n))
+    one_photon = occ[:, h] + occ[:, v] == 1
+    amp = np.where(occ[:, h] == 1, 1.0, sign) / math.sqrt(2.0)
+    rest = np.delete(occ, [h, v], axis=1)
+    same_rest = (rest[:, None, :] == rest[None, :, :]).all(axis=2)
+    support = one_photon[:, None] & one_photon[None, :] & same_rest
+    return np.where(support, np.outer(amp, amp), 0.0)
 
 
 @_cached_matrix

@@ -48,9 +48,15 @@ from pdcpurify import (
     spatially_entangled_state,
     to_density,
 )
-from pdcpurify.fock import PRUNE_TOL
+from pdcpurify.fock import PRUNE_TOL, spatial_totals
 from pdcpurify.optics import _PBS
-from pdcpurify.protocol import _measured_out_fidelity, _transmit
+from pdcpurify.protocol import (
+    _BOTH_UP_KEYS,
+    _FOUR_MODE_KEYS,
+    _in_front,
+    _measured_out_fidelity,
+    _transmit,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -188,10 +194,59 @@ def test_stage_maps_hold_only_complex_values_at_or_above_the_tolerance(kind, r, 
         assert kept.entries.items() <= bob.entries.items()
 
 
+def _transmitted(kind, r, phi, s):
+    """The transmitted operator T of ``kind``'s source, unselected, from the
+    public stages: the channel, then each side's beam splitter."""
+    rho = depolarize_alice(to_density(_source(kind, r, phi)), s)
+    return apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@PROPERTY_SETTINGS
+@_at_the_edges
+@given(
+    r=st.one_of(st.sampled_from(EDGE_R), unit),
+    phi=phase,
+    s=st.one_of(st.sampled_from(EDGE_S), unit),
+)
+def test_selecting_in_front_of_the_beam_splitters_is_projecting_behind(kind, r, phi, s):
+    """A PBS permutes basis states, so keeping the occupations that both send
+    into a pattern and then relabeling gives ``project`` behind them: the same
+    entries, values and order."""
+    rho = to_density(_source(kind, r, phi))
+    behind = _transmitted(kind, r, phi, s)
+    for selection, _ in SELECTIONS[kind]:
+        front = _transmit(rho, s, _in_front(selection))
+        kept = project(behind, selection)
+        assert list(front.entries.items()) == list(kept.entries.items())
+
+
+def _sent_into(pattern):
+    """The basis states that both beam splitters send into ``pattern``, found
+    by passing each basis state of the pattern's photon number through them."""
+    (n,) = {sum(counts) for counts in pattern}
+    kept = set()
+    for occ in oracle.basis(n):
+        out = apply_pbs(apply_pbs(PureState({occ: 1.0}), Side.ALICE), Side.BOB)
+        (image,) = out.amplitudes
+        if spatial_totals(image) in pattern:
+            kept.add(occ)
+    return kept
+
+
+def test_key_sets_in_front_of_the_beam_splitters():
+    """One H or V photon in each of the four spatial modes behind the beam
+    splitters (16 keys), or in a1 and b1 (4 keys)."""
+    assert len(_FOUR_MODE_KEYS) == 16
+    assert len(_BOTH_UP_KEYS) == 4
+    assert _FOUR_MODE_KEYS == _in_front(FOUR_MODE) == _sent_into(FOUR_MODE)
+    assert _BOTH_UP_KEYS == _in_front(BOTH_UP) == _sent_into(BOTH_UP)
+    assert _in_front(BOTH_DOWN) == _sent_into(BOTH_DOWN)
+
+
 def _conditionals(kind, r, phi, s):
     """Each conditional state of ``kind``'s pipeline, with its pair indices."""
-    rho = depolarize_alice(to_density(_source(kind, r, phi)), s)
-    rho = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
+    rho = _transmitted(kind, r, phi, s)
     for selection, pairs in SELECTIONS[kind]:
         _, conditional = postselect(rho, selection)
         if conditional is not None:
@@ -249,7 +304,7 @@ def test_flipped_transmission_is_its_mirror(kind, r, phi, s):
     """F T F = S T S for the transmitted operator T of each source, the
     identity behind reporting f_lower = f_upper and doubling the both-up
     branch."""
-    rho = _transmit(to_density(_source(kind, r, phi)), s)
+    rho = _transmitted(kind, r, phi, s)
     flipped, mirrored = _relabeled(rho, FLIP), _relabeled(rho, MIRROR)
     assert rho.entries
     assert max(
