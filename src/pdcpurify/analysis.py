@@ -1,12 +1,13 @@
 """Detection-pattern post-selection, pair fidelity and entanglement
-diagnostics."""
+diagnostics, and the fixed projectors and witnesses that the protocols read
+out."""
 
 from __future__ import annotations
 
 import math
 import sys
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
 from .fock import (
@@ -99,6 +100,57 @@ def pair_fidelity(rho: DensityOperator, alice: SpatialMode, bob: SpatialMode) ->
         if ket_aligned and bra_aligned:
             total += value.real
     return 0.5 * total
+
+
+def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> DensityOperator:
+    """The sum of |k><k| / <k|k> over ``kets``, each a product of factors
+    {the modes of its photons: +-1} on disjoint modes.  Every term is +-1 over
+    a power of two, so the sums are exact and a cancelled entry is left out."""
+    total: dict = {}
+    for factors in kets:
+        ket = {(): 1}
+        for factor in factors:
+            ket = {m + n: a * b for m, a in ket.items() for n, b in factor.items()}
+        ket = {tuple(map(photons.count, MODES)): a for photons, a in ket.items()}
+        for (k, a), (b, c) in product(ket.items(), repeat=2):
+            total[k, b] = total.get((k, b), 0) + a * c / len(ket)
+    return DensityOperator._trusted({key: complex(v) for key, v in total.items() if v})
+
+
+def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator:
+    """The diagonal projector onto a detection pattern, so that Tr(P rho) is
+    ``project(rho, pattern).trace()``: onto each way of placing each spatial
+    mode's count of photons on its H and V modes."""
+    modes = [spatial.value for spatial in SpatialMode]
+    return _onto(
+        [{photons: 1} for photons in split]
+        for counts in pattern
+        for split in product(*map(combinations_with_replacement, modes, counts))
+    )
+
+
+#: |HH> + sign |VV> on (a1, b1), unnormalized: Phi+ for sign 1, Phi- for -1
+_PHI = {sign: {(Mode.A1H, Mode.B1H): 1, (Mode.A1V, Mode.B1V): sign} for sign in (1, -1)}
+#: |Phi+><Phi+| on (a1, b1) times the identity on one photon in each of a2
+#: and b2: the upper pair's Bell witness on the four-mode pattern (16 entries)
+_UPPER_WITNESS = _onto(
+    (_PHI[1], {(a,): 1}, {(b,): 1})
+    for a in SpatialMode.A2.value
+    for b in SpatialMode.B2.value
+)
+#: |Phi+><Phi+| on (a1, b1) times the vacuum of a2 and b2: the upper pair's
+#: Bell witness on the both-up pattern (4 entries)
+_BOTH_UP_WITNESS = _onto([(_PHI[1],)])
+#: The lower photons measured at 45 degrees, onto |H> + x|V> (a2) and
+#: |H> + y|V> (b2) for x, y = +-1, with a phase flip Z on a1 when x != y.  Z
+#: turns Phi+ into Phi-, so a branch's overlap with Phi+ is
+#: <Phi_xy, x, y| rho |Phi_xy, x, y> with Phi_xy = Phi+ if x = y, else Phi-;
+#: the witness sums the four branches (16 entries).
+_MEASURED_OUT_WITNESS = _onto(
+    (_PHI[x * y], {(Mode.A2H,): 1, (Mode.A2V,): x}, {(Mode.B2H,): 1, (Mode.B2V,): y})
+    for x in (1, -1)
+    for y in (1, -1)
+)
 
 
 def _norm(vector: list[complex]) -> float:

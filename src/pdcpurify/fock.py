@@ -12,11 +12,10 @@ the package builds itself from valid keys is wrapped by ``_trusted`` as it
 is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
 quotient or a sum) prunes its result, once: ``to_density``,
 ``PureState.scaled``, the channel and the source's pair emission.  A
-relabeling (the PBS), a subset (``project``, or the protocols' selection of a
-detection pattern, made in front of the beam splitters so that they relabel
-only the kept entries) and ``create`` (it scales values of modulus >=
-``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) cannot, so they do not
-prune.
+relabeling (the PBS), a subset (``project``), ``create`` (it scales values of
+modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and the fixed
+readout maps of ``analysis`` (exact sums of +-1/2^n, whose zeros they drop)
+cannot, so they do not prune.
 """
 
 from __future__ import annotations
@@ -83,11 +82,13 @@ def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
 
 
 def _in_range(value, test=lambda x: 0.0 <= x <= 1.0) -> bool:
-    """``test(value)``, by default 0 <= value <= 1; False for a bool or where the
+    """``test(value)``, by default 0 <= value <= 1; False for a bool, for a value
+    that does not multiply with a complex number (a ``Decimal``), or where the
     test raises ``TypeError`` or ``OverflowError`` (no float-sized number)."""
     if isinstance(value, bool):
         return False
     try:
+        value * 1j  # r, phi and s each meet complex numbers in the pipelines
         return test(value)
     except (TypeError, OverflowError):
         return False
@@ -206,7 +207,8 @@ class DensityOperator:
     """Sparse Hermitian operator over occupation tuples.
 
     May be subnormalized (trace < 1), as a projection onto a detection
-    pattern is.  Keys are (ket, bra) occupation tuples over all eight
+    pattern is; the protocols' fixed projectors and witnesses are held in the
+    same form.  Keys are (ket, bra) occupation tuples over all eight
     modes, and every stored entry connects bra and ket occupations with equal
     photon totals (photon-number superselection).
     """

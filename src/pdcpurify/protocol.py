@@ -3,11 +3,12 @@
 Three experiments share the same plumbing: source state -> depolarizing
 channels on Alice's spatial modes -> polarizing beam splitters on both sides
 -> post-selection on a detection pattern -> polarization fidelity of the
-surviving pair(s).  The beam splitters permute basis states, so the
-post-selection is made in front of them, on the occupations they send into
-the pattern, and only the kept entries are relabeled.  The source depends on
-r and phi only, so each protocol builds its source density once per curve
-and reads it out at every s; a single run is the same path at one s.
+surviving pair(s).  A pattern's probability and a fidelity's witness sum are
+each Tr(A rho) for a fixed map A behind the beam splitters; these permute
+basis states, so A is moved in front of them once and a point reads two fixed
+maps out after the channel.  The source depends on r and phi only, so each
+protocol builds its source density once per curve and reads it out at every
+s; a single run is the same path at one s.
 Everything is deterministic; identical inputs give bit-identical results.
 """
 
@@ -16,19 +17,20 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
-from itertools import product
 from types import MappingProxyType
 
 from .analysis import (
     BOTH_UP,
     FOUR_MODE,
     ZERO_PROBABILITY,
-    pair_fidelity,
-    polarization_bit,
+    _BOTH_UP_WITNESS,
+    _MEASURED_OUT_WITNESS,
+    _UPPER_WITNESS,
+    _projector,
 )
 from .channel import depolarize_alice
-from .fock import DensityOperator, Occupations, Side, SpatialMode, _in_range, to_density
-from .optics import _PBS, apply_pbs
+from .fock import DensityOperator, Side, _in_range, to_density
+from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
 
@@ -76,64 +78,27 @@ def input_fidelity(s: float) -> float:
     return (1.0 + 3.0 * s) / 4.0
 
 
-#: the (Alice, Bob) spatial modes of the upper and of the lower pair
-_UPPER = (SpatialMode.A1, SpatialMode.B1)
-_LOWER = (SpatialMode.A2, SpatialMode.B2)
+def _in_front(behind: DensityOperator) -> DensityOperator:
+    """A projector or witness A behind both beam splitters, moved in front:
+    they permute basis states by a P that is its own inverse, so
+    Tr(A P rho P) = Tr(P A P rho), and P A P relabels A as a state would be."""
+    return apply_pbs(apply_pbs(behind, Side.ALICE), Side.BOB)
 
 
-def _in_front(pattern: frozenset[tuple[int, int, int, int]]) -> frozenset[Occupations]:
-    """The occupations that the two beam splitters send into ``pattern``.
-
-    Those behind them are every H/V split of each (a1, a2, b1, b2) photon
-    count in the pattern; each PBS is its own inverse and the two act on
-    different modes, so applying both to these gives the ones in front.
-    """
-    alice, bob = _PBS[Side.ALICE], _PBS[Side.BOB]
-    behind = (
-        sum(splits, ())
-        for counts in pattern
-        for splits in product(*([(h, n - h) for h in range(n + 1)] for n in counts))
-    )
-    return frozenset(alice(bob(occ)) for occ in behind)
+#: each pattern's projector and each witness, relabeled in front of both beam
+#: splitters once: a point reads them out after the channel, with no PBS
+_P_FOUR_MODE = _in_front(_projector(FOUR_MODE))
+_P_BOTH_UP = _in_front(_projector(BOTH_UP))
+_W_UPPER = _in_front(_UPPER_WITNESS)
+_W_BOTH_UP = _in_front(_BOTH_UP_WITNESS)
+_W_MEASURED_OUT = _in_front(_MEASURED_OUT_WITNESS)
 
 
-#: the occupations in front of both beam splitters that each pattern keeps
-_FOUR_MODE_KEYS = _in_front(FOUR_MODE)
-_BOTH_UP_KEYS = _in_front(BOTH_UP)
-
-
-def _transmit(
-    rho: DensityOperator, s: float, keys: frozenset[Occupations]
-) -> DensityOperator:
-    """Depolarize Alice's spatial modes of a source density, keep the entries
-    whose ket and bra are both in ``keys``, then pass both beam splitters.
-
-    With ``keys`` from ``_in_front(pattern)`` this is ``project(T, pattern)``
-    for the transmitted operator T (channel, then both beam splitters), entry
-    for entry and in the same order: a PBS is a permutation of basis states,
-    so selecting in front of it and behind it keeps the same entries, and only
-    those are relabeled.
-
-    With F exchanging H and V in every spatial mode and S the upper and lower
-    spatial modes on both sides, T obeys F T F = S T S: each source pair is
-    HH + VV, the channel treats a1, a2 and H, V alike, and F PBS F = S PBS (F
-    turns the swap of the H modes into that of the V modes).  The patterns
-    count H + V, so F fixes each of them and the selection commutes with F;
-    S fixes ``FOUR_MODE`` and maps ``BOTH_UP`` to ``BOTH_DOWN``.  So the
-    ``FOUR_MODE`` result K obeys F K F = S K S, and the ``BOTH_UP`` and
-    ``BOTH_DOWN`` results obey F K_up F = S K_down S.  F fixes the upper Bell
-    witness and S maps it to the lower one, so each lower or both-down witness
-    sum and probability equals its upper or both-up mirror.
-    """
-    rho = depolarize_alice(rho, s)
-    rho = DensityOperator._trusted({
-        (ket, bra): value
-        for (ket, bra), value in rho.entries.items()
-        if ket in keys and bra in keys
-    })
-    rho = apply_pbs(rho, Side.ALICE)
-    rho = apply_pbs(rho, Side.BOB)
-    return rho
+def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
+    """Tr(A rho), the sum of A[k, b] rho[b, k]: one lookup per entry of the
+    fixed map A, however many entries ``rho`` has."""
+    entries = rho.entries
+    return sum(v * entries.get((b, k), 0j) for (k, b), v in a.entries.items())
 
 
 def _ratio(weighted: float, p: float) -> float | None:
@@ -148,9 +113,17 @@ def _four_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult
     rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=2)))
 
     def at(s: float) -> ProtocolResult:
-        kept = _transmit(rho, s, _FOUR_MODE_KEYS)
-        p = kept.trace()
-        f = _ratio(pair_fidelity(kept, *_UPPER), p)
+        rho_s = depolarize_alice(rho, s)
+        p = _expect(rho_s, _P_FOUR_MODE).real
+        f = _ratio(_expect(rho_s, _W_UPPER).real, p)
+        # f_lower = f_upper.  With F exchanging H and V in every spatial mode
+        # and S the upper and lower spatial modes on both sides, the operator T
+        # behind both beam splitters obeys F T F = S T S: each source pair is
+        # HH + VV, the channel treats a1, a2 and H, V alike, and F PBS F =
+        # S PBS.  F fixes every pattern (they count H + V) and the upper Bell
+        # witness; S fixes FOUR_MODE, maps BOTH_UP to BOTH_DOWN and the upper
+        # witness to the lower.  So each lower-pair or both-down probability
+        # and witness sum equals its upper or both-up mirror.
         return ProtocolResult(ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f, f)
 
     return at
@@ -159,8 +132,9 @@ def _four_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult
 def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Four-photon purification: keep one photon per output spatial mode.
 
-    Both output pairs are kept; by the symmetry of ``_transmit`` they have equal
-    fidelities, so the upper pair's is reported in both columns.
+    Both output pairs are kept; they have equal fidelities (see the mirror
+    note in ``_four_photon_curve``), so the upper pair's is reported in both
+    columns.
     """
     return _four_photon_curve(r, phi)(s)
 
@@ -171,9 +145,10 @@ def _two_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult]
     rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1)))
 
     def at(s: float) -> ProtocolResult:
-        up = _transmit(rho, s, _BOTH_UP_KEYS)
-        p = 2.0 * up.trace()
-        f = _ratio(2.0 * pair_fidelity(up, *_UPPER), p)
+        rho_s = depolarize_alice(rho, s)
+        # the both-down branch mirrors both-up (see ``_four_photon_curve``)
+        p = 2.0 * _expect(rho_s, _P_BOTH_UP).real
+        f = _ratio(2.0 * _expect(rho_s, _W_BOTH_UP).real, p)
         return ProtocolResult(ProtocolKind.TWO_PHOTON.value, r, phi, s, p, f, None)
 
     return at
@@ -183,46 +158,12 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Two-photon purification: keep events with both photons up or both down.
 
     The surviving pair sits in the upper or the lower modes depending on the
-    branch.  The down branch mirrors the up one (see ``_transmit``), so p and
-    the witness sum are twice the up branch's; their ratio is carried in
-    ``f_upper`` (``f_lower`` stays ``None``).
+    branch.  The down branch mirrors the up one (see the mirror note in
+    ``_four_photon_curve``), so p and the witness sum are twice the up
+    branch's; their ratio is carried in ``f_upper`` (``f_lower`` stays
+    ``None``).
     """
     return _two_photon_curve(r, phi)(s)
-
-
-def _measured_out_fidelity(kept: DensityOperator) -> float:
-    """Witness sum of the (a1, b1) pair after measuring out (a2, b2) at 45 degrees.
-
-    Each lower photon is projected onto |+> or |->, (H +/- V)/sqrt(2), and
-    when the outcomes x and y disagree Alice's kept qubit gets a phase flip Z.
-    Summing the four branches, the fidelity with Phi+ = (|HH> + |VV>)/sqrt(2)
-    is
-
-        sum over x, y in {+, -} of <Phi_xy, x, y| rho |Phi_xy, x, y>,
-
-    with Phi_xy = Phi+ if x = y and Phi- = (Z x 1) Phi+ otherwise, in the
-    qubit order (a1, b1, a2, b2).  So it is Tr(W rho) for the fixed witness
-    W = sum_xy |Phi_xy><Phi_xy| x |xy><xy|.  Write |Phi+-><Phi+-| as D +- O,
-    D = (|HH><HH| + |VV><VV|)/2 and O = (|HH><VV| + |VV><HH|)/2, and use
-    sum_xy |xy><xy| = 1 and sum_xy (+-1 for x = y or not) |xy><xy| = X x X:
-
-        W = D x 1 + O x (X x X).
-
-    An entry of ``kept`` has weight 1/2 under W exactly when ket holds HH or
-    VV on (a1, b1) and bra equals ket (D x 1) or ket with every polarization
-    flipped (O x X x X); every other entry has weight 0.  Each entry must hold
-    one photon per spatial mode (``ValueError`` otherwise).  The result scales
-    with the trace of ``kept``.
-    """
-    order = _UPPER + _LOWER
-    total = 0.0
-    for (ket, bra), value in kept.entries.items():
-        ket_bits = [polarization_bit(ket, spatial) for spatial in order]
-        bra_bits = [polarization_bit(bra, spatial) for spatial in order]
-        flips = {k ^ b for k, b in zip(ket_bits, bra_bits)}
-        if ket_bits[0] == ket_bits[1] and len(flips) == 1:
-            total += value.real
-    return 0.5 * total
 
 
 def _independent_pairs_curve() -> Callable[[float], ProtocolResult]:
@@ -231,9 +172,9 @@ def _independent_pairs_curve() -> Callable[[float], ProtocolResult]:
     rho = to_density(independent_pairs_state())
 
     def at(s: float) -> ProtocolResult:
-        kept = _transmit(rho, s, _FOUR_MODE_KEYS)
-        p = kept.trace()
-        f_out = _ratio(_measured_out_fidelity(kept), p)
+        rho_s = depolarize_alice(rho, s)
+        p = _expect(rho_s, _P_FOUR_MODE).real
+        f_out = _ratio(_expect(rho_s, _W_MEASURED_OUT).real, p)
         return ProtocolResult(
             ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p, f_out, None
         )

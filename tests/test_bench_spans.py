@@ -56,7 +56,7 @@ def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
     assert calls.get("protocol.run", 0) == runs
     assert calls["source.state"] == sources
     assert calls["fock.to_density"] == sources
-    assert calls["optics.pbs"] == 2 * points
+    # the beam splitters act on the readout maps once, at import, not per point
+    assert calls.get("optics.pbs", 0) == 0
     assert calls["channel.depolarize"] == 2 * points
-    assert tracer.counts["optics.entries"] > 0
     assert call() == expected  # uninstalled: the originals are back

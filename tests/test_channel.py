@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ def test_out_of_range_s_rejected():
         depolarize_partial(rho, SpatialMode.A1, -0.1)
 
 
-@pytest.mark.parametrize("s", [None, "0.5", 0.5j, True, False])
+@pytest.mark.parametrize("s", [None, "0.5", 0.5j, True, False, Decimal("0.5")])
 def test_non_number_s_rejected_naming_it(s):
     with pytest.raises(ValueError, match="survival probability s"):
         depolarize_partial(source_density(), SpatialMode.A1, s)

@@ -48,14 +48,17 @@ from pdcpurify import (
     spatially_entangled_state,
     to_density,
 )
+from pdcpurify.analysis import _BOTH_UP_WITNESS, _MEASURED_OUT_WITNESS, _projector
 from pdcpurify.fock import PRUNE_TOL, spatial_totals
 from pdcpurify.optics import _PBS
 from pdcpurify.protocol import (
-    _BOTH_UP_KEYS,
-    _FOUR_MODE_KEYS,
+    _P_BOTH_UP,
+    _P_FOUR_MODE,
+    _W_BOTH_UP,
+    _W_MEASURED_OUT,
+    _W_UPPER,
+    _expect,
     _in_front,
-    _measured_out_fidelity,
-    _transmit,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -201,6 +204,36 @@ def _transmitted(kind, r, phi, s):
     return apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB)
 
 
+def _relabeled(rho, relabel):
+    """The entries of ``relabel rho relabel`` for an involutive mode map."""
+    return {(relabel(ket), relabel(bra)): v for (ket, bra), v in rho.entries.items()}
+
+
+#: the mirror image of the both-up witness: the lower pair's Bell witness on
+#: the both-down pattern, which the run path never reads
+_BOTH_DOWN_WITNESS = DensityOperator._trusted(_relabeled(_BOTH_UP_WITNESS, MIRROR))
+
+#: each protocol's readouts in front of both beam splitters: the pattern, its
+#: projector and witness there, and the witness sum of the projected operator
+#: behind them (``pair_fidelity`` where the witness is a pair's Bell witness)
+READOUTS = {
+    ProtocolKind.FOUR_PHOTON: (
+        (FOUR_MODE, _P_FOUR_MODE, _W_UPPER,
+         lambda kept: pair_fidelity(kept, SpatialMode.A1, SpatialMode.B1)),
+    ),
+    ProtocolKind.TWO_PHOTON: (
+        (BOTH_UP, _P_BOTH_UP, _W_BOTH_UP,
+         lambda kept: pair_fidelity(kept, SpatialMode.A1, SpatialMode.B1)),
+        (BOTH_DOWN, _in_front(_projector(BOTH_DOWN)), _in_front(_BOTH_DOWN_WITNESS),
+         lambda kept: pair_fidelity(kept, SpatialMode.A2, SpatialMode.B2)),
+    ),
+    ProtocolKind.INDEPENDENT_PAIRS: (
+        (FOUR_MODE, _P_FOUR_MODE, _W_MEASURED_OUT,
+         lambda kept: _expect(kept, _MEASURED_OUT_WITNESS).real),
+    ),
+}
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 @PROPERTY_SETTINGS
 @_at_the_edges
@@ -210,15 +243,16 @@ def _transmitted(kind, r, phi, s):
     s=st.one_of(st.sampled_from(EDGE_S), unit),
 )
 def test_selecting_in_front_of_the_beam_splitters_is_projecting_behind(kind, r, phi, s):
-    """A PBS permutes basis states, so keeping the occupations that both send
-    into a pattern and then relabeling gives ``project`` behind them: the same
-    entries, values and order."""
-    rho = to_density(_source(kind, r, phi))
+    """A PBS permutes basis states, so a projector or witness moved in front
+    of both reads out of the channel's output what ``project`` and the
+    witness sum read behind them: Tr(P rho_s) and Tr(W rho_s) equal the
+    projected operator's trace and witness sum."""
+    rho_s = depolarize_alice(to_density(_source(kind, r, phi)), s)
     behind = _transmitted(kind, r, phi, s)
-    for selection, _ in SELECTIONS[kind]:
-        front = _transmit(rho, s, _in_front(selection))
-        kept = project(behind, selection)
-        assert list(front.entries.items()) == list(kept.entries.items())
+    for pattern, projector, witness, witness_sum in READOUTS[kind]:
+        kept = project(behind, pattern)
+        assert abs(_expect(rho_s, projector).real - kept.trace()) <= 1e-15
+        assert abs(_expect(rho_s, witness).real - witness_sum(kept)) <= 1e-15
 
 
 def _sent_into(pattern):
@@ -234,14 +268,88 @@ def _sent_into(pattern):
     return kept
 
 
+def _diagonal(projector):
+    """The keys of a diagonal map whose every value is 1."""
+    assert all(k == b and v == 1 for (k, b), v in projector.entries.items())
+    return {k for k, _ in projector.entries}
+
+
 def test_key_sets_in_front_of_the_beam_splitters():
     """One H or V photon in each of the four spatial modes behind the beam
     splitters (16 keys), or in a1 and b1 (4 keys)."""
-    assert len(_FOUR_MODE_KEYS) == 16
-    assert len(_BOTH_UP_KEYS) == 4
-    assert _FOUR_MODE_KEYS == _in_front(FOUR_MODE) == _sent_into(FOUR_MODE)
-    assert _BOTH_UP_KEYS == _in_front(BOTH_UP) == _sent_into(BOTH_UP)
-    assert _in_front(BOTH_DOWN) == _sent_into(BOTH_DOWN)
+    assert len(_P_FOUR_MODE.entries) == 16
+    assert len(_P_BOTH_UP.entries) == 4
+    assert _diagonal(_P_FOUR_MODE) == _sent_into(FOUR_MODE)
+    assert _diagonal(_P_BOTH_UP) == _sent_into(BOTH_UP)
+    assert _diagonal(_in_front(_projector(BOTH_DOWN))) == _sent_into(BOTH_DOWN)
+
+
+def _dense(a, n):
+    """The map ``a`` as a dense matrix over the oracle's n-photon basis."""
+    index = oracle.basis_index(n)
+    matrix = np.zeros((len(index), len(index)), dtype=complex)
+    for (k, b), v in a.entries.items():
+        matrix[index[k], index[b]] = v
+    return matrix
+
+
+def _oracle_measured_out_witness():
+    """The 45-degree measure-out witness from the oracle alone: the Bell
+    witness of (a1, b1) conjugated by each branch's measurement of (a2, b2)
+    onto |+/->|+/-> and, where the outcomes differ, the phase flip on a1,
+    summed over the four branches."""
+    flip = oracle.phase_flip_matrix(oracle.A1, 4)
+    witness = np.zeros_like(oracle.bell_witness(oracle.A1, oracle.B1, 4))
+    for sign_a, sign_b in itertools.product((1.0, -1.0), repeat=2):
+        branch = oracle.diagonal_basis_projector(oracle.A2, sign_a, 4)
+        branch = branch @ oracle.diagonal_basis_projector(oracle.B2, sign_b, 4)
+        if sign_a != sign_b:
+            branch = branch @ flip
+        witness += branch @ oracle.bell_witness(oracle.A1, oracle.B1, 4) @ branch.T
+    return witness
+
+
+def _oracle_maps():
+    """Each compiled map with its photon number and the oracle's map behind
+    the beam splitters: a pattern projector, or a witness on its pattern."""
+    four = oracle.pattern_projector(frozenset(oracle.FOUR_MODE), 4)
+    up = oracle.pattern_projector(frozenset(oracle.BOTH_UP), 2)
+    return {
+        "four-mode projector": (_P_FOUR_MODE, 4, four),
+        "both-up projector": (_P_BOTH_UP, 2, up),
+        "upper witness": (_W_UPPER, 4, four @ oracle.bell_witness(oracle.A1, oracle.B1, 4) @ four),
+        "both-up witness": (_W_BOTH_UP, 2, up @ oracle.bell_witness(oracle.A1, oracle.B1, 2) @ up),
+        "measure-out witness": (_W_MEASURED_OUT, 4, four @ _oracle_measured_out_witness() @ four),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_maps()))
+def test_compiled_maps_are_the_dense_oracle_maps_in_front_of_the_beam_splitters(name):
+    """Each map the run path reads equals the oracle's map behind the beam
+    splitters moved through them, entry for entry, on the same support.  The
+    oracle's 45-degree projectors are products of 1/sqrt(2), so its measure-out
+    witness is 1/2 only to rounding (about 4e-16 off); the others agree
+    exactly."""
+    compiled, n, behind = _oracle_maps()[name]
+    expected = oracle.both_pbs(behind, n)
+    assert np.abs(_dense(compiled, n) - expected).max() <= 1e-15
+    support = zip(*np.nonzero(np.abs(expected) > 1e-15))
+    basis = oracle.basis(n)
+    assert set(compiled.entries) == {(basis[i], basis[j]) for i, j in support}
+
+
+@pytest.mark.parametrize(
+    "witness, entries",
+    [(_W_UPPER, 16), (_W_BOTH_UP, 4), (_W_MEASURED_OUT, 16)],
+    ids=["upper witness", "both-up witness", "measure-out witness"],
+)
+def test_compiled_witnesses_are_hermitian_with_every_value_one_half(witness, entries):
+    """Built from kets with +-1 amplitudes, every value is exactly 0.5."""
+    assert len(witness.entries) == entries
+    assert all(v == 0.5 for v in witness.entries.values())
+    assert all(
+        witness.entries.get((b, k)) == v.conjugate() for (k, b), v in witness.entries.items()
+    )
 
 
 def _conditionals(kind, r, phi, s):
@@ -266,7 +374,8 @@ def test_witness_sums_match_the_dense_reduction(kind, r, phi, s):
             assert abs(pair_fidelity(conditional, *PAIR_MODES[i]) - dense) <= 1e-14
         if kind is not ProtocolKind.TWO_PHOTON:
             dense = fidelity(measure_out_lower_pair(conditional))
-            assert abs(_measured_out_fidelity(conditional) - dense) <= 1e-14
+            in_front = _in_front(conditional)
+            assert abs(_expect(in_front, _W_MEASURED_OUT).real - dense) <= 1e-14
 
 
 def _oracle(kind, r, phi, s):
@@ -290,11 +399,6 @@ def test_runs_match_the_dense_oracle(kind, r, phi, s):
             assert p_ref <= 1e-12
         else:
             assert abs(f - f_ref) <= 1e-12
-
-
-def _relabeled(rho, relabel):
-    """The entries of ``relabel rho relabel`` for an involutive mode map."""
-    return {(relabel(ket), relabel(bra)): v for (ket, bra), v in rho.entries.items()}
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -302,13 +303,13 @@ def test_sweep_spec_validation():
             SweepSpec((0.5,), protocol=protocol)
 
 
-@pytest.mark.parametrize("s", [None, "0.5", 0.5j])
+@pytest.mark.parametrize("s", [None, "0.5", 0.5j, Decimal("0.5")])
 def test_sweep_spec_rejects_a_non_number_s(s):
     with pytest.raises(ValueError, match="s values must be numbers"):
         SweepSpec((0.25, s))
 
 
-@pytest.mark.parametrize("s", [None, "0.5"])
+@pytest.mark.parametrize("s", [None, "0.5", Decimal("0.5")])
 def test_runs_reject_a_non_number_s(s):
     """The channel's check names s, where a comparison used to raise
     ``TypeError``."""

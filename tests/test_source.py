@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -85,7 +86,9 @@ def test_parameter_validation():
         SourceParams(r=1.2)
     with pytest.raises(ValueError):
         SourceParams(pairs=3)
-    for field, value in (("r", None), ("r", "0.5"), ("phi", None)):
+    for field, value in (
+        ("r", None), ("r", "0.5"), ("phi", None), ("r", Decimal("0.5")), ("phi", Decimal("0.5"))
+    ):
         with pytest.raises(ValueError, match=field):
             SourceParams(**{field: value})
 
