@@ -35,20 +35,22 @@ BOTH_DOWN = frozenset({(0, 1, 0, 1)})
 
 
 def project(
-    rho: DensityOperator, selection: frozenset[tuple[int, int, int, int]]
+    rho: DensityOperator, selection: Iterable[tuple[int, int, int, int]]
 ) -> DensityOperator:
     """Project onto a detection pattern, without renormalizing.
 
-    ``selection`` is a set of photon-count tuples over (a1, a2, b1, b2); a
-    basis state matches when its per-spatial-mode totals (H plus V) are a
-    member.  The entries whose ket and bra both match are kept unchanged, so
-    the map is linear and the result's trace is the pattern's probability.  A
-    pattern that is not a tuple of four non-negative ints raises
-    ``ValueError``.
+    ``selection`` holds photon-count tuples over (a1, a2, b1, b2), such as a
+    frozenset, and is read once, so an iterator works too; a basis state
+    matches when its per-spatial-mode totals (H plus V) are a member.  The
+    entries whose ket and bra both match are kept unchanged, so the map is
+    linear and the result's trace is the pattern's probability.  A pattern
+    that is not a tuple of four non-negative ints raises ``ValueError``.
     """
-    for p in selection:
+    patterns = tuple(selection)
+    for p in patterns:
         if type(p) is not tuple or [type(n) for n in p] != [int] * 4 or min(p) < 0:
             raise ValueError(f"selection needs tuples of four ints >= 0, got {p!r}")
+    selection = frozenset(patterns)
     return DensityOperator._trusted({
         (ket, bra): value
         for (ket, bra), value in rho.entries.items()

@@ -6,10 +6,14 @@ channels on Alice's spatial modes -> polarizing beam splitters on both sides
 surviving pair(s).  A pattern's probability and a fidelity's witness sum are
 each Tr(A rho) for a fixed map A behind the beam splitters; these permute
 basis states, so A is moved in front of them once and a point reads two fixed
-maps out after the channel.  The source depends on r and phi only, so each
-protocol builds its source density once per curve and reads it out at every
-s; a single run is the same path at one s.
-Everything is deterministic; identical inputs give bit-identical results.
+maps out after the channel.  So the three pipelines differ only in data: each
+is one row of ``_PROTOCOLS`` (source, projector, witness, mirror), and one
+builder, ``_curve``, makes the source density once per curve, since it
+depends on r and phi only, and reads it out at every s; a single run is the
+same path at one s.
+Everything is deterministic: under one Python version, identical inputs give
+bit-identical results.  Across versions the last bit may differ, because
+``sum`` of floats rounds differently from Python 3.12 on (it compensates).
 """
 
 from __future__ import annotations
@@ -101,30 +105,51 @@ def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
     return sum(v * entries.get((b, k), 0j) for (k, b), v in a.entries.items())
 
 
-def _ratio(weighted: float, p: float) -> float | None:
-    """A fidelity conditional on a pattern of probability ``p``: the pattern's
-    witness sum over ``p``, or ``None`` where the pattern never happens."""
-    return weighted / p if p > ZERO_PROBABILITY else None
+#: a protocol's row: ``pairs`` from the two-pass source, or ``None`` for two
+#: independent pairs (which take no r or phi); the pattern's projector and the
+#: witness, in front of the beam splitters; the factor on both readouts; and
+#: whether ``f_lower`` mirrors ``f_upper``
+_Pipeline = namedtuple("_Pipeline", "pairs projector witness factor mirrored")
+
+# The mirror.  With F exchanging H and V in every spatial mode and S the upper
+# and lower spatial modes on both sides, the operator T behind both beam
+# splitters obeys F T F = S T S: each source pair is HH + VV, the channel
+# treats a1, a2 and H, V alike, and F PBS F = S PBS.  F fixes every pattern
+# (they count H + V) and the upper Bell witness; S fixes FOUR_MODE, maps
+# BOTH_UP to BOTH_DOWN and the upper witness to the lower.  So each lower-pair
+# or both-down probability and witness sum equals its upper or both-up mirror:
+# two-photon's both-down branch doubles p and the witness sum (factor 2), and
+# four-photon's f_lower equals its f_upper.
+_PROTOCOLS = {
+    ProtocolKind.FOUR_PHOTON: _Pipeline(2, _P_FOUR_MODE, _W_UPPER, 1.0, True),
+    ProtocolKind.TWO_PHOTON: _Pipeline(1, _P_BOTH_UP, _W_BOTH_UP, 2.0, False),
+    ProtocolKind.INDEPENDENT_PAIRS: _Pipeline(
+        None, _P_FOUR_MODE, _W_MEASURED_OUT, 1.0, False
+    ),
+}
 
 
-def _four_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult]:
-    """``run_four_photon`` at (r, phi) as a function of s; the source density
-    is built here, once."""
-    rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=2)))
+def _curve(
+    kind: ProtocolKind, r: float | None, phi: float | None
+) -> Callable[[float], ProtocolResult]:
+    """The ``kind`` run at (r, phi) as a function of s; the source density is
+    built here, once.  Independent pairs ignore r and phi and report ``None``."""
+    row = _PROTOCOLS[kind]
+    if row.pairs is None:
+        r = phi = None
+        rho = to_density(independent_pairs_state())
+    else:
+        source = SourceParams(r=r, phi=phi, pairs=row.pairs)
+        rho = to_density(spatially_entangled_state(source))
 
     def at(s: float) -> ProtocolResult:
         rho_s = depolarize_alice(rho, s)
-        p = _expect(rho_s, _P_FOUR_MODE).real
-        f = _ratio(_expect(rho_s, _W_UPPER).real, p)
-        # f_lower = f_upper.  With F exchanging H and V in every spatial mode
-        # and S the upper and lower spatial modes on both sides, the operator T
-        # behind both beam splitters obeys F T F = S T S: each source pair is
-        # HH + VV, the channel treats a1, a2 and H, V alike, and F PBS F =
-        # S PBS.  F fixes every pattern (they count H + V) and the upper Bell
-        # witness; S fixes FOUR_MODE, maps BOTH_UP to BOTH_DOWN and the upper
-        # witness to the lower.  So each lower-pair or both-down probability
-        # and witness sum equals its upper or both-up mirror.
-        return ProtocolResult(ProtocolKind.FOUR_PHOTON.value, r, phi, s, p, f, f)
+        p = row.factor * _expect(rho_s, row.projector).real
+        # the witness sum over p, or None where the pattern never happens
+        weighted = row.factor * _expect(rho_s, row.witness).real
+        f = weighted / p if p > ZERO_PROBABILITY else None
+        f_lower = f if row.mirrored else None
+        return ProtocolResult(kind.value, r, phi, s, p, f, f_lower)
 
     return at
 
@@ -133,53 +158,20 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Four-photon purification: keep one photon per output spatial mode.
 
     Both output pairs are kept; they have equal fidelities (see the mirror
-    note in ``_four_photon_curve``), so the upper pair's is reported in both
-    columns.
+    note at ``_PROTOCOLS``), so the upper pair's is reported in both columns.
     """
-    return _four_photon_curve(r, phi)(s)
-
-
-def _two_photon_curve(r: float, phi: float) -> Callable[[float], ProtocolResult]:
-    """``run_two_photon`` at (r, phi) as a function of s; the source density
-    is built here, once."""
-    rho = to_density(spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=1)))
-
-    def at(s: float) -> ProtocolResult:
-        rho_s = depolarize_alice(rho, s)
-        # the both-down branch mirrors both-up (see ``_four_photon_curve``)
-        p = 2.0 * _expect(rho_s, _P_BOTH_UP).real
-        f = _ratio(2.0 * _expect(rho_s, _W_BOTH_UP).real, p)
-        return ProtocolResult(ProtocolKind.TWO_PHOTON.value, r, phi, s, p, f, None)
-
-    return at
+    return _curve(ProtocolKind.FOUR_PHOTON, r, phi)(s)
 
 
 def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Two-photon purification: keep events with both photons up or both down.
 
     The surviving pair sits in the upper or the lower modes depending on the
-    branch.  The down branch mirrors the up one (see the mirror note in
-    ``_four_photon_curve``), so p and the witness sum are twice the up
-    branch's; their ratio is carried in ``f_upper`` (``f_lower`` stays
-    ``None``).
+    branch.  The down branch mirrors the up one (see the mirror note at
+    ``_PROTOCOLS``), so p and the witness sum are twice the up branch's;
+    their ratio is carried in ``f_upper`` (``f_lower`` stays ``None``).
     """
-    return _two_photon_curve(r, phi)(s)
-
-
-def _independent_pairs_curve() -> Callable[[float], ProtocolResult]:
-    """``run_independent_pairs`` as a function of s; the source density is
-    built here, once."""
-    rho = to_density(independent_pairs_state())
-
-    def at(s: float) -> ProtocolResult:
-        rho_s = depolarize_alice(rho, s)
-        p = _expect(rho_s, _P_FOUR_MODE).real
-        f_out = _ratio(_expect(rho_s, _W_MEASURED_OUT).real, p)
-        return ProtocolResult(
-            ProtocolKind.INDEPENDENT_PAIRS.value, None, None, s, p, f_out, None
-        )
-
-    return at
+    return _curve(ProtocolKind.TWO_PHOTON, r, phi)(s)
 
 
 def run_independent_pairs(s: float) -> ProtocolResult:
@@ -189,16 +181,17 @@ def run_independent_pairs(s: float) -> ProtocolResult:
     out and only the upper pair survives, so there is a single output
     fidelity (in ``f_upper``).
     """
-    return _independent_pairs_curve()(s)
+    return _curve(ProtocolKind.INDEPENDENT_PAIRS, None, None)(s)
 
 
 def bbpssw_fidelity(f: float) -> float:
     """Werner-state fidelity map of the classic two-pair recurrence.
 
     Reference curve for the independent-pairs pipeline; fixed points at 1/4
-    and 1.  Valid for f in [1/4, 1].
+    and 1.  Valid for f in [1/4, 1]; anything else, a bool or a ``Decimal``
+    included, raises ``ValueError``.
     """
-    if not 0.25 <= f <= 1.0:
+    if not _in_range(f, lambda x: 0.25 <= x <= 1.0):
         raise ValueError(f"input fidelity must be in [0.25, 1], got {f}")
     rest = (1.0 - f) / 3.0
     numerator = f * f + rest * rest
@@ -237,16 +230,10 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 def sweep(spec: SweepSpec) -> list[ProtocolResult]:
     """Run the selected protocol at every grid point, ordered by s.
 
-    The source density is built once and read out at each s.  This is the
-    package's one dispatch on ``ProtocolKind``; a single run is a one-point
-    sweep.
+    The source density is built once and read out at each s by the
+    protocol's row of ``_PROTOCOLS``; a single run is a one-point sweep.
     """
-    if spec.protocol is ProtocolKind.INDEPENDENT_PAIRS:
-        at = _independent_pairs_curve()
-    elif spec.protocol is ProtocolKind.FOUR_PHOTON:
-        at = _four_photon_curve(spec.r, spec.phi)
-    else:
-        at = _two_photon_curve(spec.r, spec.phi)
+    at = _curve(spec.protocol, spec.r, spec.phi)
     return [at(s) for s in spec.s_values]
 
 

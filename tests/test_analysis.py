@@ -100,8 +100,10 @@ def test_project_is_linear_and_accepts_subnormalized_input(factor):
 @pytest.mark.parametrize(
     "selection",
     [{(1, 1, 1)}, {(1, 1, 1, 1, 0)}, {(1, 1, 1, -1)}, {(1.0, 1, 1, 1)},
-     {(True, 1, 1, 1)}, [[1, 1, 1, 1]], (1, 1, 1, 1), FOUR_MODE | {(1, 1, 1)}],
-    ids=["three", "five", "negative", "float", "bool", "list", "bare-tuple", "mixed"],
+     {(True, 1, 1, 1)}, [[1, 1, 1, 1]], (1, 1, 1, 1), FOUR_MODE | {(1, 1, 1)},
+     iter([(1, 1, 1, 1), [1, 1, 1, 1]])],
+    ids=["three", "five", "negative", "float", "bool", "list", "bare-tuple", "mixed",
+         "one-shot"],
 )
 def test_postselect_rejects_malformed_patterns(selection):
     """A pattern that cannot be a photon count per spatial mode is refused,
@@ -109,6 +111,22 @@ def test_postselect_rejects_malformed_patterns(selection):
     rho = transmitted(spatially_entangled_state(SourceParams(r=1, phi=0, pairs=2)))
     with pytest.raises(ValueError, match="selection"):
         project(rho, selection)
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [lambda: (p for p in [(1, 1, 1, 1)]), lambda: iter([(1, 1, 1, 1)])],
+    ids=["generator", "iterator"],
+)
+def test_project_reads_the_selection_once(selection):
+    """A one-shot iterable selects what the frozenset does; validating it used
+    to use it up, so every entry was dropped."""
+    rho = transmitted(
+        spatially_entangled_state(SourceParams(r=0.9, phi=0.3, pairs=2)), 0.4
+    )
+    kept = project(rho, selection())
+    assert kept.entries == project(rho, FOUR_MODE).entries
+    assert kept.trace() > 0.1
 
 
 @pytest.mark.parametrize("s", [1.0, 0.4])

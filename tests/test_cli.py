@@ -454,6 +454,11 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
             ["''"],
         ),
         (["state", "--config", ""], None, ["''"]),
+        (
+            ["sweep", "--protocol", "two-photon", "--out", "x.csv"],
+            "r 0.5",
+            ["bad.cfg:1: expected 'key = value'"],
+        ),
     ],
     ids=[
         "config-protocol",
@@ -468,6 +473,7 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
         "run-empty-config",
         "sweep-empty-config",
         "state-empty-config",
+        "config-line-without-equals",
     ],
 )
 def test_bad_or_missing_value_exits_2_naming_it(

@@ -172,6 +172,10 @@ BAD_KEYS = {
     "negative-count": (2, -1, 0, 0, 0, 0, 0, 0),
     "non-integral-count": (1.5, 0.5, 0, 0, 0, 0, 0, 0),
     "count-below-one": (0.9, 0, 0, 0, 0, 0, 0, 0),
+    # counts that ``int()`` cannot convert
+    "none-count": (None, 0, 0, 0, 0, 0, 0, 0),
+    "str-count": ("x", 0, 0, 0, 0, 0, 0, 0),
+    "inf-count": (math.inf, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -182,6 +186,38 @@ def test_public_constructors_reject_bad_keys(key):
         PureState({key: 1.0})
     with pytest.raises(ValueError, match="occupation"):
         DensityOperator({(key, key): 1.0})
+
+
+ONE = (1, 0, 0, 0, 0, 0, 0, 0)
+TWO = (1, 0, 0, 0, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, sector",
+    [({TWO: 1.0, ONE: 1.0}, None), ({ONE: 1.0}, 2)],
+    ids=["derived", "given"],
+)
+def test_pure_state_rejects_a_term_outside_its_sector(amplitudes, sector):
+    with pytest.raises(ValueError, match=r"has 1 photons, expected sector 2"):
+        PureState(amplitudes, sector=sector)
+
+
+def test_pure_state_without_terms_needs_a_sector():
+    with pytest.raises(ValueError, match="sector is required"):
+        PureState({})
+    assert PureState({}, sector=2).amplitudes == {}
+
+
+def test_normalizing_a_zero_state_raises():
+    with pytest.raises(ValueError, match="zero state"):
+        PureState({}, sector=2).normalized()
+
+
+def test_reprs_show_sector_terms_entries_and_trace():
+    state = PureState({TWO: 1.0, ONE: 0.0}, sector=2)
+    assert repr(state) == "PureState(sector=2, {(1, 0, 0, 0, 1, 0, 0, 0): 1+0j})"
+    rho = DensityOperator({(TWO, TWO): 0.5, (ONE, ONE): 0.25})
+    assert repr(rho) == "DensityOperator(2 entries, trace=0.75)"
 
 
 def test_integral_float_counts_become_ints():

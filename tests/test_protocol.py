@@ -185,10 +185,11 @@ def test_bbpssw_fixed_points():
 
 
 def test_bbpssw_domain():
-    with pytest.raises(ValueError):
-        bbpssw_fidelity(0.2)
-    with pytest.raises(ValueError):
-        bbpssw_fidelity(1.01)
+    """Out of range or no number (a bool or a ``Decimal`` is none here): all
+    raise ``ValueError``; ``True`` used to return 1.0 and the rest ``TypeError``."""
+    for f in (0.2, 1.01, math.nan, True, "0.5", Decimal("0.5"), None):
+        with pytest.raises(ValueError, match=r"must be in \[0.25, 1\], got"):
+            bbpssw_fidelity(f)
 
 
 def test_independent_pairs_follows_bbpssw_curve():
