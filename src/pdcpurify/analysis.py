@@ -44,12 +44,16 @@ def project(
     matches when its per-spatial-mode totals (H plus V) are a member.  The
     entries whose ket and bra both match are kept unchanged, so the map is
     linear and the result's trace is the pattern's probability.  A pattern
-    that is not a tuple of four non-negative ints raises ``ValueError``.
+    that is not a tuple of four non-negative ints raises ``ValueError``, which
+    names it and the selection as read.
     """
     patterns = tuple(selection)
     for p in patterns:
         if type(p) is not tuple or [type(n) for n in p] != [int] * 4 or min(p) < 0:
-            raise ValueError(f"selection needs tuples of four ints >= 0, got {p!r}")
+            raise ValueError(
+                f"selection needs tuples of four ints >= 0, got {p!r} in "
+                f"{patterns!r} (a single pattern must be wrapped in a set)"
+            )
     selection = frozenset(patterns)
     return DensityOperator._trusted({
         (ket, bra): value

@@ -12,14 +12,7 @@ that is intentional.
 
 from __future__ import annotations
 
-from .fock import (
-    PRUNE_TOL,
-    DensityOperator,
-    Occupations,
-    SpatialMode,
-    _in_range,
-    _pruned,
-)
+from .fock import DensityOperator, Occupations, SpatialMode, _in_range, _pruned
 
 
 def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
@@ -35,33 +28,28 @@ def depolarize_partial(
     """Leave the state untouched with probability s, depolarize otherwise.
 
     Each entry becomes ``s * v + (1 - s) * m`` for input entry ``v`` and fully
-    depolarized entry ``m``; like a stored entry, a term below ``PRUNE_TOL``
-    is dropped, and so is a sum of terms that cancels below it.  Trace
-    preserving and completely positive.  An ``s`` that is not a number in
-    [0, 1] (``None``, ``"0.5"``, ``True``) and a ``target`` that is not a
-    ``SpatialMode`` raise ``ValueError``.
+    depolarized entry ``m``.  One map starts at ``s * v``; each entry
+    diagonal in the target's (H, V) occupations adds ``(1 - s) * v / (n + 1)``
+    to each of its n+1 H/V splits; the sum is pruned once, so no term is
+    dropped before it is summed.  Trace preserving and completely positive.
+    An ``s`` that is not a number in [0, 1] (``None``, ``"0.5"``, ``True``)
+    and a ``target`` that is not a ``SpatialMode`` raise ``ValueError``.
     """
     if not _in_range(s):
         raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
     if not isinstance(target, SpatialMode):
         raise ValueError(f"target must be a SpatialMode, got {target!r}")
     h, v = target.value
-    out: dict[tuple[Occupations, Occupations], complex] = {}
-    mixed: dict[tuple[Occupations, Occupations], complex] = {}
+    out = {key: s * value for key, value in rho.entries.items()}
     for (ket, bra), value in rho.entries.items():
-        if abs(s * value) >= PRUNE_TOL:
-            out[(ket, bra)] = s * value
         pair = (ket[h], ket[v])
         if pair != (bra[h], bra[v]):
             continue
         n = pair[0] + pair[1]
-        share = value / (n + 1)
+        share = (1.0 - s) * (value / (n + 1))
         for k in range(n + 1):
             key = (_with_pair(ket, h, v, k, n - k), _with_pair(bra, h, v, k, n - k))
-            mixed[key] = mixed.get(key, 0.0) + share
-    for key, m in mixed.items():
-        if abs((1.0 - s) * m) >= PRUNE_TOL:
-            out[key] = out.get(key, 0.0) + (1.0 - s) * m
+            out[key] = out.get(key, 0.0) + share
     return DensityOperator._trusted(_pruned(out))
 
 

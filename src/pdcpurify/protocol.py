@@ -192,7 +192,7 @@ def bbpssw_fidelity(f: float) -> float:
     included, raises ``ValueError``.
     """
     if not _in_range(f, lambda x: 0.25 <= x <= 1.0):
-        raise ValueError(f"input fidelity must be in [0.25, 1], got {f}")
+        raise ValueError(f"input fidelity must be in [0.25, 1], got {f!r}")
     rest = (1.0 - f) / 3.0
     numerator = f * f + rest * rest
     denominator = f * f + 2.0 * f * rest + 5.0 * rest * rest

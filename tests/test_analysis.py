@@ -109,8 +109,12 @@ def test_postselect_rejects_malformed_patterns(selection):
     """A pattern that cannot be a photon count per spatial mode is refused,
     not silently left unmatched."""
     rho = transmitted(spatially_entangled_state(SourceParams(r=1, phi=0, pairs=2)))
-    with pytest.raises(ValueError, match="selection"):
+    with pytest.raises(ValueError, match="selection") as raised:
         project(rho, selection)
+    if selection == (1, 1, 1, 1):  # one pattern, read as four: name it as read
+        assert "got 1 in (1, 1, 1, 1) (a single pattern must be wrapped in a set)" in str(
+            raised.value
+        )
 
 
 @pytest.mark.parametrize(

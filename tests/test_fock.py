@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +252,16 @@ def test_prune_keeps_maps_canonical():
     state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e-15}, sector=1)
     assert state.amplitudes == {}
     assert create(Mode.A1H, vacuum()).scaled(1e-15).amplitudes == {}
+
+
+def test_only_fock_reads_the_pruning_rule():
+    """``PRUNE_TOL`` has one home: every builder prunes through ``fock``, so
+    no other module keeps a pruning rule of its own."""
+    package = Path(__file__).resolve().parent.parent / "src" / "pdcpurify"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 1
+    readers = [path.name for path in modules if "PRUNE_TOL" in path.read_text()]
+    assert readers == ["fock.py"]
 
 
 NON_FINITE = {

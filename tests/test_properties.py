@@ -401,6 +401,26 @@ def test_runs_match_the_dense_oracle(kind, r, phi, s):
             assert abs(f - f_ref) <= 1e-12
 
 
+EDGE_S = (1e-15, 1e-13, 1 - 1e-15)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_runs_match_the_dense_oracle_at_the_edges(kind):
+    """At s next to 0 or 1 one branch of the channel is tiny: the channel sums
+    both branches into one map and prunes it once, so no term is dropped
+    before the sum and every number stays at rounding distance from the oracle."""
+    if kind is ProtocolKind.INDEPENDENT_PAIRS:
+        points = [(None, None, s) for s in EDGE_S]
+    else:
+        points = itertools.product((0.9, 0.95, 1.0), (0.0, math.acos(0.95)), EDGE_S)
+    for r, phi, s in points:
+        result = run_direct(kind, r, phi, s)
+        p_ref, *f_refs = _oracle(kind, r, phi, s)
+        assert abs(result.p_success - p_ref) <= 2e-15, (r, phi, s)
+        for f, f_ref in zip(_fidelities(kind, result), f_refs):
+            assert abs(f - f_ref) <= 2e-15, (r, phi, s)
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 @PROPERTY_SETTINGS
 @given(r=unit, phi=phase, s=unit)

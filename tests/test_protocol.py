@@ -190,6 +190,12 @@ def test_bbpssw_domain():
     for f in (0.2, 1.01, math.nan, True, "0.5", Decimal("0.5"), None):
         with pytest.raises(ValueError, match=r"must be in \[0.25, 1\], got"):
             bbpssw_fidelity(f)
+    # the rejected value is shown as its repr, so a string or a Decimal does
+    # not read like an accepted float
+    for f, shown in (("0.5", "got '0.5'"), (Decimal("0.5"), "got Decimal('0.5')")):
+        with pytest.raises(ValueError) as raised:
+            bbpssw_fidelity(f)
+        assert str(raised.value).endswith(shown)
 
 
 def test_independent_pairs_follows_bbpssw_curve():
