@@ -6,11 +6,15 @@ channels on Alice's spatial modes -> polarizing beam splitters on both sides
 surviving pair(s).  A pattern's probability and a fidelity's witness sum are
 each Tr(A rho) for a fixed map A behind the beam splitters; these permute
 basis states, so A is moved in front of them once and a point reads two fixed
-maps out after the channel.  So the three pipelines differ only in data: each
-is one row of ``_PROTOCOLS`` (source, projector, witness, mirror), and one
-builder, ``_curve``, makes the source density once per curve, since it
-depends on r and phi only, and reads it out at every s; a single run is the
-same path at one s.
+maps out after the channel.  The source density is a fixed polynomial in
+lambda = r e^(i phi): each entry carries lambda^j conj(lambda)^k, with j and k
+the pairs its ket and bra emit into the lower modes, so the process builds
+the r = 1, phi = 0 density once per source, split into these blocks, and
+reads the density at any (r, phi) off them with no Fock build.  So the three
+pipelines differ only in data: each is one row of ``_PROTOCOLS`` (source,
+projector, witness, mirror), and one builder, ``_curve``, reads the source
+density off its blocks once per curve, since it depends on r and phi only,
+and reads it out at every s; a single run is the same path at one s.
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
 ``sum`` of floats rounds differently from Python 3.12 on (it compensates).
@@ -18,6 +22,7 @@ bit-identical results.  Across versions the last bit may differ, because
 
 from __future__ import annotations
 
+import cmath
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
@@ -33,7 +38,15 @@ from .analysis import (
     _projector,
 )
 from .channel import depolarize_alice
-from .fock import DensityOperator, Side, _in_range, to_density
+from .fock import (
+    DensityOperator,
+    Mode,
+    Occupations,
+    Side,
+    _in_range,
+    _pruned,
+    to_density,
+)
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
@@ -78,7 +91,13 @@ class ProtocolResult(
 
 
 def input_fidelity(s: float) -> float:
-    """Polarization fidelity of one depolarized pair, (1 + 3s)/4."""
+    """Polarization fidelity of one depolarized pair, (1 + 3s)/4.
+
+    An ``s`` that is not a number in [0, 1] (``2.0``, NaN, ``True``, ``"0.5"``)
+    raises ``ValueError``.
+    """
+    if not _in_range(s):
+        raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
     return (1.0 + 3.0 * s) / 4.0
 
 
@@ -105,10 +124,60 @@ def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
     return sum(v * entries.get((b, k), 0j) for (k, b), v in a.entries.items())
 
 
+#: a source density as a polynomial in lambda = r e^(i phi): each row
+#: (ket, bra, v, j, k) is the entry v lambda^j conj(lambda)^k, in block B_jk;
+#: ``traces`` holds tr(B_kk) by k, so the density at (r, phi) is the rows over
+#: N(r) = sum_k tr(B_kk) r^(2k)
+_Blocks = namedtuple("_Blocks", "rows traces")
+
+
+def _blocks(rho: DensityOperator, power: Callable[[Occupations], int]) -> _Blocks:
+    """``rho``'s entries as rows, each ket and bra tagged by its ``power``."""
+    rows = tuple(
+        (ket, bra, v, power(ket), power(bra)) for (ket, bra), v in rho.entries.items()
+    )
+    traces = [0.0] * (max(j for _, _, _, j, _ in rows) + 1)
+    for ket, bra, v, j, _ in rows:
+        if ket == bra:
+            traces[j] += v.real
+    return _Blocks(rows, tuple(traces))
+
+
+def _lower_pairs(occ: Occupations) -> int:
+    """The pairs emitted into the lower modes: one photon in a2 per pair."""
+    return occ[Mode.A2H] + occ[Mode.A2V]
+
+
+#: each source's blocks, by pair count, built once: the two-pass source's
+#: amplitude on a ket with k lower pairs is lambda^k times its amplitude at
+#: r = 1, phi = 0, so that state's density, split by powers, gives every
+#: (r, phi); two independent pairs (``None``) are one block with no lambda
+_SOURCE_BLOCKS = {
+    pairs: _blocks(
+        to_density(spatially_entangled_state(SourceParams(1.0, 0.0, pairs))),
+        _lower_pairs,
+    )
+    for pairs in (1, 2)
+}
+_SOURCE_BLOCKS[None] = _blocks(to_density(independent_pairs_state()), lambda occ: 0)
+
+
+def _block_density(blocks: _Blocks, r: float, phi: float) -> DensityOperator:
+    """The density the ``blocks`` give at lambda = r e^(i phi), pruned once."""
+    lam = r * cmath.exp(1j * phi)
+    powers = [lam**k for k in range(len(blocks.traces))]
+    norm = sum(t * r ** (2 * k) for k, t in enumerate(blocks.traces))
+    weights = [[up * down.conjugate() / norm for down in powers] for up in powers]
+    return DensityOperator._trusted(
+        _pruned({(ket, bra): v * weights[j][k] for ket, bra, v, j, k in blocks.rows})
+    )
+
+
 #: a protocol's row: ``pairs`` from the two-pass source, or ``None`` for two
-#: independent pairs (which take no r or phi); the pattern's projector and the
-#: witness, in front of the beam splitters; the factor on both readouts; and
-#: whether ``f_lower`` mirrors ``f_upper``
+#: independent pairs (which take no r or phi), which selects its
+#: ``_SOURCE_BLOCKS``; the pattern's projector and the witness, in front of
+#: the beam splitters; the factor on both readouts; and whether ``f_lower``
+#: mirrors ``f_upper``
 _Pipeline = namedtuple("_Pipeline", "pairs projector witness factor mirrored")
 
 # The mirror.  With F exchanging H and V in every spatial mode and S the upper
@@ -133,14 +202,15 @@ def _curve(
     kind: ProtocolKind, r: float | None, phi: float | None
 ) -> Callable[[float], ProtocolResult]:
     """The ``kind`` run at (r, phi) as a function of s; the source density is
-    built here, once.  Independent pairs ignore r and phi and report ``None``."""
+    read off its blocks here, once.  Independent pairs ignore r and phi and
+    report ``None``; their one block takes no lambda."""
     row = _PROTOCOLS[kind]
     if row.pairs is None:
         r = phi = None
-        rho = to_density(independent_pairs_state())
+        rho = _block_density(_SOURCE_BLOCKS[None], 1.0, 0.0)
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
-        rho = to_density(spatially_entangled_state(source))
+        rho = _block_density(_SOURCE_BLOCKS[row.pairs], source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
         rho_s = depolarize_alice(rho, s)
@@ -203,7 +273,8 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
     """Grid of survival probabilities plus fixed source parameters.
 
     An immutable named tuple.  ``s_values`` is copied into a tuple and must
-    be strictly increasing numbers (not bools) in [0, 1]; ``r`` and ``phi``
+    be strictly increasing numbers (not bools) in [0, 1], else the message
+    names the first offending value or pair and its index; ``r`` and ``phi``
     must pass ``SourceParams``'s checks (for every protocol) and are stored as
     given; ``protocol`` is a ``ProtocolKind`` or its value.  Anything else
     raises ``ValueError``.
@@ -219,10 +290,17 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
         s_values = tuple(s_values)
         if not s_values:
             raise ValueError("s grid must not be empty")
-        if not all(map(_in_range, s_values)):
-            raise ValueError(f"s values must be numbers in [0, 1]: {s_values}")
-        if any(b <= a for a, b in zip(s_values, s_values[1:])):
-            raise ValueError("s grid must be strictly increasing")
+        for i, s in enumerate(s_values):
+            if not _in_range(s):
+                raise ValueError(
+                    f"s values must be numbers in [0, 1], got {s!r} at index {i}"
+                )
+        for i in range(1, len(s_values)):
+            if s_values[i] <= s_values[i - 1]:
+                raise ValueError(
+                    f"s grid must be strictly increasing, got {s_values[i - 1]!r} "
+                    f"then {s_values[i]!r} at index {i}"
+                )
         SourceParams(r, phi)  # r and phi follow the source's rule
         return super().__new__(cls, s_values, r, phi, ProtocolKind(protocol))
 

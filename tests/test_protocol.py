@@ -1,7 +1,11 @@
 import math
+import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from helpers import (
@@ -37,7 +41,9 @@ from pdcpurify import (
     sweep,
     to_density,
 )
+import pdcpurify.fock as fock_module
 import pdcpurify.protocol as protocol_module
+import pdcpurify.source as source_module
 from pdcpurify.protocol import linear_grid
 
 ORACLE_POINTS = [
@@ -211,6 +217,14 @@ def test_input_fidelity_law():
         assert input_fidelity(s) == pytest.approx((1 + 3 * s) / 4, abs=1e-15)
 
 
+@pytest.mark.parametrize("s", [2.0, -1.0, math.nan, True, "0.5", None])
+def test_input_fidelity_rejects_what_is_no_survival_probability(s):
+    """2.0 gave 1.75, NaN gave NaN and True gave 1.0; each now raises,
+    naming the value as given."""
+    with pytest.raises(ValueError, match=r"survival probability s .* got " + re.escape(repr(s))):
+        input_fidelity(s)
+
+
 def test_sweep_ordering_and_determinism():
     spec = SweepSpec(linear_grid(0.0, 1.0, 5), r=0.95, phi=math.acos(0.95))
     first = sweep(spec)
@@ -269,18 +283,15 @@ def test_sweep_equals_per_point_runs(kind):
             assert [_bits(res) for res in sweep(spec)] == [_bits(res) for res in expected]
 
 
-#: the source builder each protocol's sweep calls, looked up on the module
-SOURCE_BUILDER = {
-    ProtocolKind.FOUR_PHOTON: "spatially_entangled_state",
-    ProtocolKind.TWO_PHOTON: "spatially_entangled_state",
-    ProtocolKind.INDEPENDENT_PAIRS: "independent_pairs_state",
-}
+#: the Fock builders a sweep does not call: it reads its density off the
+#: process's source blocks, through ``_block_density``, once
+SOURCE_BUILDERS = ("spatially_entangled_state", "independent_pairs_state", "to_density")
 
 
 @pytest.mark.parametrize("points", [1, 3, 51])
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
-    calls = dict.fromkeys(("spatially_entangled_state", "independent_pairs_state", "to_density"), 0)
+    calls = dict.fromkeys(SOURCE_BUILDERS + ("_block_density",), 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(protocol_module, name)):
@@ -292,8 +303,88 @@ def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
     results = sweep(SweepSpec(grid, r=0.9, phi=0.45, protocol=kind))
     assert [res.s for res in results] == list(grid)
     expected = dict.fromkeys(calls, 0)
-    expected.update({SOURCE_BUILDER[kind]: 1, "to_density": 1})
+    expected["_block_density"] = 1
     assert calls == expected
+
+
+#: the (r, phi) grid on which the block read must match the Fock build
+BLOCK_GRID_R = (0, 1e-9, 0.3, 0.7, 0.9, 0.95, 1)
+BLOCK_GRID_PHI = (0, 0.45, math.acos(0.95), 2, math.pi - 1e-9, math.pi)
+
+
+def _assert_block_read_matches_the_fock_build(r, phi, pairs):
+    source = SourceParams(r, phi, pairs)
+    blocks = protocol_module._SOURCE_BLOCKS[pairs]
+    read = protocol_module._block_density(blocks, source.r, source.phi).entries
+    built = to_density(spatially_entangled_state(source)).entries
+    assert read.keys() == built.keys()
+    assert max(abs(read[key] - built[key]) for key in built) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "pairs, rows, exact",
+    [
+        (1, 16, (Fraction(1, 2), Fraction(1, 2))),
+        (2, 100, (Fraction(3, 10), Fraction(2, 5), Fraction(3, 10))),
+    ],
+)
+def test_source_block_traces_are_exact(pairs, rows, exact):
+    """tr(B_kk) is (2, 2)/4 for one pair and (12, 16, 12)/40 for two."""
+    blocks = protocol_module._SOURCE_BLOCKS[pairs]
+    assert len(blocks.rows) == rows  # one per pair of kets
+    assert len(blocks.traces) == len(exact)
+    for value, fraction in zip(blocks.traces, exact):
+        assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, None])
+def test_source_blocks_are_hermitian(pairs):
+    """B_kj is B_jk's adjoint, entry for entry and exactly."""
+    rows = {(ket, bra): (v, j, k) for ket, bra, v, j, k in protocol_module._SOURCE_BLOCKS[pairs].rows}
+    for (ket, bra), (v, j, k) in rows.items():
+        assert rows[(bra, ket)] == (v.conjugate(), k, j)
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_block_read_matches_the_fock_build_on_the_grid(pairs):
+    for r in BLOCK_GRID_R:
+        for phi in BLOCK_GRID_PHI:
+            _assert_block_read_matches_the_fock_build(r, phi, pairs)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    r=st.floats(min_value=0.0, max_value=1.0),
+    phi=st.floats(min_value=-10.0, max_value=10.0),
+    pairs=st.sampled_from([1, 2]),
+)
+def test_block_read_matches_the_fock_build_at_random_points(r, phi, pairs):
+    _assert_block_read_matches_the_fock_build(r, phi, pairs)
+
+
+def test_independent_pairs_density_is_the_fock_build_exactly():
+    blocks = protocol_module._SOURCE_BLOCKS[None]
+    built = to_density(independent_pairs_state()).entries
+    assert blocks.traces == (1.0,)
+    assert {(ket, bra): v for ket, bra, v, _, _ in blocks.rows} == built
+    assert protocol_module._block_density(blocks, 1.0, 0.0).entries == built
+
+
+def test_runs_build_no_fock_state(monkeypatch):
+    """A run reads its density off the blocks: no ``PureState``, no
+    ``create`` and no ``to_density``."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a run built a Fock state")
+
+    monkeypatch.setattr(fock_module.PureState, "__init__", fail)
+    monkeypatch.setattr(fock_module.PureState, "_trusted", classmethod(fail))
+    for module, name in [(fock_module, "create"), (source_module, "create"),
+                         (fock_module, "to_density"), (protocol_module, "to_density")]:
+        monkeypatch.setattr(module, name, fail)
+    for kind in ProtocolKind:
+        assert run_direct(kind, 0.9, 0.45, 0.5).p_success > 0.0
+        assert len(sweep(SweepSpec((0.0, 0.5, 1.0), 0.9, 0.45, kind))) == 3
 
 
 def test_sweep_spec_validation():
@@ -308,6 +399,22 @@ def test_sweep_spec_validation():
     for protocol in ("bogus", None):
         with pytest.raises(ValueError):
             SweepSpec((0.5,), protocol=protocol)
+
+
+def test_sweep_spec_messages_name_the_first_offence():
+    """A bad value or pair in a 10^5-point grid is named with its index; the
+    message no longer prints the whole grid."""
+    grid = list(linear_grid(0.0, 1.0, 100_000))
+    out_of_range = grid[:70_000] + [1.5] + grid[70_001:]
+    with pytest.raises(ValueError, match="s values must be numbers") as caught:
+        SweepSpec(out_of_range)
+    assert "1.5 at index 70000" in str(caught.value)
+    assert len(str(caught.value)) <= 120
+    repeated = grid[:40_000] + [grid[39_999]] + grid[40_001:]
+    with pytest.raises(ValueError, match="strictly increasing") as caught:
+        SweepSpec(repeated)
+    assert f"{grid[39_999]!r} then {grid[39_999]!r} at index 40000" in str(caught.value)
+    assert len(str(caught.value)) <= 120
 
 
 @pytest.mark.parametrize("s", [None, "0.5", 0.5j, Decimal("0.5")])
