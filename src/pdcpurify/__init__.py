@@ -1,14 +1,7 @@
 """Fock-space simulation of polarizing-beam-splitter entanglement
 purification for a two-pass down-conversion photon-pair source."""
 
-from .analysis import (
-    BOTH_DOWN,
-    BOTH_UP,
-    FOUR_MODE,
-    pair_fidelity,
-    project,
-    schmidt,
-)
+from .analysis import schmidt
 from .channel import depolarize_alice, depolarize_partial
 from .fock import (
     MODES,
@@ -23,6 +16,9 @@ from .fock import (
 )
 from .optics import apply_pbs
 from .protocol import (
+    BOTH_DOWN,
+    BOTH_UP,
+    FOUR_MODE,
     ProtocolKind,
     ProtocolResult,
     SweepSpec,
@@ -60,8 +56,6 @@ __all__ = [
     "independent_pairs_state",
     "input_fidelity",
     "linear_grid",
-    "pair_fidelity",
-    "project",
     "run_four_photon",
     "run_independent_pairs",
     "run_two_photon",

@@ -12,7 +12,7 @@ that is intentional.
 
 from __future__ import annotations
 
-from .fock import DensityOperator, Occupations, SpatialMode, _in_range, _pruned
+from .fock import DensityOperator, Occupations, SpatialMode, in_range, pruned, shown
 
 
 def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
@@ -35,10 +35,12 @@ def depolarize_partial(
     An ``s`` that is not a number in [0, 1] (``None``, ``"0.5"``, ``True``)
     and a ``target`` that is not a ``SpatialMode`` raise ``ValueError``.
     """
-    if not _in_range(s):
-        raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
+    if not in_range(s):
+        raise ValueError(
+            f"survival probability s must be a number in [0, 1], got {shown(s)}"
+        )
     if not isinstance(target, SpatialMode):
-        raise ValueError(f"target must be a SpatialMode, got {target!r}")
+        raise ValueError(f"target must be a SpatialMode, got {shown(target)}")
     h, v = target.value
     out = {key: s * value for key, value in rho.entries.items()}
     for (ket, bra), value in rho.entries.items():
@@ -50,7 +52,7 @@ def depolarize_partial(
         for k in range(n + 1):
             key = (_with_pair(ket, h, v, k, n - k), _with_pair(bra, h, v, k, n - k))
             out[key] = out.get(key, 0.0) + share
-    return DensityOperator._trusted(_pruned(out))
+    return DensityOperator._trusted(pruned(out))
 
 
 def depolarize_alice(rho: DensityOperator, s: float) -> DensityOperator:

@@ -10,15 +10,18 @@ Every stored value is complex, finite and of modulus at least ``PRUNE_TOL``.
 The public constructors convert, check and prune what they are given.  A map
 the package builds itself from valid keys is wrapped by ``_trusted`` as it
 is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
-quotient or a sum) prunes its result, once, after the whole map is built:
-``to_density``, ``PureState.scaled``, the channel, the source's pair
-emission and the protocols' read of the source density off its fixed
-lambda-blocks.  No builder prunes a term before it is summed, and no other
-module of the package reads ``PRUNE_TOL``.  A
-relabeling (the PBS), a subset (``project``), ``create`` (it scales values of
-modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and the fixed
-readout maps of ``analysis`` (exact sums of +-1/2^n, whose zeros they drop)
-cannot, so they do not prune.
+quotient or a sum) prunes its result, once, through ``pruned``, after the
+whole map is built: ``to_density``, ``PureState.scaled``, the channel, the
+source's pair emission and the protocols' read of the source density off its
+fixed lambda-blocks.  No builder prunes a term before it is summed, and no
+other module of the package reads ``PRUNE_TOL``.  A relabeling (the PBS),
+``create`` (it scales values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1,
+on distinct keys) and the fixed readout maps of ``protocol`` (exact sums of
++-1/2^n, whose zeros they drop) cannot, so they do not prune.
+
+``in_range``, ``pruned`` and ``shown`` are the package's shared input check,
+pruning rule and message formatter; the other modules import them, and
+``pdcpurify`` does not export them.
 """
 
 from __future__ import annotations
@@ -79,12 +82,7 @@ class SpatialMode(Enum):
 Occupations = tuple[int, ...]
 
 
-def spatial_totals(occ: Occupations) -> tuple[int, int, int, int]:
-    """Photon count per spatial mode, ordered (a1, a2, b1, b2)."""
-    return (occ[0] + occ[1], occ[2] + occ[3], occ[4] + occ[5], occ[6] + occ[7])
-
-
-def _in_range(value, test=lambda x: 0.0 <= x <= 1.0) -> bool:
+def in_range(value, test=lambda x: 0.0 <= x <= 1.0) -> bool:
     """``test(value)``, by default 0 <= value <= 1; False for a bool, for a value
     that does not multiply with a complex number (a ``Decimal``), or where the
     test raises ``TypeError`` or ``OverflowError`` (no float-sized number)."""
@@ -97,18 +95,37 @@ def _in_range(value, test=lambda x: 0.0 <= x <= 1.0) -> bool:
         return False
 
 
+#: the longest repr ``shown`` puts into a message
+_SHOWN_LIMIT = 80
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a rejection message, cut to ``_SHOWN_LIMIT``
+    characters; where the repr fails (an int past Python's 4300-digit limit)
+    the value is named by its type, so the message still says what it rejects."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+    if len(text) > _SHOWN_LIMIT:
+        return text[: _SHOWN_LIMIT - 3] + "..."
+    return text
+
+
 def _clean_key(occ: Iterable[int]) -> Occupations:
     key = tuple(occ)
     if len(key) != N_MODES:
-        raise ValueError(f"occupation tuple must have {N_MODES} entries, got {key}")
+        raise ValueError(
+            f"occupation tuple must have {N_MODES} entries, got {shown(key)}"
+        )
     try:
         counts = tuple(int(n) for n in key)
     except (TypeError, ValueError, OverflowError):
         counts = None
     if counts is None or counts != key:
-        raise ValueError(f"non-integral occupation in {key}")
+        raise ValueError(f"non-integral occupation in {shown(key)}")
     if any(n < 0 for n in counts):
-        raise ValueError(f"negative occupation in {key}")
+        raise ValueError(f"negative occupation in {shown(key)}")
     return counts
 
 
@@ -119,12 +136,12 @@ def _finite(values: dict) -> dict:
     for key, value in values.items():
         v = complex(value)
         if not cmath.isfinite(v):
-            raise ValueError(f"value {value!r} at {key} is not finite")
+            raise ValueError(f"value {shown(value)} at {shown(key)} is not finite")
         out[key] = v
     return out
 
 
-def _pruned(values: dict) -> dict:
+def pruned(values: dict) -> dict:
     """The entries of ``values`` (complex) at or above ``PRUNE_TOL``, in order."""
     return {key: v for key, v in values.items() if abs(v) >= PRUNE_TOL}
 
@@ -139,20 +156,21 @@ class PureState:
         amplitudes: dict[Occupations, complex],
         sector: int | None = None,
     ):
-        pruned: dict[Occupations, complex] = {}
-        for occ, value in _pruned(_finite(amplitudes)).items():
+        checked: dict[Occupations, complex] = {}
+        for occ, value in pruned(_finite(amplitudes)).items():
             key = _clean_key(occ)
             total = sum(key)
             if sector is None:
                 sector = total
             elif total != sector:
                 raise ValueError(
-                    f"term {key} has {total} photons, expected sector {sector}"
+                    f"term {shown(key)} has {shown(total)} photons, "
+                    f"expected sector {shown(sector)}"
                 )
-            pruned[key] = value
+            checked[key] = value
         if sector is None:
             raise ValueError("sector is required for a state without terms")
-        self.amplitudes = pruned
+        self.amplitudes = checked
         self.sector = int(sector)
 
     @classmethod
@@ -179,7 +197,7 @@ class PureState:
 
     def scaled(self, factor: complex) -> "PureState":
         return PureState._trusted(
-            _pruned({occ: factor * amp for occ, amp in self.amplitudes.items()}),
+            pruned({occ: factor * amp for occ, amp in self.amplitudes.items()}),
             self.sector,
         )
 
@@ -219,16 +237,16 @@ class DensityOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
-        pruned: dict[tuple[Occupations, Occupations], complex] = {}
-        for (ket, bra), v in _pruned(_finite(entries)).items():
+        checked: dict[tuple[Occupations, Occupations], complex] = {}
+        for (ket, bra), v in pruned(_finite(entries)).items():
             k = _clean_key(ket)
             b = _clean_key(bra)
             if sum(k) != sum(b):
                 raise ValueError(
-                    f"entry ({k}, {b}) mixes different photon totals"
+                    f"entry ({shown(k)}, {shown(b)}) mixes different photon totals"
                 )
-            pruned[(k, b)] = v
-        self.entries = pruned
+            checked[(k, b)] = v
+        self.entries = checked
 
     @classmethod
     def _trusted(
@@ -262,4 +280,4 @@ def to_density(state: PureState) -> DensityOperator:
         for ki, ai in state.amplitudes.items()
         for kj, aj in state.amplitudes.items()
     }
-    return DensityOperator._trusted(_pruned(entries))
+    return DensityOperator._trusted(pruned(entries))

@@ -3,14 +3,16 @@
 The polarizing beam splitter on one side combines the two spatial modes; it
 transmits H and reflects V, which with our output labeling exchanges the H
 occupations of spatial modes 1 and 2 while leaving V untouched.  It is a
-lossless, phase-free permutation of basis states.
+lossless, phase-free permutation of basis states, applied to density
+operators; the package's one use is ``protocol._in_front``, which moves the
+fixed readout maps through both beam splitters at import.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .fock import DensityOperator, PureState, Side
+from .fock import DensityOperator, Side, shown
 
 #: each side's PBS as a fixed permutation of the eight mode indices: the H
 #: modes of its upper and lower spatial mode (a1H/a2H, b1H/b2H) trade places
@@ -20,21 +22,16 @@ _PBS = {
 }
 
 
-def apply_pbs(
-    state: PureState | DensityOperator, side: Side
-) -> PureState | DensityOperator:
+def apply_pbs(rho: DensityOperator, side: Side) -> DensityOperator:
     """Send one side's two spatial modes through its polarizing beam splitter.
 
-    Works on pure states and on density operators (conjugation on both
-    sides).  Unitary, involutive, photon-number preserving.  ``side`` must be
-    a ``Side``: anything else, such as the string ``"alice"``, raises ``ValueError``.
+    Conjugates ``rho`` on both sides: every ket and bra is relabeled.  Unitary,
+    involutive, photon-number preserving.  ``side`` must be a ``Side``:
+    anything else, such as the string ``"alice"``, raises ``ValueError``.
     """
     if not isinstance(side, Side):
-        raise ValueError(f"side must be a Side, got {side!r}")
+        raise ValueError(f"side must be a Side, got {shown(side)}")
     swap = _PBS[side]
     # a permutation of valid keys: no term merges, no key needs checking
-    if isinstance(state, PureState):
-        amplitudes = {swap(occ): amp for occ, amp in state.amplitudes.items()}
-        return PureState._trusted(amplitudes, state.sector)
-    entries = {(swap(ket), swap(bra)): v for (ket, bra), v in state.entries.items()}
+    entries = {(swap(ket), swap(bra)): v for (ket, bra), v in rho.entries.items()}
     return DensityOperator._trusted(entries)

@@ -4,11 +4,14 @@ Three experiments share the same plumbing: source state -> depolarizing
 channels on Alice's spatial modes -> polarizing beam splitters on both sides
 -> post-selection on a detection pattern -> polarization fidelity of the
 surviving pair(s).  A pattern's probability and a fidelity's witness sum are
-each Tr(A rho) for a fixed map A behind the beam splitters; these permute
-basis states, so A is moved in front of them once and a point reads two fixed
-maps out after the channel.  The source density is a fixed polynomial in
-lambda = r e^(i phi): each entry carries lambda^j conj(lambda)^k, with j and k
-the pairs its ket and bra emit into the lower modes, so the process builds
+each Tr(A rho) for a fixed map A behind the beam splitters: the pattern's
+diagonal projector, or a Bell witness on it.  This module holds the patterns
+and builds each A once, at import, from its defining kets; the beam splitters
+permute basis states, so A is moved in front of them once and a point reads
+two fixed maps out after the channel.  The source density is a fixed
+polynomial in lambda = r e^(i phi): each entry carries lambda^j
+conj(lambda)^k, with j and k the pairs its ket and bra emit into the lower
+modes, so the process builds
 the r = 1, phi = 0 density once per source, split into these blocks, and
 reads the density at any (r, phi) off them with no Fock build.  So the three
 pipelines differ only in data: each is one row of ``_PROTOCOLS`` (source,
@@ -26,29 +29,35 @@ import cmath
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
+from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 
-from .analysis import (
-    BOTH_UP,
-    FOUR_MODE,
-    ZERO_PROBABILITY,
-    _BOTH_UP_WITNESS,
-    _MEASURED_OUT_WITNESS,
-    _UPPER_WITNESS,
-    _projector,
-)
 from .channel import depolarize_alice
 from .fock import (
+    MODES,
     DensityOperator,
     Mode,
     Occupations,
     Side,
-    _in_range,
-    _pruned,
+    SpatialMode,
+    in_range,
+    pruned,
+    shown,
     to_density,
 )
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
+
+#: pattern probabilities at or below this count as "never happens"
+ZERO_PROBABILITY = 1e-12
+
+#: one photon in every spatial mode behind the beam splitters
+FOUR_MODE = frozenset({(1, 1, 1, 1)})
+#: both photons in the upper spatial modes
+BOTH_UP = frozenset({(1, 0, 1, 0)})
+#: both photons in the lower spatial modes (no run reads it: see the mirror
+#: note at ``_PROTOCOLS``); ``BOTH_UP | BOTH_DOWN`` is two-photon's selection
+BOTH_DOWN = frozenset({(0, 1, 0, 1)})
 
 
 class ProtocolKind(Enum):
@@ -96,9 +105,62 @@ def input_fidelity(s: float) -> float:
     An ``s`` that is not a number in [0, 1] (``2.0``, NaN, ``True``, ``"0.5"``)
     raises ``ValueError``.
     """
-    if not _in_range(s):
-        raise ValueError(f"survival probability s must be a number in [0, 1], got {s!r}")
+    if not in_range(s):
+        raise ValueError(
+            f"survival probability s must be a number in [0, 1], got {shown(s)}"
+        )
     return (1.0 + 3.0 * s) / 4.0
+
+
+def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> DensityOperator:
+    """The sum of |k><k| / <k|k> over ``kets``, each a product of factors
+    {the modes of its photons: +-1} on disjoint modes.  Every term is +-1 over
+    a power of two, so the sums are exact and a cancelled entry is left out."""
+    total: dict = {}
+    for factors in kets:
+        ket = {(): 1}
+        for factor in factors:
+            ket = {m + n: a * b for m, a in ket.items() for n, b in factor.items()}
+        ket = {tuple(map(photons.count, MODES)): a for photons, a in ket.items()}
+        for (k, a), (b, c) in product(ket.items(), repeat=2):
+            total[k, b] = total.get((k, b), 0) + a * c / len(ket)
+    return DensityOperator._trusted({key: complex(v) for key, v in total.items() if v})
+
+
+def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator:
+    """The diagonal projector onto a detection pattern, so that Tr(P rho) is
+    the pattern's probability: onto each way of placing each spatial mode's
+    count of photons on its H and V modes."""
+    modes = [spatial.value for spatial in SpatialMode]
+    return _onto(
+        [{photons: 1} for photons in split]
+        for counts in pattern
+        for split in product(*map(combinations_with_replacement, modes, counts))
+    )
+
+
+#: |HH> + sign |VV> on (a1, b1), unnormalized: Phi+ for sign 1, Phi- for -1
+_PHI = {sign: {(Mode.A1H, Mode.B1H): 1, (Mode.A1V, Mode.B1V): sign} for sign in (1, -1)}
+#: |Phi+><Phi+| on (a1, b1) times the identity on one photon in each of a2
+#: and b2: the upper pair's Bell witness on the four-mode pattern (16 entries)
+_UPPER_WITNESS = _onto(
+    (_PHI[1], {(a,): 1}, {(b,): 1})
+    for a in SpatialMode.A2.value
+    for b in SpatialMode.B2.value
+)
+#: |Phi+><Phi+| on (a1, b1) times the vacuum of a2 and b2: the upper pair's
+#: Bell witness on the both-up pattern (4 entries)
+_BOTH_UP_WITNESS = _onto([(_PHI[1],)])
+#: The lower photons measured at 45 degrees, onto |H> + x|V> (a2) and
+#: |H> + y|V> (b2) for x, y = +-1, with a phase flip Z on a1 when x != y.  Z
+#: turns Phi+ into Phi-, so a branch's overlap with Phi+ is
+#: <Phi_xy, x, y| rho |Phi_xy, x, y> with Phi_xy = Phi+ if x = y, else Phi-;
+#: the witness sums the four branches (16 entries).
+_MEASURED_OUT_WITNESS = _onto(
+    (_PHI[x * y], {(Mode.A2H,): 1, (Mode.A2V,): x}, {(Mode.B2H,): 1, (Mode.B2V,): y})
+    for x in (1, -1)
+    for y in (1, -1)
+)
 
 
 def _in_front(behind: DensityOperator) -> DensityOperator:
@@ -169,7 +231,7 @@ def _block_density(blocks: _Blocks, r: float, phi: float) -> DensityOperator:
     norm = sum(t * r ** (2 * k) for k, t in enumerate(blocks.traces))
     weights = [[up * down.conjugate() / norm for down in powers] for up in powers]
     return DensityOperator._trusted(
-        _pruned({(ket, bra): v * weights[j][k] for ket, bra, v, j, k in blocks.rows})
+        pruned({(ket, bra): v * weights[j][k] for ket, bra, v, j, k in blocks.rows})
     )
 
 
@@ -261,8 +323,8 @@ def bbpssw_fidelity(f: float) -> float:
     and 1.  Valid for f in [1/4, 1]; anything else, a bool or a ``Decimal``
     included, raises ``ValueError``.
     """
-    if not _in_range(f, lambda x: 0.25 <= x <= 1.0):
-        raise ValueError(f"input fidelity must be in [0.25, 1], got {f!r}")
+    if not in_range(f, lambda x: 0.25 <= x <= 1.0):
+        raise ValueError(f"input fidelity must be in [0.25, 1], got {shown(f)}")
     rest = (1.0 - f) / 3.0
     numerator = f * f + rest * rest
     denominator = f * f + 2.0 * f * rest + 5.0 * rest * rest
@@ -291,15 +353,15 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
         if not s_values:
             raise ValueError("s grid must not be empty")
         for i, s in enumerate(s_values):
-            if not _in_range(s):
+            if not in_range(s):
                 raise ValueError(
-                    f"s values must be numbers in [0, 1], got {s!r} at index {i}"
+                    f"s values must be numbers in [0, 1], got {shown(s)} at index {i}"
                 )
         for i in range(1, len(s_values)):
             if s_values[i] <= s_values[i - 1]:
                 raise ValueError(
-                    f"s grid must be strictly increasing, got {s_values[i - 1]!r} "
-                    f"then {s_values[i]!r} at index {i}"
+                    f"s grid must be strictly increasing, got {shown(s_values[i - 1])} "
+                    f"then {shown(s_values[i])} at index {i}"
                 )
         SourceParams(r, phi)  # r and phi follow the source's rule
         return super().__new__(cls, s_values, r, phi, ProtocolKind(protocol))
@@ -318,10 +380,12 @@ def sweep(spec: SweepSpec) -> list[ProtocolResult]:
 def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
     """Evenly spaced s grid from exactly s_min to exactly s_max, held in memory."""
     if type(steps) is not int:
-        raise ValueError(f"steps must be an int, got {steps!r}")
+        raise ValueError(f"steps must be an int, got {shown(steps)}")
     if not 2 <= steps <= 1_000_000:
-        raise ValueError(f"steps must be in [2, 1000000], got {steps}")
-    if not (_in_range(s_min) and _in_range(s_max) and s_min < s_max):
-        raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
+        raise ValueError(f"steps must be in [2, 1000000], got {shown(steps)}")
+    if not (in_range(s_min) and in_range(s_max) and s_min < s_max):
+        raise ValueError(
+            f"need 0 <= s_min < s_max <= 1, got [{shown(s_min)}, {shown(s_max)}]"
+        )
     step = (s_max - s_min) / (steps - 1)
     return tuple(s_min + i * step for i in range(steps - 1)) + (s_max,)

@@ -14,7 +14,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .fock import Mode, PureState, _in_range, _pruned, create, vacuum
+from .fock import Mode, PureState, create, in_range, pruned, shown, vacuum
 
 
 class SourceParams(namedtuple("SourceParams", "r phi pairs")):
@@ -32,12 +32,12 @@ class SourceParams(namedtuple("SourceParams", "r phi pairs")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, r: float = 1.0, phi: float = 0.0, pairs: int = 1):
-        if not _in_range(r):
-            raise ValueError(f"r must be a number in [0, 1], got {r!r}")
-        if not _in_range(phi, math.isfinite):
-            raise ValueError(f"phi must be a finite number, got {phi!r}")
+        if not in_range(r):
+            raise ValueError(f"r must be a number in [0, 1], got {shown(r)}")
+        if not in_range(phi, math.isfinite):
+            raise ValueError(f"phi must be a finite number, got {shown(phi)}")
         if type(pairs) is not int or pairs not in (1, 2):
-            raise ValueError(f"pairs must be the int 1 or 2, got {pairs!r}")
+            raise ValueError(f"pairs must be the int 1 or 2, got {shown(pairs)}")
         return super().__new__(cls, r, phi % (2.0 * math.pi), pairs)
 
 
@@ -59,7 +59,7 @@ def _emit_pair(state: PureState, upper: complex, lower: complex) -> PureState:
     for alice, bob, weight in channels:
         for occ, amp in create(bob, create(alice, state)).amplitudes.items():
             out[occ] = out.get(occ, 0.0) + weight * amp
-    return PureState._trusted(_pruned(out), state.sector + 2)
+    return PureState._trusted(pruned(out), state.sector + 2)
 
 
 def spatially_entangled_state(params: SourceParams) -> PureState:

@@ -245,6 +245,31 @@ def two_photon_reference(r, phi, s):
     return p_up + p_down, float(np.real(weighted)) / (p_up + p_down)
 
 
+@_cached_matrix
+def measured_out_witness(n):
+    """The (a1, b1) Bell witness seen through the four-mode selection and the
+    45-degree measure-out, as one map on the transmitted state.
+
+    Each outcome branch measures (a2, b2) with G = M, or G = F M where the
+    outcomes differ (F the phase flip on a1), so its witness sum is
+    Tr(W G P rho P G^dagger) = Tr(P G^dagger W G P rho); the map is the sum
+    of P G^dagger W G P over the four branches.  It depends on no parameter,
+    so it is built once.
+    """
+    proj = pattern_projector(frozenset(FOUR_MODE), n)
+    flip = phase_flip_matrix(A1, n)
+    witness = bell_witness(A1, B1, n)
+    pulled_back = np.zeros_like(witness)
+    for sign_a in (1.0, -1.0):
+        for sign_b in (1.0, -1.0):
+            meas = diagonal_basis_projector(A2, sign_a, n)
+            meas = meas @ diagonal_basis_projector(B2, sign_b, n)
+            if sign_a != sign_b:
+                meas = flip @ meas
+            pulled_back += meas.conj().T @ witness @ meas
+    return proj @ pulled_back @ proj
+
+
 def independent_pairs_reference(s):
     vec = independent_pairs_vector()
     rho = np.outer(vec, vec.conj())
@@ -253,14 +278,5 @@ def independent_pairs_reference(s):
     rho = both_pbs(rho, 4)
     proj = pattern_projector(frozenset(FOUR_MODE), 4)
     p = float(np.real(trace_of_product(proj, rho)))
-    cond = proj @ rho @ proj / p
-    flip = phase_flip_matrix(A1, 4)
-    kept = np.zeros_like(cond)
-    for sign_a in (1.0, -1.0):
-        for sign_b in (1.0, -1.0):
-            meas = diagonal_basis_projector(A2, sign_a, 4) @ diagonal_basis_projector(B2, sign_b, 4)
-            branch = meas @ cond @ meas.conj().T
-            if sign_a != sign_b:
-                branch = flip @ branch @ flip
-            kept += branch
-    return p, float(np.real(trace_of_product(bell_witness(A1, B1, 4), kept)))
+    weighted = float(np.real(trace_of_product(measured_out_witness(4), rho)))
+    return p, weighted / p

@@ -1,5 +1,5 @@
-"""State builders, error injections and dense references that only the
-tests use."""
+"""State builders, error injections, the forward readout and dense
+references that only the tests use."""
 
 import math
 from operator import itemgetter
@@ -16,14 +16,13 @@ from pdcpurify import (
     SpatialMode,
     create,
     depolarize_partial,
-    project,
     run_four_photon,
     run_independent_pairs,
     run_two_photon,
     vacuum,
 )
-from pdcpurify.analysis import ZERO_PROBABILITY
-from pdcpurify.fock import PRUNE_TOL, _pruned
+from pdcpurify.fock import PRUNE_TOL, pruned
+from pdcpurify.protocol import ZERO_PROBABILITY
 
 
 #: F, exchanging H and V in every spatial mode, as a map of mode indices
@@ -40,7 +39,7 @@ MIRROR = itemgetter(2, 3, 0, 1, 6, 7, 4, 5)
 def scaled(rho, factor):
     """``rho`` with every entry multiplied by ``factor``."""
     return DensityOperator._trusted(
-        _pruned({key: factor * v for key, v in rho.entries.items()})
+        pruned({key: factor * v for key, v in rho.entries.items()})
     )
 
 
@@ -50,7 +49,7 @@ def added(*operators):
     for rho in operators:
         for key, v in rho.entries.items():
             out[key] = out.get(key, 0.0) + v
-    return DensityOperator._trusted(_pruned(out))
+    return DensityOperator._trusted(pruned(out))
 
 
 def superposed(first, *others):
@@ -61,7 +60,7 @@ def superposed(first, *others):
             raise ValueError(f"sector mismatch: {first.sector} vs {state.sector}")
         for occ, amp in state.amplitudes.items():
             out[occ] = out.get(occ, 0.0) + amp
-    return PureState._trusted(_pruned(out), first.sector)
+    return PureState._trusted(pruned(out), first.sector)
 
 
 def allclose(x, y, tol=1e-12):
@@ -70,6 +69,85 @@ def allclose(x, y, tol=1e-12):
         abs(x.entries.get(key, 0.0) - y.entries.get(key, 0.0)) <= tol
         for key in set(x.entries) | set(y.entries)
     )
+
+
+def spatial_totals(occ):
+    """Photon count per spatial mode, ordered (a1, a2, b1, b2)."""
+    return (occ[0] + occ[1], occ[2] + occ[3], occ[4] + occ[5], occ[6] + occ[7])
+
+
+def project(rho, selection):
+    """Project onto a detection pattern, without renormalizing.
+
+    The forward reference for the compiled pattern projectors.  ``selection``
+    holds photon-count tuples over (a1, a2, b1, b2), such as a frozenset, and
+    is read once, so an iterator works too; a basis state matches when its
+    per-spatial-mode totals (H plus V) are a member.  The entries whose ket
+    and bra both match are kept unchanged, so the map is linear and the
+    result's trace is the pattern's probability.  A pattern that is not a
+    tuple of four non-negative ints raises ``ValueError``, which names it and
+    the selection as read.
+    """
+    patterns = tuple(selection)
+    for p in patterns:
+        if type(p) is not tuple or [type(n) for n in p] != [int] * 4 or min(p) < 0:
+            raise ValueError(
+                f"selection needs tuples of four ints >= 0, got {p!r} in "
+                f"{patterns!r} (a single pattern must be wrapped in a set)"
+            )
+    selection = frozenset(patterns)
+    return DensityOperator._trusted({
+        (ket, bra): value
+        for (ket, bra), value in rho.entries.items()
+        if spatial_totals(ket) in selection and spatial_totals(bra) in selection
+    })
+
+
+def polarization_bit(occ, spatial):
+    """Polarization qubit of a spatial mode holding one photon: H = 0, V = 1.
+
+    Raises ``ValueError`` unless the mode holds exactly one photon.
+    """
+    h, v = spatial.value
+    pair = (occ[h], occ[v])
+    if pair == (1, 0):
+        return 0
+    if pair == (0, 1):
+        return 1
+    raise ValueError(
+        f"support occupation {occ} does not carry one photon in spatial mode "
+        f"{spatial.name.lower()}"
+    )
+
+
+def pair_fidelity(rho, alice, bob):
+    """Overlap of the (alice, bob) photon pair with (|HH> + |VV>)/sqrt(2).
+
+    The forward reference for the compiled Bell witnesses: Tr(W rho) for the
+    witness W = |Phi+><Phi+| on the pair times the identity on the other six
+    modes.  An entry contributes half its real part when those six modes
+    agree on ket and bra and ket and bra each hold HH or VV on the pair;
+    every other entry has weight 0.  An entry whose other modes agree but
+    whose ket or bra lacks one photon in each of the pair's spatial modes
+    raises ``ValueError``, and so does an ``alice`` or ``bob`` that is not a
+    ``SpatialMode``.  The result scales with the trace of ``rho``.
+    """
+    for name, spatial in (("alice", alice), ("bob", bob)):
+        if not isinstance(spatial, SpatialMode):
+            raise ValueError(f"{name} must be a SpatialMode, got {spatial!r}")
+    if alice == bob:
+        raise ValueError(f"a pair needs two spatial modes, got {alice} twice")
+    kept = {*alice.value, *bob.value}
+    others = itemgetter(*(m for m in MODES if m not in kept))
+    total = 0.0
+    for (ket, bra), value in rho.entries.items():
+        if others(ket) != others(bra):
+            continue
+        ket_aligned = polarization_bit(ket, alice) == polarization_bit(ket, bob)
+        bra_aligned = polarization_bit(bra, alice) == polarization_bit(bra, bob)
+        if ket_aligned and bra_aligned:
+            total += value.real
+    return 0.5 * total
 
 
 def postselect(rho, selection):

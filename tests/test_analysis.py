@@ -17,20 +17,22 @@ from pdcpurify import (
     apply_pbs,
     depolarize_partial,
     independent_pairs_state,
-    pair_fidelity,
-    project,
     schmidt,
     spatially_entangled_state,
     to_density,
 )
 from pdcpurify import analysis
+from pdcpurify.optics import _PBS
 from helpers import (
     depolarize_full,
     fidelity,
     ghz_state,
     ket,
+    map_basis,
     numpy_schmidt,
+    pair_fidelity,
     postselect,
+    project,
     reduce_to_pair,
     reduced_density_matrix,
     scaled,
@@ -236,8 +238,12 @@ def test_schmidt_product_state_has_zero_entropy():
 
 def test_schmidt_invariant_under_local_beam_splitters():
     state = spatially_entangled_state(SourceParams(r=0.85, phi=0.6, pairs=2))
+    # the PBS relabels basis states: the ket it sends ``state`` to is ``state``
+    # relabeled by the permutation that ``apply_pbs`` applies to its density
+    sent = map_basis(state, _PBS[Side.ALICE])
+    assert to_density(sent).entries == apply_pbs(to_density(state), Side.ALICE).entries
     _, before = schmidt(state, ALICE_MODES, BOB_MODES)
-    _, after = schmidt(apply_pbs(state, Side.ALICE), ALICE_MODES, BOB_MODES)
+    _, after = schmidt(sent, ALICE_MODES, BOB_MODES)
     assert after == pytest.approx(before, abs=1e-10)
 
 

@@ -204,7 +204,7 @@ def test_flipped_upper_component_never_passes_selection():
     # a flipped photon always exits on the opposite level from its partner
     upper_only = spatially_entangled_state(SourceParams(r=0, phi=0, pairs=1))
     flipped = inject_bitflip(upper_only, SpatialMode.A1)
-    rho = to_density(apply_pbs(apply_pbs(flipped, Side.ALICE), Side.BOB))
+    rho = apply_pbs(apply_pbs(to_density(flipped), Side.ALICE), Side.BOB)
     probability, conditional = postselect(rho, BOTH_UP | BOTH_DOWN)
     assert probability <= 1e-12
     assert conditional is None

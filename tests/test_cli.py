@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pdcpurify
 from helpers import run_direct
 from pdcpurify import ProtocolKind, ProtocolResult, bbpssw_fidelity, run_four_photon
 from pdcpurify import cli
@@ -205,6 +208,50 @@ def test_readme_sweeps_reproduce_the_committed_files(name, tmp_path, capsys):
                 assert cell == want
             else:
                 assert abs(float(cell) - float(want)) <= 1e-12
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_version_note_quotes_what_run_prints(capsys):
+    """The README's example of a last-bit difference between Python versions
+    quotes a command, the p_success it prints and the version that was
+    measured; on that version the command prints exactly that text."""
+    note = re.search(
+        r"`pdcpurify (run [^`]+)`\s+prints `(\"p_success\": [^`]+)` under Python "
+        r"(\d+\.\d+\.\d+)",
+        README,
+    )
+    assert note, "the README no longer quotes a run and its p_success"
+    command, printed, version = note.groups()
+    if platform.python_version() != version:
+        pytest.skip(f"the README quotes what Python {version} prints")
+    status, out, _ = run_cli(command.split(), capsys)
+    assert status == 0
+    assert f"  {printed}," in out.splitlines()
+
+
+def library_table():
+    """The README's library table: each module with the public names its row
+    lists."""
+    table = README.split("## Library layout", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        module, names, _ = line.strip("|").split(" | ", 2)
+        rows[module.strip(" `")] = re.findall(r"`(\w+)`", names)
+    return rows
+
+
+def test_readme_library_table_names_the_exported_names():
+    """``__all__`` and the README list the same public names, each in the row
+    of the module that defines it."""
+    rows = library_table()
+    listed = [name for names in rows.values() for name in names]
+    assert sorted(listed) == sorted(pdcpurify.__all__)
+    for module, names in rows.items():
+        home = importlib.import_module(f"pdcpurify.{module}")
+        for name in names:
+            assert getattr(home, name) is getattr(pdcpurify, name), (module, name)
 
 
 def test_sweep_output_is_byte_stable(tmp_path, capsys):

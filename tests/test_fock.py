@@ -12,7 +12,6 @@ from pdcpurify import (
     PureState,
     SourceParams,
     create,
-    project,
     spatially_entangled_state,
     to_density,
     vacuum,
@@ -20,6 +19,7 @@ from pdcpurify import (
 from helpers import (
     allclose,
     inner_product,
+    project,
     reduced_density_matrix,
     superposed,
     validate,

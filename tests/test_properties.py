@@ -20,10 +20,13 @@ from helpers import (
     depolarize_full,
     fidelity,
     measure_out_lower_pair,
+    pair_fidelity,
     postselect,
+    project,
     reduce_to_pair,
     run_direct,
     scaled,
+    spatial_totals,
 )
 from pdcpurify import (
     BOTH_DOWN,
@@ -41,17 +44,16 @@ from pdcpurify import (
     depolarize_alice,
     depolarize_partial,
     independent_pairs_state,
-    pair_fidelity,
-    project,
     run_four_photon,
     schmidt,
     spatially_entangled_state,
     to_density,
 )
-from pdcpurify.analysis import _BOTH_UP_WITNESS, _MEASURED_OUT_WITNESS, _projector
-from pdcpurify.fock import PRUNE_TOL, spatial_totals
+from pdcpurify.fock import PRUNE_TOL
 from pdcpurify.optics import _PBS
 from pdcpurify.protocol import (
+    _BOTH_UP_WITNESS,
+    _MEASURED_OUT_WITNESS,
     _P_BOTH_UP,
     _P_FOUR_MODE,
     _W_BOTH_UP,
@@ -59,6 +61,7 @@ from pdcpurify.protocol import (
     _W_UPPER,
     _expect,
     _in_front,
+    _projector,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -261,8 +264,8 @@ def _sent_into(pattern):
     (n,) = {sum(counts) for counts in pattern}
     kept = set()
     for occ in oracle.basis(n):
-        out = apply_pbs(apply_pbs(PureState({occ: 1.0}), Side.ALICE), Side.BOB)
-        (image,) = out.amplitudes
+        rho = to_density(PureState({occ: 1.0}))
+        ((image, _),) = apply_pbs(apply_pbs(rho, Side.ALICE), Side.BOB).entries
         if spatial_totals(image) in pattern:
             kept.add(occ)
     return kept
@@ -293,22 +296,6 @@ def _dense(a, n):
     return matrix
 
 
-def _oracle_measured_out_witness():
-    """The 45-degree measure-out witness from the oracle alone: the Bell
-    witness of (a1, b1) conjugated by each branch's measurement of (a2, b2)
-    onto |+/->|+/-> and, where the outcomes differ, the phase flip on a1,
-    summed over the four branches."""
-    flip = oracle.phase_flip_matrix(oracle.A1, 4)
-    witness = np.zeros_like(oracle.bell_witness(oracle.A1, oracle.B1, 4))
-    for sign_a, sign_b in itertools.product((1.0, -1.0), repeat=2):
-        branch = oracle.diagonal_basis_projector(oracle.A2, sign_a, 4)
-        branch = branch @ oracle.diagonal_basis_projector(oracle.B2, sign_b, 4)
-        if sign_a != sign_b:
-            branch = branch @ flip
-        witness += branch @ oracle.bell_witness(oracle.A1, oracle.B1, 4) @ branch.T
-    return witness
-
-
 def _oracle_maps():
     """Each compiled map with its photon number and the oracle's map behind
     the beam splitters: a pattern projector, or a witness on its pattern."""
@@ -319,7 +306,7 @@ def _oracle_maps():
         "both-up projector": (_P_BOTH_UP, 2, up),
         "upper witness": (_W_UPPER, 4, four @ oracle.bell_witness(oracle.A1, oracle.B1, 4) @ four),
         "both-up witness": (_W_BOTH_UP, 2, up @ oracle.bell_witness(oracle.A1, oracle.B1, 2) @ up),
-        "measure-out witness": (_W_MEASURED_OUT, 4, four @ _oracle_measured_out_witness() @ four),
+        "measure-out witness": (_W_MEASURED_OUT, 4, oracle.measured_out_witness(4)),
     }
 
 

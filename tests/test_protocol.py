@@ -22,6 +22,7 @@ from pdcpurify import (
     BOTH_UP,
     FOUR_MODE,
     MODES,
+    DensityOperator,
     Mode,
     ProtocolKind,
     ProtocolResult,
@@ -31,6 +32,7 @@ from pdcpurify import (
     SweepSpec,
     apply_pbs,
     bbpssw_fidelity,
+    depolarize_partial,
     independent_pairs_state,
     input_fidelity,
     run_four_photon,
@@ -458,6 +460,52 @@ def test_bools_are_no_numbers(value):
         run_four_photon(True, 0, False)
     with pytest.raises(ValueError, match="s_min"):
         linear_grid(False, True, 3)
+
+
+#: an int past Python's 4300-digit limit for printing ints
+HUGE = 10**5000
+#: each call that rejects a value whose repr fails or runs long, with the
+#: parameter its message names
+UNPRINTABLE = {
+    "SweepSpec s": (lambda: SweepSpec((HUGE,)), "s values must"),
+    "SweepSpec r": (lambda: SweepSpec((0.5,), r=HUGE), "r must"),
+    "SweepSpec long r": (lambda: SweepSpec((0.5,), r="0" * 10**6), "r must"),
+    "SourceParams pairs": (lambda: SourceParams(pairs=HUGE), "pairs must"),
+    "run_four_photon r": (lambda: run_four_photon(HUGE, 0, 0.5), "r must"),
+    "run_four_photon phi": (lambda: run_four_photon(0.9, HUGE, 0.5), "phi must"),
+    "run_two_photon s": (
+        lambda: run_two_photon(0.9, 0.4, HUGE), "survival probability s"
+    ),
+    "input_fidelity": (lambda: input_fidelity(HUGE), "survival probability s"),
+    "bbpssw_fidelity": (lambda: bbpssw_fidelity(HUGE), "input fidelity must"),
+    "depolarize_partial s": (
+        lambda: depolarize_partial(DensityOperator({}), SpatialMode.A1, HUGE),
+        "survival probability s",
+    ),
+    "depolarize_partial target": (
+        lambda: depolarize_partial(DensityOperator({}), HUGE, 0.5),
+        "target must",
+    ),
+    "apply_pbs side": (lambda: apply_pbs(DensityOperator({}), HUGE), "side must"),
+    "linear_grid steps": (lambda: linear_grid(0, 1, HUGE), "steps must"),
+    "linear_grid s_min": (lambda: linear_grid(-HUGE, 1, 3), "s_min"),
+    "DensityOperator key": (
+        lambda: DensityOperator({((-HUGE,) + (0,) * 7, (0,) * 8): 1.0}),
+        "negative occupation",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNPRINTABLE))
+def test_rejection_messages_are_bounded(name):
+    """A rejected value is shown by a bounded repr.  Formatted with ``!r``, an
+    int too long to print makes the message itself raise ``ValueError: Exceeds
+    the limit (4300 digits) for integer string conversion``, which names no
+    parameter."""
+    call, parameter = UNPRINTABLE[name]
+    with pytest.raises(ValueError, match=parameter) as caught:
+        call()
+    assert len(str(caught.value)) < 200
 
 
 def test_int_r_phi_and_s_accepted():

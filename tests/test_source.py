@@ -14,8 +14,7 @@ from pdcpurify import (
     spatially_entangled_state,
     vacuum,
 )
-from helpers import inner_product, map_basis, superposed
-from pdcpurify.fock import spatial_totals
+from helpers import inner_product, map_basis, spatial_totals, superposed
 from pdcpurify.source import _emit_pair
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
