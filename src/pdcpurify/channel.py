@@ -12,14 +12,17 @@ that is intentional.
 
 from __future__ import annotations
 
-from .fock import DensityOperator, Occupations, SpatialMode, in_range, pruned, shown
+from .fock import DensityOperator, SpatialMode, in_range, pruned, shown
 
 
-def _with_pair(occ: Occupations, h: int, v: int, nh: int, nv: int) -> Occupations:
-    out = list(occ)
-    out[h] = nh
-    out[v] = nv
-    return tuple(out)
+def _splits(n: int) -> tuple[tuple[int, int], ...]:
+    """The n + 1 ways (k, n - k) to place n photons on the H and V modes."""
+    return tuple((k, n - k) for k in range(n + 1))
+
+
+#: ``_splits`` for the photon numbers one spatial mode holds in the sectors
+#: the protocols use (0 to 4), built once
+_SPLITS = tuple(_splits(n) for n in range(5))
 
 
 def depolarize_partial(
@@ -41,16 +44,20 @@ def depolarize_partial(
         )
     if not isinstance(target, SpatialMode):
         raise ValueError(f"target must be a SpatialMode, got {shown(target)}")
-    h, v = target.value
+    # a spatial mode's (H, V) modes are adjacent, h and h + 1, so a split's
+    # key is the occupations around them with the split in between
+    h = target.value[0]
+    end = h + 2
     out = {key: s * value for key, value in rho.entries.items()}
     for (ket, bra), value in rho.entries.items():
-        pair = (ket[h], ket[v])
-        if pair != (bra[h], bra[v]):
+        nh, nv = ket[h:end]
+        if bra[h] != nh or bra[h + 1] != nv:
             continue
-        n = pair[0] + pair[1]
+        n = nh + nv
         share = (1.0 - s) * (value / (n + 1))
-        for k in range(n + 1):
-            key = (_with_pair(ket, h, v, k, n - k), _with_pair(bra, h, v, k, n - k))
+        ket_head, ket_tail, bra_head, bra_tail = ket[:h], ket[end:], bra[:h], bra[end:]
+        for split in _SPLITS[n] if n < len(_SPLITS) else _splits(n):
+            key = (ket_head + split + ket_tail, bra_head + split + bra_tail)
             out[key] = out.get(key, 0.0) + share
     return DensityOperator._trusted(pruned(out))
 

@@ -8,16 +8,18 @@ each Tr(A rho) for a fixed map A behind the beam splitters: the pattern's
 diagonal projector, or a Bell witness on it.  This module holds the patterns
 and builds each A once, at import, from its defining kets; the beam splitters
 permute basis states, so A is moved in front of them once and a point reads
-two fixed maps out after the channel.  The source density is a fixed
-polynomial in lambda = r e^(i phi): each entry carries lambda^j
-conj(lambda)^k, with j and k the pairs its ket and bra emit into the lower
-modes, so the process builds
-the r = 1, phi = 0 density once per source, split into these blocks, and
-reads the density at any (r, phi) off them with no Fock build.  So the three
-pipelines differ only in data: each is one row of ``_PROTOCOLS`` (source,
-projector, witness, mirror), and one builder, ``_curve``, reads the source
-density off its blocks once per curve, since it depends on r and phi only,
-and reads it out at every s; a single run is the same path at one s.
+two maps out after the channel.  The source density is a fixed polynomial in
+lambda = r e^(i phi): each entry carries lambda^j conj(lambda)^k, with j and
+k the pairs its ket and bra emit into the lower modes, and the channel keeps
+both counts.  So the process builds each source's r = 1, phi = 0 density
+once, and the lambda-weights sit on the two maps instead: a curve weights
+their entries (16 + 16 for four-photon) once, and every point runs the
+channel on the fixed density, with no Fock build.  So the three pipelines
+differ only in data: each is one row of ``_PROTOCOLS`` (fixed source
+density, projector, witness, mirror), and one builder, ``_curve``, weights
+the row's maps once per curve, since they depend on r and phi only, and reads
+the channel's output with them at every s; a single run is the same path at
+one s.
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
 ``sum`` of floats rounds differently from Python 3.12 on (it compensates).
@@ -186,61 +188,59 @@ def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
     return sum(v * entries.get((b, k), 0j) for (k, b), v in a.entries.items())
 
 
-#: a source density as a polynomial in lambda = r e^(i phi): each row
-#: (ket, bra, v, j, k) is the entry v lambda^j conj(lambda)^k, in block B_jk;
-#: ``traces`` holds tr(B_kk) by k, so the density at (r, phi) is the rows over
-#: N(r) = sum_k tr(B_kk) r^(2k)
-_Blocks = namedtuple("_Blocks", "rows traces")
-
-
-def _blocks(rho: DensityOperator, power: Callable[[Occupations], int]) -> _Blocks:
-    """``rho``'s entries as rows, each ket and bra tagged by its ``power``."""
-    rows = tuple(
-        (ket, bra, v, power(ket), power(bra)) for (ket, bra), v in rho.entries.items()
-    )
-    traces = [0.0] * (max(j for _, _, _, j, _ in rows) + 1)
-    for ket, bra, v, j, _ in rows:
-        if ket == bra:
-            traces[j] += v.real
-    return _Blocks(rows, tuple(traces))
-
-
 def _lower_pairs(occ: Occupations) -> int:
-    """The pairs emitted into the lower modes: one photon in a2 per pair."""
+    """The pairs the two-pass source emits into the lower modes: one photon in
+    a2 per pair."""
     return occ[Mode.A2H] + occ[Mode.A2V]
 
 
-#: each source's blocks, by pair count, built once: the two-pass source's
-#: amplitude on a ket with k lower pairs is lambda^k times its amplitude at
-#: r = 1, phi = 0, so that state's density, split by powers, gives every
-#: (r, phi); two independent pairs (``None``) are one block with no lambda
-_SOURCE_BLOCKS = {
-    pairs: _blocks(
-        to_density(spatially_entangled_state(SourceParams(1.0, 0.0, pairs))),
-        _lower_pairs,
-    )
-    for pairs in (1, 2)
-}
-_SOURCE_BLOCKS[None] = _blocks(to_density(independent_pairs_state()), lambda occ: 0)
-
-
-def _block_density(blocks: _Blocks, r: float, phi: float) -> DensityOperator:
-    """The density the ``blocks`` give at lambda = r e^(i phi), pruned once."""
-    lam = r * cmath.exp(1j * phi)
-    powers = [lam**k for k in range(len(blocks.traces))]
-    norm = sum(t * r ** (2 * k) for k, t in enumerate(blocks.traces))
-    weights = [[up * down.conjugate() / norm for down in powers] for up in powers]
-    return DensityOperator._trusted(
-        pruned({(ket, bra): v * weights[j][k] for ket, bra, v, j, k in blocks.rows})
-    )
-
+# The lambda-weights.  The two-pass source's amplitude on a ket with j lower
+# pairs is lambda^j times its amplitude at r = 1, phi = 0, so its density at
+# (r, phi) is the r = 1, phi = 0 density rho_1 with each entry times
+# lambda^j conj(lambda)^k / N(r), for j and k the lower pairs of its ket and
+# bra and N(r) = sum_k tr(rho_1's (k, k) block) r^(2k).  The channel moves
+# photons only between the H and V modes of one spatial mode, so every entry
+# of its output keeps its (j, k), and Tr(A C_s(rho)) = Tr(A_lambda C_s(rho_1))
+# where A_lambda is A with its (ket, bra) entry, which reads the (bra, ket)
+# entry, times that entry's weight.  At r = 0 every weight but (0, 0)'s is
+# exactly 0, so only rho_1's (0, 0) block is read.  Two independent pairs
+# take no lambda: their maps carry the power 0 and the weight 1.
 
 #: a protocol's row: ``pairs`` from the two-pass source, or ``None`` for two
-#: independent pairs (which take no r or phi), which selects its
-#: ``_SOURCE_BLOCKS``; the pattern's projector and the witness, in front of
-#: the beam splitters; the factor on both readouts; and whether ``f_lower``
-#: mirrors ``f_upper``
-_Pipeline = namedtuple("_Pipeline", "pairs projector witness factor mirrored")
+#: independent pairs (which take no r or phi); the source's fixed density
+#: (at r = 1, phi = 0) and ``traces``, tr of its (k, k) block by k; the
+#: pattern's projector and the witness, in front of the beam splitters, as
+#: rows (key, v, j, k), each entry tagged with the powers of lambda and
+#: conj(lambda) it is weighted by; the factor on both readouts; and whether
+#: ``f_lower`` mirrors ``f_upper``
+_Pipeline = namedtuple(
+    "_Pipeline", "pairs density traces projector witness factor mirrored"
+)
+
+
+def _pipeline(
+    pairs: int | None,
+    projector: DensityOperator,
+    witness: DensityOperator,
+    factor: float,
+    mirrored: bool,
+) -> _Pipeline:
+    """The row of a protocol whose source is ``pairs``, built once."""
+    if pairs is None:
+        rho, power = to_density(independent_pairs_state()), lambda occ: 0
+    else:
+        source = SourceParams(1.0, 0.0, pairs)
+        rho, power = to_density(spatially_entangled_state(source)), _lower_pairs
+    traces = [0.0] * (max(power(ket) for ket, _ in rho.entries) + 1)
+    for (ket, bra), v in rho.entries.items():
+        if ket == bra:
+            traces[power(ket)] += v.real
+    projector, witness = (
+        tuple((key, v, power(key[1]), power(key[0])) for key, v in a.entries.items())
+        for a in (projector, witness)
+    )
+    return _Pipeline(pairs, rho, tuple(traces), projector, witness, factor, mirrored)
+
 
 # The mirror.  With F exchanging H and V in every spatial mode and S the upper
 # and lower spatial modes on both sides, the operator T behind both beam
@@ -252,33 +252,50 @@ _Pipeline = namedtuple("_Pipeline", "pairs projector witness factor mirrored")
 # two-photon's both-down branch doubles p and the witness sum (factor 2), and
 # four-photon's f_lower equals its f_upper.
 _PROTOCOLS = {
-    ProtocolKind.FOUR_PHOTON: _Pipeline(2, _P_FOUR_MODE, _W_UPPER, 1.0, True),
-    ProtocolKind.TWO_PHOTON: _Pipeline(1, _P_BOTH_UP, _W_BOTH_UP, 2.0, False),
-    ProtocolKind.INDEPENDENT_PAIRS: _Pipeline(
+    ProtocolKind.FOUR_PHOTON: _pipeline(2, _P_FOUR_MODE, _W_UPPER, 1.0, True),
+    ProtocolKind.TWO_PHOTON: _pipeline(1, _P_BOTH_UP, _W_BOTH_UP, 2.0, False),
+    ProtocolKind.INDEPENDENT_PAIRS: _pipeline(
         None, _P_FOUR_MODE, _W_MEASURED_OUT, 1.0, False
     ),
 }
 
 
+def _readouts(
+    row: _Pipeline, r: float, phi: float
+) -> tuple[DensityOperator, DensityOperator]:
+    """The row's projector and witness weighted for lambda = r e^(i phi), each
+    pruned once: read against the channel's output of the row's fixed
+    density, they give what the fixed maps give against that of the density
+    at (r, phi)."""
+    lam = r * cmath.exp(1j * phi)
+    powers = [lam**k for k in range(len(row.traces))]
+    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces))
+    weights = [[up * down.conjugate() / norm for down in powers] for up in powers]
+    return tuple(
+        DensityOperator._trusted(pruned({key: v * weights[j][k] for key, v, j, k in rows}))
+        for rows in (row.projector, row.witness)
+    )
+
+
 def _curve(
     kind: ProtocolKind, r: float | None, phi: float | None
 ) -> Callable[[float], ProtocolResult]:
-    """The ``kind`` run at (r, phi) as a function of s; the source density is
-    read off its blocks here, once.  Independent pairs ignore r and phi and
-    report ``None``; their one block takes no lambda."""
+    """The ``kind`` run at (r, phi) as a function of s; the readout maps are
+    weighted for (r, phi) here, once.  Independent pairs ignore r and phi and
+    report ``None``; their maps take no lambda."""
     row = _PROTOCOLS[kind]
     if row.pairs is None:
         r = phi = None
-        rho = _block_density(_SOURCE_BLOCKS[None], 1.0, 0.0)
+        projector, witness = _readouts(row, 1.0, 0.0)
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
-        rho = _block_density(_SOURCE_BLOCKS[row.pairs], source.r, source.phi)
+        projector, witness = _readouts(row, source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
-        rho_s = depolarize_alice(rho, s)
-        p = row.factor * _expect(rho_s, row.projector).real
+        rho_s = depolarize_alice(row.density, s)
+        p = row.factor * _expect(rho_s, projector).real
         # the witness sum over p, or None where the pattern never happens
-        weighted = row.factor * _expect(rho_s, row.witness).real
+        weighted = row.factor * _expect(rho_s, witness).real
         f = weighted / p if p > ZERO_PROBABILITY else None
         f_lower = f if row.mirrored else None
         return ProtocolResult(kind.value, r, phi, s, p, f, f_lower)
@@ -370,8 +387,9 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 def sweep(spec: SweepSpec) -> list[ProtocolResult]:
     """Run the selected protocol at every grid point, ordered by s.
 
-    The source density is built once and read out at each s by the
-    protocol's row of ``_PROTOCOLS``; a single run is a one-point sweep.
+    The protocol's readout maps are weighted for (r, phi) once and read the
+    channel's output of its fixed source density at each s; a single run is
+    a one-point sweep.
     """
     at = _curve(spec.protocol, spec.r, spec.phi)
     return [at(s) for s in spec.s_values]

@@ -6,7 +6,7 @@ test: creation operators are rectangular sector-raising matrices, the
 depolarizing channel is applied in Kraus form (each Kraus operator a scaled
 partial permutation, applied by re-indexing), the beam splitters are basis
 permutations, post-selection uses diagonal projectors and fidelities come
-from witness operators.
+from witness operators, each seen through its pattern's projector.
 
 Mode order: a1H a1V a2H a2V b1H b1V b2H b2V.
 """
@@ -193,6 +193,19 @@ def bell_witness(alice, bob, n):
 
 
 @_cached_matrix
+def selected_bell_witness(patterns, alice, bob, n):
+    """One pair's Bell witness seen through a pattern's selection, P W P.
+
+    Its trace against the transmitted state is the witness sum of the
+    selected state, Tr(W P rho P) = Tr(P W P rho), so a call forms no
+    product of the state.  It depends on no run parameter, so it is built
+    once.
+    """
+    proj = pattern_projector(patterns, n)
+    return proj @ bell_witness(alice, bob, n) @ proj
+
+
+@_cached_matrix
 def diagonal_basis_projector(spatial, sign, n):
     """|+/-><+/-| on the one-photon polarization of one spatial mode.
 
@@ -222,12 +235,11 @@ def four_photon_reference(r, phi, s):
     rho = depolarize(rho, A1, s, 4)
     rho = depolarize(rho, A2, s, 4)
     rho = both_pbs(rho, 4)
-    proj = pattern_projector(frozenset(FOUR_MODE), 4)
-    p = float(np.real(trace_of_product(proj, rho)))
-    cond = proj @ rho @ proj / p
-    f_upper = float(np.real(trace_of_product(bell_witness(A1, B1, 4), cond)))
-    f_lower = float(np.real(trace_of_product(bell_witness(A2, B2, 4), cond)))
-    return p, f_upper, f_lower
+    pattern = frozenset(FOUR_MODE)
+    p = float(np.real(trace_of_product(pattern_projector(pattern, 4), rho)))
+    f_upper = trace_of_product(selected_bell_witness(pattern, A1, B1, 4), rho)
+    f_lower = trace_of_product(selected_bell_witness(pattern, A2, B2, 4), rho)
+    return p, float(np.real(f_upper)) / p, float(np.real(f_lower)) / p
 
 
 def two_photon_reference(r, phi, s):
@@ -236,12 +248,11 @@ def two_photon_reference(r, phi, s):
     rho = depolarize(rho, A1, s, 2)
     rho = depolarize(rho, A2, s, 2)
     rho = both_pbs(rho, 2)
-    proj_up = pattern_projector(frozenset(BOTH_UP), 2)
-    proj_down = pattern_projector(frozenset(BOTH_DOWN), 2)
-    p_up = float(np.real(trace_of_product(proj_up, rho)))
-    p_down = float(np.real(trace_of_product(proj_down, rho)))
-    weighted = trace_of_product(bell_witness(A1, B1, 2), proj_up @ rho @ proj_up)
-    weighted += trace_of_product(bell_witness(A2, B2, 2), proj_down @ rho @ proj_down)
+    up, down = frozenset(BOTH_UP), frozenset(BOTH_DOWN)
+    p_up = float(np.real(trace_of_product(pattern_projector(up, 2), rho)))
+    p_down = float(np.real(trace_of_product(pattern_projector(down, 2), rho)))
+    weighted = trace_of_product(selected_bell_witness(up, A1, B1, 2), rho)
+    weighted += trace_of_product(selected_bell_witness(down, A2, B2, 2), rho)
     return p_up + p_down, float(np.real(weighted)) / (p_up + p_down)
 
 

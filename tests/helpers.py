@@ -1,6 +1,7 @@
 """State builders, error injections, the forward readout and dense
 references that only the tests use."""
 
+import cmath
 import math
 from operator import itemgetter
 
@@ -61,6 +62,25 @@ def superposed(first, *others):
         for occ, amp in state.amplitudes.items():
             out[occ] = out.get(occ, 0.0) + amp
     return PureState._trusted(pruned(out), first.sector)
+
+
+def block_density(rho_1, r, phi):
+    """The two-pass source's density at lambda = r e^(i phi), read off its
+    density ``rho_1`` at r = 1, phi = 0 and pruned once.
+
+    An entry whose ket and bra hold j and k lower pairs (one photon in a2
+    per pair) is lambda^j conj(lambda)^k times its ``rho_1`` entry, over the
+    norm N(r), the sum of the diagonal entries times r^(2j).  The reference
+    for the package's lambda-weights on the readout maps, which rest on this
+    polynomial.
+    """
+    lam = r * cmath.exp(1j * phi)
+    tagged = [(key, v, *(occ[Mode.A2H] + occ[Mode.A2V] for occ in key))
+              for key, v in rho_1.entries.items()]
+    norm = sum(v.real * r ** (2 * j) for (ket, bra), v, j, _ in tagged if ket == bra)
+    return DensityOperator._trusted(pruned({
+        key: v * lam**j * lam.conjugate() ** k / norm for key, v, j, k in tagged
+    }))
 
 
 def allclose(x, y, tol=1e-12):

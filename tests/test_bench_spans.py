@@ -27,7 +27,7 @@ def _tracer():
 #: one call of each ``run_*`` and a 3-point sweep, looked up on the module as
 #: the tracer patches it, with the ``run_*`` calls, Fock source builds and
 #: points each makes: a sweep calls no ``run_*``, and no call builds a source
-#: state or a ``to_density``, since the density is read off fixed blocks
+#: state or a ``to_density``, since each source density is fixed per process
 CALLS = {
     "four-photon": (lambda: protocol.run_four_photon(0.95, 0.3, 0.6), 1, 0, 1),
     "two-photon": (lambda: protocol.run_two_photon(0.95, 0.3, 0.6), 1, 0, 1),

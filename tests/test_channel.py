@@ -28,6 +28,7 @@ from helpers import (
     postselect,
     reduce_to_pair,
     scaled,
+    spatial_totals,
     superposed,
     validate,
 )
@@ -59,6 +60,17 @@ def test_two_photon_component_rule():
         scaled(projector(Mode.A1H, Mode.A1V), 1 / 3),
         scaled(projector(Mode.A1V, Mode.A1V), 1 / 3),
     )
+    assert allclose(out, expected, tol=1e-14)
+
+
+def test_five_photon_component_rule():
+    """Past the splits the channel keeps in a table (up to four photons in
+    the mode), each of the six splits of five photons gets 1/6."""
+    out = depolarize_full(projector(*[Mode.A2H] * 5, Mode.B1V), SpatialMode.A2)
+    expected = added(*(
+        scaled(projector(*[Mode.A2H] * k, *[Mode.A2V] * (5 - k), Mode.B1V), 1 / 6)
+        for k in range(6)
+    ))
     assert allclose(out, expected, tol=1e-14)
 
 
@@ -135,6 +147,21 @@ def test_channels_on_distinct_modes_commute():
         depolarize_partial(rho, SpatialMode.A2, 0.6), SpatialMode.A1, 0.6
     )
     assert allclose(a_then_b, b_then_a, tol=1e-12)
+
+
+@pytest.mark.parametrize("target", list(SpatialMode))
+def test_channel_keeps_every_spatial_mode_count(target):
+    """Each output entry's ket and bra hold the photon counts per spatial mode
+    of an input entry's: the protocols' lambda-weights, set by the lower
+    pairs of ket and bra, rest on this.  The target's H and V modes are
+    adjacent, which the channel's split keys rely on."""
+    h, v = target.value
+    assert v == h + 1
+    rho = source_density(r=0.9, phi=0.4, pairs=2)
+    counts = {(spatial_totals(k), spatial_totals(b)) for k, b in rho.entries}
+    for s in (0.0, 0.3):
+        out = depolarize_partial(rho, target, s)
+        assert {(spatial_totals(k), spatial_totals(b)) for k, b in out.entries} <= counts
 
 
 def _dephase_photon_number(rho, target):

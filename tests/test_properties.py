@@ -45,6 +45,8 @@ from pdcpurify import (
     depolarize_partial,
     independent_pairs_state,
     run_four_photon,
+    run_independent_pairs,
+    run_two_photon,
     schmidt,
     spatially_entangled_state,
     to_density,
@@ -484,7 +486,16 @@ def four_photon_closed_form(r, phi, s):
     return p / d, n / d
 
 
+def _at_r_zero_and_the_s_ends(test):
+    """``test`` with explicit examples at r = 0, where the weighted readout
+    maps keep only the (0, 0) block, and at s = 0 and s = 1."""
+    for r, s in ((0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.9, 0.0), (0.9, 1.0)):
+        test = example(r=r, phi=2.0, s=s)(test)
+    return test
+
+
 @PROPERTY_SETTINGS
+@_at_r_zero_and_the_s_ends
 @given(r=unit, phi=phase, s=unit)
 def test_four_photon_matches_its_closed_form(r, phi, s):
     result = run_four_photon(r, phi, s)
@@ -492,6 +503,36 @@ def test_four_photon_matches_its_closed_form(r, phi, s):
     assert abs(result.p_success - p) <= 1e-12
     assert abs(result.p_success * result.f_upper - n) <= 1e-12
     assert abs(result.f_upper - n / p) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@_at_r_zero_and_the_s_ends
+@given(r=unit, phi=phase, s=unit)
+def test_two_photon_matches_its_closed_form(r, phi, s):
+    """With x = r^2 and c = r cos phi: p = (1 + s)/2 at every (r, phi), and
+    ((1 + x)/2) p f = 2[s^2((1 + x)/8 + c/4) + s(1 - s) 3(1 + x)/16
+    + (1 - s)^2 (1 + x)/16]."""
+    result = run_two_photon(r, phi, s)
+    x, c = r * r, r * math.cos(phi)
+    n = 2.0 * (
+        s * s * ((1.0 + x) / 8.0 + c / 4.0)
+        + s * (1.0 - s) * 3.0 * (1.0 + x) / 16.0
+        + (1.0 - s) ** 2 * (1.0 + x) / 16.0
+    )
+    assert abs(result.p_success - (1.0 + s) / 2.0) <= 1e-12
+    assert abs((1.0 + x) / 2.0 * result.p_success * result.f_upper - n) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@example(s=0.0)
+@example(s=1.0)
+@given(s=unit)
+def test_independent_pairs_match_their_closed_form(s):
+    """p = (1 + s^2)/4 and p f = s^2/2 + s(1 - s)/4 + (1 - s)^2/16."""
+    result = run_independent_pairs(s)
+    n = s * s / 2.0 + s * (1.0 - s) / 4.0 + (1.0 - s) ** 2 / 16.0
+    assert abs(result.p_success - (1.0 + s * s) / 4.0) <= 1e-12
+    assert abs(result.p_success * result.f_upper - n) <= 1e-12
 
 
 def _p_and_witness_sum(kind, r, phi, s):

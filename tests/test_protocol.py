@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import dense_oracle as oracle
 from helpers import (
     allclose,
+    block_density,
     fidelity,
     ghz_state,
     inject_bitflip,
@@ -32,6 +33,7 @@ from pdcpurify import (
     SweepSpec,
     apply_pbs,
     bbpssw_fidelity,
+    depolarize_alice,
     depolarize_partial,
     independent_pairs_state,
     input_fidelity,
@@ -285,15 +287,16 @@ def test_sweep_equals_per_point_runs(kind):
             assert [_bits(res) for res in sweep(spec)] == [_bits(res) for res in expected]
 
 
-#: the Fock builders a sweep does not call: it reads its density off the
-#: process's source blocks, through ``_block_density``, once
+#: the Fock builders a sweep does not call: it weights its readout maps for
+#: (r, phi) through ``_readouts``, once, and runs the channel on the process's
+#: fixed source density
 SOURCE_BUILDERS = ("spatially_entangled_state", "independent_pairs_state", "to_density")
 
 
 @pytest.mark.parametrize("points", [1, 3, 51])
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
-    calls = dict.fromkeys(SOURCE_BUILDERS + ("_block_density",), 0)
+    calls = dict.fromkeys(SOURCE_BUILDERS + ("_readouts",), 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(protocol_module, name)):
@@ -305,7 +308,7 @@ def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
     results = sweep(SweepSpec(grid, r=0.9, phi=0.45, protocol=kind))
     assert [res.s for res in results] == list(grid)
     expected = dict.fromkeys(calls, 0)
-    expected["_block_density"] = 1
+    expected["_readouts"] = 1
     assert calls == expected
 
 
@@ -314,10 +317,18 @@ BLOCK_GRID_R = (0, 1e-9, 0.3, 0.7, 0.9, 0.95, 1)
 BLOCK_GRID_PHI = (0, 0.45, math.acos(0.95), 2, math.pi - 1e-9, math.pi)
 
 
+def _row(pairs):
+    """The ``_PROTOCOLS`` row whose source is ``pairs`` (``None``: two
+    independent pairs)."""
+    (row,) = [row for row in protocol_module._PROTOCOLS.values() if row.pairs == pairs]
+    return row
+
+
 def _assert_block_read_matches_the_fock_build(r, phi, pairs):
+    """The density the lambda-weights stand for, read off the row's fixed
+    density, is the Fock build at (r, phi)."""
     source = SourceParams(r, phi, pairs)
-    blocks = protocol_module._SOURCE_BLOCKS[pairs]
-    read = protocol_module._block_density(blocks, source.r, source.phi).entries
+    read = block_density(_row(pairs).density, source.r, source.phi).entries
     built = to_density(spatially_entangled_state(source)).entries
     assert read.keys() == built.keys()
     assert max(abs(read[key] - built[key]) for key in built) <= 1e-15
@@ -331,20 +342,27 @@ def _assert_block_read_matches_the_fock_build(r, phi, pairs):
     ],
 )
 def test_source_block_traces_are_exact(pairs, rows, exact):
-    """tr(B_kk) is (2, 2)/4 for one pair and (12, 16, 12)/40 for two."""
-    blocks = protocol_module._SOURCE_BLOCKS[pairs]
-    assert len(blocks.rows) == rows  # one per pair of kets
-    assert len(blocks.traces) == len(exact)
-    for value, fraction in zip(blocks.traces, exact):
+    """The traces of the fixed density's (k, k) blocks, k lower pairs on ket
+    and bra, are (2, 2)/4 for one pair and (12, 16, 12)/40 for two."""
+    row = _row(pairs)
+    assert len(row.density.entries) == rows  # one per pair of kets
+    assert len(row.traces) == len(exact)
+    for value, fraction in zip(row.traces, exact):
         assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
 
 
 @pytest.mark.parametrize("pairs", [1, 2, None])
 def test_source_blocks_are_hermitian(pairs):
-    """B_kj is B_jk's adjoint, entry for entry and exactly."""
-    rows = {(ket, bra): (v, j, k) for ket, bra, v, j, k in protocol_module._SOURCE_BLOCKS[pairs].rows}
-    for (ket, bra), (v, j, k) in rows.items():
-        assert rows[(bra, ket)] == (v.conjugate(), k, j)
+    """The fixed density is Hermitian, and so is each weighted readout map: an
+    entry's mirror carries the conjugate value and the swapped powers, exactly."""
+    row = _row(pairs)
+    entries = row.density.entries
+    for (ket, bra), v in entries.items():
+        assert entries[(bra, ket)] == v.conjugate()
+    for readout in (row.projector, row.witness):
+        tagged = {key: (v, j, k) for key, v, j, k in readout}
+        for (ket, bra), (v, j, k) in tagged.items():
+            assert tagged[(bra, ket)] == (v.conjugate(), k, j)
 
 
 @pytest.mark.parametrize("pairs", [1, 2])
@@ -364,16 +382,50 @@ def test_block_read_matches_the_fock_build_at_random_points(r, phi, pairs):
     _assert_block_read_matches_the_fock_build(r, phi, pairs)
 
 
+#: each protocol's fixed projector and witness, which read the Fock build
+FIXED_READOUTS = {
+    ProtocolKind.FOUR_PHOTON: (protocol_module._P_FOUR_MODE, protocol_module._W_UPPER),
+    ProtocolKind.TWO_PHOTON: (protocol_module._P_BOTH_UP, protocol_module._W_BOTH_UP),
+    ProtocolKind.INDEPENDENT_PAIRS: (
+        protocol_module._P_FOUR_MODE, protocol_module._W_MEASURED_OUT
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
+    """Tr(A_lambda C_s(rho_1)) = Tr(A C_s(rho)) for the projector and the
+    witness on the grid: the channel keeps each entry's lower pairs, so the
+    lambda-weights can sit on the readout maps in place of the density."""
+    row = protocol_module._PROTOCOLS[kind]
+    for r in BLOCK_GRID_R:
+        for phi in BLOCK_GRID_PHI:
+            if row.pairs is None:
+                state, weights = independent_pairs_state(), (1.0, 0.0)
+            else:
+                source = SourceParams(r, phi, row.pairs)
+                state, weights = spatially_entangled_state(source), (source.r, source.phi)
+            weighted = protocol_module._readouts(row, *weights)
+            for s in (0.0, 0.5, 1.0):
+                fixed_s = depolarize_alice(row.density, s)
+                built_s = depolarize_alice(to_density(state), s)
+                for a_lambda, a in zip(weighted, FIXED_READOUTS[kind]):
+                    read = protocol_module._expect(fixed_s, a_lambda)
+                    assert abs(read - protocol_module._expect(built_s, a)) <= 1e-15
+
+
 def test_independent_pairs_density_is_the_fock_build_exactly():
-    blocks = protocol_module._SOURCE_BLOCKS[None]
+    row = _row(None)
     built = to_density(independent_pairs_state()).entries
-    assert blocks.traces == (1.0,)
-    assert {(ket, bra): v for ket, bra, v, _, _ in blocks.rows} == built
-    assert protocol_module._block_density(blocks, 1.0, 0.0).entries == built
+    assert row.traces == (1.0,)
+    assert row.density.entries == built
+    projector, witness = protocol_module._readouts(row, 1.0, 0.0)
+    assert projector.entries == protocol_module._P_FOUR_MODE.entries
+    assert witness.entries == protocol_module._W_MEASURED_OUT.entries
 
 
 def test_runs_build_no_fock_state(monkeypatch):
-    """A run reads its density off the blocks: no ``PureState``, no
+    """A run reads the process's fixed source density: no ``PureState``, no
     ``create`` and no ``to_density``."""
 
     def fail(*args, **kwargs):
