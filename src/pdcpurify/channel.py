@@ -15,16 +15,6 @@ from __future__ import annotations
 from .fock import DensityOperator, SpatialMode, in_range, pruned, shown
 
 
-def _splits(n: int) -> tuple[tuple[int, int], ...]:
-    """The n + 1 ways (k, n - k) to place n photons on the H and V modes."""
-    return tuple((k, n - k) for k in range(n + 1))
-
-
-#: ``_splits`` for the photon numbers one spatial mode holds in the sectors
-#: the protocols use (0 to 4), built once
-_SPLITS = tuple(_splits(n) for n in range(5))
-
-
 def depolarize_partial(
     rho: DensityOperator, target: SpatialMode, s: float
 ) -> DensityOperator:
@@ -56,7 +46,8 @@ def depolarize_partial(
         n = nh + nv
         share = (1.0 - s) * (value / (n + 1))
         ket_head, ket_tail, bra_head, bra_tail = ket[:h], ket[end:], bra[:h], bra[end:]
-        for split in _SPLITS[n] if n < len(_SPLITS) else _splits(n):
+        for k in range(n + 1):
+            split = (k, n - k)
             key = (ket_head + split + ket_tail, bra_head + split + bra_tail)
             out[key] = out.get(key, 0.0) + share
     return DensityOperator._trusted(pruned(out))

@@ -189,8 +189,7 @@ def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
 
 
 def _lower_pairs(occ: Occupations) -> int:
-    """The pairs the two-pass source emits into the lower modes: one photon in
-    a2 per pair."""
+    """The pairs emitted into the lower modes: one photon in a2 per pair."""
     return occ[Mode.A2H] + occ[Mode.A2V]
 
 
@@ -208,13 +207,14 @@ def _lower_pairs(occ: Occupations) -> int:
 
 #: a protocol's row: ``pairs`` from the two-pass source, or ``None`` for two
 #: independent pairs (which take no r or phi); the source's fixed density
-#: (at r = 1, phi = 0) and ``traces``, tr of its (k, k) block by k; the
-#: pattern's projector and the witness, in front of the beam splitters, as
-#: rows (key, v, j, k), each entry tagged with the powers of lambda and
+#: (at r = 1, phi = 0), its (0, 0) block ``zero_block``, all that r = 0
+#: reads, and ``traces``, tr of its (k, k) block by k; the pattern's
+#: projector and the witness, in front of the beam splitters, as rows
+#: (key, v, j, k), each entry tagged with the powers of lambda and
 #: conj(lambda) it is weighted by; the factor on both readouts; and whether
 #: ``f_lower`` mirrors ``f_upper``
 _Pipeline = namedtuple(
-    "_Pipeline", "pairs density traces projector witness factor mirrored"
+    "_Pipeline", "pairs density zero_block traces projector witness factor mirrored"
 )
 
 
@@ -231,6 +231,11 @@ def _pipeline(
     else:
         source = SourceParams(1.0, 0.0, pairs)
         rho, power = to_density(spatially_entangled_state(source)), _lower_pairs
+    zero_block = DensityOperator._trusted({
+        (ket, bra): v
+        for (ket, bra), v in rho.entries.items()
+        if power(ket) == power(bra) == 0
+    })
     traces = [0.0] * (max(power(ket) for ket, _ in rho.entries) + 1)
     for (ket, bra), v in rho.entries.items():
         if ket == bra:
@@ -239,7 +244,9 @@ def _pipeline(
         tuple((key, v, power(key[1]), power(key[0])) for key, v in a.entries.items())
         for a in (projector, witness)
     )
-    return _Pipeline(pairs, rho, tuple(traces), projector, witness, factor, mirrored)
+    return _Pipeline(
+        pairs, rho, zero_block, tuple(traces), projector, witness, factor, mirrored
+    )
 
 
 # The mirror.  With F exchanging H and V in every spatial mode and S the upper
@@ -282,17 +289,21 @@ def _curve(
 ) -> Callable[[float], ProtocolResult]:
     """The ``kind`` run at (r, phi) as a function of s; the readout maps are
     weighted for (r, phi) here, once.  Independent pairs ignore r and phi and
-    report ``None``; their maps take no lambda."""
+    report ``None``; their maps take no lambda.  At r = 0 the maps read only
+    the (0, 0) block, so the channel runs on that block alone."""
     row = _PROTOCOLS[kind]
+    rho = row.density
     if row.pairs is None:
         r = phi = None
         projector, witness = _readouts(row, 1.0, 0.0)
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
         projector, witness = _readouts(row, source.r, source.phi)
+        if source.r == 0:
+            rho = row.zero_block
 
     def at(s: float) -> ProtocolResult:
-        rho_s = depolarize_alice(row.density, s)
+        rho_s = depolarize_alice(rho, s)
         p = row.factor * _expect(rho_s, projector).real
         # the witness sum over p, or None where the pattern never happens
         weighted = row.factor * _expect(rho_s, witness).real

@@ -63,17 +63,6 @@ def test_two_photon_component_rule():
     assert allclose(out, expected, tol=1e-14)
 
 
-def test_five_photon_component_rule():
-    """Past the splits the channel keeps in a table (up to four photons in
-    the mode), each of the six splits of five photons gets 1/6."""
-    out = depolarize_full(projector(*[Mode.A2H] * 5, Mode.B1V), SpatialMode.A2)
-    expected = added(*(
-        scaled(projector(*[Mode.A2H] * k, *[Mode.A2V] * (5 - k), Mode.B1V), 1 / 6)
-        for k in range(6)
-    ))
-    assert allclose(out, expected, tol=1e-14)
-
-
 def test_off_diagonal_elements_erased():
     plus = superposed(ket(Mode.A1H), ket(Mode.A1V)).normalized()
     out = depolarize_full(to_density(plus), SpatialMode.A1)

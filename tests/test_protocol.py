@@ -424,6 +424,38 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     assert witness.entries == protocol_module._W_MEASURED_OUT.entries
 
 
+@pytest.mark.parametrize(
+    "kind, block",
+    [(ProtocolKind.FOUR_PHOTON, 9), (ProtocolKind.TWO_PHOTON, 4)],
+)
+def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypatch):
+    """At r = 0 a run hands the channel only the fixed density's (0, 0) block,
+    no lower pair on ket or bra, and reads what the full density gives, bit for
+    bit: the weighted maps read nothing else."""
+    row = protocol_module._PROTOCOLS[kind]
+    lower = protocol_module._lower_pairs
+    assert row.zero_block.entries == {
+        (ket, bra): v
+        for (ket, bra), v in row.density.entries.items()
+        if lower(ket) == lower(bra) == 0
+    }
+    assert len(row.zero_block.entries) == block
+    for s in (0.0, 0.3, 1.0):
+        for a in protocol_module._readouts(row, 0.0, 0.45):
+            read = protocol_module._expect(depolarize_alice(row.zero_block, s), a)
+            assert read == protocol_module._expect(depolarize_alice(row.density, s), a)
+    sizes = []
+
+    def counted(rho, s, _original=protocol_module.depolarize_alice):
+        sizes.append(len(rho.entries))
+        return _original(rho, s)
+
+    monkeypatch.setattr(protocol_module, "depolarize_alice", counted)
+    run_direct(kind, 0.0, 0.45, 0.5)
+    run_direct(kind, 1e-9, 0.45, 0.5)
+    assert sizes == [block, len(row.density.entries)]
+
+
 def test_runs_build_no_fock_state(monkeypatch):
     """A run reads the process's fixed source density: no ``PureState``, no
     ``create`` and no ``to_density``."""
