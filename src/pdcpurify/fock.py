@@ -13,7 +13,8 @@ is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
 quotient or a sum) prunes its result, once, through ``pruned``, after the
 whole map is built: ``to_density``, ``PureState.scaled``, the channel, the
 source's pair emission and the protocols' weighting of their readout maps by
-powers of lambda for one (r, phi).  No builder prunes a term before it is
+powers of lambda, once per protocol at lambda = 0 when its row is built and
+once per curve at any other (r, phi).  No builder prunes a term before it is
 summed, and no other module of the package reads ``PRUNE_TOL``.  A
 relabeling (the PBS), ``create`` (it scales values of modulus >= ``PRUNE_TOL``
 by sqrt(n+1) >= 1, on distinct keys) and the fixed readout maps of

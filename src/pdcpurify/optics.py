@@ -4,8 +4,9 @@ The polarizing beam splitter on one side combines the two spatial modes; it
 transmits H and reflects V, which with our output labeling exchanges the H
 occupations of spatial modes 1 and 2 while leaving V untouched.  It is a
 lossless, phase-free permutation of basis states, applied to density
-operators; the package's one use is ``protocol._in_front``, which moves the
-fixed readout maps through both beam splitters at import.
+operators; the package's one use is ``protocol._in_front``, which moves a
+protocol's fixed readout maps through both beam splitters when its row is
+built, on the protocol's first use.
 """
 
 from __future__ import annotations

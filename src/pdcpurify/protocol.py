@@ -6,20 +6,22 @@ channels on Alice's spatial modes -> polarizing beam splitters on both sides
 surviving pair(s).  A pattern's probability and a fidelity's witness sum are
 each Tr(A rho) for a fixed map A behind the beam splitters: the pattern's
 diagonal projector, or a Bell witness on it.  This module holds the patterns
-and builds each A once, at import, from its defining kets; the beam splitters
-permute basis states, so A is moved in front of them once and a point reads
-two maps out after the channel.  The source density is a fixed polynomial in
+and builds each A from its defining kets; the beam splitters permute basis
+states, so A is moved in front of them once and a point reads two maps out
+after the channel.  The source density is a fixed polynomial in
 lambda = r e^(i phi): each entry carries lambda^j conj(lambda)^k, with j and
 k the pairs its ket and bra emit into the lower modes, and the channel keeps
-both counts.  So the process builds each source's r = 1, phi = 0 density
-once, and the lambda-weights sit on the two maps instead: a curve weights
-their entries (16 + 16 for four-photon) once, and every point runs the
-channel on the fixed density, with no Fock build.  So the three pipelines
-differ only in data: each is one row of ``_PROTOCOLS`` (fixed source
-density, projector, witness, mirror), and one builder, ``_curve``, weights
-the row's maps once per curve, since they depend on r and phi only, and reads
-the channel's output with them at every s; a single run is the same path at
-one s.
+both counts.  So a protocol builds its source's r = 1, phi = 0 density once,
+and the lambda-weights sit on the two maps instead: a curve weights their
+entries (16 + 16 for four-photon) once, and every point runs the channel on
+the fixed density, with no Fock build.  Independent pairs take no lambda, and
+at r = 0 every weight but that of the (0, 0) block is 0, so both read maps
+weighted once, when the row is built.  So the three pipelines differ only in
+data: each is one row (fixed source density, projector, witness, mirror),
+built from ``_RECIPES`` on its kind's first use and kept, so importing the
+package builds none.  One builder, ``_curve``, weights the row's maps once
+per curve, since they depend on r and phi only, and reads the channel's
+output with them at every s; a single run is the same path at one s.
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
 ``sum`` of floats rounds differently from Python 3.12 on (it compensates).
@@ -58,7 +60,7 @@ FOUR_MODE = frozenset({(1, 1, 1, 1)})
 #: both photons in the upper spatial modes
 BOTH_UP = frozenset({(1, 0, 1, 0)})
 #: both photons in the lower spatial modes (no run reads it: see the mirror
-#: note at ``_PROTOCOLS``); ``BOTH_UP | BOTH_DOWN`` is two-photon's selection
+#: note at ``_RECIPES``); ``BOTH_UP | BOTH_DOWN`` is two-photon's selection
 BOTH_DOWN = frozenset({(0, 1, 0, 1)})
 
 
@@ -172,15 +174,6 @@ def _in_front(behind: DensityOperator) -> DensityOperator:
     return apply_pbs(apply_pbs(behind, Side.ALICE), Side.BOB)
 
 
-#: each pattern's projector and each witness, relabeled in front of both beam
-#: splitters once: a point reads them out after the channel, with no PBS
-_P_FOUR_MODE = _in_front(_projector(FOUR_MODE))
-_P_BOTH_UP = _in_front(_projector(BOTH_UP))
-_W_UPPER = _in_front(_UPPER_WITNESS)
-_W_BOTH_UP = _in_front(_BOTH_UP_WITNESS)
-_W_MEASURED_OUT = _in_front(_MEASURED_OUT_WITNESS)
-
-
 def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
     """Tr(A rho), the sum of A[k, b] rho[b, k]: one lookup per entry of the
     fixed map A, however many entries ``rho`` has."""
@@ -202,30 +195,35 @@ def _lower_pairs(occ: Occupations) -> int:
 # of its output keeps its (j, k), and Tr(A C_s(rho)) = Tr(A_lambda C_s(rho_1))
 # where A_lambda is A with its (ket, bra) entry, which reads the (bra, ket)
 # entry, times that entry's weight.  At r = 0 every weight but (0, 0)'s is
-# exactly 0, so only rho_1's (0, 0) block is read.  Two independent pairs
-# take no lambda: their maps carry the power 0 and the weight 1.
+# exactly 0, so only rho_1's (0, 0) block is read, through maps that do not
+# depend on phi.  Two independent pairs take no lambda: their maps carry the
+# power 0 and the weight 1, so they too read maps weighted once.
 
 #: a protocol's row: ``pairs`` from the two-pass source, or ``None`` for two
 #: independent pairs (which take no r or phi); the source's fixed density
 #: (at r = 1, phi = 0), its (0, 0) block ``zero_block``, all that r = 0
-#: reads, and ``traces``, tr of its (k, k) block by k; the pattern's
-#: projector and the witness, in front of the beam splitters, as rows
-#: (key, v, j, k), each entry tagged with the powers of lambda and
-#: conj(lambda) it is weighted by; the factor on both readouts; and whether
-#: ``f_lower`` mirrors ``f_upper``
+#: reads (the whole density for independent pairs), and ``traces``, tr of
+#: its (k, k) block by k; the pattern's projector and the witness, in front
+#: of the beam splitters, as rows (key, v, j, k), each entry tagged with the
+#: powers of lambda and conj(lambda) it is weighted by; ``zero_readouts``,
+#: the two weighted at lambda = 0, which is all that independent pairs and
+#: r = 0 read; the factor on both readouts; and whether ``f_lower`` mirrors
+#: ``f_upper``
 _Pipeline = namedtuple(
-    "_Pipeline", "pairs density zero_block traces projector witness factor mirrored"
+    "_Pipeline",
+    "pairs density zero_block traces projector witness zero_readouts factor mirrored",
 )
 
 
 def _pipeline(
     pairs: int | None,
-    projector: DensityOperator,
+    pattern: frozenset[tuple[int, int, int, int]],
     witness: DensityOperator,
     factor: float,
     mirrored: bool,
 ) -> _Pipeline:
-    """The row of a protocol whose source is ``pairs``, built once."""
+    """The row of a protocol whose source is ``pairs``, whose selection is
+    ``pattern`` and whose witness behind the beam splitters is ``witness``."""
     if pairs is None:
         rho, power = to_density(independent_pairs_state()), lambda occ: 0
     else:
@@ -242,11 +240,12 @@ def _pipeline(
             traces[power(ket)] += v.real
     projector, witness = (
         tuple((key, v, power(key[1]), power(key[0])) for key, v in a.entries.items())
-        for a in (projector, witness)
+        for a in (_in_front(_projector(pattern)), _in_front(witness))
     )
-    return _Pipeline(
-        pairs, rho, zero_block, tuple(traces), projector, witness, factor, mirrored
+    row = _Pipeline(
+        pairs, rho, zero_block, tuple(traces), projector, witness, None, factor, mirrored
     )
+    return row._replace(zero_readouts=_readouts(row, 0.0, 0.0))
 
 
 # The mirror.  With F exchanging H and V in every spatial mode and S the upper
@@ -258,13 +257,26 @@ def _pipeline(
 # or both-down probability and witness sum equals its upper or both-up mirror:
 # two-photon's both-down branch doubles p and the witness sum (factor 2), and
 # four-photon's f_lower equals its f_upper.
-_PROTOCOLS = {
-    ProtocolKind.FOUR_PHOTON: _pipeline(2, _P_FOUR_MODE, _W_UPPER, 1.0, True),
-    ProtocolKind.TWO_PHOTON: _pipeline(1, _P_BOTH_UP, _W_BOTH_UP, 2.0, False),
-    ProtocolKind.INDEPENDENT_PAIRS: _pipeline(
-        None, _P_FOUR_MODE, _W_MEASURED_OUT, 1.0, False
-    ),
+
+#: what each protocol's row is built from: ``_pipeline``'s arguments
+_RECIPES = {
+    ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
+    ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2.0, False),
+    ProtocolKind.INDEPENDENT_PAIRS: (None, FOUR_MODE, _MEASURED_OUT_WITNESS, 1.0, False),
 }
+
+#: the rows built so far, by kind: one per ``ProtocolKind`` at most.  A row
+#: depends on its kind alone and is never changed, so every caller may share
+#: it; two threads that race build equal rows, and either is kept.
+_ROWS: dict[ProtocolKind, _Pipeline] = {}
+
+
+def _row(kind: ProtocolKind) -> _Pipeline:
+    """``kind``'s row, built on the kind's first use and kept for the process."""
+    row = _ROWS.get(kind)
+    if row is None:
+        row = _ROWS[kind] = _pipeline(*_RECIPES[kind])
+    return row
 
 
 def _readouts(
@@ -287,20 +299,19 @@ def _readouts(
 def _curve(
     kind: ProtocolKind, r: float | None, phi: float | None
 ) -> Callable[[float], ProtocolResult]:
-    """The ``kind`` run at (r, phi) as a function of s; the readout maps are
-    weighted for (r, phi) here, once.  Independent pairs ignore r and phi and
-    report ``None``; their maps take no lambda.  At r = 0 the maps read only
-    the (0, 0) block, so the channel runs on that block alone."""
-    row = _PROTOCOLS[kind]
-    rho = row.density
+    """The ``kind`` run at (r, phi) as a function of s.  Independent pairs
+    ignore r and phi and report ``None``; they, and the two-pass source at
+    r = 0, read the row's maps weighted at lambda = 0 with the channel on the
+    (0, 0) block.  Any other (r, phi) weights the maps here, once."""
+    row = _row(kind)
+    rho, (projector, witness) = row.zero_block, row.zero_readouts
     if row.pairs is None:
         r = phi = None
-        projector, witness = _readouts(row, 1.0, 0.0)
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
-        projector, witness = _readouts(row, source.r, source.phi)
-        if source.r == 0:
-            rho = row.zero_block
+        if source.r != 0:
+            rho = row.density
+            projector, witness = _readouts(row, source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
         rho_s = depolarize_alice(rho, s)
@@ -318,7 +329,7 @@ def run_four_photon(r: float, phi: float, s: float) -> ProtocolResult:
     """Four-photon purification: keep one photon per output spatial mode.
 
     Both output pairs are kept; they have equal fidelities (see the mirror
-    note at ``_PROTOCOLS``), so the upper pair's is reported in both columns.
+    note at ``_RECIPES``), so the upper pair's is reported in both columns.
     """
     return _curve(ProtocolKind.FOUR_PHOTON, r, phi)(s)
 
@@ -328,7 +339,7 @@ def run_two_photon(r: float, phi: float, s: float) -> ProtocolResult:
 
     The surviving pair sits in the upper or the lower modes depending on the
     branch.  The down branch mirrors the up one (see the mirror note at
-    ``_PROTOCOLS``), so p and the witness sum are twice the up branch's;
+    ``_RECIPES``), so p and the witness sum are twice the up branch's;
     their ratio is carried in ``f_upper`` (``f_lower`` stays ``None``).
     """
     return _curve(ProtocolKind.TWO_PHOTON, r, phi)(s)

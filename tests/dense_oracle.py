@@ -4,7 +4,8 @@ Everything works on explicit matrices over full fixed-photon-number
 occupation bases and deliberately shares no code with the package under
 test: creation operators are rectangular sector-raising matrices, the
 depolarizing channel is applied in Kraus form (each Kraus operator a scaled
-partial permutation, applied by re-indexing), the beam splitters are basis
+partial permutation between the blocks of two H/V splits, applied by
+re-indexing those blocks), the beam splitters are basis
 permutations, post-selection uses diagonal projectors and fidelities come
 from witness operators, each seen through its pattern's projector.
 
@@ -91,42 +92,47 @@ def independent_pairs_vector():
 
 
 @functools.lru_cache(maxsize=None)
-def kraus_family(spatial, n):
-    """Kraus operators of the fully depolarizing channel on one spatial mode.
+def split_blocks(spatial, n):
+    """The basis states grouped for the fully depolarizing channel on one
+    spatial mode.
 
-    Each operator moves the photons of one (H, V) split to another: it is
-    1/sqrt(ntot + 1) times a partial permutation with distinct rows, held as
-    the read-only index arrays (rows, cols) of its nonzeros and ntot + 1.
+    For each photon count ntot in the mode, one read-only index array per
+    (H, V) split (k, ntot - k), listing the states with that split in the
+    order of the other six modes' occupations, which is the same for every
+    split.  The channel's Kraus operator that moves split kp to split k is
+    1/sqrt(ntot + 1) times the partial permutation taking array kp onto
+    array k.
     """
     h, v = spatial
-    states = basis(n)
-    index = basis_index(n)
-    ops = []
-    for ntot in range(n + 1):
-        for k in range(ntot + 1):
-            for kp in range(ntot + 1):
-                rows, cols = [], []
-                for col, occ in enumerate(states):
-                    if occ[h] == kp and occ[v] == ntot - kp:
-                        target = list(occ)
-                        target[h] = k
-                        target[v] = ntot - k
-                        rows.append(index[tuple(target)])
-                        cols.append(col)
-                if rows:
-                    rows, cols = np.array(rows), np.array(cols)
-                    rows.flags.writeable = cols.flags.writeable = False
-                    ops.append((rows, cols, ntot + 1))
-    return tuple(ops)
+    groups = {}
+    for i, occ in enumerate(basis(n)):
+        ntot = occ[h] + occ[v]
+        groups.setdefault(ntot, [[] for _ in range(ntot + 1)])[occ[h]].append(i)
+    blocks = []
+    for ntot in sorted(groups):
+        splits = tuple(np.array(indices) for indices in groups[ntot])
+        for indices in splits:
+            indices.flags.writeable = False
+        blocks.append(splits)
+    return tuple(blocks)
 
 
 def depolarize(rho, spatial, s, n):
-    # K rho K^T for each K = P / sqrt(ntot + 1), P a partial permutation
-    # taking column cols[i] to the distinct row rows[i]
-    mixed = np.zeros_like(rho)
-    for rows, cols, ntot_plus_one in kraus_family(spatial, n):
-        mixed[np.ix_(rows, rows)] += rho[np.ix_(cols, cols)] / ntot_plus_one
-    return s * rho + (1.0 - s) * mixed
+    """s rho + (1 - s) sum_K K rho K^T over the channel's Kraus operators K.
+
+    Every K of one photon count, moving split kp to split k, adds rho's
+    (kp, kp) block / (ntot + 1) to the (k, k) block, so each (k, k) block
+    gets the same sum over kp: it is read once per kp and added once per k.
+    """
+    out = s * rho
+    for splits in split_blocks(spatial, n):
+        mixed = 0
+        for indices in splits:
+            mixed = mixed + rho[np.ix_(indices, indices)] / len(splits)
+        mixed = (1.0 - s) * mixed
+        for indices in splits:
+            out[np.ix_(indices, indices)] += mixed
+    return out
 
 
 @_cached_matrix

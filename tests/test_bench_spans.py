@@ -26,8 +26,9 @@ def _tracer():
 
 #: one call of each ``run_*`` and a 3-point sweep, looked up on the module as
 #: the tracer patches it, with the ``run_*`` calls, Fock source builds and
-#: points each makes: a sweep calls no ``run_*``, and no call builds a source
-#: state or a ``to_density``, since each source density is fixed per process
+#: points each makes: a sweep calls no ``run_*``, and no traced call builds a
+#: source state or a ``to_density``, since the untraced call before it has
+#: built its kind's row, which holds the fixed source density
 CALLS = {
     "four-photon": (lambda: protocol.run_four_photon(0.95, 0.3, 0.6), 1, 0, 1),
     "two-photon": (lambda: protocol.run_two_photon(0.95, 0.3, 0.6), 1, 0, 1),
@@ -45,7 +46,7 @@ CALLS = {
 
 @pytest.mark.parametrize("call, runs, sources, points", CALLS.values(), ids=CALLS.keys())
 def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
-    expected = call()
+    expected = call()  # builds the kind's row, outside the traced window
     tracer = _tracer()
     tracer.install()
     try:
@@ -57,7 +58,8 @@ def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
     assert calls.get("protocol.run", 0) == runs
     assert calls.get("source.state", 0) == sources
     assert calls.get("fock.to_density", 0) == sources
-    # the beam splitters act on the readout maps once, at import, not per point
+    # the beam splitters act on the readout maps once, when the row is built,
+    # not per point
     assert calls.get("optics.pbs", 0) == 0
     assert calls["channel.depolarize"] == 2 * points
     assert call() == expected  # uninstalled: the originals are back

@@ -56,14 +56,10 @@ from pdcpurify.optics import _PBS
 from pdcpurify.protocol import (
     _BOTH_UP_WITNESS,
     _MEASURED_OUT_WITNESS,
-    _P_BOTH_UP,
-    _P_FOUR_MODE,
-    _W_BOTH_UP,
-    _W_MEASURED_OUT,
-    _W_UPPER,
     _expect,
     _in_front,
     _projector,
+    _row,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -218,25 +214,33 @@ def _relabeled(rho, relabel):
 #: the both-down pattern, which the run path never reads
 _BOTH_DOWN_WITNESS = DensityOperator._trusted(_relabeled(_BOTH_UP_WITNESS, MIRROR))
 
-#: each protocol's readouts in front of both beam splitters: the pattern, its
-#: projector and witness there, and the witness sum of the projected operator
-#: behind them (``pair_fidelity`` where the witness is a pair's Bell witness)
-READOUTS = {
-    ProtocolKind.FOUR_PHOTON: (
-        (FOUR_MODE, _P_FOUR_MODE, _W_UPPER,
-         lambda kept: pair_fidelity(kept, SpatialMode.A1, SpatialMode.B1)),
-    ),
-    ProtocolKind.TWO_PHOTON: (
-        (BOTH_UP, _P_BOTH_UP, _W_BOTH_UP,
-         lambda kept: pair_fidelity(kept, SpatialMode.A1, SpatialMode.B1)),
-        (BOTH_DOWN, _in_front(_projector(BOTH_DOWN)), _in_front(_BOTH_DOWN_WITNESS),
-         lambda kept: pair_fidelity(kept, SpatialMode.A2, SpatialMode.B2)),
-    ),
-    ProtocolKind.INDEPENDENT_PAIRS: (
-        (FOUR_MODE, _P_FOUR_MODE, _W_MEASURED_OUT,
-         lambda kept: _expect(kept, _MEASURED_OUT_WITNESS).real),
-    ),
-}
+def _maps(kind):
+    """The projector and witness in front of both beam splitters that
+    ``kind``'s row holds, without their lambda tags."""
+    row = _row(kind)
+    return tuple(
+        DensityOperator._trusted({key: v for key, v, _, _ in rows})
+        for rows in (row.projector, row.witness)
+    )
+
+
+def _readouts_in_front(kind):
+    """``kind``'s readouts in front of both beam splitters: the pattern, its
+    projector and witness there, and the witness sum of the projected operator
+    behind them (``pair_fidelity`` where the witness is a pair's Bell witness)."""
+    projector, witness = _maps(kind)
+    if kind is ProtocolKind.FOUR_PHOTON:
+        return ((FOUR_MODE, projector, witness,
+                 lambda kept: pair_fidelity(kept, SpatialMode.A1, SpatialMode.B1)),)
+    if kind is ProtocolKind.TWO_PHOTON:
+        return (
+            (BOTH_UP, projector, witness,
+             lambda kept: pair_fidelity(kept, SpatialMode.A1, SpatialMode.B1)),
+            (BOTH_DOWN, _in_front(_projector(BOTH_DOWN)), _in_front(_BOTH_DOWN_WITNESS),
+             lambda kept: pair_fidelity(kept, SpatialMode.A2, SpatialMode.B2)),
+        )
+    return ((FOUR_MODE, projector, witness,
+             lambda kept: _expect(kept, _MEASURED_OUT_WITNESS).real),)
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
@@ -254,7 +258,7 @@ def test_selecting_in_front_of_the_beam_splitters_is_projecting_behind(kind, r, 
     projected operator's trace and witness sum."""
     rho_s = depolarize_alice(to_density(_source(kind, r, phi)), s)
     behind = _transmitted(kind, r, phi, s)
-    for pattern, projector, witness, witness_sum in READOUTS[kind]:
+    for pattern, projector, witness, witness_sum in _readouts_in_front(kind):
         kept = project(behind, pattern)
         assert abs(_expect(rho_s, projector).real - kept.trace()) <= 1e-15
         assert abs(_expect(rho_s, witness).real - witness_sum(kept)) <= 1e-15
@@ -282,10 +286,13 @@ def _diagonal(projector):
 def test_key_sets_in_front_of_the_beam_splitters():
     """One H or V photon in each of the four spatial modes behind the beam
     splitters (16 keys), or in a1 and b1 (4 keys)."""
-    assert len(_P_FOUR_MODE.entries) == 16
-    assert len(_P_BOTH_UP.entries) == 4
-    assert _diagonal(_P_FOUR_MODE) == _sent_into(FOUR_MODE)
-    assert _diagonal(_P_BOTH_UP) == _sent_into(BOTH_UP)
+    four_mode, _ = _maps(ProtocolKind.FOUR_PHOTON)
+    both_up, _ = _maps(ProtocolKind.TWO_PHOTON)
+    assert len(four_mode.entries) == 16
+    assert len(both_up.entries) == 4
+    assert _diagonal(four_mode) == _sent_into(FOUR_MODE)
+    assert _diagonal(both_up) == _sent_into(BOTH_UP)
+    assert _maps(ProtocolKind.INDEPENDENT_PAIRS)[0].entries == four_mode.entries
     assert _diagonal(_in_front(_projector(BOTH_DOWN))) == _sent_into(BOTH_DOWN)
 
 
@@ -299,16 +306,26 @@ def _dense(a, n):
 
 
 def _oracle_maps():
-    """Each compiled map with its photon number and the oracle's map behind
-    the beam splitters: a pattern projector, or a witness on its pattern."""
+    """Each compiled map, as the kind whose row holds it and which of the
+    row's two maps it is (0: projector, 1: witness), with its photon number
+    and the oracle's map behind the beam splitters: a pattern projector, or a
+    witness on its pattern."""
     four = oracle.pattern_projector(frozenset(oracle.FOUR_MODE), 4)
     up = oracle.pattern_projector(frozenset(oracle.BOTH_UP), 2)
     return {
-        "four-mode projector": (_P_FOUR_MODE, 4, four),
-        "both-up projector": (_P_BOTH_UP, 2, up),
-        "upper witness": (_W_UPPER, 4, four @ oracle.bell_witness(oracle.A1, oracle.B1, 4) @ four),
-        "both-up witness": (_W_BOTH_UP, 2, up @ oracle.bell_witness(oracle.A1, oracle.B1, 2) @ up),
-        "measure-out witness": (_W_MEASURED_OUT, 4, oracle.measured_out_witness(4)),
+        "four-mode projector": (ProtocolKind.FOUR_PHOTON, 0, 4, four),
+        "both-up projector": (ProtocolKind.TWO_PHOTON, 0, 2, up),
+        "upper witness": (
+            ProtocolKind.FOUR_PHOTON, 1, 4,
+            four @ oracle.bell_witness(oracle.A1, oracle.B1, 4) @ four,
+        ),
+        "both-up witness": (
+            ProtocolKind.TWO_PHOTON, 1, 2,
+            up @ oracle.bell_witness(oracle.A1, oracle.B1, 2) @ up,
+        ),
+        "measure-out witness": (
+            ProtocolKind.INDEPENDENT_PAIRS, 1, 4, oracle.measured_out_witness(4)
+        ),
     }
 
 
@@ -319,7 +336,8 @@ def test_compiled_maps_are_the_dense_oracle_maps_in_front_of_the_beam_splitters(
     oracle's 45-degree projectors are products of 1/sqrt(2), so its measure-out
     witness is 1/2 only to rounding (about 4e-16 off); the others agree
     exactly."""
-    compiled, n, behind = _oracle_maps()[name]
+    kind, index, n, behind = _oracle_maps()[name]
+    compiled = _maps(kind)[index]
     expected = oracle.both_pbs(behind, n)
     assert np.abs(_dense(compiled, n) - expected).max() <= 1e-15
     support = zip(*np.nonzero(np.abs(expected) > 1e-15))
@@ -328,12 +346,14 @@ def test_compiled_maps_are_the_dense_oracle_maps_in_front_of_the_beam_splitters(
 
 
 @pytest.mark.parametrize(
-    "witness, entries",
-    [(_W_UPPER, 16), (_W_BOTH_UP, 4), (_W_MEASURED_OUT, 16)],
+    "kind, entries",
+    [(ProtocolKind.FOUR_PHOTON, 16), (ProtocolKind.TWO_PHOTON, 4),
+     (ProtocolKind.INDEPENDENT_PAIRS, 16)],
     ids=["upper witness", "both-up witness", "measure-out witness"],
 )
-def test_compiled_witnesses_are_hermitian_with_every_value_one_half(witness, entries):
+def test_compiled_witnesses_are_hermitian_with_every_value_one_half(kind, entries):
     """Built from kets with +-1 amplitudes, every value is exactly 0.5."""
+    _, witness = _maps(kind)
     assert len(witness.entries) == entries
     assert all(v == 0.5 for v in witness.entries.values())
     assert all(
@@ -364,7 +384,8 @@ def test_witness_sums_match_the_dense_reduction(kind, r, phi, s):
         if kind is not ProtocolKind.TWO_PHOTON:
             dense = fidelity(measure_out_lower_pair(conditional))
             in_front = _in_front(conditional)
-            assert abs(_expect(in_front, _W_MEASURED_OUT).real - dense) <= 1e-14
+            _, witness = _maps(ProtocolKind.INDEPENDENT_PAIRS)
+            assert abs(_expect(in_front, witness).real - dense) <= 1e-14
 
 
 def _oracle(kind, r, phi, s):

@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -287,16 +291,17 @@ def test_sweep_equals_per_point_runs(kind):
             assert [_bits(res) for res in sweep(spec)] == [_bits(res) for res in expected]
 
 
-#: the Fock builders a sweep does not call: it weights its readout maps for
-#: (r, phi) through ``_readouts``, once, and runs the channel on the process's
-#: fixed source density
+#: the Fock builders a sweep does not call once its kind's row exists: it
+#: weights its readout maps for (r, phi) through ``_readouts``, once (or reads
+#: the row's maps weighted at lambda = 0, for independent pairs), and runs the
+#: channel on the row's fixed source density
 SOURCE_BUILDERS = ("spatially_entangled_state", "independent_pairs_state", "to_density")
 
 
-@pytest.mark.parametrize("points", [1, 3, 51])
-@pytest.mark.parametrize("kind", list(ProtocolKind))
-def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
-    calls = dict.fromkeys(SOURCE_BUILDERS + ("_readouts",), 0)
+def _count_calls(names, monkeypatch):
+    """A map from each of ``names`` to the calls made so far of the function
+    of that name on the protocol module, counted from now on."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(protocol_module, name)):
@@ -304,12 +309,38 @@ def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(protocol_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("points", [1, 3, 51])
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
+    protocol_module._row(kind)  # the kind's first use builds its row
+    calls = _count_calls(SOURCE_BUILDERS + ("_readouts",), monkeypatch)
     grid = (0.5,) if points == 1 else linear_grid(0.0, 1.0, points)
     results = sweep(SweepSpec(grid, r=0.9, phi=0.45, protocol=kind))
     assert [res.s for res in results] == list(grid)
     expected = dict.fromkeys(calls, 0)
-    expected["_readouts"] = 1
+    expected["_readouts"] = int(kind is not ProtocolKind.INDEPENDENT_PAIRS)
     assert calls == expected
+
+
+@pytest.mark.parametrize("r", [0, 0.0, 1e-9])
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_fixed_weights_are_read_without_weighting(kind, r, monkeypatch):
+    """Once a kind's row exists, independent pairs and runs at r = 0 read the
+    row's maps weighted at lambda = 0, with no ``_readouts`` call; any other
+    run or sweep weights its maps once."""
+    protocol_module._row(kind)
+    calls = _count_calls(SOURCE_BUILDERS + ("_readouts",), monkeypatch)
+    weighted = int(kind is not ProtocolKind.INDEPENDENT_PAIRS and r != 0)
+    for phi in (0.0, 2.0):
+        expected = dict(calls, _readouts=calls["_readouts"] + weighted)
+        run_direct(kind, r, phi, 0.5)
+        assert calls == expected
+        expected["_readouts"] += weighted
+        sweep(SweepSpec((0.0, 0.5, 1.0), r, phi, kind))
+        assert calls == expected
 
 
 #: the (r, phi) grid on which the block read must match the Fock build
@@ -317,10 +348,18 @@ BLOCK_GRID_R = (0, 1e-9, 0.3, 0.7, 0.9, 0.95, 1)
 BLOCK_GRID_PHI = (0, 0.45, math.acos(0.95), 2, math.pi - 1e-9, math.pi)
 
 
+#: the kind whose row holds each source: ``None`` is two independent pairs
+SOURCE_KINDS = {
+    1: ProtocolKind.TWO_PHOTON,
+    2: ProtocolKind.FOUR_PHOTON,
+    None: ProtocolKind.INDEPENDENT_PAIRS,
+}
+
+
 def _row(pairs):
-    """The ``_PROTOCOLS`` row whose source is ``pairs`` (``None``: two
-    independent pairs)."""
-    (row,) = [row for row in protocol_module._PROTOCOLS.values() if row.pairs == pairs]
+    """The row whose source is ``pairs`` (``None``: two independent pairs)."""
+    row = protocol_module._row(SOURCE_KINDS[pairs])
+    assert row.pairs == pairs
     return row
 
 
@@ -382,14 +421,14 @@ def test_block_read_matches_the_fock_build_at_random_points(r, phi, pairs):
     _assert_block_read_matches_the_fock_build(r, phi, pairs)
 
 
-#: each protocol's fixed projector and witness, which read the Fock build
-FIXED_READOUTS = {
-    ProtocolKind.FOUR_PHOTON: (protocol_module._P_FOUR_MODE, protocol_module._W_UPPER),
-    ProtocolKind.TWO_PHOTON: (protocol_module._P_BOTH_UP, protocol_module._W_BOTH_UP),
-    ProtocolKind.INDEPENDENT_PAIRS: (
-        protocol_module._P_FOUR_MODE, protocol_module._W_MEASURED_OUT
-    ),
-}
+def _fixed_readouts(kind):
+    """``kind``'s fixed projector and witness, which read the Fock build,
+    moved in front of both beam splitters from the row's recipe."""
+    _, pattern, witness, _, _ = protocol_module._RECIPES[kind]
+    return (
+        protocol_module._in_front(protocol_module._projector(pattern)),
+        protocol_module._in_front(witness),
+    )
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
@@ -397,7 +436,8 @@ def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
     """Tr(A_lambda C_s(rho_1)) = Tr(A C_s(rho)) for the projector and the
     witness on the grid: the channel keeps each entry's lower pairs, so the
     lambda-weights can sit on the readout maps in place of the density."""
-    row = protocol_module._PROTOCOLS[kind]
+    row = protocol_module._row(kind)
+    fixed = _fixed_readouts(kind)
     for r in BLOCK_GRID_R:
         for phi in BLOCK_GRID_PHI:
             if row.pairs is None:
@@ -409,7 +449,7 @@ def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
             for s in (0.0, 0.5, 1.0):
                 fixed_s = depolarize_alice(row.density, s)
                 built_s = depolarize_alice(to_density(state), s)
-                for a_lambda, a in zip(weighted, FIXED_READOUTS[kind]):
+                for a_lambda, a in zip(weighted, fixed):
                     read = protocol_module._expect(fixed_s, a_lambda)
                     assert abs(read - protocol_module._expect(built_s, a)) <= 1e-15
 
@@ -419,9 +459,12 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     built = to_density(independent_pairs_state()).entries
     assert row.traces == (1.0,)
     assert row.density.entries == built
-    projector, witness = protocol_module._readouts(row, 1.0, 0.0)
-    assert projector.entries == protocol_module._P_FOUR_MODE.entries
-    assert witness.entries == protocol_module._W_MEASURED_OUT.entries
+    assert row.zero_block.entries == built
+    fixed = _fixed_readouts(ProtocolKind.INDEPENDENT_PAIRS)
+    for weights in ((1.0, 0.0), (0.0, 0.0)):
+        weighted = protocol_module._readouts(row, *weights)
+        assert [a.entries for a in weighted] == [a.entries for a in fixed]
+    assert [a.entries for a in row.zero_readouts] == [a.entries for a in fixed]
 
 
 @pytest.mark.parametrize(
@@ -431,8 +474,9 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
 def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypatch):
     """At r = 0 a run hands the channel only the fixed density's (0, 0) block,
     no lower pair on ket or bra, and reads what the full density gives, bit for
-    bit: the weighted maps read nothing else."""
-    row = protocol_module._PROTOCOLS[kind]
+    bit: the weighted maps read nothing else.  Those maps do not depend on
+    phi, so the row holds them, weighted at lambda = 0."""
+    row = protocol_module._row(kind)
     lower = protocol_module._lower_pairs
     assert row.zero_block.entries == {
         (ket, bra): v
@@ -440,8 +484,12 @@ def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypa
         if lower(ket) == lower(bra) == 0
     }
     assert len(row.zero_block.entries) == block
+    for phi in BLOCK_GRID_PHI:
+        weighted = protocol_module._readouts(row, 0.0, phi)
+        assert [a.entries for a in weighted] == [a.entries for a in row.zero_readouts]
+        assert all(lower(ket) == lower(bra) == 0 for a in weighted for ket, bra in a.entries)
     for s in (0.0, 0.3, 1.0):
-        for a in protocol_module._readouts(row, 0.0, 0.45):
+        for a in row.zero_readouts:
             read = protocol_module._expect(depolarize_alice(row.zero_block, s), a)
             assert read == protocol_module._expect(depolarize_alice(row.density, s), a)
     sizes = []
@@ -456,9 +504,90 @@ def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypa
     assert sizes == [block, len(row.density.entries)]
 
 
+def _weighted_per_call(kind, r, phi, s):
+    """The run with its maps weighted through ``_readouts`` at this call:
+    independent pairs at lambda = 1, the two-pass source at its own (r, phi),
+    with the channel on the (0, 0) block at r = 0.  The reference that the
+    row's maps weighted once must match bit for bit."""
+    row = protocol_module._row(kind)
+    rho = row.density
+    if row.pairs is None:
+        r = phi = None
+        maps = protocol_module._readouts(row, 1.0, 0.0)
+    else:
+        source = SourceParams(r, phi, row.pairs)
+        maps = protocol_module._readouts(row, source.r, source.phi)
+        if source.r == 0:
+            rho = row.zero_block
+    rho_s = depolarize_alice(rho, s)
+    p, weighted = (row.factor * protocol_module._expect(rho_s, a).real for a in maps)
+    f = weighted / p if p > protocol_module.ZERO_PROBABILITY else None
+    return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
+
+
+#: s at the edges and inside, for the bit-identity of the fixed-weight reads
+FIXED_WEIGHT_S = (0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_fixed_weight_reads_are_the_per_call_weighting_bit_for_bit(kind):
+    """Independent pairs, and r = 0 at any phi, give the same ``repr`` from
+    the row's maps weighted once as from maps weighted at each call."""
+    if kind is ProtocolKind.INDEPENDENT_PAIRS:
+        points = [(1.0, 0.0)]  # ignored: independent pairs take no r or phi
+    else:
+        points = [(r, phi) for r in (0, 0.0) for phi in BLOCK_GRID_PHI + (-1.0, 7.0)]
+    for r, phi in points:
+        expected = [repr(_weighted_per_call(kind, r, phi, s)) for s in FIXED_WEIGHT_S]
+        assert [repr(run_direct(kind, r, phi, s)) for s in FIXED_WEIGHT_S] == expected
+        spec = SweepSpec(FIXED_WEIGHT_S, r, phi, kind)
+        assert [repr(res) for res in sweep(spec)] == expected
+
+
+#: imports the package, runs ``state`` and one two-photon run in a fresh
+#: interpreter, and prints the kinds whose rows exist after each step
+LAZY_ROWS_PROBE = """
+import contextlib, io
+import pdcpurify
+import pdcpurify.cli
+from pdcpurify import protocol
+
+def built():
+    return sorted(kind.value for kind in protocol._ROWS)
+
+print(built())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert pdcpurify.cli.main(["state", "--pairs", "2"]) == 0
+print(built())
+pdcpurify.run_two_photon(0.9, 0.45, 0.5)
+print(built())
+pdcpurify.run_two_photon(0.0, 0.45, 0.5)
+pdcpurify.sweep(pdcpurify.SweepSpec((0.0, 1.0), 0.3, 2.0, "two-photon"))
+print(built())
+"""
+
+
+def test_rows_are_built_on_their_kinds_first_use(tmp_path):
+    """``import pdcpurify`` and ``state`` build no row; a two-photon run builds
+    two-photon's row alone, and later two-photon calls build none."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_ROWS_PROBE],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]", "['two-photon']", "['two-photon']"]
+
+
 def test_runs_build_no_fock_state(monkeypatch):
-    """A run reads the process's fixed source density: no ``PureState``, no
-    ``create`` and no ``to_density``."""
+    """Once its kind's row exists, a run reads the row's fixed source density:
+    no ``PureState``, no ``create`` and no ``to_density``."""
+    for kind in ProtocolKind:
+        protocol_module._row(kind)
 
     def fail(*args, **kwargs):
         raise AssertionError("a run built a Fock state")
