@@ -34,11 +34,11 @@ def _result_row(result: ProtocolResult) -> str:
 
 
 def _read_config(path: str, known: set[str]) -> dict[str, str]:
-    """Parse a plain ``key = value`` defaults file; keys must be in ``known``
-    and appear once."""
+    """Parse a plain ``key = value`` defaults file (UTF-8, with or without a
+    byte-order mark); keys must be in ``known`` and appear once."""
     defaults: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

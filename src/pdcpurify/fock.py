@@ -12,14 +12,12 @@ the package builds itself from valid keys is wrapped by ``_trusted`` as it
 is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
 quotient or a sum) prunes its result, once, through ``pruned``, after the
 whole map is built: ``to_density``, ``PureState.scaled``, the channel, the
-source's pair emission and the protocols' weighting of their readout maps by
-powers of lambda, once per protocol at lambda = 0 when its row is built and
-once per curve at any other (r, phi).  No builder prunes a term before it is
-summed, and no other module of the package reads ``PRUNE_TOL``.  A
-relabeling (the PBS), ``create`` (it scales values of modulus >= ``PRUNE_TOL``
-by sqrt(n+1) >= 1, on distinct keys) and the fixed readout maps of
-``protocol`` (exact sums of +-1/2^n, whose zeros they drop) cannot, so they
-do not prune.
+source's pair emission and the protocols' weighting of their readout maps.
+No builder prunes a term before it is summed, and no other module of the
+package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
+values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
+the protocols' fixed readout maps (exact sums of +-1/2^n, whose zeros they
+drop) cannot, so they do not prune.
 
 ``in_range``, ``pruned`` and ``shown`` are the package's shared input check,
 pruning rule and message formatter; the other modules import them, and

@@ -6,22 +6,29 @@ channels on Alice's spatial modes -> polarizing beam splitters on both sides
 surviving pair(s).  A pattern's probability and a fidelity's witness sum are
 each Tr(A rho) for a fixed map A behind the beam splitters: the pattern's
 diagonal projector, or a Bell witness on it.  This module holds the patterns
-and builds each A from its defining kets; the beam splitters permute basis
-states, so A is moved in front of them once and a point reads two maps out
-after the channel.  The source density is a fixed polynomial in
-lambda = r e^(i phi): each entry carries lambda^j conj(lambda)^k, with j and
-k the pairs its ket and bra emit into the lower modes, and the channel keeps
-both counts.  So a protocol builds its source's r = 1, phi = 0 density once,
-and the lambda-weights sit on the two maps instead: a curve weights their
-entries (16 + 16 for four-photon) once, and every point runs the channel on
-the fixed density, with no Fock build.  Independent pairs take no lambda, and
-at r = 0 every weight but that of the (0, 0) block is 0, so both read maps
-weighted once, when the row is built.  So the three pipelines differ only in
-data: each is one row (fixed source density, projector, witness, mirror),
-built from ``_RECIPES`` on its kind's first use and kept, so importing the
-package builds none.  One builder, ``_curve``, weights the row's maps once
-per curve, since they depend on r and phi only, and reads the channel's
-output with them at every s; a single run is the same path at one s.
+and builds each A; the beam splitters permute basis states, so A is moved in
+front of them once and a point reads two maps out after the channel.
+
+The run path.  The two-pass source's amplitude on a ket with j lower pairs
+(photons in a2) is lambda^j times its amplitude at r = 1, phi = 0, for
+lambda = r e^(i phi).  So its density at (r, phi) is the fixed r = 1, phi = 0
+density rho_1 with each entry times lambda^j conj(lambda)^k / N(r), for j and
+k the lower pairs of its ket and bra and N(r) = sum_k tr(rho_1's (k, k)
+block) r^(2k).  The channel moves photons only between the H and V modes of
+one spatial mode, so every entry of its output keeps its (j, k), and
+Tr(A C_s(rho)) = Tr(A_lambda C_s(rho_1)), where A_lambda is A with its
+(ket, bra) entry, which reads the (bra, ket) entry, tagged with that entry's
+(j, k) and times its weight.  So a curve weights its two maps (16 + 16
+entries for four-photon) once, and every point runs the channel on the fixed
+density, with no Fock build.  Two cases read maps weighted once, when the row
+is built: at r = 0 every weight but that of the (0, 0) block is exactly 0,
+so the maps weighted at lambda = 0 serve every phi, and the channel runs on
+that block alone; two independent pairs take no lambda, so their maps carry
+the power 0 and the weight 1.  The three pipelines thus differ only in data:
+each is one row, built by ``_row`` from ``_RECIPES`` on its kind's first use
+and kept, so importing the package builds none, and ``_curve`` reads every
+row.  A single run is a one-point curve.
+
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
 ``sum`` of floats rounds differently from Python 3.12 on (it compensates).
@@ -30,10 +37,11 @@ bit-identical results.  Across versions the last bit may differ, because
 from __future__ import annotations
 
 import cmath
+import functools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
-from itertools import combinations_with_replacement, product
+from itertools import product
 from types import MappingProxyType
 
 from .channel import depolarize_alice
@@ -133,14 +141,14 @@ def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> DensityOpera
 
 def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator:
     """The diagonal projector onto a detection pattern, so that Tr(P rho) is
-    the pattern's probability: onto each way of placing each spatial mode's
-    count of photons on its H and V modes."""
-    modes = [spatial.value for spatial in SpatialMode]
-    return _onto(
-        [{photons: 1} for photons in split]
-        for counts in pattern
-        for split in product(*map(combinations_with_replacement, modes, counts))
-    )
+    the pattern's probability: a 1 on every occupation that splits each
+    spatial mode's n photons as k on H and n - k on V, for k = n, ..., 0."""
+    entries = {}
+    for counts in pattern:
+        for split in product(*[[(k, n - k) for k in range(n, -1, -1)] for n in counts]):
+            occ = sum(split, ())
+            entries[occ, occ] = 1 + 0j
+    return DensityOperator._trusted(entries)
 
 
 #: |HH> + sign |VV> on (a1, b1), unnormalized: Phi+ for sign 1, Phi- for -1
@@ -186,44 +194,47 @@ def _lower_pairs(occ: Occupations) -> int:
     return occ[Mode.A2H] + occ[Mode.A2V]
 
 
-# The lambda-weights.  The two-pass source's amplitude on a ket with j lower
-# pairs is lambda^j times its amplitude at r = 1, phi = 0, so its density at
-# (r, phi) is the r = 1, phi = 0 density rho_1 with each entry times
-# lambda^j conj(lambda)^k / N(r), for j and k the lower pairs of its ket and
-# bra and N(r) = sum_k tr(rho_1's (k, k) block) r^(2k).  The channel moves
-# photons only between the H and V modes of one spatial mode, so every entry
-# of its output keeps its (j, k), and Tr(A C_s(rho)) = Tr(A_lambda C_s(rho_1))
-# where A_lambda is A with its (ket, bra) entry, which reads the (bra, ket)
-# entry, times that entry's weight.  At r = 0 every weight but (0, 0)'s is
-# exactly 0, so only rho_1's (0, 0) block is read, through maps that do not
-# depend on phi.  Two independent pairs take no lambda: their maps carry the
-# power 0 and the weight 1, so they too read maps weighted once.
+# The mirror.  With F exchanging H and V in every spatial mode and S the upper
+# and lower spatial modes on both sides, the operator T behind both beam
+# splitters obeys F T F = S T S: each source pair is HH + VV, the channel
+# treats a1, a2 and H, V alike, and F PBS F = S PBS.  F fixes every pattern
+# (they count H + V) and the upper Bell witness; S fixes FOUR_MODE, maps
+# BOTH_UP to BOTH_DOWN and the upper witness to the lower.  So each lower-pair
+# or both-down probability and witness sum equals its upper or both-up mirror:
+# two-photon's both-down branch doubles p and the witness sum (factor 2), and
+# four-photon's f_lower equals its f_upper.
 
-#: a protocol's row: ``pairs`` from the two-pass source, or ``None`` for two
-#: independent pairs (which take no r or phi); the source's fixed density
+#: what each protocol's row is built from: its source's pairs (``None`` for
+#: two independent pairs, which take no r or phi), its pattern, its witness
+#: behind the beam splitters, the factor on both readouts, and whether
+#: ``f_lower`` mirrors ``f_upper``
+_RECIPES = {
+    ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
+    ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2.0, False),
+    ProtocolKind.INDEPENDENT_PAIRS: (None, FOUR_MODE, _MEASURED_OUT_WITNESS, 1.0, False),
+}
+
+#: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
 #: (at r = 1, phi = 0), its (0, 0) block ``zero_block``, all that r = 0
 #: reads (the whole density for independent pairs), and ``traces``, tr of
 #: its (k, k) block by k; the pattern's projector and the witness, in front
 #: of the beam splitters, as rows (key, v, j, k), each entry tagged with the
 #: powers of lambda and conj(lambda) it is weighted by; ``zero_readouts``,
 #: the two weighted at lambda = 0, which is all that independent pairs and
-#: r = 0 read; the factor on both readouts; and whether ``f_lower`` mirrors
-#: ``f_upper``
-_Pipeline = namedtuple(
-    "_Pipeline",
+#: r = 0 read; and the recipe's factor and mirror
+_Row = namedtuple(
+    "_Row",
     "pairs density zero_block traces projector witness zero_readouts factor mirrored",
 )
 
 
-def _pipeline(
-    pairs: int | None,
-    pattern: frozenset[tuple[int, int, int, int]],
-    witness: DensityOperator,
-    factor: float,
-    mirrored: bool,
-) -> _Pipeline:
-    """The row of a protocol whose source is ``pairs``, whose selection is
-    ``pattern`` and whose witness behind the beam splitters is ``witness``."""
+@functools.cache
+def _row(kind: ProtocolKind) -> _Row:
+    """``kind``'s row, built from its recipe on the kind's first use and kept
+    for the process.  A row depends on its kind alone and is never changed,
+    so every caller shares it; two threads that race may both build it, and
+    build equal rows."""
+    pairs, pattern, witness, factor, mirrored = _RECIPES[kind]
     if pairs is None:
         rho, power = to_density(independent_pairs_state()), lambda occ: 0
     else:
@@ -242,45 +253,14 @@ def _pipeline(
         tuple((key, v, power(key[1]), power(key[0])) for key, v in a.entries.items())
         for a in (_in_front(_projector(pattern)), _in_front(witness))
     )
-    row = _Pipeline(
+    row = _Row(
         pairs, rho, zero_block, tuple(traces), projector, witness, None, factor, mirrored
     )
     return row._replace(zero_readouts=_readouts(row, 0.0, 0.0))
 
 
-# The mirror.  With F exchanging H and V in every spatial mode and S the upper
-# and lower spatial modes on both sides, the operator T behind both beam
-# splitters obeys F T F = S T S: each source pair is HH + VV, the channel
-# treats a1, a2 and H, V alike, and F PBS F = S PBS.  F fixes every pattern
-# (they count H + V) and the upper Bell witness; S fixes FOUR_MODE, maps
-# BOTH_UP to BOTH_DOWN and the upper witness to the lower.  So each lower-pair
-# or both-down probability and witness sum equals its upper or both-up mirror:
-# two-photon's both-down branch doubles p and the witness sum (factor 2), and
-# four-photon's f_lower equals its f_upper.
-
-#: what each protocol's row is built from: ``_pipeline``'s arguments
-_RECIPES = {
-    ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
-    ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2.0, False),
-    ProtocolKind.INDEPENDENT_PAIRS: (None, FOUR_MODE, _MEASURED_OUT_WITNESS, 1.0, False),
-}
-
-#: the rows built so far, by kind: one per ``ProtocolKind`` at most.  A row
-#: depends on its kind alone and is never changed, so every caller may share
-#: it; two threads that race build equal rows, and either is kept.
-_ROWS: dict[ProtocolKind, _Pipeline] = {}
-
-
-def _row(kind: ProtocolKind) -> _Pipeline:
-    """``kind``'s row, built on the kind's first use and kept for the process."""
-    row = _ROWS.get(kind)
-    if row is None:
-        row = _ROWS[kind] = _pipeline(*_RECIPES[kind])
-    return row
-
-
 def _readouts(
-    row: _Pipeline, r: float, phi: float
+    row: _Row, r: float, phi: float
 ) -> tuple[DensityOperator, DensityOperator]:
     """The row's projector and witness weighted for lambda = r e^(i phi), each
     pruned once: read against the channel's output of the row's fixed
@@ -299,10 +279,9 @@ def _readouts(
 def _curve(
     kind: ProtocolKind, r: float | None, phi: float | None
 ) -> Callable[[float], ProtocolResult]:
-    """The ``kind`` run at (r, phi) as a function of s.  Independent pairs
-    ignore r and phi and report ``None``; they, and the two-pass source at
-    r = 0, read the row's maps weighted at lambda = 0 with the channel on the
-    (0, 0) block.  Any other (r, phi) weights the maps here, once."""
+    """The ``kind`` run at (r, phi) as a function of s, read off the kind's
+    row as the module docstring describes.  Independent pairs ignore r and
+    phi and report ``None``."""
     row = _row(kind)
     rho, (projector, witness) = row.zero_block, row.zero_readouts
     if row.pairs is None:
@@ -409,9 +388,8 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 def sweep(spec: SweepSpec) -> list[ProtocolResult]:
     """Run the selected protocol at every grid point, ordered by s.
 
-    The protocol's readout maps are weighted for (r, phi) once and read the
-    channel's output of its fixed source density at each s; a single run is
-    a one-point sweep.
+    The work that depends on r and phi only is done once per sweep; a single
+    run is a one-point sweep.
     """
     at = _curve(spec.protocol, spec.r, spec.phi)
     return [at(s) for s in spec.s_values]

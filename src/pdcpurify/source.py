@@ -38,7 +38,10 @@ class SourceParams(namedtuple("SourceParams", "r phi pairs")):
             raise ValueError(f"phi must be a finite number, got {shown(phi)}")
         if type(pairs) is not int or pairs not in (1, 2):
             raise ValueError(f"pairs must be the int 1 or 2, got {shown(pairs)}")
-        return super().__new__(cls, r, phi % (2.0 * math.pi), pairs)
+        phi = phi % (2.0 * math.pi)
+        # a negative phi within half a last-place unit of 2 pi from 0 wraps to
+        # 2 pi - |phi|, which rounds to exactly 2 pi: that is the phase 0
+        return super().__new__(cls, r, 0.0 if phi == 2.0 * math.pi else phi, pairs)
 
 
 def _emit_pair(state: PureState, upper: complex, lower: complex) -> PureState:

@@ -149,12 +149,17 @@ def pbs_permutation(side, n):
     return perm
 
 
+@_cached_matrix
+def both_pbs_permutation(n):
+    """Alice's permutation, then Bob's, as one index array: re-indexing by
+    it is re-indexing by each in turn."""
+    return pbs_permutation("alice", n)[pbs_permutation("bob", n)]
+
+
 def both_pbs(rho, n):
-    """P rho P^T for each side's permutation P, taken as a re-indexing."""
-    for side in ("alice", "bob"):
-        perm = pbs_permutation(side, n)
-        rho = rho[np.ix_(perm, perm)]
-    return rho
+    """P rho P^T for both sides' permutations P, taken as one re-indexing."""
+    perm = both_pbs_permutation(n)
+    return rho[np.ix_(perm, perm)]
 
 
 def trace_of_product(w, x):

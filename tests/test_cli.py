@@ -434,16 +434,18 @@ def test_duplicate_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
         (["run", "--protocol", "two-photon", "--s", "1"], "pairs = two", "pairs"),
         (["sweep", "--protocol", "two-photon", "--out", "x.csv"], "s = abc", "s"),
         (["run", "--protocol", "two-photon", "--s", "1", "--r", "1"], "r = abc", "r"),
+        # a byte-order mark is no part of the first key
+        (["run", "--protocol", "two-photon", "--s", "1"], "\ufeffr = abc", "r"),
     ],
     ids=["run", "sweep", "state", "state-steps", "state-format", "run-pairs",
-         "sweep-s", "overridden-r"],
+         "sweep-s", "overridden-r", "byte-order-mark"],
 )
 def test_unconvertible_config_value_exits_2(
     command, line, key, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "bad.cfg"
-    config.write_text(line + "\n")
+    config.write_text(line + "\n", encoding="utf-8")
     status, out, err = run_cli(command + ["--config", str(config)], capsys)
     assert status == 2
     assert out == ""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -431,6 +432,20 @@ def _fixed_readouts(kind):
     )
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_pattern_projectors_partition_the_n_photon_occupations(n):
+    """The projectors of all n-photon patterns, many with 2 or more photons in
+    one spatial mode, are 1 on disjoint diagonals that cover every n-photon
+    occupation, so their sum is 1 on the whole sector."""
+    covered = []
+    patterns = [c for c in itertools.product(range(n + 1), repeat=4) if sum(c) == n]
+    for counts in patterns:
+        entries = protocol_module._projector(frozenset({counts})).entries
+        assert all(ket == bra and v == 1 for (ket, bra), v in entries.items())
+        covered.extend(ket for ket, _ in entries)
+    assert sorted(covered) == list(oracle.basis(n))
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
     """Tr(A_lambda C_s(rho_1)) = Tr(A C_s(rho)) for the projector and the
@@ -545,7 +560,9 @@ def test_fixed_weight_reads_are_the_per_call_weighting_bit_for_bit(kind):
 
 
 #: imports the package, runs ``state`` and one two-photon run in a fresh
-#: interpreter, and prints the kinds whose rows exist after each step
+#: interpreter, and prints after each step how many rows exist and how many
+#: were built (``_row``'s cache size and misses); a last two-photon lookup
+#: builds nothing, so the one row is two-photon's
 LAZY_ROWS_PROBE = """
 import contextlib, io
 import pdcpurify
@@ -553,7 +570,8 @@ import pdcpurify.cli
 from pdcpurify import protocol
 
 def built():
-    return sorted(kind.value for kind in protocol._ROWS)
+    info = protocol._row.cache_info()
+    return info.currsize, info.misses
 
 print(built())
 with contextlib.redirect_stdout(io.StringIO()):
@@ -563,6 +581,8 @@ pdcpurify.run_two_photon(0.9, 0.45, 0.5)
 print(built())
 pdcpurify.run_two_photon(0.0, 0.45, 0.5)
 pdcpurify.sweep(pdcpurify.SweepSpec((0.0, 1.0), 0.3, 2.0, "two-photon"))
+print(built())
+protocol._row(protocol.ProtocolKind.TWO_PHOTON)
 print(built())
 """
 
@@ -580,7 +600,7 @@ def test_rows_are_built_on_their_kinds_first_use(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]", "['two-photon']", "['two-photon']"]
+    assert done.stdout.splitlines() == ["(0, 0)", "(0, 0)"] + ["(1, 1)"] * 3
 
 
 def test_runs_build_no_fock_state(monkeypatch):

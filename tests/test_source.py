@@ -3,6 +3,8 @@ import math
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdcpurify import (
     MODES,
@@ -124,6 +126,17 @@ def test_non_finite_phi_rejected(phi):
 def test_phi_wraps_into_principal_range():
     params = SourceParams(r=1, phi=2.0 * math.pi + 0.25)
     assert params.phi == pytest.approx(0.25)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(phi=st.floats(allow_nan=False, allow_infinity=False))
+@example(phi=-1e-300)
+@example(phi=-5e-324)
+@example(phi=-0.0)
+@example(phi=2.0 * math.pi)
+@example(phi=-2.0 * math.pi)
+def test_phi_lands_in_zero_to_two_pi(phi):
+    assert 0.0 <= SourceParams(r=1, phi=phi).phi < 2.0 * math.pi
 
 
 def test_independent_pairs_four_kets():
