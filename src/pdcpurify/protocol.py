@@ -9,25 +9,25 @@ diagonal projector, or a Bell witness on it.  This module holds the patterns
 and builds each A; the beam splitters permute basis states, so A is moved in
 front of them once and a point reads two maps out after the channel.
 
-The run path.  The two-pass source's amplitude on a ket with j lower pairs
+The run path.  Every A here is real and equal to its transpose, so Tr(A rho)
+is the sum of A[key] rho[key]: a readout entry reads the density entry with
+the same key.  The two-pass source's amplitude on a ket with j lower pairs
 (photons in a2) is lambda^j times its amplitude at r = 1, phi = 0, for
-lambda = r e^(i phi).  So its density at (r, phi) is the fixed r = 1, phi = 0
-density rho_1 with each entry times lambda^j conj(lambda)^k / N(r), for j and
-k the lower pairs of its ket and bra and N(r) = sum_k tr(rho_1's (k, k)
-block) r^(2k).  The channel moves photons only between the H and V modes of
-one spatial mode, so every entry of its output keeps its (j, k), and
-Tr(A C_s(rho)) = Tr(A_lambda C_s(rho_1)), where A_lambda is A with its
-(ket, bra) entry, which reads the (bra, ket) entry, tagged with that entry's
-(j, k) and times its weight.  So a curve weights its two maps (16 + 16
-entries for four-photon) once, and every point runs the channel on the fixed
-density, with no Fock build.  Two cases read maps weighted once, when the row
-is built: at r = 0 every weight but that of the (0, 0) block is exactly 0,
-so the maps weighted at lambda = 0 serve every phi, and the channel runs on
-that block alone; two independent pairs take no lambda, so their maps carry
-the power 0 and the weight 1.  The three pipelines thus differ only in data:
-each is one row, built by ``_row`` from ``_RECIPES`` on its kind's first use
-and kept, so importing the package builds none, and ``_curve`` reads every
-row.  A single run is a one-point curve.
+lambda = r e^(i phi).  So its density at (r, phi) is the fixed r = 1,
+phi = 0 density rho_1 with each entry times lambda^j conj(lambda)^k / N(r),
+for j and k the lower pairs of its ket and bra and N(r) = sum_k tr(rho_1's
+(k, k) block) r^(2k).  The channel moves photons only between the H and V
+modes of one spatial mode, so each entry of its output keeps its (j, k), and
+a readout entry carries the weight of the entry it reads.  So a curve
+weights its two maps (16 + 16 entries for four-photon) once, with
+two-photon's mirror factor, and a point runs the channel on rho_1 and reads
+two sums, with no Fock build.  Two cases read maps weighted once, when the
+row is built: at r = 0 every weight but that of the (0, 0) block is 0, so
+the maps weighted at lambda = 0 serve every phi and the channel runs on that
+block alone; independent pairs take no lambda (power 0, weight 1).  The
+three pipelines differ only in data: each is one row, built by ``_row`` from
+``_RECIPES`` on its kind's first use and kept, so importing the package
+builds none, and ``_curve`` reads every row, for a run as for a sweep.
 
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
@@ -183,10 +183,11 @@ def _in_front(behind: DensityOperator) -> DensityOperator:
 
 
 def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
-    """Tr(A rho), the sum of A[k, b] rho[b, k]: one lookup per entry of the
-    fixed map A, however many entries ``rho`` has."""
+    """Tr(A rho) = sum of A[key] rho[key], as A is real and equal to its
+    transpose: each entry of A reads the density entry with its own key (and a
+    weighted map carries that entry's weight), one lookup per entry of A."""
     entries = rho.entries
-    return sum(v * entries.get((b, k), 0j) for (k, b), v in a.entries.items())
+    return sum(v * entries.get(key, 0j) for key, v in a.entries.items())
 
 
 def _lower_pairs(occ: Occupations) -> int:
@@ -206,8 +207,8 @@ def _lower_pairs(occ: Occupations) -> int:
 
 #: what each protocol's row is built from: its source's pairs (``None`` for
 #: two independent pairs, which take no r or phi), its pattern, its witness
-#: behind the beam splitters, the factor on both readouts, and whether
-#: ``f_lower`` mirrors ``f_upper``
+#: behind the beam splitters, the factor its weighted readouts carry, and
+#: whether ``f_lower`` mirrors ``f_upper``
 _RECIPES = {
     ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
     ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2.0, False),
@@ -217,15 +218,14 @@ _RECIPES = {
 #: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
 #: (at r = 1, phi = 0), its (0, 0) block ``zero_block``, all that r = 0
 #: reads (the whole density for independent pairs), and ``traces``, tr of
-#: its (k, k) block by k; the pattern's projector and the witness, in front
-#: of the beam splitters, as rows (key, v, j, k), each entry tagged with the
-#: powers of lambda and conj(lambda) it is weighted by; ``zero_readouts``,
-#: the two weighted at lambda = 0, which is all that independent pairs and
-#: r = 0 read; and the recipe's factor and mirror
-_Row = namedtuple(
-    "_Row",
-    "pairs density zero_block traces projector witness zero_readouts factor mirrored",
-)
+#: its (k, k) block by k; the pattern's projector and the witness in front
+#: of the beam splitters as rows (key, v, j, k): both are real and equal to
+#: their transposes, so an entry reads the density entry with its own key and
+#: is tagged with that key's lower pairs, j (ket) and k (bra); ``zero_readouts``,
+#: the two weighted at lambda = 0, all that independent pairs and r = 0 read;
+#: and the recipe's factor and mirror
+_Row = namedtuple("_Row", "pairs density zero_block traces projector witness "
+                          "zero_readouts factor mirrored")
 
 
 @functools.cache
@@ -240,35 +240,29 @@ def _row(kind: ProtocolKind) -> _Row:
     else:
         source = SourceParams(1.0, 0.0, pairs)
         rho, power = to_density(spatially_entangled_state(source)), _lower_pairs
-    zero_block = DensityOperator._trusted({
-        (ket, bra): v
-        for (ket, bra), v in rho.entries.items()
-        if power(ket) == power(bra) == 0
-    })
-    traces = [0.0] * (max(power(ket) for ket, _ in rho.entries) + 1)
+    zero_block, traces = {}, [0.0] * ((pairs or 0) + 1)
     for (ket, bra), v in rho.entries.items():
+        if power(ket) == power(bra) == 0:
+            zero_block[ket, bra] = v
         if ket == bra:
             traces[power(ket)] += v.real
     projector, witness = (
-        tuple((key, v, power(key[1]), power(key[0])) for key, v in a.entries.items())
+        tuple((key, v, power(key[0]), power(key[1])) for key, v in a.entries.items())
         for a in (_in_front(_projector(pattern)), _in_front(witness))
     )
-    row = _Row(
-        pairs, rho, zero_block, tuple(traces), projector, witness, None, factor, mirrored
-    )
+    row = _Row(pairs, rho, DensityOperator._trusted(zero_block), tuple(traces),
+               projector, witness, None, factor, mirrored)
     return row._replace(zero_readouts=_readouts(row, 0.0, 0.0))
 
 
-def _readouts(
-    row: _Row, r: float, phi: float
-) -> tuple[DensityOperator, DensityOperator]:
-    """The row's projector and witness weighted for lambda = r e^(i phi), each
-    pruned once: read against the channel's output of the row's fixed
-    density, they give what the fixed maps give against that of the density
-    at (r, phi)."""
+def _readouts(row: _Row, r: float, phi: float) -> tuple[DensityOperator, DensityOperator]:
+    """The row's projector and witness times the row's factor and weighted for
+    lambda = r e^(i phi), each pruned once: read off the channel's output of the
+    fixed density, they give the factor times what the fixed maps read off
+    that of the density at (r, phi)."""
     lam = r * cmath.exp(1j * phi)
     powers = [lam**k for k in range(len(row.traces))]
-    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces))
+    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces)) / row.factor
     weights = [[up * down.conjugate() / norm for down in powers] for up in powers]
     return tuple(
         DensityOperator._trusted(pruned({key: v * weights[j][k] for key, v, j, k in rows}))
@@ -283,23 +277,20 @@ def _curve(
     row as the module docstring describes.  Independent pairs ignore r and
     phi and report ``None``."""
     row = _row(kind)
-    rho, (projector, witness) = row.zero_block, row.zero_readouts
+    rho, readouts = row.zero_block, row.zero_readouts
     if row.pairs is None:
         r = phi = None
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
         if source.r != 0:
-            rho = row.density
-            projector, witness = _readouts(row, source.r, source.phi)
+            rho, readouts = row.density, _readouts(row, source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
         rho_s = depolarize_alice(rho, s)
-        p = row.factor * _expect(rho_s, projector).real
+        p, weighted = (_expect(rho_s, a).real for a in readouts)
         # the witness sum over p, or None where the pattern never happens
-        weighted = row.factor * _expect(rho_s, witness).real
         f = weighted / p if p > ZERO_PROBABILITY else None
-        f_lower = f if row.mirrored else None
-        return ProtocolResult(kind.value, r, phi, s, p, f, f_lower)
+        return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
 
     return at
 
@@ -367,7 +358,10 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 
     def __new__(cls, s_values: Iterable[float], r: float = 1.0, phi: float = 0.0,
                 protocol: ProtocolKind | str = ProtocolKind.FOUR_PHOTON):
-        s_values = tuple(s_values)
+        try:
+            s_values = tuple(s_values)
+        except TypeError:
+            raise ValueError(f"s_values must be iterable, got {shown(s_values)}") from None
         if not s_values:
             raise ValueError("s grid must not be empty")
         for i, s in enumerate(s_values):
@@ -396,7 +390,8 @@ def sweep(spec: SweepSpec) -> list[ProtocolResult]:
 
 
 def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
-    """Evenly spaced s grid from exactly s_min to exactly s_max, held in memory."""
+    """Evenly spaced s grid from exactly s_min to exactly s_max, held in memory;
+    a range with too few floats for ``steps`` distinct values raises ValueError."""
     if type(steps) is not int:
         raise ValueError(f"steps must be an int, got {shown(steps)}")
     if not 2 <= steps <= 1_000_000:
@@ -406,4 +401,8 @@ def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
             f"need 0 <= s_min < s_max <= 1, got [{shown(s_min)}, {shown(s_max)}]"
         )
     step = (s_max - s_min) / (steps - 1)
-    return tuple(s_min + i * step for i in range(steps - 1)) + (s_max,)
+    grid = tuple(s_min + i * step for i in range(steps - 1)) + (s_max,)
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"steps = {steps} repeats a float between s_min = "
+                         f"{shown(s_min)} and s_max = {shown(s_max)}; use fewer steps")
+    return grid

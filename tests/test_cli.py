@@ -369,6 +369,23 @@ def test_sweep_steps_beyond_cap_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_sweep_range_too_narrow_for_steps_exits_2(tmp_path, capsys):
+    """[0.5, 0.5000000000000001] holds two floats, so three steps would repeat
+    one; the message names the flag to change, not the grid it would make."""
+    out_file = tmp_path / "never.csv"
+    status, out, err = run_cli(
+        [
+            "sweep", "--protocol", "two-photon", "--s-min", "0.5",
+            "--s-max", "0.5000000000000001", "--steps", "3", "--out", str(out_file),
+        ],
+        capsys,
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and "steps" in err
+    assert not out_file.exists()
+
+
 def test_sweep_unwritable_path_exits_1(capsys):
     status, _, err = run_cli(
         [

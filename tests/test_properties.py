@@ -335,9 +335,12 @@ def test_compiled_maps_are_the_dense_oracle_maps_in_front_of_the_beam_splitters(
     splitters moved through them, entry for entry, on the same support.  The
     oracle's 45-degree projectors are products of 1/sqrt(2), so its measure-out
     witness is 1/2 only to rounding (about 4e-16 off); the others agree
-    exactly."""
+    exactly.  Each map is real and equals its transpose entry for entry, which
+    lets ``_expect`` read every entry at its own key."""
     kind, index, n, behind = _oracle_maps()[name]
     compiled = _maps(kind)[index]
+    entries = compiled.entries
+    assert all(v.imag == 0 and entries.get((b, k)) == v for (k, b), v in entries.items())
     expected = oracle.both_pbs(behind, n)
     assert np.abs(_dense(compiled, n) - expected).max() <= 1e-15
     support = zip(*np.nonzero(np.abs(expected) > 1e-15))

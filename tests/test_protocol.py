@@ -448,9 +448,10 @@ def test_pattern_projectors_partition_the_n_photon_occupations(n):
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
-    """Tr(A_lambda C_s(rho_1)) = Tr(A C_s(rho)) for the projector and the
-    witness on the grid: the channel keeps each entry's lower pairs, so the
-    lambda-weights can sit on the readout maps in place of the density."""
+    """Tr(A_lambda C_s(rho_1)) = factor Tr(A C_s(rho)) for the projector and
+    the witness on the grid: the channel keeps each entry's lower pairs, so the
+    lambda-weights can sit on the readout maps in place of the density, and
+    the maps weighted once also carry the row's factor (two-photon's 2)."""
     row = protocol_module._row(kind)
     fixed = _fixed_readouts(kind)
     for r in BLOCK_GRID_R:
@@ -466,7 +467,8 @@ def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
                 built_s = depolarize_alice(to_density(state), s)
                 for a_lambda, a in zip(weighted, fixed):
                     read = protocol_module._expect(fixed_s, a_lambda)
-                    assert abs(read - protocol_module._expect(built_s, a)) <= 1e-15
+                    expected = row.factor * protocol_module._expect(built_s, a)
+                    assert abs(read - expected) <= 1e-15
 
 
 def test_independent_pairs_density_is_the_fock_build_exactly():
@@ -520,10 +522,10 @@ def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypa
 
 
 def _weighted_per_call(kind, r, phi, s):
-    """The run with its maps weighted through ``_readouts`` at this call:
-    independent pairs at lambda = 1, the two-pass source at its own (r, phi),
-    with the channel on the (0, 0) block at r = 0.  The reference that the
-    row's maps weighted once must match bit for bit."""
+    """The run with its maps weighted through ``_readouts`` at this call, the
+    row's factor included: independent pairs at lambda = 1, the two-pass source
+    at its own (r, phi), with the channel on the (0, 0) block at r = 0.  The
+    reference that the row's maps weighted once must match bit for bit."""
     row = protocol_module._row(kind)
     rho = row.density
     if row.pairs is None:
@@ -535,7 +537,7 @@ def _weighted_per_call(kind, r, phi, s):
         if source.r == 0:
             rho = row.zero_block
     rho_s = depolarize_alice(rho, s)
-    p, weighted = (row.factor * protocol_module._expect(rho_s, a).real for a in maps)
+    p, weighted = (protocol_module._expect(rho_s, a).real for a in maps)
     f = weighted / p if p > protocol_module.ZERO_PROBABILITY else None
     return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
 
@@ -634,6 +636,9 @@ def test_sweep_spec_validation():
     for protocol in ("bogus", None):
         with pytest.raises(ValueError):
             SweepSpec((0.5,), protocol=protocol)
+    for s_values in (0.5, None):  # not iterable: a ValueError, not a TypeError
+        with pytest.raises(ValueError, match="s_values"):
+            SweepSpec(s_values)
 
 
 def test_sweep_spec_messages_name_the_first_offence():
@@ -836,6 +841,10 @@ def test_grid_helper():
     for steps in (3.0, 2.5):  # an integral float is no int either
         with pytest.raises(ValueError, match="steps"):
             linear_grid(0.0, 1.0, steps)
+    # two floats apart: three evenly spaced values would repeat one of them
+    with pytest.raises(ValueError, match="steps = 3 .*s_min = 0.5 .*s_max = 0.5000000000000001"):
+        linear_grid(0.5, 0.5000000000000001, 3)
+    assert linear_grid(0.5, 0.5000000000000001, 2) == (0.5, 0.5000000000000001)
 
 
 def test_grid_ends_exactly_at_its_endpoints():
