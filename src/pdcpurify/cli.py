@@ -80,52 +80,29 @@ def _config_values(path: str) -> dict:
 
 def _r_phi(args) -> tuple[float, float]:
     """--r, and the phase from --phi or --cos-phi (flags or config keys)."""
-    r = _check_unit("r", args.r)
     if args.phi is not None and args.cos_phi is not None:
         raise ValueError("give either --phi or --cos-phi, not both")
     if args.cos_phi is not None:
-        if not -1.0 <= args.cos_phi <= 1.0:
-            raise ValueError(f"--cos-phi must be in [-1, 1], got {args.cos_phi}")
-        return r, math.acos(args.cos_phi)
-    phi = 0.0 if args.phi is None else args.phi
-    if not math.isfinite(phi):
-        raise ValueError(f"--phi must be finite, got {phi}")
-    return r, phi
-
-
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"--{name} must be in [0, 1], got {value}")
-    return value
-
-
-def _required(args, name: str):
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"--{name} is required")
-    return value
+        return args.r, math.acos(args.cos_phi)
+    return args.r, 0.0 if args.phi is None else args.phi
 
 
 def _cmd_run(args) -> int:
-    protocol = _required(args, "protocol")
-    s = _check_unit("s", _required(args, "s"))
     r, phi = _r_phi(args)
-    result = sweep(SweepSpec((s,), r=r, phi=phi, protocol=protocol))[0]
+    result = sweep(SweepSpec((args.s,), r=r, phi=phi, protocol=args.protocol))[0]
     sys.stdout.write(_json(result.as_dict()))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    protocol = _required(args, "protocol")
     r, phi = _r_phi(args)
-    s_min = _check_unit("s-min", args.s_min)
-    s_max = _check_unit("s-max", args.s_max)
-    if s_min >= s_max:
-        raise ValueError(f"--s-min must be below --s-max, got {s_min} and {s_max}")
-    out_path = _required(args, "out")
-    grid = linear_grid(s_min, s_max, args.steps)
+    if args.s_min >= args.s_max:
+        raise ValueError(
+            f"--s-min must be below --s-max, got {args.s_min} and {args.s_max}"
+        )
+    grid = linear_grid(args.s_min, args.s_max, args.steps)
 
-    results = sweep(SweepSpec(grid, r=r, phi=phi, protocol=protocol))
+    results = sweep(SweepSpec(grid, r=r, phi=phi, protocol=args.protocol))
     # serialized before the file is opened, so a rejected value leaves no file
     if args.format == "csv":
         rows = [CSV_HEADER] + [_result_row(result) for result in results]
@@ -133,17 +110,15 @@ def _cmd_sweep(args) -> int:
     else:
         text = _json([result.as_dict() for result in results])
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write '{out_path}': {exc}", file=sys.stderr)
+        print(f"error: cannot write '{args.out}': {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_state(args) -> int:
-    if args.pairs not in (1, 2):
-        raise ValueError(f"--pairs must be 1 or 2, got {args.pairs}")
     r, phi = _r_phi(args)
     state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=args.pairs))
     coefficients, entropy = schmidt(
@@ -173,23 +148,34 @@ _COMMANDS = {
 }
 _EVERY = tuple(_COMMANDS)
 
+#: the default of a flag that must be given, as a flag or a config key
+_REQUIRED = object()
+_UNIT = ("in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+
 #: each flag once, in help order: the subcommands that take it, its built-in
-#: default and its argparse options
+#: default, its argparse options, and the rule its value must meet once flags,
+#: config and defaults are merged (the words that name it and its test), or None
 _FLAGS = {
-    "config": (_EVERY, None, dict(help="key = value file with flag defaults")),
-    "r": (_EVERY, 1.0, dict(type=float, help="lower-mode amplitude ratio in [0, 1]")),
-    "phi": (_EVERY, None, dict(type=float, help="lower-mode phase in radians")),
+    "config": (_EVERY, None, dict(help="key = value file with flag defaults"), None),
+    "r": (_EVERY, 1.0, dict(type=float, help="lower-mode amplitude ratio in [0, 1]"),
+          _UNIT),
+    "phi": (_EVERY, None, dict(type=float, help="lower-mode phase in radians"),
+            ("finite", math.isfinite)),
     "cos-phi": (_EVERY, None, dict(
-        type=float, help="set the phase via its cosine (alternative to --phi)")),
-    "protocol": (("run", "sweep"), None, dict(
-        choices=[k.value for k in ProtocolKind], help="which pipeline")),
-    "s": (("run",), None, dict(type=float, help="channel survival probability")),
-    "s-min": (("sweep",), 0.0, dict(type=float)),
-    "s-max": (("sweep",), 1.0, dict(type=float)),
-    "steps": (("sweep",), 21, dict(type=int, help="grid points (>= 2)")),
-    "out": (("sweep",), None, dict(help="output file path")),
-    "format": (("sweep",), "csv", dict(choices=["csv", "json"], help="output format")),
-    "pairs": (("state",), 1, dict(type=int, help="emitted pair count, 1 or 2")),
+        type=float, help="set the phase via its cosine (alternative to --phi)"),
+        ("in [-1, 1]", lambda value: -1.0 <= value <= 1.0)),
+    "protocol": (("run", "sweep"), _REQUIRED, dict(
+        choices=[k.value for k in ProtocolKind], help="which pipeline"), None),
+    "s": (("run",), _REQUIRED, dict(type=float, help="channel survival probability"),
+          _UNIT),
+    "s-min": (("sweep",), 0.0, dict(type=float), _UNIT),
+    "s-max": (("sweep",), 1.0, dict(type=float), _UNIT),
+    "steps": (("sweep",), 21, dict(type=int, help="grid points (>= 2)"), None),
+    "out": (("sweep",), _REQUIRED, dict(help="output file path"), None),
+    "format": (("sweep",), "csv", dict(choices=["csv", "json"], help="output format"),
+               None),
+    "pairs": (("state",), 1, dict(type=int, help="emitted pair count, 1 or 2"),
+              ("1 or 2", lambda value: value in (1, 2))),
 }
 
 
@@ -205,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         for name, text in _COMMANDS.items()
     }
-    for flag, (names, _, options) in _FLAGS.items():
+    for flag, (names, _, options, _) in _FLAGS.items():
         for name in names:
             commands[name].add_argument("--" + flag, **options)
     return parser
@@ -221,16 +207,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if "phi" in given or "cos_phi" in given:  # either phase flag drops both phase keys
         config = {k: v for k, v in config.items() if k not in ("phi", "cos_phi")}
-    defaults = {
-        flag.replace("-", "_"): default
-        for flag, (names, default, _) in _FLAGS.items()
-        if command in names
-    }
+    rows = {flag: row for flag, row in _FLAGS.items() if command in row[0]}
+    defaults = {flag.replace("-", "_"): row[1] for flag, row in rows.items()}
     # a config value beats a built-in default; a flag given beats both
-    args = argparse.Namespace(**{**defaults, **config, **given})
+    args = {**defaults, **config, **given}
     commands = {"run": _cmd_run, "sweep": _cmd_sweep, "state": _cmd_state}
     try:
-        return commands[command](args)
+        for flag, (_, _, _, rule) in rows.items():
+            value = args[flag.replace("-", "_")]
+            if value is _REQUIRED:
+                raise ValueError(f"--{flag} is required")
+            if rule is not None and value is not None and not rule[1](value):
+                raise ValueError(f"--{flag} must be {rule[0]}, got {value}")
+        return commands[command](argparse.Namespace(**args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

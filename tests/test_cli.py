@@ -713,12 +713,20 @@ def test_help_names_exactly_the_subcommands_own_flags(command, capsys):
     assert set(re.findall(r"--[a-z][a-z-]*", out)) == OWN_FLAGS[command] | {"--help"}
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "state"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--protocol", "two-photon", "--s", "1"],
+        ["sweep", "--protocol", "two-photon", "--out", "x.csv"],
+        ["state"],
+    ],
+    ids=["run", "sweep", "state"],
+)
 def test_main_dispatches_through_the_module_attribute(command, monkeypatch):
     """A function installed as ``cli._cmd_<command>`` after import is the one
     that ``main`` calls; wrappers that patch the module rely on this."""
     calls = []
-    monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: calls.append(args) or 7)
-    assert main([command, "--r", "0.5"]) == 7
+    monkeypatch.setattr(cli, f"_cmd_{command[0]}", lambda args: calls.append(args) or 7)
+    assert main(command + ["--r", "0.5"]) == 7
     (args,) = calls
     assert args.r == 0.5
