@@ -4,6 +4,7 @@ diagnostics, with machine-readable output."""
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -38,23 +39,30 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
     byte-order mark); keys must be in ``known`` and appear once."""
     defaults: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-            if key in lines:
-                raise ValueError(
-                    f"{path}:{lineno}: config key '{key}' is already set on "
-                    f"line {lines[key]}"
-                )
-            defaults[key] = value
-            lines[key] = lineno
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
+    # bytes split where a text file does: at \n, \r and \r\n
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: byte {exc.start + 1} is not UTF-8 ({exc.reason})"
+            ) from None
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in lines:
+            raise ValueError(
+                f"{path}:{lineno}: config key '{key}' is already set on "
+                f"line {lines[key]}"
+            )
+        defaults[key] = value
+        lines[key] = lineno
     return defaults
 
 
@@ -197,7 +205,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each of the command's ``--flag`` followed by a value that
+    ``float`` reads written as ``--flag=value``: argparse takes ``-5e-1`` or
+    ``-inf`` after a flag for an option, not for the flag's value."""
+    command = next((token for token in argv if not token.startswith("-")), None)
+    own = {"--" + flag for flag, row in _FLAGS.items() if command in row[0]}
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in own and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _joined(sys.argv[1:] if argv is None else argv)
     given = vars(build_parser().parse_args(argv))
     command = given.pop("command")
     try:

@@ -345,7 +345,9 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 
     An immutable named tuple.  ``s_values`` is copied into a tuple and must
     be strictly increasing numbers (not bools) in [0, 1], else the message
-    names the first offending value or pair and its index; ``r`` and ``phi``
+    names the first offending value or pair and its index; a ``str``,
+    ``bytes``, ``bytearray``, ``set`` or ``frozenset`` is refused whole, as
+    its items are characters, byte values or in hash order; ``r`` and ``phi``
     must pass ``SourceParams``'s checks (for every protocol) and are stored as
     given; ``protocol`` is a ``ProtocolKind`` or its value.  Anything else
     raises ``ValueError``.
@@ -358,6 +360,10 @@ class SweepSpec(namedtuple("SweepSpec", "s_values r phi protocol")):
 
     def __new__(cls, s_values: Iterable[float], r: float = 1.0, phi: float = 0.0,
                 protocol: ProtocolKind | str = ProtocolKind.FOUR_PHOTON):
+        if isinstance(s_values, (str, bytes, bytearray, set, frozenset)):
+            raise ValueError(
+                f"s_values must be an ordered collection of numbers, got {shown(s_values)}"
+            )
         try:
             s_values = tuple(s_values)
         except TypeError:

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -6,13 +8,24 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pdcpurify
 from helpers import run_direct
-from pdcpurify import ProtocolKind, ProtocolResult, bbpssw_fidelity, run_four_photon
+from pdcpurify import (
+    ProtocolKind,
+    ProtocolResult,
+    SourceParams,
+    bbpssw_fidelity,
+    linear_grid,
+    run_four_photon,
+    spatially_entangled_state,
+)
 from pdcpurify import cli
 from pdcpurify.cli import CSV_HEADER, main
 
@@ -120,6 +133,166 @@ def test_non_finite_phi_exits_2(command, flag, value, tmp_path, monkeypatch, cap
     assert err.startswith("error: ")
     assert flag in err
     assert not (tmp_path / "ignored.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,err",
+    [
+        ("phi", "-5e-1", ""),
+        ("phi", "-1e308", ""),
+        ("cos-phi", "-5e-1", ""),
+        ("r", "-1e-3", "error: --r must be in [0, 1], got -0.001\n"),
+        ("s", "-1e-3", "error: --s must be in [0, 1], got -0.001\n"),
+        ("phi", "-inf", "error: --phi must be finite, got -inf\n"),
+    ],
+    ids=["phi", "phi-huge", "cos-phi", "r-error", "s-error", "phi-error"],
+)
+def test_negative_value_after_a_space_is_the_flags_value(flag, value, err, capsys):
+    """argparse alone takes ``-5e-1`` or ``-inf`` after a flag for an option;
+    ``--flag -5e-1`` reads as ``--flag=-5e-1`` does."""
+    command = ["run", "--protocol", "two-photon", "--s", "0.5"]
+    spaced = run_cli(command + [f"--{flag}", value], capsys)
+    assert spaced == run_cli(command + [f"--{flag}={value}"], capsys)
+    assert spaced[0] == (2 if err else 0)
+    assert spaced[2] == err
+
+
+def test_flag_followed_by_a_flag_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--out", "--format"])
+    assert exit_info.value.code == 2
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+
+
+#: the flags whose ``_FLAGS`` row carries a rule
+RULED_FLAGS = [flag for flag, row in cli._FLAGS.items() if row[3] is not None]
+
+#: each subcommand's required and speed-setting flags; a sweep writes JSON
+VALID_FLAGS = {
+    "run": {"protocol": "two-photon", "s": 0.5},
+    "sweep": {"protocol": "two-photon", "steps": 2, "format": "json", "out": "c.json"},
+    "state": {},
+}
+
+#: digit groups, drawn from atoms that include each rule's bounds, joined
+#: by single underscores as Python number literals allow
+DIGITS = st.sampled_from(["0", "1", "2", "5", "01", "10", "999"])
+DIGIT_GROUPS = st.lists(DIGITS, min_size=1, max_size=2).map("_".join)
+#: a sign, a mantissa of int, point-float or exponent form, and an exponent
+NUMBER_SPELLINGS = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(
+        DIGIT_GROUPS,
+        st.tuples(DIGIT_GROUPS, DIGIT_GROUPS).map(".".join),
+        DIGIT_GROUPS.map(".{}".format),
+        DIGIT_GROUPS.map("{}.".format),
+    ),
+    st.one_of(st.just(""), st.tuples(
+        st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), DIGITS).map("".join)),
+).map("".join)
+#: each bound a rule uses and the floats on either side of it, the ints
+#: around 1 or 2, the non-finite spellings, and an int past 4300 digits
+EDGE_SPELLINGS = [
+    repr(x)
+    for bound in (-1.0, 0.0, 1.0)
+    for x in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
+] + ["-1", "0", "1", "2", "3", "-0", "-0.0", "nan", "-nan", "inf", "-inf",
+     "+Infinity", "1" + "0" * 4300]
+
+
+def _library_output(command, values):
+    """What the command prints, or writes, for merged flag values, computed
+    with the library's own calls."""
+    if values["cos-phi"] is not None:
+        phi = math.acos(values["cos-phi"])
+    else:
+        phi = 0.0 if values["phi"] is None else values["phi"]
+    if command == "state":
+        state = spatially_entangled_state(SourceParams(values["r"], phi, values["pairs"]))
+        return {
+            "terms": [{"occupations": list(occ), "amplitude": [amp.real, amp.imag]}
+                      for occ, amp in state.terms()],
+            "params": {"r": values["r"], "phi": phi, "pairs": values["pairs"]},
+        }
+    kind = ProtocolKind(values["protocol"])
+    if command == "run":
+        return run_direct(kind, values["r"], phi, values["s"]).as_dict()
+    grid = linear_grid(values["s-min"], values["s-max"], values["steps"])
+    return [run_direct(kind, values["r"], phi, s).as_dict() for s in grid]
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def _every_edge(test):
+    """``test`` with each edge spelling as an explicit example; ``pick``
+    cycles through the subcommands."""
+    for pick, text in enumerate(EDGE_SPELLINGS):
+        test = example(text=text, pick=pick)(test)
+    return test
+
+
+@pytest.mark.parametrize("flag", RULED_FLAGS)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@_every_edge
+@given(text=NUMBER_SPELLINGS, pick=st.integers(0, 2))
+def test_ruled_flag_values_exit_0_or_2_naming_the_flag(flag, text, pick):
+    """Each ruled flag gets number spellings as ``--flag v``, ``--flag=v`` and
+    a config key, with a subcommand that takes it. The status is 0 or 2; a 2
+    prints one ``error:`` line naming the flag (the config key when the text
+    does not convert) and writes no file; a 0 prints or writes what the
+    library computes. The flag ways get only texts the flag's type converts,
+    as argparse reports the others in its own usage form."""
+    names, _, options, _ = cli._FLAGS[flag]
+    command = names[pick % len(names)]
+    try:
+        value = options["type"](text)
+    except ValueError:  # a config key that does not convert always exits 2
+        value, flag_ways, named = None, [], rf"config value for '{flag}'"
+    else:
+        flag_ways, named = [[f"--{flag}", text], [f"--{flag}={text}"]], rf"--{flag}(?![\w-])"
+    given_flags = {key: v for key, v in VALID_FLAGS[command].items() if key != flag}
+    values = {key: row[1] for key, row in cli._FLAGS.items() if command in row[0]}
+    values.update(given_flags)
+    values[flag] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "flag.cfg")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(f"{flag} = {text}\n")
+        out_file = os.path.join(tmp, "c.json")
+        argv = [command]
+        for key, v in given_flags.items():
+            argv += [f"--{key}", out_file if key == "out" else str(v)]
+        for way in [["--config", config]] + flag_ways:
+            status, out, err = _main_outcome(argv + way)
+            assert status in (0, 2), (way, err)
+            assert "Traceback" not in err
+            if status == 2:
+                assert out == ""
+                (line,) = err.splitlines()
+                assert line.startswith("error: ")
+                assert re.search(named, line), line
+                assert os.listdir(tmp) == ["flag.cfg"]
+                continue
+            assert err == ""
+            if command == "sweep":
+                assert out == ""
+                with open(out_file, encoding="utf-8") as handle:
+                    out = handle.read()
+                os.remove(out_file)
+            assert os.listdir(tmp) == ["flag.cfg"]
+            printed = json.loads(out)
+            expected = json.loads(json.dumps(_library_output(command, values)))
+            if command == "state":
+                printed = {key: printed[key] for key in expected}
+            assert printed == expected
 
 
 def test_config_with_phi_and_cos_phi_exits_2(tmp_path, capsys):
@@ -525,6 +698,12 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
             "r 0.5",
             ["bad.cfg:1: expected 'key = value'"],
         ),
+        (["state"], b"\xffr = 1", ["bad.cfg:1: byte 1 is not UTF-8"]),
+        (
+            ["state"],
+            b"\xef\xbb\xbfr = 1\r\npairs = \xe9",
+            ["bad.cfg:2: byte 9 is not UTF-8"],
+        ),
     ],
     ids=[
         "config-protocol",
@@ -540,6 +719,8 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
         "sweep-empty-config",
         "state-empty-config",
         "config-line-without-equals",
+        "config-not-utf-8",
+        "config-not-utf-8-on-line-2",
     ],
 )
 def test_bad_or_missing_value_exits_2_naming_it(
@@ -547,7 +728,9 @@ def test_bad_or_missing_value_exits_2_naming_it(
 ):
     monkeypatch.chdir(tmp_path)
     if config_line is not None:
-        (tmp_path / "bad.cfg").write_text(config_line + "\n")
+        if isinstance(config_line, str):
+            config_line = config_line.encode()
+        (tmp_path / "bad.cfg").write_bytes(config_line + b"\n")
         command = command + ["--config", "bad.cfg"]
     status, out, err = run_cli(command, capsys)
     assert status == 2

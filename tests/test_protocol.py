@@ -639,6 +639,10 @@ def test_sweep_spec_validation():
     for s_values in (0.5, None):  # not iterable: a ValueError, not a TypeError
         with pytest.raises(ValueError, match="s_values"):
             SweepSpec(s_values)
+    # characters, byte values and hash order are no grid, even when in range
+    for s_values in ("0.5", b"ab", {0.2, 0.5, 0.1}, frozenset({0.1, 0.2})):
+        with pytest.raises(ValueError, match="s_values"):
+            SweepSpec(s_values)
 
 
 def test_sweep_spec_messages_name_the_first_offence():
