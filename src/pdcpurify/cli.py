@@ -149,6 +149,7 @@ def _cmd_state(args) -> int:
     return 0
 
 
+#: each subcommand's help; ``main`` runs it as ``_cmd_<name>``, found at call time
 _COMMANDS = {
     "run": "run one protocol instance, print JSON",
     "sweep": "run a grid of s values, write a file",
@@ -187,9 +188,19 @@ _FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes each flag by its exact name only; raises a refusal as ValueError."""
+
+    def __init__(self, **options):
+        super().__init__(allow_abbrev=False, **options)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; its namespace holds ``command`` and only the flags given."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdcpurify",
         description="Simulate beam-splitter purification of polarization "
         "entanglement from a two-pass pair source.",
@@ -206,53 +217,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined(argv: list[str]) -> list[str]:
-    """``argv`` with each of the command's ``--flag`` followed by a value that
-    ``float`` reads written as ``--flag=value``: argparse takes ``-5e-1`` or
-    ``-inf`` after a flag for an option, not for the flag's value."""
+    """``argv`` with each of the command's ``--flag`` joined to the next token
+    as ``--flag=token`` unless that starts with ``--``: argparse alone takes
+    ``-5e-1``, ``-inf`` or ``-lead.csv`` after a flag for an option."""
     command = next((token for token in argv if not token.startswith("-")), None)
     own = {"--" + flag for flag, row in _FLAGS.items() if command in row[0]}
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in own and _is_float(token):
+        if joined and joined[-1] in own and not token.startswith("--"):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = _joined(sys.argv[1:] if argv is None else argv)
-    given = vars(build_parser().parse_args(argv))
-    command = given.pop("command")
+    """Run one subcommand and return 0, 1 or 2; only ``--help`` exits (0)."""
     try:
+        argv = _joined(sys.argv[1:] if argv is None else argv)
+        given = vars(build_parser().parse_args(argv))
+        command = given.pop("command")
         config = _config_values(given["config"]) if "config" in given else {}
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if "phi" in given or "cos_phi" in given:  # either phase flag drops both phase keys
-        config = {k: v for k, v in config.items() if k not in ("phi", "cos_phi")}
-    rows = {flag: row for flag, row in _FLAGS.items() if command in row[0]}
-    defaults = {flag.replace("-", "_"): row[1] for flag, row in rows.items()}
-    # a config value beats a built-in default; a flag given beats both
-    args = {**defaults, **config, **given}
-    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "state": _cmd_state}
-    try:
+        if "phi" in given or "cos_phi" in given:  # either phase flag drops both keys
+            config = {k: v for k, v in config.items() if k not in ("phi", "cos_phi")}
+        rows = {flag: row for flag, row in _FLAGS.items() if command in row[0]}
+        defaults = {flag.replace("-", "_"): row[1] for flag, row in rows.items()}
+        # a config value beats a built-in default; a flag given beats both
+        args = {**defaults, **config, **given}
         for flag, (_, _, _, rule) in rows.items():
             value = args[flag.replace("-", "_")]
             if value is _REQUIRED:
                 raise ValueError(f"--{flag} is required")
             if rule is not None and value is not None and not rule[1](value):
                 raise ValueError(f"--{flag} must be {rule[0]}, got {value}")
-        return commands[command](argparse.Namespace(**args))
-    except ValueError as exc:
+        return globals()[f"_cmd_{command}"](argparse.Namespace(**args))
+    except (OSError, ValueError) as exc:  # a bad input, a config file not read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,10 +158,56 @@ def test_negative_value_after_a_space_is_the_flags_value(flag, value, err, capsy
 
 
 def test_flag_followed_by_a_flag_still_lacks_its_value(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["sweep", "--out", "--format"])
-    assert exit_info.value.code == 2
+    assert main(["sweep", "--out", "--format"]) == 2
     assert "argument --out: expected one argument" in capsys.readouterr().err
+
+
+def test_value_after_a_space_may_start_with_one_dash(tmp_path, monkeypatch, capsys):
+    """Any token after a value flag is its value unless it starts with ``--``."""
+    monkeypatch.chdir(tmp_path)
+    sweep = ["sweep", "--protocol", "two-photon", "--steps", "3"]
+    assert run_cli(sweep + ["--out", "-lead.csv"], capsys) == (0, "", "")
+    assert run_cli(sweep + ["--out=lead.csv"], capsys) == (0, "", "")
+    assert (tmp_path / "-lead.csv").read_bytes() == (tmp_path / "lead.csv").read_bytes()
+
+
+RUN_TWO = ["run", "--protocol", "two-photon", "--s", "1"]
+SWEEP_TWO = ["sweep", "--protocol", "two-photon", "--out", "x.csv"]
+#: a command that takes each typed flag, and that flag given a non-number
+NON_NUMBERS = {
+    f"non-number-{flag}": (
+        {"run": RUN_TWO, "sweep": SWEEP_TWO, "state": ["state"]}[row[0][-1]]
+        + [f"--{flag}", "abc"],
+        f"argument --{flag}: invalid {row[2]['type'].__name__} value: 'abc'",
+    )
+    for flag, row in cli._FLAGS.items()
+    if "type" in row[2]
+}
+REFUSALS = {
+    **NON_NUMBERS,
+    "prefix-of-cos-phi": (["state", "--cos", "-5e-1"], "--cos"),
+    "prefix-of-s-min": (SWEEP_TWO + ["--s", "0.5"], "--s 0.5"),
+    "prefix-of-protocol": (["run", "--prot", "two-photon", "--s", "1"], "--prot"),
+    "unknown-flag": (RUN_TWO + ["--bogus"], "--bogus"),
+    "flag-of-another-command": (RUN_TWO + ["--pairs", "2"], "--pairs"),
+    "bad-protocol": (["run", "--protocol", "bogus", "--s", "1"], "argument --protocol"),
+    "bad-format": (SWEEP_TWO + ["--format", "xml"], "argument --format"),
+    "missing-value": (SWEEP_TWO[:-1], "argument --out: expected one argument"),
+    "missing-subcommand": ([], "command"),
+    "unknown-subcommand": (["plot"], "'plot'"),
+}
+
+
+@pytest.mark.parametrize("argv,named", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_refusal_is_one_error_line(argv, named, tmp_path, monkeypatch, capsys):
+    """argparse's own refusals read as the package's: ``main`` returns 2
+    after one ``error:`` line, with no usage block, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run_cli(argv, capsys)
+    assert (status, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and named in line, line
+    assert list(tmp_path.iterdir()) == []
 
 
 #: the flags whose ``_FLAGS`` row carries a rule
@@ -322,9 +368,7 @@ def test_phase_flag_overrides_either_config_key(
 
 
 def test_unknown_protocol_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--protocol", "bogus", "--s", "1"])
-    assert excinfo.value.code == 2
+    assert main(["run", "--protocol", "bogus", "--s", "1"]) == 2
 
 
 def test_sweep_csv_schema_and_roundtrip(tmp_path, capsys):
