@@ -11,7 +11,8 @@ import sys
 
 from .analysis import schmidt
 from .fock import MODES, Mode
-from .protocol import ProtocolKind, ProtocolResult, SweepSpec, linear_grid, sweep
+from .protocol import (STEP_BOUNDS, ProtocolKind, ProtocolResult, SweepSpec,
+                       linear_grid, sweep)
 from .source import SourceParams, spatially_entangled_state
 
 CSV_HEADER = ",".join(ProtocolResult.COLUMNS)
@@ -36,11 +37,15 @@ def _result_row(result: ProtocolResult) -> str:
 
 def _read_config(path: str, known: set[str]) -> dict[str, str]:
     """Parse a plain ``key = value`` defaults file (UTF-8, with or without a
-    byte-order mark); keys must be in ``known`` and appear once."""
+    byte-order mark); keys must be in ``known`` and appear once. A file that
+    cannot be read (missing, a directory, ``''``) raises ``ValueError``."""
     defaults: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, "rb") as handle:
-        data = handle.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise ValueError(exc) from None
     # bytes split where a text file does: at \n, \r and \r\n
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
@@ -159,7 +164,14 @@ _EVERY = tuple(_COMMANDS)
 
 #: the default of a flag that must be given, as a flag or a config key
 _REQUIRED = object()
-_UNIT = ("in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+
+
+def _within(low, high):
+    """The rule that a value lies in [low, high]: its words and its test."""
+    return f"in [{low}, {high}]", lambda value: low <= value <= high
+
+
+_UNIT = _within(0, 1)
 
 #: each flag once, in help order: the subcommands that take it, its built-in
 #: default, its argparse options, and the rule its value must meet once flags,
@@ -172,14 +184,15 @@ _FLAGS = {
             ("finite", math.isfinite)),
     "cos-phi": (_EVERY, None, dict(
         type=float, help="set the phase via its cosine (alternative to --phi)"),
-        ("in [-1, 1]", lambda value: -1.0 <= value <= 1.0)),
+        _within(-1, 1)),
     "protocol": (("run", "sweep"), _REQUIRED, dict(
         choices=[k.value for k in ProtocolKind], help="which pipeline"), None),
     "s": (("run",), _REQUIRED, dict(type=float, help="channel survival probability"),
           _UNIT),
     "s-min": (("sweep",), 0.0, dict(type=float), _UNIT),
     "s-max": (("sweep",), 1.0, dict(type=float), _UNIT),
-    "steps": (("sweep",), 21, dict(type=int, help="grid points (>= 2)"), None),
+    "steps": (("sweep",), 21, dict(type=int, help="grid points (>= 2)"),
+              _within(*STEP_BOUNDS)),
     "out": (("sweep",), _REQUIRED, dict(help="output file path"), None),
     "format": (("sweep",), "csv", dict(choices=["csv", "json"], help="output format"),
                None),
@@ -251,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
             if rule is not None and value is not None and not rule[1](value):
                 raise ValueError(f"--{flag} must be {rule[0]}, got {value}")
         return globals()[f"_cmd_{command}"](argparse.Namespace(**args))
-    except (OSError, ValueError) as exc:  # a bad input, a config file not read
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -216,7 +216,10 @@ def create(mode: Mode, state: PureState) -> PureState:
 
     Each term picks up the usual sqrt(n+1) factor; the sector rises by one.
     Distinct terms stay distinct and no value shrinks, so nothing is pruned.
+    A ``mode`` that is not a ``Mode`` (an int, ``True``) raises ``ValueError``.
     """
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, got {shown(mode)}")
     out: dict[Occupations, complex] = {}
     for occ, amp in state.amplitudes.items():
         n = occ[mode]

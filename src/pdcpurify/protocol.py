@@ -62,6 +62,8 @@ from .source import SourceParams, independent_pairs_state, spatially_entangled_s
 
 #: pattern probabilities at or below this count as "never happens"
 ZERO_PROBABILITY = 1e-12
+#: the fewest and the most points ``linear_grid`` makes
+STEP_BOUNDS = (2, 1_000_000)
 
 #: one photon in every spatial mode behind the beam splitters
 FOUR_MODE = frozenset({(1, 1, 1, 1)})
@@ -400,8 +402,9 @@ def linear_grid(s_min: float, s_max: float, steps: int) -> tuple[float, ...]:
     a range with too few floats for ``steps`` distinct values raises ValueError."""
     if type(steps) is not int:
         raise ValueError(f"steps must be an int, got {shown(steps)}")
-    if not 2 <= steps <= 1_000_000:
-        raise ValueError(f"steps must be in [2, 1000000], got {shown(steps)}")
+    low, high = STEP_BOUNDS
+    if not low <= steps <= high:
+        raise ValueError(f"steps must be in [{low}, {high}], got {shown(steps)}")
     if not (in_range(s_min) and in_range(s_max) and s_min < s_max):
         raise ValueError(
             f"need 0 <= s_min < s_max <= 1, got [{shown(s_min)}, {shown(s_max)}]"

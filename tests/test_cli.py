@@ -171,12 +171,10 @@ def test_value_after_a_space_may_start_with_one_dash(tmp_path, monkeypatch, caps
     assert (tmp_path / "-lead.csv").read_bytes() == (tmp_path / "lead.csv").read_bytes()
 
 
-RUN_TWO = ["run", "--protocol", "two-photon", "--s", "1"]
-SWEEP_TWO = ["sweep", "--protocol", "two-photon", "--out", "x.csv"]
 #: a command that takes each typed flag, and that flag given a non-number
 NON_NUMBERS = {
     f"non-number-{flag}": (
-        {"run": RUN_TWO, "sweep": SWEEP_TWO, "state": ["state"]}[row[0][-1]]
+        {"run": RUN, "sweep": SWEEP, "state": ["state"]}[row[0][-1]]
         + [f"--{flag}", "abc"],
         f"argument --{flag}: invalid {row[2]['type'].__name__} value: 'abc'",
     )
@@ -186,13 +184,13 @@ NON_NUMBERS = {
 REFUSALS = {
     **NON_NUMBERS,
     "prefix-of-cos-phi": (["state", "--cos", "-5e-1"], "--cos"),
-    "prefix-of-s-min": (SWEEP_TWO + ["--s", "0.5"], "--s 0.5"),
+    "prefix-of-s-min": (SWEEP + ["--s", "0.5"], "--s 0.5"),
     "prefix-of-protocol": (["run", "--prot", "two-photon", "--s", "1"], "--prot"),
-    "unknown-flag": (RUN_TWO + ["--bogus"], "--bogus"),
-    "flag-of-another-command": (RUN_TWO + ["--pairs", "2"], "--pairs"),
+    "unknown-flag": (RUN + ["--bogus"], "--bogus"),
+    "flag-of-another-command": (RUN + ["--pairs", "2"], "--pairs"),
     "bad-protocol": (["run", "--protocol", "bogus", "--s", "1"], "argument --protocol"),
-    "bad-format": (SWEEP_TWO + ["--format", "xml"], "argument --format"),
-    "missing-value": (SWEEP_TWO[:-1], "argument --out: expected one argument"),
+    "bad-format": (SWEEP + ["--format", "xml"], "argument --format"),
+    "missing-value": (SWEEP[:-1], "argument --out: expected one argument"),
     "missing-subcommand": ([], "command"),
     "unknown-subcommand": (["plot"], "'plot'"),
 }
@@ -270,10 +268,7 @@ def _library_output(command, values):
 def _main_outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(argv)
-        except SystemExit as exc:
-            status = exc.code
+        status = main(argv)
     return status, out.getvalue(), err.getvalue()
 
 
@@ -294,16 +289,16 @@ def test_ruled_flag_values_exit_0_or_2_naming_the_flag(flag, text, pick):
     a config key, with a subcommand that takes it. The status is 0 or 2; a 2
     prints one ``error:`` line naming the flag (the config key when the text
     does not convert) and writes no file; a 0 prints or writes what the
-    library computes. The flag ways get only texts the flag's type converts,
-    as argparse reports the others in its own usage form."""
+    library computes."""
     names, _, options, _ = cli._FLAGS[flag]
     command = names[pick % len(names)]
+    flag_named = rf"--{flag}(?![\w-])"
     try:
         value = options["type"](text)
-    except ValueError:  # a config key that does not convert always exits 2
-        value, flag_ways, named = None, [], rf"config value for '{flag}'"
+    except ValueError:  # a text that does not convert always exits 2
+        value, config_named = None, rf"config value for '{flag}'"
     else:
-        flag_ways, named = [[f"--{flag}", text], [f"--{flag}={text}"]], rf"--{flag}(?![\w-])"
+        config_named = flag_named
     given_flags = {key: v for key, v in VALID_FLAGS[command].items() if key != flag}
     values = {key: row[1] for key, row in cli._FLAGS.items() if command in row[0]}
     values.update(given_flags)
@@ -316,7 +311,9 @@ def test_ruled_flag_values_exit_0_or_2_naming_the_flag(flag, text, pick):
         argv = [command]
         for key, v in given_flags.items():
             argv += [f"--{key}", out_file if key == "out" else str(v)]
-        for way in [["--config", config]] + flag_ways:
+        for way, named in [(["--config", config], config_named),
+                           ([f"--{flag}", text], flag_named),
+                           ([f"--{flag}={text}"], flag_named)]:
             status, out, err = _main_outcome(argv + way)
             assert status in (0, 2), (way, err)
             assert "Traceback" not in err
@@ -339,6 +336,50 @@ def test_ruled_flag_values_exit_0_or_2_naming_the_flag(flag, text, pick):
             if command == "state":
                 printed = {key: printed[key] for key in expected}
             assert printed == expected
+
+
+#: config file texts that are no number spellings, each with the status it
+#: gives and what a status-2 line names (``{path}`` is the file's path)
+CONFIG_TEXTS = {
+    "byte-order-mark": (b"\xef\xbb\xbfr = 0.5\n", 0, None),
+    "byte-order-mark-on-line-2": (
+        b"r = 0.5\n\xef\xbb\xbfpairs = 1\n", 2, "{path}:2: unknown config key"),
+    "nul-in-value": (b"r = 0.5\x00\n", 2, "config value for 'r'"),
+    "nul-in-key": (b"r\x00 = 0.5\n", 2, "{path}:1: unknown config key"),
+    "nul-line": (b"\x00\n", 2, "{path}:1: expected 'key = value'"),
+    "invalid-utf-8": (b"r = 0.5\npairs = \xff\n", 2, "{path}:2: byte 9 is not UTF-8"),
+    "repeated-key": (b"r = 0.5\nr = 0.5\n", 2, "{path}:2: config key 'r'"),
+    "directory": (None, 2, "{path}"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_FLAGS))
+@pytest.mark.parametrize(
+    "data,expected,named", CONFIG_TEXTS.values(), ids=CONFIG_TEXTS.keys()
+)
+def test_config_texts_exit_0_or_2_naming_the_file_or_key(
+    command, data, expected, named, tmp_path, monkeypatch, capsys
+):
+    """A config text exits 0, or exits 2 with one ``error:`` line naming the
+    file or the key and writes nothing; a directory is no config file."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "given.cfg"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    argv = [command]
+    for key, value in VALID_FLAGS[command].items():
+        argv += [f"--{key}", str(value)]
+    status, out, err = run_cli(argv + ["--config", str(path)], capsys)
+    assert status == expected, err
+    if status == 0:
+        assert err == ""
+        return
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and named.format(path=path) in line, line
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_config_with_phi_and_cos_phi_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ from pdcpurify import (
     Mode,
     PureState,
     SourceParams,
+    SpatialMode,
     create,
     spatially_entangled_state,
     to_density,
@@ -74,6 +75,15 @@ def test_create_raises_sector_on_every_term():
     lifted = create(Mode.B2V, state)
     assert lifted.sector == 3
     assert all(sum(occ) == 3 for occ in lifted.amplitudes)
+
+
+@pytest.mark.parametrize("mode", [-1, True, 8, 0, "a1H", None, SpatialMode.A1])
+def test_create_rejects_anything_but_a_mode(mode):
+    """An int would index past, or wrap around, the eight-entry occupation
+    tuple (``-1`` made a 16-entry key, ``True`` filled a1V, ``8`` raised
+    ``IndexError``)."""
+    with pytest.raises(ValueError, match="mode must be a Mode"):
+        create(mode, vacuum())
 
 
 def test_inner_product_vacuum():
