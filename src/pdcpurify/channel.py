@@ -1,4 +1,4 @@
-"""Polarization noise on single spatial modes.
+"""Polarization noise on spatial modes.
 
 The channel ``C_s`` leaves one spatial mode alone with probability s and
 fully depolarizes it otherwise.  Full depolarization preserves photon number:
@@ -7,39 +7,26 @@ is erased, and every diagonal entry with n photons in the mode is replaced by
 the uniform mixture over the n+1 ways of distributing those photons between
 H and V.  This also erases coherence between different photon numbers of the
 target mode, so it degrades spatial superpositions as well as polarization;
-that is intentional.
+that is intentional.  ``depolarize_partial`` applies ``C_s`` to one spatial
+mode or to several in turn, as one map pruned once; the paper's noise model,
+``C_s`` on Alice's a1 and a2, is ``depolarize_alice``.
 """
 
 from __future__ import annotations
 
 from .fock import DensityOperator, SpatialMode, in_range, pruned, shown
 
+_ALICE = (SpatialMode.A1, SpatialMode.A2)
 
-def depolarize_partial(
-    rho: DensityOperator, target: SpatialMode, s: float
-) -> DensityOperator:
-    """Leave the state untouched with probability s, depolarize otherwise.
 
-    Each entry becomes ``s * v + (1 - s) * m`` for input entry ``v`` and fully
-    depolarized entry ``m``.  One map starts at ``s * v``; each entry
-    diagonal in the target's (H, V) occupations adds ``(1 - s) * v / (n + 1)``
-    to each of its n+1 H/V splits; the sum is pruned once, so no term is
-    dropped before it is summed.  Trace preserving and completely positive.
-    An ``s`` that is not a number in [0, 1] (``None``, ``"0.5"``, ``True``)
-    and a ``target`` that is not a ``SpatialMode`` raise ``ValueError``.
-    """
-    if not in_range(s):
-        raise ValueError(
-            f"survival probability s must be a number in [0, 1], got {shown(s)}"
-        )
-    if not isinstance(target, SpatialMode):
-        raise ValueError(f"target must be a SpatialMode, got {shown(target)}")
+def _depolarized(entries: dict, h: int, s: float) -> dict:
+    """``s * v + (1 - s) * m`` on the spatial mode whose (H, V) modes are h and
+    h + 1, as a new map, unpruned."""
     # a spatial mode's (H, V) modes are adjacent, h and h + 1, so a split's
     # key is the occupations around them with the split in between
-    h = target.value[0]
     end = h + 2
-    out = {key: s * value for key, value in rho.entries.items()}
-    for (ket, bra), value in rho.entries.items():
+    out = {key: s * value for key, value in entries.items()}
+    for (ket, bra), value in entries.items():
         nh, nv = ket[h:end]
         if bra[h] != nh or bra[h + 1] != nv:
             continue
@@ -50,11 +37,49 @@ def depolarize_partial(
             split = (k, n - k)
             key = (ket_head + split + ket_tail, bra_head + split + bra_tail)
             out[key] = out.get(key, 0.0) + share
-    return DensityOperator._trusted(pruned(out))
+    return out
+
+
+def depolarize_partial(
+    rho: DensityOperator, target: SpatialMode | tuple[SpatialMode, ...], s: float
+) -> DensityOperator:
+    """Leave each target mode untouched with probability s, depolarize it
+    otherwise.
+
+    ``target`` is one ``SpatialMode`` or a non-empty tuple of them, taken in
+    order.  On each, every entry becomes ``s * v + (1 - s) * m`` for input
+    entry ``v`` and fully depolarized entry ``m``: a map starts at ``s * v``
+    and each entry diagonal in the mode's (H, V) occupations adds
+    ``(1 - s) * v / (n + 1)`` to each of its n+1 H/V splits.  The map is pruned
+    once, after the last mode, so no term is dropped before it is summed.
+    Trace preserving and completely positive.  A ``rho`` that is not a
+    ``DensityOperator``, any other ``target`` (``"A1"``, a list, ``()``) and an
+    ``s`` that is not a number in [0, 1] (``None``, ``"0.5"``, ``True``) raise
+    ``ValueError``.
+    """
+    if not isinstance(rho, DensityOperator):
+        raise ValueError(f"rho must be a DensityOperator, got {shown(rho)}")
+    targets = (target,) if isinstance(target, SpatialMode) else target
+    # a str is no tuple, so "A1" is refused whole, not read as "A" and "1"
+    if not (
+        isinstance(targets, tuple)
+        and targets
+        and all(isinstance(mode, SpatialMode) for mode in targets)
+    ):
+        raise ValueError(
+            "target must be a SpatialMode or a non-empty tuple of them, "
+            f"got {shown(target)}"
+        )
+    if not in_range(s):
+        raise ValueError(
+            f"survival probability s must be a number in [0, 1], got {shown(s)}"
+        )
+    entries = rho.entries
+    for mode in targets:
+        entries = _depolarized(entries, mode.value[0], s)
+    return DensityOperator._trusted(pruned(entries))
 
 
 def depolarize_alice(rho: DensityOperator, s: float) -> DensityOperator:
-    """Apply ``C_s`` to Alice's two spatial modes, a1 and then a2."""
-    for target in (SpatialMode.A1, SpatialMode.A2):
-        rho = depolarize_partial(rho, target, s)
-    return rho
+    """Apply ``C_s`` to Alice's two spatial modes, a1 and then a2, as one map."""
+    return depolarize_partial(rho, _ALICE, s)

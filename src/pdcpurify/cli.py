@@ -10,7 +10,7 @@ import math
 import sys
 
 from .analysis import schmidt
-from .fock import MODES, Mode
+from .fock import MODES, Mode, shown
 from .protocol import (STEP_BOUNDS, ProtocolKind, ProtocolResult, SweepSpec,
                        linear_grid, sweep)
 from .source import SourceParams, spatially_entangled_state
@@ -60,10 +60,10 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+            raise ValueError(f"{path}:{lineno}: unknown config key {shown(key)}")
         if key in lines:
             raise ValueError(
-                f"{path}:{lineno}: config key '{key}' is already set on "
+                f"{path}:{lineno}: config key {shown(key)} is already set on "
                 f"line {lines[key]}"
             )
         defaults[key] = value
@@ -84,7 +84,7 @@ def _config_values(path: str) -> dict:
             value = options.get("type", str)(text)
             choices = options.get("choices")
             if choices is not None and value not in choices:
-                raise ValueError(f"'{value}' is not one of {', '.join(choices)}")
+                raise ValueError(f"{shown(value)} is not one of {', '.join(choices)}")
         except ValueError as exc:
             raise ValueError(f"config value for '{key}' is invalid: {exc}")
         values[key.replace("-", "_")] = value

@@ -27,9 +27,12 @@ def apply_pbs(rho: DensityOperator, side: Side) -> DensityOperator:
     """Send one side's two spatial modes through its polarizing beam splitter.
 
     Conjugates ``rho`` on both sides: every ket and bra is relabeled.  Unitary,
-    involutive, photon-number preserving.  ``side`` must be a ``Side``:
-    anything else, such as the string ``"alice"``, raises ``ValueError``.
+    involutive, photon-number preserving.  ``rho`` must be a
+    ``DensityOperator`` and ``side`` a ``Side``: anything else, such as a
+    ``PureState`` or the string ``"alice"``, raises ``ValueError``.
     """
+    if not isinstance(rho, DensityOperator):
+        raise ValueError(f"rho must be a DensityOperator, got {shown(rho)}")
     if not isinstance(side, Side):
         raise ValueError(f"side must be a Side, got {shown(side)}")
     swap = _PBS[side]

@@ -61,5 +61,5 @@ def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
     # the beam splitters act on the readout maps once, when the row is built,
     # not per point
     assert calls.get("optics.pbs", 0) == 0
-    assert calls["channel.depolarize"] == 2 * points
+    assert calls["channel.depolarize"] == points
     assert call() == expected  # uninstalled: the originals are back

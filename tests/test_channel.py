@@ -8,6 +8,8 @@ from pdcpurify import (
     BOTH_UP,
     DensityOperator,
     Mode,
+    ProtocolKind,
+    PureState,
     Side,
     SourceParams,
     SpatialMode,
@@ -18,6 +20,8 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
+from pdcpurify.fock import PRUNE_TOL, shown
+from pdcpurify.protocol import _row
 from helpers import (
     added,
     allclose,
@@ -121,10 +125,19 @@ def test_non_number_s_rejected_naming_it(s):
         depolarize_partial(source_density(), SpatialMode.A1, s)
 
 
-@pytest.mark.parametrize("target", ["a1", Side.ALICE, Mode.A1H, None, (0, 1)])
+@pytest.mark.parametrize(
+    "target",
+    [
+        "a1", Side.ALICE, Mode.A1H, None, (0, 1), "A1", (Mode.A1H,), (),
+        [SpatialMode.A1, SpatialMode.A2], (SpatialMode.A1, "A2"),
+    ],
+)
 def test_non_spatial_mode_target_rejected_naming_it(target):
-    with pytest.raises(ValueError, match="target"):
+    """Neither a ``SpatialMode`` nor a non-empty tuple of them; a string is
+    named whole, not iterated character by character."""
+    with pytest.raises(ValueError, match="target") as caught:
         depolarize_partial(source_density(), target, 0.5)
+    assert shown(target) in str(caught.value)
 
 
 def test_channels_on_distinct_modes_commute():
@@ -192,6 +205,65 @@ def test_fully_depolarized_pair_is_maximally_mixed():
     bell = superposed(ket(Mode.A1H, Mode.B1H), ket(Mode.A1V, Mode.B1V)).normalized()
     rho = depolarize_full(to_density(bell), SpatialMode.A1)
     np.testing.assert_allclose(reduce_to_pair(rho, 1, 1), np.eye(4) / 4.0, atol=1e-12)
+
+
+def _bits(rho):
+    """The entries in order, each value by its repr (which tells -0.0 apart)."""
+    return repr(list(rho.entries.items()))
+
+
+#: every protocol row's fixed density and (0, 0) block, the channel's inputs
+ROW_DENSITIES = {
+    f"{kind.value}-{part}": (kind, part)
+    for kind in ProtocolKind
+    for part in ("density", "zero_block")
+}
+#: the grid ends, the points just inside them and a midpoint
+EDGE_S = [0.0, 1e-15, 1e-13, 0.5, 1 - 1e-15, 1.0]
+
+
+@pytest.mark.parametrize("target", list(SpatialMode))
+@pytest.mark.parametrize("s", EDGE_S)
+def test_one_mode_tuple_is_the_mode_bit_for_bit(target, s):
+    rho = source_density(r=0.9, phi=0.4, pairs=2)
+    assert _bits(depolarize_partial(rho, (target,), s)) == _bits(
+        depolarize_partial(rho, target, s)
+    )
+
+
+@pytest.mark.parametrize("row", ROW_DENSITIES.values(), ids=ROW_DENSITIES.keys())
+@pytest.mark.parametrize("s", EDGE_S)
+def test_two_mode_map_is_two_single_mode_calls(row, s):
+    """One map pruned once equals a1 then a2 each pruned, to 1e-16 on every
+    key of either, and stores no entry below ``PRUNE_TOL``."""
+    kind, part = row
+    rho = getattr(_row(kind), part)
+    one = depolarize_partial(rho, (SpatialMode.A1, SpatialMode.A2), s).entries
+    two = depolarize_partial(
+        depolarize_partial(rho, SpatialMode.A1, s), SpatialMode.A2, s
+    ).entries
+    keys = one.keys() | two.keys()
+    assert max(abs(one.get(k, 0) - two.get(k, 0)) for k in keys) <= 1e-16
+    assert all(abs(v) >= PRUNE_TOL for v in one.values())
+
+
+#: each channel and beam-splitter call, with its other arguments valid
+ON_RHO = {
+    "depolarize_partial": lambda rho: depolarize_partial(rho, SpatialMode.A1, 0.5),
+    "depolarize_alice": lambda rho: depolarize_alice(rho, 0.5),
+    "apply_pbs": lambda rho: apply_pbs(rho, Side.ALICE),
+}
+
+
+@pytest.mark.parametrize("call", ON_RHO.values(), ids=ON_RHO.keys())
+@pytest.mark.parametrize(
+    "rho", [PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1.0}), None, "rho"],
+    ids=["pure-state", "none", "string"],
+)
+def test_non_operator_rho_rejected_naming_it(call, rho):
+    with pytest.raises(ValueError, match="rho must be a DensityOperator") as caught:
+        call(rho)
+    assert shown(rho) in str(caught.value)
 
 
 def test_depolarize_alice_matches_sequential():

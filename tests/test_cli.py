@@ -349,6 +349,11 @@ CONFIG_TEXTS = {
     "nul-line": (b"\x00\n", 2, "{path}:1: expected 'key = value'"),
     "invalid-utf-8": (b"r = 0.5\npairs = \xff\n", 2, "{path}:2: byte 9 is not UTF-8"),
     "repeated-key": (b"r = 0.5\nr = 0.5\n", 2, "{path}:2: config key 'r'"),
+    # a control character that str.splitlines breaks at is shown escaped
+    "control-in-key": (b"r\x1cx = 1\n", 2, "{path}:1: unknown config key 'r\\x1cx'"),
+    "control-in-choice": (
+        b"format = c\x1csv\n", 2,
+        "config value for 'format' is invalid: 'c\\x1csv' is not one of csv, json"),
     "directory": (None, 2, "{path}"),
 }
 

@@ -728,7 +728,11 @@ UNPRINTABLE = {
         lambda: depolarize_partial(DensityOperator({}), HUGE, 0.5),
         "target must",
     ),
+    "depolarize_partial rho": (
+        lambda: depolarize_partial(HUGE, SpatialMode.A1, 0.5), "rho must"
+    ),
     "apply_pbs side": (lambda: apply_pbs(DensityOperator({}), HUGE), "side must"),
+    "apply_pbs rho": (lambda: apply_pbs(HUGE, Side.ALICE), "rho must"),
     "linear_grid steps": (lambda: linear_grid(0, 1, HUGE), "steps must"),
     "linear_grid s_min": (lambda: linear_grid(-HUGE, 1, 3), "s_min"),
     "DensityOperator key": (
