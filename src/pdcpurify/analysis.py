@@ -8,7 +8,7 @@ import sys
 from collections.abc import Iterable
 from itertools import combinations
 
-from .fock import MODES, Mode, PureState
+from .fock import MODES, Mode, PureState, must_be
 
 #: Jacobi sweeps allowed before ``_singular_values`` gives up
 _MAX_SWEEPS = 30
@@ -68,11 +68,15 @@ def schmidt(
 
     The coefficients are the singular values above 1e-12 of the amplitude
     matrix over (Alice pattern, Bob pattern), sorted descending; the entropy
-    is -sum(c^2 log2 c^2) in ebits.  The state must be normalized and the two
-    mode sets must partition all eight modes.
+    is -sum(c^2 log2 c^2) in ebits.  The state must be a normalized
+    ``PureState`` and the two mode sets, of ``Mode`` items, must partition
+    all eight modes; anything else raises ``ValueError``.
     """
-    alice = sorted(set(alice_modes))
-    bob = sorted(set(bob_modes))
+    must_be("state", state, PureState)
+    alice, bob = (
+        sorted({must_be(f"each of {name}", m, Mode) for m in modes})
+        for name, modes in (("alice_modes", alice_modes), ("bob_modes", bob_modes))
+    )
     if sorted(alice + bob) != list(MODES) or set(alice) & set(bob):
         raise ValueError("mode sets must partition the eight modes")
     if abs(state.norm() - 1.0) > 1e-9:

@@ -14,9 +14,15 @@ mode or to several in turn, as one map pruned once; the paper's noise model,
 
 from __future__ import annotations
 
-from .fock import DensityOperator, SpatialMode, in_range, pruned, shown
+from .fock import DensityOperator, SpatialMode, in_range, must_be, pruned, shown
 
 _ALICE = (SpatialMode.A1, SpatialMode.A2)
+
+
+def survival_refusal(s) -> ValueError:
+    """The refusal of an ``s`` that fails ``in_range``, not a number in [0, 1]:
+    ``depolarize_partial`` and ``protocol.input_fidelity`` raise it."""
+    return ValueError(f"survival probability s must be a number in [0, 1], got {shown(s)}")
 
 
 def _depolarized(entries: dict, h: int, s: float) -> dict:
@@ -57,8 +63,7 @@ def depolarize_partial(
     ``s`` that is not a number in [0, 1] (``None``, ``"0.5"``, ``True``) raise
     ``ValueError``.
     """
-    if not isinstance(rho, DensityOperator):
-        raise ValueError(f"rho must be a DensityOperator, got {shown(rho)}")
+    must_be("rho", rho, DensityOperator)
     targets = (target,) if isinstance(target, SpatialMode) else target
     # a str is no tuple, so "A1" is refused whole, not read as "A" and "1"
     if not (
@@ -71,9 +76,7 @@ def depolarize_partial(
             f"got {shown(target)}"
         )
     if not in_range(s):
-        raise ValueError(
-            f"survival probability s must be a number in [0, 1], got {shown(s)}"
-        )
+        raise survival_refusal(s)
     entries = rho.entries
     for mode in targets:
         entries = _depolarized(entries, mode.value[0], s)

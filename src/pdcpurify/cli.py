@@ -74,11 +74,8 @@ def _read_config(path: str, known: set[str]) -> dict[str, str]:
 def _config_values(path: str) -> dict:
     """The ``--config`` file's values by dest, converted and checked with their
     flag's type and choices whichever subcommand runs; ``config`` is no key."""
-    config = _read_config(path, set(_FLAGS) - {"config"})
-    if "phi" in config and "cos-phi" in config:
-        raise ValueError("config file sets both 'phi' and 'cos-phi'; keep one")
     values = {}
-    for key, text in config.items():
+    for key, text in _read_config(path, set(_FLAGS) - {"config"}).items():
         options = _FLAGS[key][2]
         try:
             value = options.get("type", str)(text)
@@ -91,31 +88,28 @@ def _config_values(path: str) -> dict:
     return values
 
 
-def _r_phi(args) -> tuple[float, float]:
-    """--r, and the phase from --phi or --cos-phi (flags or config keys)."""
-    if args.phi is not None and args.cos_phi is not None:
-        raise ValueError("give either --phi or --cos-phi, not both")
-    if args.cos_phi is not None:
-        return args.r, math.acos(args.cos_phi)
-    return args.r, 0.0 if args.phi is None else args.phi
+def _error(message, status: int) -> int:
+    """Print ``message`` as one ``error:`` line and return ``status``; a
+    character that is not printable (a line break) is shown escaped."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
+    print(f"error: {text}", file=sys.stderr)
+    return status
 
 
 def _cmd_run(args) -> int:
-    r, phi = _r_phi(args)
-    result = sweep(SweepSpec((args.s,), r=r, phi=phi, protocol=args.protocol))[0]
+    result = sweep(SweepSpec((args.s,), r=args.r, phi=args.phi, protocol=args.protocol))[0]
     sys.stdout.write(_json(result.as_dict()))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    r, phi = _r_phi(args)
     if args.s_min >= args.s_max:
         raise ValueError(
             f"--s-min must be below --s-max, got {args.s_min} and {args.s_max}"
         )
     grid = linear_grid(args.s_min, args.s_max, args.steps)
 
-    results = sweep(SweepSpec(grid, r=r, phi=phi, protocol=args.protocol))
+    results = sweep(SweepSpec(grid, r=args.r, phi=args.phi, protocol=args.protocol))
     # serialized before the file is opened, so a rejected value leaves no file
     if args.format == "csv":
         rows = [CSV_HEADER] + [_result_row(result) for result in results]
@@ -126,14 +120,12 @@ def _cmd_sweep(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write '{args.out}': {exc}", file=sys.stderr)
-        return 1
+        return _error(f"cannot write '{args.out}': {exc}", 1)
     return 0
 
 
 def _cmd_state(args) -> int:
-    r, phi = _r_phi(args)
-    state = spatially_entangled_state(SourceParams(r=r, phi=phi, pairs=args.pairs))
+    state = spatially_entangled_state(SourceParams(args.r, args.phi, args.pairs))
     coefficients, entropy = schmidt(
         state, [m for m in MODES if m < Mode.B1H], [m for m in MODES if m >= Mode.B1H]
     )
@@ -148,7 +140,7 @@ def _cmd_state(args) -> int:
         ],
         "schmidt_coefficients": coefficients,
         "entropy_ebits": entropy,
-        "params": {"r": r, "phi": phi, "pairs": args.pairs},
+        "params": {"r": args.r, "phi": args.phi, "pairs": args.pairs},
     }
     sys.stdout.write(_json(payload))
     return 0
@@ -251,22 +243,28 @@ def main(argv: list[str] | None = None) -> int:
         given = vars(build_parser().parse_args(argv))
         command = given.pop("command")
         config = _config_values(given["config"]) if "config" in given else {}
-        if "phi" in given or "cos_phi" in given:  # either phase flag drops both keys
-            config = {k: v for k, v in config.items() if k not in ("phi", "cos_phi")}
         rows = {flag: row for flag, row in _FLAGS.items() if command in row[0]}
         defaults = {flag.replace("-", "_"): row[1] for flag, row in rows.items()}
-        # a config value beats a built-in default; a flag given beats both
-        args = {**defaults, **config, **given}
+        # a config value beats a built-in default; a flag given beats both, and
+        # the phase is one setting: either phase flag replaces both config keys
+        phase = given if "phi" in given or "cos_phi" in given else config
+        args = {**defaults, **config, **given,
+                "phi": phase.get("phi", 0.0), "cos_phi": phase.get("cos_phi")}
         for flag, (_, _, _, rule) in rows.items():
             value = args[flag.replace("-", "_")]
             if value is _REQUIRED:
                 raise ValueError(f"--{flag} is required")
             if rule is not None and value is not None and not rule[1](value):
                 raise ValueError(f"--{flag} must be {rule[0]}, got {value}")
+        if "phi" in config and "cos_phi" in config:
+            raise ValueError("config file sets both 'phi' and 'cos-phi'; keep one")
+        if "phi" in given and "cos_phi" in given:
+            raise ValueError("give either --phi or --cos-phi, not both")
+        if args["cos_phi"] is not None:
+            args["phi"] = math.acos(args["cos_phi"])
         return globals()[f"_cmd_{command}"](argparse.Namespace(**args))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
 
 
 if __name__ == "__main__":

@@ -21,16 +21,16 @@ values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
 the protocols' fixed readout maps (exact sums of +-1/2^n, whose zeros they
 drop) cannot, so they do not prune.
 
-``in_range``, ``pruned`` and ``shown`` are the package's shared input check,
-pruning rule and message formatter; the other modules import them, and
-``pdcpurify`` does not export them.
+``in_range``, ``must_be``, ``pruned`` and ``shown`` are the package's shared
+number check, type check, pruning rule and message formatter; the other
+modules import them, and ``pdcpurify`` does not export them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from enum import Enum, IntEnum
 
 # Values below this modulus are not stored: the builders that can make such a
@@ -114,9 +114,19 @@ def shown(value) -> str:
     return text
 
 
+def must_be(name: str, value, kind: type):
+    """``value`` if it is a ``kind``; otherwise ``ValueError`` naming ``name``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {shown(value)}")
+    return value
+
+
 def _clean_key(occ: Iterable[int]) -> Occupations:
-    key = tuple(occ)
-    if len(key) != N_MODES:
+    try:
+        key = tuple(occ)
+    except TypeError:  # not iterable (an int): refused as given
+        key = occ
+    if type(key) is not tuple or len(key) != N_MODES:
         raise ValueError(
             f"occupation tuple must have {N_MODES} entries, got {shown(key)}"
         )
@@ -131,12 +141,19 @@ def _clean_key(occ: Iterable[int]) -> Occupations:
     return counts
 
 
-def _finite(values: dict) -> dict:
-    """``values`` as complex, in order; a NaN or infinite real or imaginary part
-    raises ``ValueError`` naming its key."""
+def _finite(name: str, values: Mapping) -> dict:
+    """``values`` as complex, in order; a ``values`` that is no mapping
+    (``None``) raises ``ValueError`` naming ``name``, and a value that is no
+    number (``b"1"``) or has a NaN or infinite real or imaginary part raises
+    one naming its key."""
     out = {}
-    for key, value in values.items():
-        v = complex(value)
+    for key, value in must_be(name, values, Mapping).items():
+        try:
+            v = complex(value)
+        except TypeError:
+            raise ValueError(
+                f"value {shown(value)} at {shown(key)} is not a number"
+            ) from None
         if not cmath.isfinite(v):
             raise ValueError(f"value {shown(value)} at {shown(key)} is not finite")
         out[key] = v
@@ -159,7 +176,7 @@ class PureState:
         sector: int | None = None,
     ):
         checked: dict[Occupations, complex] = {}
-        for occ, value in pruned(_finite(amplitudes)).items():
+        for occ, value in pruned(_finite("amplitudes", amplitudes)).items():
             key = _clean_key(occ)
             total = sum(key)
             if sector is None:
@@ -217,10 +234,11 @@ def create(mode: Mode, state: PureState) -> PureState:
 
     Each term picks up the usual sqrt(n+1) factor; the sector rises by one.
     Distinct terms stay distinct and no value shrinks, so nothing is pruned.
-    A ``mode`` that is not a ``Mode`` (an int, ``True``) raises ``ValueError``.
+    A ``mode`` that is not a ``Mode`` (an int, ``True``) or a ``state`` that is
+    not a ``PureState`` raises ``ValueError``.
     """
-    if not isinstance(mode, Mode):
-        raise ValueError(f"mode must be a Mode, got {shown(mode)}")
+    must_be("mode", mode, Mode)
+    must_be("state", state, PureState)
     out: dict[Occupations, complex] = {}
     for occ, amp in state.amplitudes.items():
         n = occ[mode]
@@ -243,7 +261,13 @@ class DensityOperator:
 
     def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
         checked: dict[tuple[Occupations, Occupations], complex] = {}
-        for (ket, bra), v in pruned(_finite(entries)).items():
+        for key, v in pruned(_finite("entries", entries)).items():
+            try:
+                ket, bra = key
+            except TypeError:  # not iterable (an int)
+                raise ValueError(
+                    f"entry key {shown(key)} is not a (ket, bra) pair"
+                ) from None
             k = _clean_key(ket)
             b = _clean_key(bra)
             if sum(k) != sum(b):
@@ -274,7 +298,9 @@ class DensityOperator:
 
 
 def to_density(state: PureState) -> DensityOperator:
-    """Normalized projector |psi><psi| / <psi|psi>."""
+    """Normalized projector |psi><psi| / <psi|psi>; a ``state`` that is not a
+    ``PureState`` raises ``ValueError``."""
+    must_be("state", state, PureState)
     norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
     if norm_sq <= 0.0:
         raise ValueError("cannot build a density operator from a zero state")

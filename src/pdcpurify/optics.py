@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .fock import DensityOperator, Side, shown
+from .fock import DensityOperator, Side, must_be
 
 #: each side's PBS as a fixed permutation of the eight mode indices: the H
 #: modes of its upper and lower spatial mode (a1H/a2H, b1H/b2H) trade places
@@ -31,10 +31,8 @@ def apply_pbs(rho: DensityOperator, side: Side) -> DensityOperator:
     ``DensityOperator`` and ``side`` a ``Side``: anything else, such as a
     ``PureState`` or the string ``"alice"``, raises ``ValueError``.
     """
-    if not isinstance(rho, DensityOperator):
-        raise ValueError(f"rho must be a DensityOperator, got {shown(rho)}")
-    if not isinstance(side, Side):
-        raise ValueError(f"side must be a Side, got {shown(side)}")
+    must_be("rho", rho, DensityOperator)
+    must_be("side", side, Side)
     swap = _PBS[side]
     # a permutation of valid keys: no term merges, no key needs checking
     entries = {(swap(ket), swap(bra)): v for (ket, bra), v in rho.entries.items()}

@@ -41,10 +41,10 @@ import functools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
-from itertools import product
+from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 
-from .channel import depolarize_alice
+from .channel import depolarize_alice, survival_refusal
 from .fock import (
     MODES,
     DensityOperator,
@@ -53,6 +53,7 @@ from .fock import (
     Side,
     SpatialMode,
     in_range,
+    must_be,
     pruned,
     shown,
     to_density,
@@ -120,9 +121,7 @@ def input_fidelity(s: float) -> float:
     raises ``ValueError``.
     """
     if not in_range(s):
-        raise ValueError(
-            f"survival probability s must be a number in [0, 1], got {shown(s)}"
-        )
+        raise survival_refusal(s)
     return (1.0 + 3.0 * s) / 4.0
 
 
@@ -143,14 +142,15 @@ def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> DensityOpera
 
 def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator:
     """The diagonal projector onto a detection pattern, so that Tr(P rho) is
-    the pattern's probability: a 1 on every occupation that splits each
-    spatial mode's n photons as k on H and n - k on V, for k = n, ..., 0."""
-    entries = {}
-    for counts in pattern:
-        for split in product(*[[(k, n - k) for k in range(n, -1, -1)] for n in counts]):
-            occ = sum(split, ())
-            entries[occ, occ] = 1 + 0j
-    return DensityOperator._trusted(entries)
+    the pattern's probability: onto each basis ket that puts each spatial
+    mode's n photons on its H and V modes, H first (k on H, for k = n, ..., 0)."""
+    return _onto(
+        [{photons: 1} for photons in split]
+        for counts in pattern
+        for split in product(
+            *map(combinations_with_replacement, (m.value for m in SpatialMode), counts)
+        )
+    )
 
 
 #: |HH> + sign |VV> on (a1, b1), unnormalized: Phi+ for sign 1, Phi- for -1
@@ -391,8 +391,10 @@ def sweep(spec: SweepSpec) -> list[ProtocolResult]:
     """Run the selected protocol at every grid point, ordered by s.
 
     The work that depends on r and phi only is done once per sweep; a single
-    run is a one-point sweep.
+    run is a one-point sweep.  A ``spec`` that is not a ``SweepSpec`` (``None``,
+    a tuple) raises ``ValueError``.
     """
+    must_be("spec", spec, SweepSpec)
     at = _curve(spec.protocol, spec.r, spec.phi)
     return [at(s) for s in spec.s_values]
 

@@ -14,7 +14,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .fock import Mode, PureState, create, in_range, pruned, shown, vacuum
+from .fock import Mode, PureState, create, in_range, must_be, pruned, shown, vacuum
 
 
 class SourceParams(namedtuple("SourceParams", "r phi pairs")):
@@ -70,8 +70,10 @@ def spatially_entangled_state(params: SourceParams) -> PureState:
 
     For r = 1, phi = 0 the single-pair state is an equal superposition of
     four kets (two ebits: one polarization, one spatial), and the two-pair
-    state has ten equal-weight Schmidt terms.
+    state has ten equal-weight Schmidt terms.  A ``params`` that is not a
+    ``SourceParams`` (``None``, a plain tuple) raises ``ValueError``.
     """
+    must_be("params", params, SourceParams)
     lower = params.r * cmath.exp(1j * params.phi)
     state = vacuum()
     for _ in range(params.pairs):

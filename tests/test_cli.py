@@ -187,6 +187,7 @@ REFUSALS = {
     "prefix-of-s-min": (SWEEP + ["--s", "0.5"], "--s 0.5"),
     "prefix-of-protocol": (["run", "--prot", "two-photon", "--s", "1"], "--prot"),
     "unknown-flag": (RUN + ["--bogus"], "--bogus"),
+    "control-in-flag": (RUN + ["--x\x1cy"], "unrecognized arguments: --x\\x1cy"),
     "flag-of-another-command": (RUN + ["--pairs", "2"], "--pairs"),
     "bad-protocol": (["run", "--protocol", "bogus", "--s", "1"], "argument --protocol"),
     "bad-format": (SWEEP + ["--format", "xml"], "argument --format"),
@@ -206,6 +207,32 @@ def test_each_refusal_is_one_error_line(argv, named, tmp_path, monkeypatch, caps
     (line,) = err.splitlines()
     assert line.startswith("error: ") and named in line, line
     assert list(tmp_path.iterdir()) == []
+
+
+#: each line that names a path given with a control character: the config
+#: file's ``path:line:`` prefix (exit 2) and a sweep file under a missing
+#: directory (exit 1); the path is shown escaped, so the line stays one line
+CONTROL_IN_PATH = {
+    "config-path": (["state", "--config", "c\x1cd.cfg"], 2,
+                    "error: c\\x1cd.cfg:1: unknown config key 'bogus'"),
+    "out-path": (SWEEP[:-1] + ["no\x1cdir/c.csv"], 1,
+                 "error: cannot write 'no\\x1cdir/c.csv': "),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,expected,named", CONTROL_IN_PATH.values(), ids=CONTROL_IN_PATH.keys()
+)
+def test_control_characters_in_paths_are_escaped(
+    argv, expected, named, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c\x1cd.cfg").write_text("bogus = 1\n")
+    status, out, err = run_cli(argv, capsys)
+    assert (status, out) == (expected, "")
+    (line,) = err.splitlines()
+    assert line.startswith(named), line
+    assert [path.name for path in tmp_path.iterdir()] == ["c\x1cd.cfg"]
 
 
 #: the flags whose ``_FLAGS`` row carries a rule

@@ -32,12 +32,14 @@ from pdcpurify import (
     Mode,
     ProtocolKind,
     ProtocolResult,
+    PureState,
     Side,
     SourceParams,
     SpatialMode,
     SweepSpec,
     apply_pbs,
     bbpssw_fidelity,
+    create,
     depolarize_alice,
     depolarize_partial,
     independent_pairs_state,
@@ -706,8 +708,8 @@ def test_bools_are_no_numbers(value):
 
 #: an int past Python's 4300-digit limit for printing ints
 HUGE = 10**5000
-#: each call that rejects a value whose repr fails or runs long, with the
-#: parameter its message names
+#: each call that rejects a value whose repr fails or runs long, or a value
+#: of the wrong type, with the parameter its message names
 UNPRINTABLE = {
     "SweepSpec s": (lambda: SweepSpec((HUGE,)), "s values must"),
     "SweepSpec r": (lambda: SweepSpec((0.5,), r=HUGE), "r must"),
@@ -738,6 +740,35 @@ UNPRINTABLE = {
     "DensityOperator key": (
         lambda: DensityOperator({((-HUGE,) + (0,) * 7, (0,) * 8): 1.0}),
         "negative occupation",
+    ),
+    "to_density None": (lambda: to_density(None), "state must be a PureState"),
+    "to_density str": (lambda: to_density("x"), "state must be a PureState"),
+    "create state": (lambda: create(Mode.A1H, None), "state must be a PureState"),
+    "schmidt state": (
+        lambda: schmidt(None, MODES[:4], MODES[4:]), "state must be a PureState"
+    ),
+    "schmidt modes": (
+        lambda: schmidt(spatially_entangled_state(SourceParams()), "ab", MODES[4:]),
+        "each of alice_modes must be a Mode, got 'a'",
+    ),
+    "spatially_entangled_state None": (
+        lambda: spatially_entangled_state(None), "params must be a SourceParams"
+    ),
+    "spatially_entangled_state tuple": (
+        lambda: spatially_entangled_state((1.0, 0.0, 2)), "params must be a SourceParams"
+    ),
+    "sweep None": (lambda: sweep(None), "spec must be a SweepSpec"),
+    "sweep tuple": (lambda: sweep((0.5,)), "spec must be a SweepSpec"),
+    "PureState None": (lambda: PureState(None), "amplitudes must be a Mapping"),
+    "DensityOperator None": (lambda: DensityOperator(None), "entries must be a Mapping"),
+    "DensityOperator int key": (
+        lambda: DensityOperator({1: 1}), r"entry key 1 is not a \(ket, bra\) pair"
+    ),
+    "PureState int key": (
+        lambda: PureState({1: 1}), "occupation tuple must have 8 entries, got 1"
+    ),
+    "DensityOperator bytes value": (
+        lambda: DensityOperator({((0,) * 8, (0,) * 8): b"1"}), "value b'1' at .* number"
     ),
 }
 
