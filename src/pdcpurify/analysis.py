@@ -8,7 +8,7 @@ import sys
 from collections.abc import Iterable
 from itertools import combinations
 
-from .fock import MODES, Mode, PureState, must_be
+from .fock import MODES, Mode, PureState, must_be, shown
 
 #: Jacobi sweeps allowed before ``_singular_values`` gives up
 _MAX_SWEEPS = 30
@@ -59,6 +59,19 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
     raise ArithmeticError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps")
 
 
+def _modes(name: str, modes: Iterable[Mode]) -> list[Mode]:
+    """The distinct items of ``modes``, sorted; a ``modes`` that is not
+    iterable (``None``, ``0.5``) or holds an item that is not a ``Mode``
+    raises ``ValueError`` naming ``name``."""
+    try:
+        items = list(modes)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an iterable of Modes, got {shown(modes)}"
+        ) from None
+    return sorted({must_be(f"each of {name}", m, Mode) for m in items})
+
+
 def schmidt(
     state: PureState,
     alice_modes: Iterable[Mode],
@@ -74,7 +87,7 @@ def schmidt(
     """
     must_be("state", state, PureState)
     alice, bob = (
-        sorted({must_be(f"each of {name}", m, Mode) for m in modes})
+        _modes(name, modes)
         for name, modes in (("alice_modes", alice_modes), ("bob_modes", bob_modes))
     )
     if sorted(alice + bob) != list(MODES) or set(alice) & set(bob):

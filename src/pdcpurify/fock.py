@@ -144,16 +144,21 @@ def _clean_key(occ: Iterable[int]) -> Occupations:
 def _finite(name: str, values: Mapping) -> dict:
     """``values`` as complex, in order; a ``values`` that is no mapping
     (``None``) raises ``ValueError`` naming ``name``, and a value that is no
-    number (``b"1"``) or has a NaN or infinite real or imaginary part raises
-    one naming its key."""
+    number (``b"1"``, ``"1"``), is too large for a float (``10**400``) or
+    has a NaN or infinite real or imaginary part raises one naming its key."""
     out = {}
     for key, value in must_be(name, values, Mapping).items():
         try:
-            v = complex(value)
+            # a str is no number, though complex() parses "1" and refuses "abc"
+            v = None if isinstance(value, str) else complex(value)
         except TypeError:
+            v = None
+        except OverflowError:
             raise ValueError(
-                f"value {shown(value)} at {shown(key)} is not a number"
+                f"value {shown(value)} at {shown(key)} is too large for a float"
             ) from None
+        if v is None:
+            raise ValueError(f"value {shown(value)} at {shown(key)} is not a number")
         if not cmath.isfinite(v):
             raise ValueError(f"value {shown(value)} at {shown(key)} is not finite")
         out[key] = v
@@ -166,7 +171,12 @@ def pruned(values: dict) -> dict:
 
 
 class PureState:
-    """Sparse ket over occupation tuples with a fixed total photon number."""
+    """Sparse ket over occupation tuples with a fixed total photon number.
+
+    ``sector``, that number, is taken from the terms when not given; a given
+    one must be a non-negative int (not a bool or a float), else
+    ``ValueError`` names it.
+    """
 
     __slots__ = ("amplitudes", "sector")
 
@@ -175,6 +185,8 @@ class PureState:
         amplitudes: dict[Occupations, complex],
         sector: int | None = None,
     ):
+        if sector is not None and (type(sector) is not int or sector < 0):
+            raise ValueError(f"sector must be a non-negative int, got {shown(sector)}")
         checked: dict[Occupations, complex] = {}
         for occ, value in pruned(_finite("amplitudes", amplitudes)).items():
             key = _clean_key(occ)
@@ -190,7 +202,7 @@ class PureState:
         if sector is None:
             raise ValueError("sector is required for a state without terms")
         self.amplitudes = checked
-        self.sector = int(sector)
+        self.sector = sector
 
     @classmethod
     def _trusted(cls, amplitudes: dict[Occupations, complex], sector: int) -> "PureState":
@@ -264,7 +276,7 @@ class DensityOperator:
         for key, v in pruned(_finite("entries", entries)).items():
             try:
                 ket, bra = key
-            except TypeError:  # not iterable (an int)
+            except (TypeError, ValueError):  # not iterable (an int), or no pair
                 raise ValueError(
                     f"entry key {shown(key)} is not a (ket, bra) pair"
                 ) from None

@@ -21,13 +21,19 @@ modes of one spatial mode, so each entry of its output keeps its (j, k), and
 a readout entry carries the weight of the entry it reads.  So a curve
 weights its two maps (16 + 16 entries for four-photon) once, with
 two-photon's mirror factor, and a point runs the channel on rho_1 and reads
-two sums, with no Fock build.  Two cases read maps weighted once, when the
-row is built: at r = 0 every weight but that of the (0, 0) block is 0, so
-the maps weighted at lambda = 0 serve every phi and the channel runs on that
-block alone; independent pairs take no lambda (power 0, weight 1).  The
-three pipelines differ only in data: each is one row, built by ``_row`` from
-``_RECIPES`` on its kind's first use and kept, so importing the package
-builds none, and ``_curve`` reads every row, for a run as for a sweep.
+two sums, with no Fock build.  Where lambda = 0 (independent pairs, which
+take no lambda, and r = 0 at any phi) a point runs no channel at all.  On
+Alice's two modes the channel is C_s = s^2 id + s(1 - s)(D_a1 + D_a2) +
+(1 - s)^2 D_a1 D_a2, with D the full depolarization of one mode; D_a1 and
+D_a2 act on disjoint modes, so they commute.  At lambda = 0 only the (0, 0)
+block, no lower pair on ket or bra, has a nonzero weight (for independent
+pairs it is the whole density), so a row reads its maps weighted at
+lambda = 0 once off three branches of that block, each built by the channel
+at s = 0: the block, D_a1 + D_a2 of it and D_a1 D_a2 of it.  Such a point is
+two quadratics in s and one division.  The three pipelines differ only in
+data: each is one row, built by ``_row`` from ``_RECIPES`` on its kind's
+first use and kept, so importing the package builds none, and ``_curve``
+reads every row, for a run as for a sweep.
 
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
@@ -44,7 +50,7 @@ from enum import Enum
 from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 
-from .channel import depolarize_alice, survival_refusal
+from .channel import _ALICE, depolarize_alice, depolarize_partial, survival_refusal
 from .fock import (
     MODES,
     DensityOperator,
@@ -218,16 +224,16 @@ _RECIPES = {
 }
 
 #: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
-#: (at r = 1, phi = 0), its (0, 0) block ``zero_block``, all that r = 0
-#: reads (the whole density for independent pairs), and ``traces``, tr of
-#: its (k, k) block by k; the pattern's projector and the witness in front
-#: of the beam splitters as rows (key, v, j, k): both are real and equal to
-#: their transposes, so an entry reads the density entry with its own key and
-#: is tagged with that key's lower pairs, j (ket) and k (bra); ``zero_readouts``,
-#: the two weighted at lambda = 0, all that independent pairs and r = 0 read;
-#: and the recipe's factor and mirror
-_Row = namedtuple("_Row", "pairs density zero_block traces projector witness "
-                          "zero_readouts factor mirrored")
+#: (at r = 1, phi = 0) and ``traces``, tr of its (k, k) block by k; the
+#: pattern's projector and the witness in front of the beam splitters as rows
+#: (key, v, j, k): both are real and equal to their transposes, so an entry
+#: reads the density entry with its own key and is tagged with that key's
+#: lower pairs, j (ket) and k (bra); ``zero_quadratics``, all that independent
+#: pairs and r = 0 read: p and the witness sum at lambda = 0, each as its
+#: coefficients on s^2, s(1 - s) and (1 - s)^2; and the recipe's factor and
+#: mirror
+_Row = namedtuple("_Row", "pairs density traces projector witness "
+                          "zero_quadratics factor mirrored")
 
 
 @functools.cache
@@ -252,9 +258,18 @@ def _row(kind: ProtocolKind) -> _Row:
         tuple((key, v, power(key[0]), power(key[1])) for key, v in a.entries.items())
         for a in (_in_front(_projector(pattern)), _in_front(witness))
     )
-    row = _Row(pairs, rho, DensityOperator._trusted(zero_block), tuple(traces),
-               projector, witness, None, factor, mirrored)
-    return row._replace(zero_readouts=_readouts(row, 0.0, 0.0))
+    row = _Row(pairs, rho, tuple(traces), projector, witness, None, factor, mirrored)
+    # C_s's three branches on the (0, 0) block: id, D_a1 + D_a2 and D_a1 D_a2
+    block = DensityOperator._trusted(zero_block)
+    branches = (
+        (block,),
+        tuple(depolarize_partial(block, mode, 0.0) for mode in _ALICE),
+        (depolarize_alice(block, 0.0),),
+    )
+    return row._replace(zero_quadratics=tuple(
+        tuple(sum(_expect(rho_b, a).real for rho_b in branch) for branch in branches)
+        for a in _readouts(row, 0.0, 0.0)
+    ))
 
 
 def _readouts(row: _Row, r: float, phi: float) -> tuple[DensityOperator, DensityOperator]:
@@ -279,17 +294,25 @@ def _curve(
     row as the module docstring describes.  Independent pairs ignore r and
     phi and report ``None``."""
     row = _row(kind)
-    rho, readouts = row.zero_block, row.zero_readouts
+    readouts = None
     if row.pairs is None:
         r = phi = None
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
         if source.r != 0:
-            rho, readouts = row.density, _readouts(row, source.r, source.phi)
+            readouts = _readouts(row, source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
-        rho_s = depolarize_alice(rho, s)
-        p, weighted = (_expect(rho_s, a).real for a in readouts)
+        if readouts is None:
+            # no channel runs to check s, so it is checked here
+            if not in_range(s):
+                raise survival_refusal(s)
+            t = 1.0 - s
+            p, weighted = (s * s * a + s * t * b + t * t * c
+                           for a, b, c in row.zero_quadratics)
+        else:
+            rho_s = depolarize_alice(row.density, s)
+            p, weighted = (_expect(rho_s, a).real for a in readouts)
         # the witness sum over p, or None where the pattern never happens
         f = weighted / p if p > ZERO_PROBABILITY else None
         return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
@@ -332,13 +355,14 @@ def bbpssw_fidelity(f: float) -> float:
 
     Reference curve for the independent-pairs pipeline; fixed points at 1/4
     and 1.  Valid for f in [1/4, 1]; anything else, a bool or a ``Decimal``
-    included, raises ``ValueError``.
+    included, raises ``ValueError``.  A ``Fraction`` f gives the exact
+    ``Fraction``.
     """
     if not in_range(f, lambda x: 0.25 <= x <= 1.0):
         raise ValueError(f"input fidelity must be in [0.25, 1], got {shown(f)}")
-    rest = (1.0 - f) / 3.0
+    rest = (1 - f) / 3
     numerator = f * f + rest * rest
-    denominator = f * f + 2.0 * f * rest + 5.0 * rest * rest
+    denominator = f * f + 2 * f * rest + 5 * rest * rest
     return numerator / denominator
 
 

@@ -83,6 +83,19 @@ def block_density(rho_1, r, phi):
     }))
 
 
+def zero_block(row):
+    """The (0, 0) block of a protocol row's fixed density, the only block with
+    a weight at lambda = 0: the entries with no lower pair (no photon in a2)
+    on ket or bra, or the whole density for independent pairs, which take no
+    lambda."""
+    if row.pairs is None:
+        return row.density
+    return DensityOperator._trusted({
+        (ket, bra): v for (ket, bra), v in row.density.entries.items()
+        if ket[Mode.A2H] + ket[Mode.A2V] == bra[Mode.A2H] + bra[Mode.A2V] == 0
+    })
+
+
 def allclose(x, y, tol=1e-12):
     """Whether every entry of ``x`` and ``y`` agrees to ``tol`` (missing = 0)."""
     return all(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -266,6 +267,20 @@ def test_schmidt_requires_normalization_and_partition():
         schmidt(good, ALICE_MODES[:-1], BOB_MODES)
     with pytest.raises(ValueError):
         schmidt(good, ALICE_MODES + [Mode.B1H], BOB_MODES)
+
+
+@pytest.mark.parametrize(
+    "modes", [None, 0.5, True, Decimal("0.5")], ids=["none", "float", "bool", "decimal"]
+)
+def test_schmidt_refuses_a_mode_set_that_is_not_iterable(modes):
+    """Each used to escape as ``TypeError: ... object is not iterable``."""
+    good = spatially_entangled_state(SourceParams(pairs=1))
+    for name, call in (
+        ("alice_modes", lambda: schmidt(good, modes, BOB_MODES)),
+        ("bob_modes", lambda: schmidt(good, ALICE_MODES, modes)),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an iterable of Modes, got"):
+            call()
 
 
 def random_matrices(count, seed):

@@ -26,13 +26,15 @@ def _tracer():
 
 #: one call of each ``run_*`` and a 3-point sweep, looked up on the module as
 #: the tracer patches it, with the ``run_*`` calls, Fock source builds and
-#: points each makes: a sweep calls no ``run_*``, and no traced call builds a
-#: source state or a ``to_density``, since the untraced call before it has
-#: built its kind's row, which holds the fixed source density
+#: channel calls each makes: a sweep calls no ``run_*``; no traced call builds
+#: a source state or a ``to_density``, since the untraced call before it has
+#: built its kind's row, which holds the fixed source density; the channel
+#: runs once per point, except where lambda = 0 (independent pairs), whose
+#: points read quadratics the row holds
 CALLS = {
     "four-photon": (lambda: protocol.run_four_photon(0.95, 0.3, 0.6), 1, 0, 1),
     "two-photon": (lambda: protocol.run_two_photon(0.95, 0.3, 0.6), 1, 0, 1),
-    "independent-pairs": (lambda: protocol.run_independent_pairs(0.6), 1, 0, 1),
+    "independent-pairs": (lambda: protocol.run_independent_pairs(0.6), 1, 0, 0),
     "sweep": (
         lambda: protocol.sweep(
             SweepSpec((0.0, 0.5, 1.0), 0.9, 0.45, ProtocolKind.FOUR_PHOTON)
@@ -44,8 +46,8 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("call, runs, sources, points", CALLS.values(), ids=CALLS.keys())
-def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
+@pytest.mark.parametrize("call, runs, sources, channels", CALLS.values(), ids=CALLS.keys())
+def test_traced_calls_return_the_untraced_results(call, runs, sources, channels):
     expected = call()  # builds the kind's row, outside the traced window
     tracer = _tracer()
     tracer.install()
@@ -61,5 +63,5 @@ def test_traced_calls_return_the_untraced_results(call, runs, sources, points):
     # the beam splitters act on the readout maps once, when the row is built,
     # not per point
     assert calls.get("optics.pbs", 0) == 0
-    assert calls["channel.depolarize"] == points
+    assert calls.get("channel.depolarize", 0) == channels
     assert call() == expected  # uninstalled: the originals are back

@@ -35,6 +35,7 @@ from helpers import (
     spatial_totals,
     superposed,
     validate,
+    zero_block,
 )
 
 
@@ -212,7 +213,8 @@ def _bits(rho):
     return repr(list(rho.entries.items()))
 
 
-#: every protocol row's fixed density and (0, 0) block, the channel's inputs
+#: every protocol row's fixed density and its (0, 0) block, the channel's
+#: inputs per point and when the row is built
 ROW_DENSITIES = {
     f"{kind.value}-{part}": (kind, part)
     for kind in ProtocolKind
@@ -237,7 +239,7 @@ def test_two_mode_map_is_two_single_mode_calls(row, s):
     """One map pruned once equals a1 then a2 each pruned, to 1e-16 on every
     key of either, and stores no entry below ``PRUNE_TOL``."""
     kind, part = row
-    rho = getattr(_row(kind), part)
+    rho = zero_block(_row(kind)) if part == "zero_block" else _row(kind).density
     one = depolarize_partial(rho, (SpatialMode.A1, SpatialMode.A2), s).entries
     two = depolarize_partial(
         depolarize_partial(rho, SpatialMode.A1, s), SpatialMode.A2, s

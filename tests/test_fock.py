@@ -294,6 +294,39 @@ def test_public_constructors_reject_non_finite_values(value):
         DensityOperator({(key, key): value})
 
 
+#: values that are no float-sized number, with the reason each message gives
+UNREADABLE = {
+    "huge-int": (10**400, "too large for a float"),
+    "malformed-str": ("abc", "not a number"),
+    "numeric-str": ("1", "not a number"),
+}
+
+
+@pytest.mark.parametrize("value, reason", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_public_constructors_name_the_key_of_an_unreadable_value(value, reason):
+    """A huge int used to escape as ``OverflowError`` and a string went to
+    ``complex()``, which parsed ``"1"`` and refused ``"abc"`` naming no key."""
+    key = (1, 1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=rf"at \(1, 1, 0, 0, 0, 0, 0, 0\) is {reason}"):
+        PureState({key: value}, sector=2)
+    with pytest.raises(ValueError, match=rf"at \(\(1, 1, 0, .* is {reason}"):
+        DensityOperator({(key, key): value})
+
+
+def test_density_operator_names_a_key_that_is_no_pair():
+    key = ((0,) * 8,) * 3
+    with pytest.raises(ValueError, match=r"^entry key \(\(0, .* is not a \(ket, bra\) pair"):
+        DensityOperator({key: 1.0})
+
+
+@pytest.mark.parametrize("sector", [1.5, True, 2.0, -1, "2"])
+def test_pure_state_refuses_a_sector_that_is_no_count(sector):
+    """``int(sector)`` used to store 1.5 and True as sector 1."""
+    for amplitudes in ({}, {TWO: 1.0}):
+        with pytest.raises(ValueError, match="^sector must be a non-negative int, got"):
+            PureState(amplitudes, sector=sector)
+
+
 def test_to_density_rejects_an_overflowing_norm():
     state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e200}).scaled(1e200)
     with pytest.raises(ValueError, match="squared norm"):

@@ -22,6 +22,7 @@ from helpers import (
     postselect,
     reduce_to_pair,
     run_direct,
+    zero_block,
 )
 from pdcpurify import (
     BOTH_DOWN,
@@ -295,9 +296,9 @@ def test_sweep_equals_per_point_runs(kind):
 
 
 #: the Fock builders a sweep does not call once its kind's row exists: it
-#: weights its readout maps for (r, phi) through ``_readouts``, once (or reads
-#: the row's maps weighted at lambda = 0, for independent pairs), and runs the
-#: channel on the row's fixed source density
+#: weights its readout maps for (r, phi) through ``_readouts``, once, and runs
+#: the channel on the row's fixed source density (or reads the row's
+#: quadratics at lambda = 0, for independent pairs)
 SOURCE_BUILDERS = ("spatially_entangled_state", "independent_pairs_state", "to_density")
 
 
@@ -332,8 +333,8 @@ def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_fixed_weights_are_read_without_weighting(kind, r, monkeypatch):
     """Once a kind's row exists, independent pairs and runs at r = 0 read the
-    row's maps weighted at lambda = 0, with no ``_readouts`` call; any other
-    run or sweep weights its maps once."""
+    row's quadratics at lambda = 0, with no ``_readouts`` call; any other run
+    or sweep weights its maps once."""
     protocol_module._row(kind)
     calls = _count_calls(SOURCE_BUILDERS + ("_readouts",), monkeypatch)
     weighted = int(kind is not ProtocolKind.INDEPENDENT_PAIRS and r != 0)
@@ -473,17 +474,36 @@ def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
                     assert abs(read - expected) <= 1e-15
 
 
+def _branch_sums(block, maps):
+    """Each of ``maps`` read off the three branches of C_s on ``block`` that
+    the channel builds at s = 0: the block, D_a1 + D_a2 of it and D_a1 D_a2 of
+    it, with D the full depolarization of one of Alice's spatial modes."""
+    branches = (
+        (block,),
+        (depolarize_partial(block, SpatialMode.A1, 0.0),
+         depolarize_partial(block, SpatialMode.A2, 0.0)),
+        (depolarize_alice(block, 0.0),),
+    )
+    return tuple(
+        tuple(sum(protocol_module._expect(rho, a).real for rho in branch) for branch in branches)
+        for a in maps
+    )
+
+
 def test_independent_pairs_density_is_the_fock_build_exactly():
+    """Independent pairs take no lambda: the row's density is the Fock build,
+    its maps weighted at any lambda are the fixed maps, and its quadratics are
+    the fixed maps read off the Fock build's three channel branches, bit for
+    bit."""
     row = _row(None)
-    built = to_density(independent_pairs_state()).entries
+    built = to_density(independent_pairs_state())
     assert row.traces == (1.0,)
-    assert row.density.entries == built
-    assert row.zero_block.entries == built
+    assert row.density.entries == built.entries
     fixed = _fixed_readouts(ProtocolKind.INDEPENDENT_PAIRS)
     for weights in ((1.0, 0.0), (0.0, 0.0)):
         weighted = protocol_module._readouts(row, *weights)
         assert [a.entries for a in weighted] == [a.entries for a in fixed]
-    assert [a.entries for a in row.zero_readouts] == [a.entries for a in fixed]
+    assert row.zero_quadratics == _branch_sums(built, fixed)
 
 
 @pytest.mark.parametrize(
@@ -491,76 +511,132 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     [(ProtocolKind.FOUR_PHOTON, 9), (ProtocolKind.TWO_PHOTON, 4)],
 )
 def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypatch):
-    """At r = 0 a run hands the channel only the fixed density's (0, 0) block,
-    no lower pair on ket or bra, and reads what the full density gives, bit for
-    bit: the weighted maps read nothing else.  Those maps do not depend on
-    phi, so the row holds them, weighted at lambda = 0."""
+    """At r = 0 the maps weighted at lambda = 0 read only the fixed density's
+    (0, 0) block, no lower pair on ket or bra, and do not depend on phi.  A
+    row hands the channel that block alone, three times, when it is built;
+    its quadratics then give what the full density gives under the channel
+    to 1e-15, and no point at r = 0 runs the channel."""
     row = protocol_module._row(kind)
     lower = protocol_module._lower_pairs
-    assert row.zero_block.entries == {
-        (ket, bra): v
-        for (ket, bra), v in row.density.entries.items()
-        if lower(ket) == lower(bra) == 0
-    }
-    assert len(row.zero_block.entries) == block
+    zero = protocol_module._readouts(row, 0.0, 0.0)
     for phi in BLOCK_GRID_PHI:
         weighted = protocol_module._readouts(row, 0.0, phi)
-        assert [a.entries for a in weighted] == [a.entries for a in row.zero_readouts]
+        assert [a.entries for a in weighted] == [a.entries for a in zero]
         assert all(lower(ket) == lower(bra) == 0 for a in weighted for ket, bra in a.entries)
-    for s in (0.0, 0.3, 1.0):
-        for a in row.zero_readouts:
-            read = protocol_module._expect(depolarize_alice(row.zero_block, s), a)
-            assert read == protocol_module._expect(depolarize_alice(row.density, s), a)
+    assert row.zero_quadratics == _branch_sums(zero_block(row), zero)
+    for s in (0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0):
+        rho_s = depolarize_alice(row.density, s)
+        for (a, b, c), readout in zip(row.zero_quadratics, zero):
+            read = protocol_module._expect(rho_s, readout).real
+            assert abs(s * s * a + s * (1 - s) * b + (1 - s) ** 2 * c - read) <= 1e-15
     sizes = []
 
-    def counted(rho, s, _original=protocol_module.depolarize_alice):
-        sizes.append(len(rho.entries))
-        return _original(rho, s)
+    def counted(original):
+        def channel(rho, *args):
+            sizes.append(len(rho.entries))
+            return original(rho, *args)
 
-    monkeypatch.setattr(protocol_module, "depolarize_alice", counted)
+        return channel
+
+    for name in ("depolarize_alice", "depolarize_partial"):
+        monkeypatch.setattr(protocol_module, name, counted(getattr(protocol_module, name)))
+    protocol_module._row.__wrapped__(kind)  # a fresh build, outside the cache
+    assert sizes == [block] * 3
+    sizes.clear()
     run_direct(kind, 0.0, 0.45, 0.5)
+    sweep(SweepSpec((0.0, 0.5, 1.0), 0.0, 2.0, kind))
+    assert sizes == []
     run_direct(kind, 1e-9, 0.45, 0.5)
-    assert sizes == [block, len(row.density.entries)]
+    assert sizes == [len(row.density.entries)]
+
+
+#: p and the witness sum at lambda = 0 (independent pairs, and r = 0), each
+#: as its exact coefficients on s^2, s(1 - s) and (1 - s)^2
+ZERO_QUADRATICS = {
+    ProtocolKind.INDEPENDENT_PAIRS: (
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)),
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)),
+    ),
+    ProtocolKind.FOUR_PHOTON: (
+        (Fraction(1, 3), Fraction(4, 9), Fraction(1, 9)),
+        (Fraction(1, 6), Fraction(2, 9), Fraction(1, 18)),
+    ),
+    ProtocolKind.TWO_PHOTON: (
+        (Fraction(1), Fraction(3, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(3, 4), Fraction(1, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_zero_quadratics_are_exact(kind):
+    """The row's float coefficients at lambda = 0 are the exact rationals to
+    1e-15 (two-photon's carry its mirror factor 2)."""
+    quadratics = protocol_module._row(kind).zero_quadratics
+    exact = ZERO_QUADRATICS[kind]
+    assert len(quadratics) == len(exact) == 2
+    for floats, fractions in zip(quadratics, exact):
+        assert len(floats) == len(fractions) == 3
+        for value, fraction in zip(floats, fractions):
+            assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
+
+
+def test_independent_pairs_fidelity_is_bbpssw_exactly():
+    """The independent-pairs f, the exact witness quadratic over the exact p
+    quadratic, is ``bbpssw_fidelity((1 + 3s)/4)`` in ``Fraction``s.  Both are
+    ratios of quadratics in s, so their cross difference is a quartic, and
+    its vanishing at 5 or more points proves the identity for every s."""
+    (p0, p1, p2), (w0, w1, w2) = ZERO_QUADRATICS[ProtocolKind.INDEPENDENT_PAIRS]
+    points = [Fraction(k, 7) for k in range(8)] + [Fraction(1, 3), Fraction(9, 10)]
+    for s in points:
+        t = 1 - s
+        f = (w0 * s * s + w1 * s * t + w2 * t * t) / (p0 * s * s + p1 * s * t + p2 * t * t)
+        assert f == bbpssw_fidelity((1 + 3 * s) / 4)
+    assert len(set(points)) >= 5
 
 
 def _weighted_per_call(kind, r, phi, s):
     """The run with its maps weighted through ``_readouts`` at this call, the
-    row's factor included: independent pairs at lambda = 1, the two-pass source
-    at its own (r, phi), with the channel on the (0, 0) block at r = 0.  The
-    reference that the row's maps weighted once must match bit for bit."""
+    row's factor included, and the channel run at this call on the row's
+    fixed density: independent pairs at lambda = 1, the two-pass source at its
+    own (r, phi).  The reference that the reads at lambda = 0 must match."""
     row = protocol_module._row(kind)
-    rho = row.density
     if row.pairs is None:
         r = phi = None
         maps = protocol_module._readouts(row, 1.0, 0.0)
     else:
         source = SourceParams(r, phi, row.pairs)
         maps = protocol_module._readouts(row, source.r, source.phi)
-        if source.r == 0:
-            rho = row.zero_block
-    rho_s = depolarize_alice(rho, s)
+    rho_s = depolarize_alice(row.density, s)
     p, weighted = (protocol_module._expect(rho_s, a).real for a in maps)
     f = weighted / p if p > protocol_module.ZERO_PROBABILITY else None
     return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
 
 
-#: s at the edges and inside, for the bit-identity of the fixed-weight reads
+#: s at the edges and inside, for the reads at lambda = 0
 FIXED_WEIGHT_S = (0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0)
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_fixed_weight_reads_are_the_per_call_weighting_bit_for_bit(kind):
-    """Independent pairs, and r = 0 at any phi, give the same ``repr`` from
-    the row's maps weighted once as from maps weighted at each call."""
+    """Independent pairs, and r = 0 at any phi, give from the row's quadratics
+    what maps weighted at each call read off the channel's output, to 1e-15
+    (the sums round in another order), and a run gives the sweep's ``repr``
+    bit for bit."""
     if kind is ProtocolKind.INDEPENDENT_PAIRS:
         points = [(1.0, 0.0)]  # ignored: independent pairs take no r or phi
     else:
         points = [(r, phi) for r in (0, 0.0) for phi in BLOCK_GRID_PHI + (-1.0, 7.0)]
     for r, phi in points:
-        expected = [repr(_weighted_per_call(kind, r, phi, s)) for s in FIXED_WEIGHT_S]
-        assert [repr(run_direct(kind, r, phi, s)) for s in FIXED_WEIGHT_S] == expected
+        runs = [run_direct(kind, r, phi, s) for s in FIXED_WEIGHT_S]
+        for run, s in zip(runs, FIXED_WEIGHT_S):
+            expected = _weighted_per_call(kind, r, phi, s)
+            assert run[:4] == expected[:4]
+            for got, want in zip(run[4:], expected[4:]):
+                assert (got is None) == (want is None)
+                assert got is None or abs(got - want) <= 1e-15
         spec = SweepSpec(FIXED_WEIGHT_S, r, phi, kind)
-        assert [repr(res) for res in sweep(spec)] == expected
+        assert [repr(res) for res in sweep(spec)] == [repr(res) for res in runs]
 
 
 #: imports the package, runs ``state`` and one two-photon run in a fresh
