@@ -67,8 +67,6 @@ from .fock import (
 from .optics import apply_pbs
 from .source import SourceParams, independent_pairs_state, spatially_entangled_state
 
-#: pattern probabilities at or below this count as "never happens"
-ZERO_PROBABILITY = 1e-12
 #: the fewest and the most points ``linear_grid`` makes
 STEP_BOUNDS = (2, 1_000_000)
 
@@ -92,8 +90,10 @@ class ProtocolResult(
 ):
     """Inputs, success probability and fidelities of one protocol run.
 
-    An immutable named tuple.  Output fidelities are ``None`` when the
-    selected detection pattern never occurs; r and phi are ``None`` for
+    An immutable named tuple.  ``f_upper`` is always a number: every
+    protocol's selected pattern has p >= 1/9 at every valid input.
+    ``f_lower`` is ``None`` for the protocols that report one output pair (two
+    photons and independent pairs), and r and phi are ``None`` for
     independent pairs.  ``f_in`` and ``params`` are derived from the fields.
     """
 
@@ -313,8 +313,8 @@ def _curve(
         else:
             rho_s = depolarize_alice(row.density, s)
             p, weighted = (_expect(rho_s, a).real for a in readouts)
-        # the witness sum over p, or None where the pattern never happens
-        f = weighted / p if p > ZERO_PROBABILITY else None
+        # the witness sum over p; p >= 1/9 for every valid input
+        f = weighted / p
         return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
 
     return at

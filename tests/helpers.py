@@ -7,6 +7,7 @@ from operator import itemgetter
 
 import numpy as np
 
+import pdcpurify.protocol as protocol
 from pdcpurify import (
     MODES,
     DensityOperator,
@@ -23,7 +24,6 @@ from pdcpurify import (
     vacuum,
 )
 from pdcpurify.fock import PRUNE_TOL, pruned
-from pdcpurify.protocol import ZERO_PROBABILITY
 
 
 #: F, exchanging H and V in every spatial mode, as a map of mode indices
@@ -183,11 +183,16 @@ def pair_fidelity(rho, alice, bob):
     return 0.5 * total
 
 
+#: pattern probabilities at or below this count as "never happens"
+ZERO_PROBABILITY = 1e-12
+
+
 def postselect(rho, selection):
     """Condition ``rho`` on a detection pattern.
 
     Returns the pattern's probability and the renormalized conditional state,
-    or ``None`` in its place where the pattern (almost) never occurs.
+    or ``None`` in its place where the pattern (almost) never occurs: an
+    arbitrary pattern may select nothing.
     """
     kept = project(rho, selection)
     probability = kept.trace()
@@ -436,3 +441,69 @@ def run_direct(kind, r, phi, s):
     if kind is ProtocolKind.TWO_PHOTON:
         return run_two_photon(r, phi, s)
     return run_independent_pairs(s)
+
+
+#: The run path's stages, by their names on the ``protocol`` module, each with
+#: its empty cell in the stage table: for the channel and the PBS, a tuple of
+#: the entry counts of the operators their calls receive, in call order; for
+#: the others a count of calls (a source build and ``_readouts`` receive no
+#: operator, ``to_density`` a ket, and what ``_expect`` reads depends on r
+#: and s).
+STAGES = {"spatially_entangled_state": 0, "independent_pairs_state": 0, "to_density": 0,
+          "depolarize_partial": (), "depolarize_alice": (), "apply_pbs": (),
+          "_readouts": 0, "_expect": 0}
+
+#: The mechanism of the run path: what each stage does per row build, and per
+#: curve and per point where lambda = r e^(i phi) is not 0 and where it is
+#: (independent pairs, and r = 0).  Where lambda != 0 a curve weights its maps
+#: once and a point runs the channel on the fixed density and reads two sums;
+#: where lambda = 0 a point reads the row's quadratics and calls no stage.
+STAGE_TABLE = {
+    ProtocolKind.FOUR_PHOTON: {
+        "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
+                  "depolarize_partial": (9, 9), "depolarize_alice": (9,),
+                  "_readouts": 1, "_expect": 8},
+        "curve": {"_readouts": 1},
+        "point": {"depolarize_alice": (100,), "_expect": 2},
+        "zero curve": {}, "zero point": {},
+    },
+    ProtocolKind.TWO_PHOTON: {
+        "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (4,) * 4,
+                  "depolarize_partial": (4, 4), "depolarize_alice": (4,),
+                  "_readouts": 1, "_expect": 8},
+        "curve": {"_readouts": 1},
+        "point": {"depolarize_alice": (16,), "_expect": 2},
+        "zero curve": {}, "zero point": {},
+    },
+    ProtocolKind.INDEPENDENT_PAIRS: {
+        "build": {"independent_pairs_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
+                  "depolarize_partial": (16, 16), "depolarize_alice": (16,),
+                  "_readouts": 1, "_expect": 8},
+        "zero curve": {}, "zero point": {},
+    },
+}
+
+
+def stage_calls(kind, r, phases):
+    """The table's calls for ``phases``, each of "build", "curve" and "point"
+    with how often it runs, at r (the lambda = 0 rows where r is 0 or the kind
+    takes no r)."""
+    zero = "zero " if kind is ProtocolKind.INDEPENDENT_PAIRS or r == 0 else ""
+    rows = [(STAGE_TABLE[kind][phase if phase == "build" else zero + phase], n)
+            for phase, n in phases.items()]
+    return {stage: sum((row.get(stage, empty) * n for row, n in rows), empty)
+            for stage, empty in STAGES.items()}
+
+
+def record_stages(monkeypatch):
+    """Every stage's calls on the ``protocol`` module from now on, written as
+    the table writes them; ``calls.update(STAGES)`` starts afresh."""
+    calls = dict(STAGES)
+    for stage in STAGES:
+
+        def recorded(*args, _stage=stage, _original=getattr(protocol, stage)):
+            calls[_stage] += (len(args[0].entries),) if STAGES[_stage] == () else 1
+            return _original(*args)
+
+        monkeypatch.setattr(protocol, stage, recorded)
+    return calls

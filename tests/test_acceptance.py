@@ -210,8 +210,6 @@ def test_criterion_10_oracle_cross_validation():
     mismatches = []
     for s in S_GRID_21:
         result = run_independent_pairs(s)
-        if result.f_upper is None:
-            continue
         reference = bbpssw_fidelity(result.f_in)
         if abs(result.f_upper - reference) > 1e-9:
             mismatches.append((s, result.f_upper, reference))

@@ -5,6 +5,7 @@ Examples are derandomized, so every run draws the same inputs.
 
 import itertools
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -584,6 +585,43 @@ def test_p_and_witness_sum_are_quadratic_in_s(kind, r, phi, s):
 def test_four_photon_closed_form_at_r_one(s, p):
     assert abs(four_photon_closed_form(1.0, 0.0, s)[0] - p) <= 1e-15
     assert abs(run_four_photon(1.0, 0.0, s).p_success - p) <= 1e-12
+
+
+#: the closed forms' norm N and the coefficients of N p on s^2, s(1 - s) and
+#: (1 - s)^2, each a polynomial in x = r^2, its coefficients from x^0 up
+N_TIMES_P = {
+    ProtocolKind.FOUR_PHOTON: (
+        (F(3, 10), F(2, 5), F(3, 10)),
+        ((F(1, 10), F(1, 5), F(1, 10)), (F(2, 15), F(1, 5), F(2, 15)),
+         (F(1, 30), F(1, 10), F(1, 30))),
+    ),
+    ProtocolKind.TWO_PHOTON: (
+        (F(1, 2), F(1, 2)),
+        ((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4)), (F(1, 4), F(1, 4))),
+    ),
+    ProtocolKind.INDEPENDENT_PAIRS: ((F(1),), ((F(1, 2),), (F(1, 2),), (F(1, 4),))),
+}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_p_is_at_least_one_ninth(kind):
+    """Each coefficient of N p is a polynomial in x with non-negative
+    coefficients and a positive constant term, so p > 0 for every x and s in
+    [0, 1], and a fidelity is always defined.  Written with N = N s^2 +
+    2 N s(1 - s) + N (1 - s)^2, the coefficients of N p - N/9 are such
+    polynomials too, but for a constant term that may be 0, so p >= 1/9
+    (four-photon at r = 0, s = 0 reaches it).  Runs check the closed forms at
+    a few points; the property tests above check them everywhere."""
+    norm, coefficients = N_TIMES_P[kind]
+    for poly, share in zip(coefficients, (1, 2, 1)):
+        assert min(poly) >= 0 and poly[0] > 0
+        rest = [a - share * b / 9 for a, b in itertools.zip_longest(poly, norm, fillvalue=0)]
+        assert min(rest) >= 0
+    for r, s in itertools.product((0.0, 0.5, 1.0), repeat=2):
+        at_x = [sum(float(c) * r ** (2 * k) for k, c in enumerate(poly))
+                for poly in (norm, *coefficients)]
+        n_p = s * s * at_x[1] + s * (1 - s) * at_x[2] + (1 - s) ** 2 * at_x[3]
+        assert abs(run_direct(kind, r, 0.0, s).p_success - n_p / at_x[0]) <= 1e-12
 
 
 @PROPERTY_SETTINGS

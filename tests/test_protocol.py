@@ -14,14 +14,18 @@ from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from helpers import (
+    STAGES,
+    ZERO_PROBABILITY,
     allclose,
     block_density,
     fidelity,
     ghz_state,
     inject_bitflip,
     postselect,
+    record_stages,
     reduce_to_pair,
     run_direct,
+    stage_calls,
     zero_block,
 )
 from pdcpurify import (
@@ -53,9 +57,7 @@ from pdcpurify import (
     sweep,
     to_density,
 )
-import pdcpurify.fock as fock_module
 import pdcpurify.protocol as protocol_module
-import pdcpurify.source as source_module
 from pdcpurify.protocol import linear_grid
 
 ORACLE_POINTS = [
@@ -295,56 +297,26 @@ def test_sweep_equals_per_point_runs(kind):
             assert [_bits(res) for res in sweep(spec)] == [_bits(res) for res in expected]
 
 
-#: the Fock builders a sweep does not call once its kind's row exists: it
-#: weights its readout maps for (r, phi) through ``_readouts``, once, and runs
-#: the channel on the row's fixed source density (or reads the row's
-#: quadratics at lambda = 0, for independent pairs)
-SOURCE_BUILDERS = ("spatially_entangled_state", "independent_pairs_state", "to_density")
-
-
-def _count_calls(names, monkeypatch):
-    """A map from each of ``names`` to the calls made so far of the function
-    of that name on the protocol module, counted from now on."""
-    calls = dict.fromkeys(names, 0)
-    for name in calls:
-
-        def counted(*args, _name=name, _original=getattr(protocol_module, name)):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(protocol_module, name, counted)
-    return calls
-
-
-@pytest.mark.parametrize("points", [1, 3, 51])
+@pytest.mark.parametrize("r", [0.9, 1e-9, 0, 0.0])
+@pytest.mark.parametrize("points", [None, 1, 3, 51], ids=["build", "run", "sweep3", "sweep51"])
 @pytest.mark.parametrize("kind", list(ProtocolKind))
-def test_sweep_builds_its_source_density_once(kind, points, monkeypatch):
+def test_the_run_path_makes_the_calls_of_the_stage_table(kind, points, r, monkeypatch):
+    """A fresh row build, and a run or a sweep of n points (one curve and n
+    points) over a built row, make each stage's calls in the stage table, with
+    its entry counts."""
     protocol_module._row(kind)  # the kind's first use builds its row
-    calls = _count_calls(SOURCE_BUILDERS + ("_readouts",), monkeypatch)
-    grid = (0.5,) if points == 1 else linear_grid(0.0, 1.0, points)
-    results = sweep(SweepSpec(grid, r=0.9, phi=0.45, protocol=kind))
-    assert [res.s for res in results] == list(grid)
-    expected = dict.fromkeys(calls, 0)
-    expected["_readouts"] = int(kind is not ProtocolKind.INDEPENDENT_PAIRS)
-    assert calls == expected
-
-
-@pytest.mark.parametrize("r", [0, 0.0, 1e-9])
-@pytest.mark.parametrize("kind", list(ProtocolKind))
-def test_fixed_weights_are_read_without_weighting(kind, r, monkeypatch):
-    """Once a kind's row exists, independent pairs and runs at r = 0 read the
-    row's quadratics at lambda = 0, with no ``_readouts`` call; any other run
-    or sweep weights its maps once."""
-    protocol_module._row(kind)
-    calls = _count_calls(SOURCE_BUILDERS + ("_readouts",), monkeypatch)
-    weighted = int(kind is not ProtocolKind.INDEPENDENT_PAIRS and r != 0)
-    for phi in (0.0, 2.0):
-        expected = dict(calls, _readouts=calls["_readouts"] + weighted)
-        run_direct(kind, r, phi, 0.5)
-        assert calls == expected
-        expected["_readouts"] += weighted
-        sweep(SweepSpec((0.0, 0.5, 1.0), r, phi, kind))
-        assert calls == expected
+    calls = record_stages(monkeypatch)
+    # a 51-point sweep at one phi: its points repeat those of the 3-point one
+    for phi in (0.45,) if points == 51 else (0.0, 0.45, 2.0):
+        if points is None:
+            protocol_module._row.__wrapped__(kind)  # outside the cache
+        elif points == 1:
+            run_direct(kind, r, phi, 0.5)
+        else:
+            sweep(SweepSpec(linear_grid(0.0, 1.0, points), r, phi, kind))
+        phases = {"build": 1} if points is None else {"curve": 1, "point": points}
+        assert calls == stage_calls(kind, r, phases)
+        calls.update(STAGES)
 
 
 #: the (r, phi) grid on which the block read must match the Fock build
@@ -510,13 +482,14 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     "kind, block",
     [(ProtocolKind.FOUR_PHOTON, 9), (ProtocolKind.TWO_PHOTON, 4)],
 )
-def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypatch):
+def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block):
     """At r = 0 the maps weighted at lambda = 0 read only the fixed density's
-    (0, 0) block, no lower pair on ket or bra, and do not depend on phi.  A
-    row hands the channel that block alone, three times, when it is built;
-    its quadratics then give what the full density gives under the channel
-    to 1e-15, and no point at r = 0 runs the channel."""
+    (0, 0) block of ``block`` entries, no lower pair on ket or bra, and do not
+    depend on phi.  The row's quadratics, read off the channel's three
+    branches of that block (the stage table counts them), give what the full
+    density gives under the channel to 1e-15."""
     row = protocol_module._row(kind)
+    assert len(zero_block(row).entries) == block
     lower = protocol_module._lower_pairs
     zero = protocol_module._readouts(row, 0.0, 0.0)
     for phi in BLOCK_GRID_PHI:
@@ -529,25 +502,6 @@ def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block, monkeypa
         for (a, b, c), readout in zip(row.zero_quadratics, zero):
             read = protocol_module._expect(rho_s, readout).real
             assert abs(s * s * a + s * (1 - s) * b + (1 - s) ** 2 * c - read) <= 1e-15
-    sizes = []
-
-    def counted(original):
-        def channel(rho, *args):
-            sizes.append(len(rho.entries))
-            return original(rho, *args)
-
-        return channel
-
-    for name in ("depolarize_alice", "depolarize_partial"):
-        monkeypatch.setattr(protocol_module, name, counted(getattr(protocol_module, name)))
-    protocol_module._row.__wrapped__(kind)  # a fresh build, outside the cache
-    assert sizes == [block] * 3
-    sizes.clear()
-    run_direct(kind, 0.0, 0.45, 0.5)
-    sweep(SweepSpec((0.0, 0.5, 1.0), 0.0, 2.0, kind))
-    assert sizes == []
-    run_direct(kind, 1e-9, 0.45, 0.5)
-    assert sizes == [len(row.density.entries)]
 
 
 #: p and the witness sum at lambda = 0 (independent pairs, and r = 0), each
@@ -609,7 +563,7 @@ def _weighted_per_call(kind, r, phi, s):
         maps = protocol_module._readouts(row, source.r, source.phi)
     rho_s = depolarize_alice(row.density, s)
     p, weighted = (protocol_module._expect(rho_s, a).real for a in maps)
-    f = weighted / p if p > protocol_module.ZERO_PROBABILITY else None
+    f = weighted / p if p > ZERO_PROBABILITY else None
     return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
 
 
@@ -681,25 +635,6 @@ def test_rows_are_built_on_their_kinds_first_use(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["(0, 0)", "(0, 0)"] + ["(1, 1)"] * 3
-
-
-def test_runs_build_no_fock_state(monkeypatch):
-    """Once its kind's row exists, a run reads the row's fixed source density:
-    no ``PureState``, no ``create`` and no ``to_density``."""
-    for kind in ProtocolKind:
-        protocol_module._row(kind)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("a run built a Fock state")
-
-    monkeypatch.setattr(fock_module.PureState, "__init__", fail)
-    monkeypatch.setattr(fock_module.PureState, "_trusted", classmethod(fail))
-    for module, name in [(fock_module, "create"), (source_module, "create"),
-                         (fock_module, "to_density"), (protocol_module, "to_density")]:
-        monkeypatch.setattr(module, name, fail)
-    for kind in ProtocolKind:
-        assert run_direct(kind, 0.9, 0.45, 0.5).p_success > 0.0
-        assert len(sweep(SweepSpec((0.0, 0.5, 1.0), 0.9, 0.45, kind))) == 3
 
 
 def test_sweep_spec_validation():
