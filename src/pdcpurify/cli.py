@@ -16,6 +16,8 @@ from .protocol import (STEP_BOUNDS, ProtocolKind, ProtocolResult, SweepSpec,
 from .source import SourceParams, spatially_entangled_state
 
 CSV_HEADER = ",".join(ProtocolResult.COLUMNS)
+#: the most bytes a ``--config`` file may hold, far above any real one
+CONFIG_BYTES = 1 << 20
 
 
 def _fmt(value: float | None) -> str:
@@ -38,14 +40,18 @@ def _result_row(result: ProtocolResult) -> str:
 def _read_config(path: str, known: set[str]) -> dict[str, str]:
     """Parse a plain ``key = value`` defaults file (UTF-8, with or without a
     byte-order mark); keys must be in ``known`` and appear once. A file that
-    cannot be read (missing, a directory, ``''``) raises ``ValueError``."""
+    cannot be read (missing, a directory, ``''``) or holds more than
+    ``CONFIG_BYTES`` (``/dev/zero``) raises ``ValueError``."""
     defaults: dict[str, str] = {}
     lines: dict[str, int] = {}
     try:
         with open(path, "rb") as handle:
-            data = handle.read().removeprefix(codecs.BOM_UTF8)
+            data = handle.read(CONFIG_BYTES + 1)
     except OSError as exc:
         raise ValueError(exc) from None
+    if len(data) > CONFIG_BYTES:
+        raise ValueError(f"{path}: config file holds more than {CONFIG_BYTES} bytes")
+    data = data.removeprefix(codecs.BOM_UTF8)
     # bytes split where a text file does: at \n, \r and \r\n
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:

@@ -25,12 +25,16 @@ two sums, with no Fock build.  Where lambda = 0 (independent pairs, which
 take no lambda, and r = 0 at any phi) a point runs no channel at all.  On
 Alice's two modes the channel is C_s = s^2 id + s(1 - s)(D_a1 + D_a2) +
 (1 - s)^2 D_a1 D_a2, with D the full depolarization of one mode; D_a1 and
-D_a2 act on disjoint modes, so they commute.  At lambda = 0 only the (0, 0)
-block, no lower pair on ket or bra, has a nonzero weight (for independent
-pairs it is the whole density), so a row reads its maps weighted at
-lambda = 0 once off three branches of that block, each built by the channel
-at s = 0: the block, D_a1 + D_a2 of it and D_a1 D_a2 of it.  Such a point is
-two quadratics in s and one division.  The three pipelines differ only in
+D_a2 act on disjoint modes, so they commute.  So a row reads its maps
+weighted at lambda = 0 once off three branches of its fixed density, each
+built by the channel at s = 0: the density, D_a1 + D_a2 of it and D_a1 D_a2
+of it.  These are the row's quadratics: such a point is two quadratics in s
+and one division.  The read is exact, bit for bit, because at lambda = 0
+only the (0, 0) block, no lower pair on ket or bra, has a nonzero weight
+(for independent pairs it is the whole density): the weighted maps hold
+only (0, 0) keys, and the channel fills each of those from the block's
+entries alone, as it keeps every entry's (j, k).  A point checks its s
+before either branch.  The three pipelines differ only in
 data: each is one row, built by ``_row`` from ``_RECIPES`` on its kind's
 first use and kept, so importing the package builds none, and ``_curve``
 reads every row, for a run as for a sweep.
@@ -230,8 +234,9 @@ _RECIPES = {
 #: reads the density entry with its own key and is tagged with that key's
 #: lower pairs, j (ket) and k (bra); ``zero_quadratics``, all that independent
 #: pairs and r = 0 read: p and the witness sum at lambda = 0, each as its
-#: coefficients on s^2, s(1 - s) and (1 - s)^2; and the recipe's factor and
-#: mirror
+#: coefficients on s^2, s(1 - s) and (1 - s)^2, the maps weighted at
+#: lambda = 0 read off the density's three channel branches; and the recipe's
+#: factor and mirror
 _Row = namedtuple("_Row", "pairs density traces projector witness "
                           "zero_quadratics factor mirrored")
 
@@ -248,10 +253,8 @@ def _row(kind: ProtocolKind) -> _Row:
     else:
         source = SourceParams(1.0, 0.0, pairs)
         rho, power = to_density(spatially_entangled_state(source)), _lower_pairs
-    zero_block, traces = {}, [0.0] * ((pairs or 0) + 1)
+    traces = [0.0] * ((pairs or 0) + 1)
     for (ket, bra), v in rho.entries.items():
-        if power(ket) == power(bra) == 0:
-            zero_block[ket, bra] = v
         if ket == bra:
             traces[power(ket)] += v.real
     projector, witness = (
@@ -259,12 +262,12 @@ def _row(kind: ProtocolKind) -> _Row:
         for a in (_in_front(_projector(pattern)), _in_front(witness))
     )
     row = _Row(pairs, rho, tuple(traces), projector, witness, None, factor, mirrored)
-    # C_s's three branches on the (0, 0) block: id, D_a1 + D_a2 and D_a1 D_a2
-    block = DensityOperator._trusted(zero_block)
+    # C_s's three branches on the fixed density: id, D_a1 + D_a2 and D_a1 D_a2;
+    # the maps weighted at lambda = 0 read only its (0, 0) block
     branches = (
-        (block,),
-        tuple(depolarize_partial(block, mode, 0.0) for mode in _ALICE),
-        (depolarize_alice(block, 0.0),),
+        (rho,),
+        tuple(depolarize_partial(rho, mode, 0.0) for mode in _ALICE),
+        (depolarize_alice(rho, 0.0),),
     )
     return row._replace(zero_quadratics=tuple(
         tuple(sum(_expect(rho_b, a).real for rho_b in branch) for branch in branches)
@@ -303,10 +306,10 @@ def _curve(
             readouts = _readouts(row, source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
+        # checked once here, so both branches refuse a bad s alike
+        if not in_range(s):
+            raise survival_refusal(s)
         if readouts is None:
-            # no channel runs to check s, so it is checked here
-            if not in_range(s):
-                raise survival_refusal(s)
             t = 1.0 - s
             p, weighted = (s * s * a + s * t * b + t * t * c
                            for a, b, c in row.zero_quadratics)

@@ -461,7 +461,7 @@ STAGES = {"spatially_entangled_state": 0, "independent_pairs_state": 0, "to_dens
 STAGE_TABLE = {
     ProtocolKind.FOUR_PHOTON: {
         "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
-                  "depolarize_partial": (9, 9), "depolarize_alice": (9,),
+                  "depolarize_partial": (100, 100), "depolarize_alice": (100,),
                   "_readouts": 1, "_expect": 8},
         "curve": {"_readouts": 1},
         "point": {"depolarize_alice": (100,), "_expect": 2},
@@ -469,7 +469,7 @@ STAGE_TABLE = {
     },
     ProtocolKind.TWO_PHOTON: {
         "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (4,) * 4,
-                  "depolarize_partial": (4, 4), "depolarize_alice": (4,),
+                  "depolarize_partial": (16, 16), "depolarize_alice": (16,),
                   "_readouts": 1, "_expect": 8},
         "curve": {"_readouts": 1},
         "point": {"depolarize_alice": (16,), "_expect": 2},

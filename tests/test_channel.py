@@ -213,8 +213,9 @@ def _bits(rho):
     return repr(list(rho.entries.items()))
 
 
-#: every protocol row's fixed density and its (0, 0) block, the channel's
-#: inputs per point and when the row is built
+#: every protocol row's fixed density, the channel's input per point and
+#: when the row is built, and its (0, 0) block, all that the maps weighted at
+#: lambda = 0 read off the channel's output
 ROW_DENSITIES = {
     f"{kind.value}-{part}": (kind, part)
     for kind in ProtocolKind
@@ -247,6 +248,32 @@ def test_two_mode_map_is_two_single_mode_calls(row, s):
     keys = one.keys() | two.keys()
     assert max(abs(one.get(k, 0) - two.get(k, 0)) for k in keys) <= 1e-16
     assert all(abs(v) >= PRUNE_TOL for v in one.values())
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=[k.value for k in ProtocolKind])
+@pytest.mark.parametrize("s", [0.0, 1e-15, 1e-13, 0.3, 1 - 1e-15, 1.0])
+def test_two_mode_map_is_its_three_branches(kind, s):
+    """C_s on a1 and a2 is s^2 rho + s(1 - s)(D_a1 rho + D_a2 rho) +
+    (1 - s)^2 D_a1 D_a2 rho, the branches built by the channel at s = 0, on
+    each row's fixed density: the quadratics at lambda = 0 rest on it.  Each
+    key the channel keeps agrees to 1e-15; each it drops is expected below
+    ``PRUNE_TOL``."""
+    rho = _row(kind).density
+    t = 1.0 - s
+    branches = (
+        (s * s, rho),
+        (s * t, depolarize_partial(rho, SpatialMode.A1, 0.0)),
+        (s * t, depolarize_partial(rho, SpatialMode.A2, 0.0)),
+        (t * t, depolarize_alice(rho, 0.0)),
+    )
+    expected = {}
+    for weight, branch in branches:
+        for key, v in branch.entries.items():
+            expected[key] = expected.get(key, 0.0) + weight * v
+    kept = depolarize_alice(rho, s).entries
+    assert kept.keys() <= expected.keys()
+    assert all(abs(v - expected[key]) <= 1e-15 for key, v in kept.items())
+    assert all(abs(v) < PRUNE_TOL for key, v in expected.items() if key not in kept)
 
 
 #: each channel and beam-splitter call, with its other arguments valid

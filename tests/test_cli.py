@@ -702,6 +702,32 @@ def test_config_file_supplies_defaults_cli_wins(tmp_path, capsys):
     assert json.loads(out)["f_upper"] < 1.0  # cos-phi 0.95 still from config
 
 
+def test_config_file_is_read_up_to_its_bound(tmp_path, capsys):
+    """A config file of ``CONFIG_BYTES`` runs; one byte more, or an endless
+    file such as ``/dev/zero``, exits 2 naming the path instead of reading
+    until memory runs out."""
+    argv = ["run", "--protocol", "four-photon", "--s", "0.5", "--config"]
+    line = b"#" * 63 + b"\n"
+    at_bound = tmp_path / "at-bound.cfg"
+    at_bound.write_bytes(line * (cli.CONFIG_BYTES // len(line)))
+    assert at_bound.stat().st_size == cli.CONFIG_BYTES
+    status, out, err = run_cli(argv + [str(at_bound)], capsys)
+    assert (status, err) == (0, "")
+    assert json.loads(out)["s"] == 0.5
+    over = tmp_path / "over.cfg"
+    over.write_bytes(at_bound.read_bytes() + b"#")
+    paths = [str(over)]
+    if os.path.exists("/dev/zero"):
+        paths.append("/dev/zero")
+    for path in paths:
+        status, out, err = run_cli(argv + [path], capsys)
+        assert (status, out) == (2, "")
+        (message,) = err.splitlines()
+        assert message == (
+            f"error: {path}: config file holds more than {cli.CONFIG_BYTES} bytes"
+        )
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--out", "x.csv"], ["state"]])
 def test_unknown_config_key_exits_2(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -482,12 +482,13 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     "kind, block",
     [(ProtocolKind.FOUR_PHOTON, 9), (ProtocolKind.TWO_PHOTON, 4)],
 )
-def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block):
+def test_maps_weighted_at_r_zero_read_only_the_zero_block(kind, block):
     """At r = 0 the maps weighted at lambda = 0 read only the fixed density's
     (0, 0) block of ``block`` entries, no lower pair on ket or bra, and do not
-    depend on phi.  The row's quadratics, read off the channel's three
-    branches of that block (the stage table counts them), give what the full
-    density gives under the channel to 1e-15."""
+    depend on phi.  So the row's quadratics, read off the channel's three
+    branches of the whole density (the stage table counts them), are those of
+    the block alone, bit for bit, and give what the full density gives under
+    the channel to 1e-15."""
     row = protocol_module._row(kind)
     assert len(zero_block(row).entries) == block
     lower = protocol_module._lower_pairs
@@ -497,6 +498,7 @@ def test_runs_at_r_zero_take_the_channel_on_the_zero_block(kind, block):
         assert [a.entries for a in weighted] == [a.entries for a in zero]
         assert all(lower(ket) == lower(bra) == 0 for a in weighted for ket, bra in a.entries)
     assert row.zero_quadratics == _branch_sums(zero_block(row), zero)
+    assert row.zero_quadratics == _branch_sums(row.density, zero)
     for s in (0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0):
         rho_s = depolarize_alice(row.density, s)
         for (a, b, c), readout in zip(row.zero_quadratics, zero):
@@ -682,15 +684,21 @@ def test_sweep_spec_rejects_a_non_number_s(s):
 
 @pytest.mark.parametrize("s", [None, "0.5", Decimal("0.5")])
 def test_runs_reject_a_non_number_s(s):
-    """The channel's check names s, where a comparison used to raise
-    ``TypeError``."""
+    """One check names s before either branch, the channel's (r != 0) and
+    the quadratics' (r = 0 and independent pairs), where a comparison used
+    to raise ``TypeError``; every run gives the same message."""
+    messages = set()
     for run in (
         lambda: run_four_photon(1.0, 0.0, s),
         lambda: run_two_photon(1.0, 0.0, s),
+        lambda: run_four_photon(0.0, 0.0, s),
+        lambda: run_two_photon(0.0, 0.0, s),
         lambda: run_independent_pairs(s),
     ):
-        with pytest.raises(ValueError, match="survival probability s"):
+        with pytest.raises(ValueError, match="survival probability s") as caught:
             run()
+        messages.add(str(caught.value))
+    assert len(messages) == 1
 
 
 @pytest.mark.parametrize("value", [True, False])
