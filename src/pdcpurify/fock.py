@@ -12,9 +12,7 @@ the package builds itself from valid keys is wrapped by ``_trusted`` as it
 is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
 quotient or a sum) prunes its result, once, through ``pruned``, after the
 whole map is built: ``to_density``, ``PureState.scaled``, the channel (once
-per call, after its last target mode), the source's pair emission and the
-protocols' per-curve weighting of their readout maps (the lambda-weights
-times two-photon's mirror factor).
+per call, after its last target mode) and the source's pair emission.
 No builder prunes a term before it is summed, and no other module of the
 package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
 values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and

@@ -17,27 +17,32 @@ lambda = r e^(i phi).  So its density at (r, phi) is the fixed r = 1,
 phi = 0 density rho_1 with each entry times lambda^j conj(lambda)^k / N(r),
 for j and k the lower pairs of its ket and bra and N(r) = sum_k tr(rho_1's
 (k, k) block) r^(2k).  The channel moves photons only between the H and V
-modes of one spatial mode, so each entry of its output keeps its (j, k), and
-a readout entry carries the weight of the entry it reads.  So a curve
-weights its two maps (16 + 16 entries for four-photon) once, with
-two-photon's mirror factor, and a point runs the channel on rho_1 and reads
-two sums, with no Fock build.  Where lambda = 0 (independent pairs, which
-take no lambda, and r = 0 at any phi) a point runs no channel at all.  On
-Alice's two modes the channel is C_s = s^2 id + s(1 - s)(D_a1 + D_a2) +
+modes of one spatial mode, so each entry of its output keeps its (j, k).  So
+a row holds each map by its (j, k) blocks, and a map's read is the sum over
+its blocks of the block's weight lambda^j conj(lambda)^k / N(r) times what
+the block reads off the channel's output of rho_1.  That output is
+Hermitian and each map symmetric, so block (k, j) reads the conjugate of
+block (j, k): a row keeps the blocks with j <= k, the others folded in as
+twice the real part (four-photon's 16 + 16 map entries are 16 + 12 keys in
+3 + 5 blocks).  A curve computes the blocks' weights, with two-photon's
+mirror factor, and builds no operator; a point runs the channel on rho_1
+and reads each map's blocks once.  Where lambda = 0 (independent pairs,
+which take no lambda, and r = 0 at any phi) a point runs no channel at all.
+On Alice's two modes the channel is C_s = s^2 id + s(1 - s)(D_a1 + D_a2) +
 (1 - s)^2 D_a1 D_a2, with D the full depolarization of one mode; D_a1 and
-D_a2 act on disjoint modes, so they commute.  So a row reads its maps
-weighted at lambda = 0 once off three branches of its fixed density, each
-built by the channel at s = 0: the density, D_a1 + D_a2 of it and D_a1 D_a2
-of it.  These are the row's quadratics: such a point is two quadratics in s
-and one division.  The read is exact, bit for bit, because at lambda = 0
-only the (0, 0) block, no lower pair on ket or bra, has a nonzero weight
-(for independent pairs it is the whole density): the weighted maps hold
-only (0, 0) keys, and the channel fills each of those from the block's
+D_a2 act on disjoint modes, so they commute.  So a row reads its blocks at
+lambda = 0 once, by a point's read, off three branches of its fixed density,
+each built by the channel at s = 0: the density, D_a1 + D_a2 of it and
+D_a1 D_a2 of it.  These are the row's quadratics: such a point is two
+quadratics in s and one division.  Reading the whole density gives what its
+(0, 0) block alone gives, bit for bit: at lambda = 0 only that block, no
+lower pair on ket or bra, has a nonzero weight (for independent pairs it is
+the whole density), and the channel fills each of its keys from the block's
 entries alone, as it keeps every entry's (j, k).  A point checks its s
-before either branch.  The three pipelines differ only in
-data: each is one row, built by ``_row`` from ``_RECIPES`` on its kind's
-first use and kept, so importing the package builds none, and ``_curve``
-reads every row, for a run as for a sweep.
+before either branch.  The three pipelines differ only in data: each is one
+row, built by ``_row`` from ``_RECIPES`` on its kind's first use and kept,
+so importing the package builds none, and ``_curve`` reads every row, for a
+run as for a sweep.
 
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
@@ -64,7 +69,6 @@ from .fock import (
     SpatialMode,
     in_range,
     must_be,
-    pruned,
     shown,
     to_density,
 )
@@ -194,14 +198,6 @@ def _in_front(behind: DensityOperator) -> DensityOperator:
     return apply_pbs(apply_pbs(behind, Side.ALICE), Side.BOB)
 
 
-def _expect(rho: DensityOperator, a: DensityOperator) -> complex:
-    """Tr(A rho) = sum of A[key] rho[key], as A is real and equal to its
-    transpose: each entry of A reads the density entry with its own key (and a
-    weighted map carries that entry's weight), one lookup per entry of A."""
-    entries = rho.entries
-    return sum(v * entries.get(key, 0j) for key, v in a.entries.items())
-
-
 def _lower_pairs(occ: Occupations) -> int:
     """The pairs emitted into the lower modes: one photon in a2 per pair."""
     return occ[Mode.A2H] + occ[Mode.A2V]
@@ -219,7 +215,7 @@ def _lower_pairs(occ: Occupations) -> int:
 
 #: what each protocol's row is built from: its source's pairs (``None`` for
 #: two independent pairs, which take no r or phi), its pattern, its witness
-#: behind the beam splitters, the factor its weighted readouts carry, and
+#: behind the beam splitters, the factor its block weights carry, and
 #: whether ``f_lower`` mirrors ``f_upper``
 _RECIPES = {
     ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
@@ -229,16 +225,59 @@ _RECIPES = {
 
 #: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
 #: (at r = 1, phi = 0) and ``traces``, tr of its (k, k) block by k; the
-#: pattern's projector and the witness in front of the beam splitters as rows
-#: (key, v, j, k): both are real and equal to their transposes, so an entry
-#: reads the density entry with its own key and is tagged with that key's
-#: lower pairs, j (ket) and k (bra); ``zero_quadratics``, all that independent
-#: pairs and r = 0 read: p and the witness sum at lambda = 0, each as its
-#: coefficients on s^2, s(1 - s) and (1 - s)^2, the maps weighted at
-#: lambda = 0 read off the density's three channel branches; and the recipe's
+#: pattern's projector and the witness in front of the beam splitters, each
+#: by lower-pair block as ``_blocks`` groups it; ``zero_quadratics``, all that
+#: independent pairs and r = 0 read: p and the witness sum at lambda = 0, each
+#: as its coefficients on s^2, s(1 - s) and (1 - s)^2, the maps read at
+#: lambda = 0 off the density's three channel branches; and the recipe's
 #: factor and mirror
 _Row = namedtuple("_Row", "pairs density traces projector witness "
                           "zero_quadratics factor mirrored")
+
+
+def _blocks(a: DensityOperator, power: Callable[[Occupations], int]) -> tuple:
+    """The map ``a`` as blocks (j, k, v, keys): the keys of its entries whose
+    kets hold j and bras k lower pairs, for j <= k only, with their common
+    value v, doubled where j < k.  ``a`` is real and equal to its transpose and
+    the channel's output is Hermitian, so block (k, j) reads the conjugate of
+    block (j, k), and the two add up to twice the real part of its weighted
+    sum.  Every readout map here has one value per (j, k); a map with more
+    would give one block per value."""
+    blocks: dict = {}
+    for key, v in a.entries.items():
+        j, k = power(key[0]), power(key[1])
+        if j <= k:
+            blocks.setdefault((j, k, v.real if j == k else 2 * v.real), []).append(key)
+    return tuple((*jkv, tuple(keys)) for jkv, keys in sorted(blocks.items()))
+
+
+def _weighted(row: _Row, r: float, phi: float) -> tuple[tuple, tuple]:
+    """The row's projector and witness, each block as (w v, keys) for its
+    value v and its weight w = lambda^j conj(lambda)^k times the row's factor
+    over N(r), lambda = r e^(i phi): the weight of the density entries whose
+    ket and bra hold j and k lower pairs, as the module docstring describes."""
+    lam = r * cmath.exp(1j * phi)
+    powers = [lam**k for k in range(len(row.traces))]
+    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces)) / row.factor
+    return tuple(
+        tuple((powers[j] * powers[k].conjugate() / norm * v, keys) for j, k, v, keys in blocks)
+        for blocks in (row.projector, row.witness)
+    )
+
+
+def _read(weighted: tuple, entries: dict) -> float:
+    """Tr(A rho) for the map A of the ``weighted`` blocks and the channel's
+    output ``entries`` of the fixed density: each block's sum of rho[key],
+    times its weight, real part, summed over the blocks.  Plain loops: the
+    blocks hold one to eight keys, too few for ``sum`` and ``map`` to pay."""
+    get = entries.get
+    total = 0.0
+    for w, keys in weighted:
+        block = 0j
+        for key in keys:
+            block += get(key, 0j)
+        total += (w * block).real
+    return total
 
 
 @functools.cache
@@ -258,36 +297,20 @@ def _row(kind: ProtocolKind) -> _Row:
         if ket == bra:
             traces[power(ket)] += v.real
     projector, witness = (
-        tuple((key, v, power(key[0]), power(key[1])) for key, v in a.entries.items())
-        for a in (_in_front(_projector(pattern)), _in_front(witness))
+        _blocks(_in_front(a), power) for a in (_projector(pattern), witness)
     )
     row = _Row(pairs, rho, tuple(traces), projector, witness, None, factor, mirrored)
-    # C_s's three branches on the fixed density: id, D_a1 + D_a2 and D_a1 D_a2;
-    # the maps weighted at lambda = 0 read only its (0, 0) block
+    # C_s's three branches on the fixed density: id, D_a1 + D_a2 and D_a1 D_a2,
+    # each read at lambda = 0, where only the (0, 0) block has a weight
     branches = (
         (rho,),
         tuple(depolarize_partial(rho, mode, 0.0) for mode in _ALICE),
         (depolarize_alice(rho, 0.0),),
     )
     return row._replace(zero_quadratics=tuple(
-        tuple(sum(_expect(rho_b, a).real for rho_b in branch) for branch in branches)
-        for a in _readouts(row, 0.0, 0.0)
+        tuple(sum(_read(a, rho_b.entries) for rho_b in branch) for branch in branches)
+        for a in _weighted(row, 0.0, 0.0)
     ))
-
-
-def _readouts(row: _Row, r: float, phi: float) -> tuple[DensityOperator, DensityOperator]:
-    """The row's projector and witness times the row's factor and weighted for
-    lambda = r e^(i phi), each pruned once: read off the channel's output of the
-    fixed density, they give the factor times what the fixed maps read off
-    that of the density at (r, phi)."""
-    lam = r * cmath.exp(1j * phi)
-    powers = [lam**k for k in range(len(row.traces))]
-    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces)) / row.factor
-    weights = [[up * down.conjugate() / norm for down in powers] for up in powers]
-    return tuple(
-        DensityOperator._trusted(pruned({key: v * weights[j][k] for key, v, j, k in rows}))
-        for rows in (row.projector, row.witness)
-    )
 
 
 def _curve(
@@ -297,25 +320,25 @@ def _curve(
     row as the module docstring describes.  Independent pairs ignore r and
     phi and report ``None``."""
     row = _row(kind)
-    readouts = None
+    blocks = None
     if row.pairs is None:
         r = phi = None
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
         if source.r != 0:
-            readouts = _readouts(row, source.r, source.phi)
+            blocks = _weighted(row, source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
         # checked once here, so both branches refuse a bad s alike
         if not in_range(s):
             raise survival_refusal(s)
-        if readouts is None:
+        if blocks is None:
             t = 1.0 - s
             p, weighted = (s * s * a + s * t * b + t * t * c
                            for a, b, c in row.zero_quadratics)
         else:
-            rho_s = depolarize_alice(row.density, s)
-            p, weighted = (_expect(rho_s, a).real for a in readouts)
+            entries = depolarize_alice(row.density, s).entries
+            p, weighted = (_read(a, entries) for a in blocks)
         # the witness sum over p; p >= 1/9 for every valid input
         f = weighted / p
         return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)

@@ -64,6 +64,11 @@ def superposed(first, *others):
     return PureState._trusted(pruned(out), first.sector)
 
 
+def lower_pairs(occ):
+    """The lower pairs of a ket or bra: its photons in a2."""
+    return occ[Mode.A2H] + occ[Mode.A2V]
+
+
 def block_density(rho_1, r, phi):
     """The two-pass source's density at lambda = r e^(i phi), read off its
     density ``rho_1`` at r = 1, phi = 0 and pruned once.
@@ -75,8 +80,7 @@ def block_density(rho_1, r, phi):
     polynomial.
     """
     lam = r * cmath.exp(1j * phi)
-    tagged = [(key, v, *(occ[Mode.A2H] + occ[Mode.A2V] for occ in key))
-              for key, v in rho_1.entries.items()]
+    tagged = [(key, v, *map(lower_pairs, key)) for key, v in rho_1.entries.items()]
     norm = sum(v.real * r ** (2 * j) for (ket, bra), v, j, _ in tagged if ket == bra)
     return DensityOperator._trusted(pruned({
         key: v * lam**j * lam.conjugate() ** k / norm for key, v, j, k in tagged
@@ -92,8 +96,60 @@ def zero_block(row):
         return row.density
     return DensityOperator._trusted({
         (ket, bra): v for (ket, bra), v in row.density.entries.items()
-        if ket[Mode.A2H] + ket[Mode.A2V] == bra[Mode.A2H] + bra[Mode.A2V] == 0
+        if lower_pairs(ket) == lower_pairs(bra) == 0
     })
+
+
+def expect(rho, a):
+    """Tr(A rho) for a map A that is real and equal to its transpose: the sum
+    of A[key] rho[key], one lookup per entry of A."""
+    entries = rho.entries
+    return sum(v * entries.get(key, 0j) for key, v in a.entries.items())
+
+
+def fixed_readouts(kind):
+    """``kind``'s fixed projector and witness, which read the Fock build,
+    moved in front of both beam splitters from the kind's recipe."""
+    _, pattern, witness, _, _ = protocol._RECIPES[kind]
+    return (
+        protocol._in_front(protocol._projector(pattern)),
+        protocol._in_front(witness),
+    )
+
+
+def weighted_readouts(kind, r, phi):
+    """``kind``'s fixed projector and witness with every entry times the
+    row's factor and lambda^j conj(lambda)^k / N(r), for lambda = r e^(i phi)
+    and j and k the lower pairs of its ket and bra, unpruned (independent
+    pairs tag every entry j = k = 0, so their weight is 1 at any lambda).
+    Read with ``expect`` off the channel's output of the row's fixed
+    density, they are the reference for the row's block read, which weights
+    whole blocks and folds (k, j) onto (j, k)."""
+    row = protocol._row(kind)
+    tag = (lambda occ: 0) if row.pairs is None else lower_pairs
+    lam = r * cmath.exp(1j * phi)
+    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces))
+    return tuple(
+        DensityOperator._trusted({
+            (ket, bra): v * row.factor * lam ** tag(ket) * lam.conjugate() ** tag(bra) / norm
+            for (ket, bra), v in a.entries.items()
+        })
+        for a in fixed_readouts(kind)
+    )
+
+
+def unfolded(blocks):
+    """The whole map that a row's blocks (j, k, v, keys) hold: v at each key
+    of a diagonal block, and v / 2 at each key of an off-diagonal block and
+    at its transpose, the (k, j) key the fold left out."""
+    entries = {}
+    for j, k, v, keys in blocks:
+        for ket, bra in keys:
+            if j == k:
+                entries[ket, bra] = complex(v)
+            else:
+                entries[ket, bra] = entries[bra, ket] = complex(v / 2)
+    return DensityOperator._trusted(entries)
 
 
 def allclose(x, y, tol=1e-12):
@@ -446,39 +502,41 @@ def run_direct(kind, r, phi, s):
 #: The run path's stages, by their names on the ``protocol`` module, each with
 #: its empty cell in the stage table: for the channel and the PBS, a tuple of
 #: the entry counts of the operators their calls receive, in call order; for
-#: the others a count of calls (a source build and ``_readouts`` receive no
-#: operator, ``to_density`` a ket, and what ``_expect`` reads depends on r
-#: and s).
+#: the others a count of calls (a source build and ``_weighted``, the
+#: per-curve weighting of the row's blocks, receive no operator,
+#: ``to_density`` a ket, and ``_read`` the entries of the channel's output).
 STAGES = {"spatially_entangled_state": 0, "independent_pairs_state": 0, "to_density": 0,
           "depolarize_partial": (), "depolarize_alice": (), "apply_pbs": (),
-          "_readouts": 0, "_expect": 0}
+          "_weighted": 0, "_read": 0}
 
 #: The mechanism of the run path: what each stage does per row build, and per
 #: curve and per point where lambda = r e^(i phi) is not 0 and where it is
-#: (independent pairs, and r = 0).  Where lambda != 0 a curve weights its maps
-#: once and a point runs the channel on the fixed density and reads two sums;
-#: where lambda = 0 a point reads the row's quadratics and calls no stage.
+#: (independent pairs, and r = 0).  Where lambda != 0 a curve weights its
+#: blocks once and builds no operator (``_weighted`` returns numbers and key
+#: tuples; ``test_a_curve_builds_no_operator`` counts), and a point runs the
+#: channel on the fixed density and reads each map's blocks; where lambda = 0
+#: a point reads the row's quadratics and calls no stage.
 STAGE_TABLE = {
     ProtocolKind.FOUR_PHOTON: {
         "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
                   "depolarize_partial": (100, 100), "depolarize_alice": (100,),
-                  "_readouts": 1, "_expect": 8},
-        "curve": {"_readouts": 1},
-        "point": {"depolarize_alice": (100,), "_expect": 2},
+                  "_weighted": 1, "_read": 8},
+        "curve": {"_weighted": 1},
+        "point": {"depolarize_alice": (100,), "_read": 2},
         "zero curve": {}, "zero point": {},
     },
     ProtocolKind.TWO_PHOTON: {
         "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (4,) * 4,
                   "depolarize_partial": (16, 16), "depolarize_alice": (16,),
-                  "_readouts": 1, "_expect": 8},
-        "curve": {"_readouts": 1},
-        "point": {"depolarize_alice": (16,), "_expect": 2},
+                  "_weighted": 1, "_read": 8},
+        "curve": {"_weighted": 1},
+        "point": {"depolarize_alice": (16,), "_read": 2},
         "zero curve": {}, "zero point": {},
     },
     ProtocolKind.INDEPENDENT_PAIRS: {
         "build": {"independent_pairs_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
                   "depolarize_partial": (16, 16), "depolarize_alice": (16,),
-                  "_readouts": 1, "_expect": 8},
+                  "_weighted": 1, "_read": 8},
         "zero curve": {}, "zero point": {},
     },
 }

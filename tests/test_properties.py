@@ -19,6 +19,7 @@ from helpers import (
     added,
     allclose,
     depolarize_full,
+    expect,
     fidelity,
     measure_out_lower_pair,
     pair_fidelity,
@@ -28,6 +29,7 @@ from helpers import (
     run_direct,
     scaled,
     spatial_totals,
+    unfolded,
 )
 from pdcpurify import (
     BOTH_DOWN,
@@ -57,7 +59,6 @@ from pdcpurify.optics import _PBS
 from pdcpurify.protocol import (
     _BOTH_UP_WITNESS,
     _MEASURED_OUT_WITNESS,
-    _expect,
     _in_front,
     _projector,
     _row,
@@ -217,12 +218,9 @@ _BOTH_DOWN_WITNESS = DensityOperator._trusted(_relabeled(_BOTH_UP_WITNESS, MIRRO
 
 def _maps(kind):
     """The projector and witness in front of both beam splitters that
-    ``kind``'s row holds, without their lambda tags."""
+    ``kind``'s row holds, unfolded from its lambda blocks."""
     row = _row(kind)
-    return tuple(
-        DensityOperator._trusted({key: v for key, v, _, _ in rows})
-        for rows in (row.projector, row.witness)
-    )
+    return tuple(unfolded(blocks) for blocks in (row.projector, row.witness))
 
 
 def _readouts_in_front(kind):
@@ -241,7 +239,7 @@ def _readouts_in_front(kind):
              lambda kept: pair_fidelity(kept, SpatialMode.A2, SpatialMode.B2)),
         )
     return ((FOUR_MODE, projector, witness,
-             lambda kept: _expect(kept, _MEASURED_OUT_WITNESS).real),)
+             lambda kept: expect(kept, _MEASURED_OUT_WITNESS).real),)
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
@@ -261,8 +259,8 @@ def test_selecting_in_front_of_the_beam_splitters_is_projecting_behind(kind, r, 
     behind = _transmitted(kind, r, phi, s)
     for pattern, projector, witness, witness_sum in _readouts_in_front(kind):
         kept = project(behind, pattern)
-        assert abs(_expect(rho_s, projector).real - kept.trace()) <= 1e-15
-        assert abs(_expect(rho_s, witness).real - witness_sum(kept)) <= 1e-15
+        assert abs(expect(rho_s, projector).real - kept.trace()) <= 1e-15
+        assert abs(expect(rho_s, witness).real - witness_sum(kept)) <= 1e-15
 
 
 def _sent_into(pattern):
@@ -337,7 +335,7 @@ def test_compiled_maps_are_the_dense_oracle_maps_in_front_of_the_beam_splitters(
     oracle's 45-degree projectors are products of 1/sqrt(2), so its measure-out
     witness is 1/2 only to rounding (about 4e-16 off); the others agree
     exactly.  Each map is real and equals its transpose entry for entry, which
-    lets ``_expect`` read every entry at its own key."""
+    lets a read take every entry at its own key."""
     kind, index, n, behind = _oracle_maps()[name]
     compiled = _maps(kind)[index]
     entries = compiled.entries
@@ -389,7 +387,7 @@ def test_witness_sums_match_the_dense_reduction(kind, r, phi, s):
             dense = fidelity(measure_out_lower_pair(conditional))
             in_front = _in_front(conditional)
             _, witness = _maps(ProtocolKind.INDEPENDENT_PAIRS)
-            assert abs(_expect(in_front, witness).real - dense) <= 1e-14
+            assert abs(expect(in_front, witness).real - dense) <= 1e-14
 
 
 def _oracle(kind, r, phi, s):

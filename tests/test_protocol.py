@@ -18,14 +18,19 @@ from helpers import (
     ZERO_PROBABILITY,
     allclose,
     block_density,
+    expect,
     fidelity,
+    fixed_readouts,
     ghz_state,
     inject_bitflip,
+    lower_pairs,
     postselect,
     record_stages,
     reduce_to_pair,
     run_direct,
     stage_calls,
+    unfolded,
+    weighted_readouts,
     zero_block,
 )
 from pdcpurify import (
@@ -319,6 +324,31 @@ def test_the_run_path_makes_the_calls_of_the_stage_table(kind, points, r, monkey
         calls.update(STAGES)
 
 
+@pytest.mark.parametrize("kind", [ProtocolKind.FOUR_PHOTON, ProtocolKind.TWO_PHOTON])
+def test_a_curve_builds_no_operator(kind, monkeypatch):
+    """Where lambda != 0 a curve weights its row's blocks and builds no
+    ``DensityOperator``, checked or trusted; a point builds one, the
+    channel's output."""
+    protocol_module._row(kind)  # the kind's first use builds its row
+    built = []
+    trusted, init = DensityOperator._trusted.__func__, DensityOperator.__init__
+
+    def counted_trusted(cls, entries):
+        built.append("trusted")
+        return trusted(cls, entries)
+
+    def counted_init(self, entries):
+        built.append("init")
+        init(self, entries)
+
+    monkeypatch.setattr(DensityOperator, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(DensityOperator, "__init__", counted_init)
+    at = protocol_module._curve(kind, 0.9, 0.45)
+    assert built == []
+    at(0.5)
+    assert built == ["trusted"]
+
+
 #: the (r, phi) grid on which the block read must match the Fock build
 BLOCK_GRID_R = (0, 1e-9, 0.3, 0.7, 0.9, 0.95, 1)
 BLOCK_GRID_PHI = (0, 0.45, math.acos(0.95), 2, math.pi - 1e-9, math.pi)
@@ -366,18 +396,32 @@ def test_source_block_traces_are_exact(pairs, rows, exact):
         assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
 
 
-@pytest.mark.parametrize("pairs", [1, 2, None])
-def test_source_blocks_are_hermitian(pairs):
-    """The fixed density is Hermitian, and so is each weighted readout map: an
-    entry's mirror carries the conjugate value and the swapped powers, exactly."""
-    row = _row(pairs)
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_the_fold_of_block_k_j_onto_j_k_is_an_identity(kind):
+    """A row keeps only the blocks j <= k, because block (k, j) reads the
+    conjugate of block (j, k): the fixed density is Hermitian exactly, each
+    map's (k, j) entries are its (j, k) entries with ket and bra swapped and
+    equal values, and the channel's output of the density is Hermitian to
+    1e-16.  The row's blocks are the j <= k entries of the maps, tagged with
+    their own lower pairs, the value doubled off the diagonal, and unfold to
+    the whole maps exactly."""
+    row = protocol_module._row(kind)
     entries = row.density.entries
     for (ket, bra), v in entries.items():
         assert entries[(bra, ket)] == v.conjugate()
-    for readout in (row.projector, row.witness):
-        tagged = {key: (v, j, k) for key, v, j, k in readout}
+    tag = (lambda occ: 0) if row.pairs is None else lower_pairs
+    for a, blocks in zip(fixed_readouts(kind), (row.projector, row.witness)):
+        tagged = {key: (v, tag(key[0]), tag(key[1])) for key, v in a.entries.items()}
         for (ket, bra), (v, j, k) in tagged.items():
-            assert tagged[(bra, ket)] == (v.conjugate(), k, j)
+            assert tagged[(bra, ket)] == (v, k, j)
+        for j, k, v, keys in blocks:
+            assert j <= k
+            assert all(tagged[key] == (v if j == k else v / 2, j, k) for key in keys)
+        assert unfolded(blocks).entries == a.entries
+    for s in (0.0, 0.5, 1.0):
+        out = depolarize_alice(row.density, s).entries
+        for (ket, bra), v in out.items():
+            assert abs(v - out[(bra, ket)].conjugate()) <= 1e-16
 
 
 @pytest.mark.parametrize("pairs", [1, 2])
@@ -397,14 +441,26 @@ def test_block_read_matches_the_fock_build_at_random_points(r, phi, pairs):
     _assert_block_read_matches_the_fock_build(r, phi, pairs)
 
 
-def _fixed_readouts(kind):
-    """``kind``'s fixed projector and witness, which read the Fock build,
-    moved in front of both beam splitters from the row's recipe."""
-    _, pattern, witness, _, _ = protocol_module._RECIPES[kind]
-    return (
-        protocol_module._in_front(protocol_module._projector(pattern)),
-        protocol_module._in_front(witness),
-    )
+#: r where the weights of the blocks with lower pairs fall below PRUNE_TOL:
+#: r^3 is 1e-15 to 3e-14 and r^4 1e-20 to 1e-18
+SMALL_R = (1e-5, 10**-4.75, 10**-4.5)
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.FOUR_PHOTON, ProtocolKind.TWO_PHOTON])
+def test_runs_at_small_r_match_the_dense_oracle_to_rounding(kind):
+    """A block's weight below PRUNE_TOL still counts: no weighted term is
+    dropped before it is summed, so at small r every number is at rounding
+    distance, 1e-15, from the dense oracle."""
+    if kind is ProtocolKind.FOUR_PHOTON:
+        reference = oracle.four_photon_reference
+    else:
+        reference = oracle.two_photon_reference
+    for r, phi, s in itertools.product(SMALL_R, (0.0, 0.45, 2.0), (0.5, 1.0)):
+        result = run_direct(kind, r, phi, s)
+        p_ref, *f_refs = reference(r, phi, s)
+        assert abs(result.p_success - p_ref) <= 1e-15, (r, phi, s)
+        for f, f_ref in zip((result.f_upper, result.f_lower), f_refs):
+            assert abs(f - f_ref) <= 1e-15, (r, phi, s)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -422,13 +478,15 @@ def test_pattern_projectors_partition_the_n_photon_occupations(n):
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
-def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
+def test_block_reads_of_the_fixed_density_read_the_fock_build(kind):
     """Tr(A_lambda C_s(rho_1)) = factor Tr(A C_s(rho)) for the projector and
-    the witness on the grid: the channel keeps each entry's lower pairs, so the
-    lambda-weights can sit on the readout maps in place of the density, and
-    the maps weighted once also carry the row's factor (two-photon's 2)."""
+    the witness on the grid: the channel keeps each entry's lower pairs, so
+    the lambda-weights can sit on the readout maps in place of the density,
+    and the weights also carry the row's factor (two-photon's 2).  This holds
+    for the maps weighted entry by entry (``weighted_readouts``), and for the
+    row's blocks weighted once per curve and read with the fold."""
     row = protocol_module._row(kind)
-    fixed = _fixed_readouts(kind)
+    fixed = fixed_readouts(kind)
     for r in BLOCK_GRID_R:
         for phi in BLOCK_GRID_PHI:
             if row.pairs is None:
@@ -436,20 +494,23 @@ def test_weighted_readouts_of_the_fixed_density_read_the_fock_build(kind):
             else:
                 source = SourceParams(r, phi, row.pairs)
                 state, weights = spatially_entangled_state(source), (source.r, source.phi)
-            weighted = protocol_module._readouts(row, *weights)
+            maps = weighted_readouts(kind, *weights)
+            blocks = protocol_module._weighted(row, *weights)
             for s in (0.0, 0.5, 1.0):
                 fixed_s = depolarize_alice(row.density, s)
                 built_s = depolarize_alice(to_density(state), s)
-                for a_lambda, a in zip(weighted, fixed):
-                    read = protocol_module._expect(fixed_s, a_lambda)
-                    expected = row.factor * protocol_module._expect(built_s, a)
-                    assert abs(read - expected) <= 1e-15
+                for a_lambda, weighted, a in zip(maps, blocks, fixed):
+                    expected = row.factor * expect(built_s, a)
+                    assert abs(expect(fixed_s, a_lambda) - expected) <= 1e-15
+                    read = protocol_module._read(weighted, fixed_s.entries)
+                    assert abs(read - expected.real) <= 1e-15
 
 
-def _branch_sums(block, maps):
-    """Each of ``maps`` read off the three branches of C_s on ``block`` that
-    the channel builds at s = 0: the block, D_a1 + D_a2 of it and D_a1 D_a2 of
-    it, with D the full depolarization of one of Alice's spatial modes."""
+def _branch_sums(block, reads):
+    """Each of ``reads``, one per map, summed over the three branches of C_s
+    on ``block`` that the channel builds at s = 0: the block, D_a1 + D_a2 of
+    it and D_a1 D_a2 of it, with D the full depolarization of one of Alice's
+    spatial modes."""
     branches = (
         (block,),
         (depolarize_partial(block, SpatialMode.A1, 0.0),
@@ -457,25 +518,44 @@ def _branch_sums(block, maps):
         (depolarize_alice(block, 0.0),),
     )
     return tuple(
-        tuple(sum(protocol_module._expect(rho, a).real for rho in branch) for branch in branches)
-        for a in maps
+        tuple(sum(read(rho) for rho in branch) for branch in branches) for read in reads
     )
+
+
+def _block_reads(weighted):
+    """The row's read of each map's weighted blocks off a density."""
+    return tuple(
+        lambda rho, blocks=blocks: protocol_module._read(blocks, rho.entries)
+        for blocks in weighted
+    )
+
+
+def _reference_reads(maps):
+    """``expect``'s real part for each of ``maps`` off a density."""
+    return tuple(lambda rho, a=a: expect(rho, a).real for a in maps)
 
 
 def test_independent_pairs_density_is_the_fock_build_exactly():
     """Independent pairs take no lambda: the row's density is the Fock build,
-    its maps weighted at any lambda are the fixed maps, and its quadratics are
+    its blocks weighted at any lambda carry their own values (weight 1), its
+    maps weighted entry by entry are the fixed maps, and its quadratics are
     the fixed maps read off the Fock build's three channel branches, bit for
     bit."""
+    kind = ProtocolKind.INDEPENDENT_PAIRS
     row = _row(None)
     built = to_density(independent_pairs_state())
     assert row.traces == (1.0,)
     assert row.density.entries == built.entries
-    fixed = _fixed_readouts(ProtocolKind.INDEPENDENT_PAIRS)
+    fixed = fixed_readouts(kind)
+    own_values = tuple(
+        tuple((v, keys) for _, _, v, keys in blocks) for blocks in (row.projector, row.witness)
+    )
     for weights in ((1.0, 0.0), (0.0, 0.0)):
-        weighted = protocol_module._readouts(row, *weights)
+        assert protocol_module._weighted(row, *weights) == own_values
+        weighted = weighted_readouts(kind, *weights)
         assert [a.entries for a in weighted] == [a.entries for a in fixed]
-    assert row.zero_quadratics == _branch_sums(built, fixed)
+    assert row.zero_quadratics == _branch_sums(built, _reference_reads(fixed))
+    assert row.zero_quadratics == _branch_sums(built, _block_reads(own_values))
 
 
 @pytest.mark.parametrize(
@@ -483,26 +563,31 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     [(ProtocolKind.FOUR_PHOTON, 9), (ProtocolKind.TWO_PHOTON, 4)],
 )
 def test_maps_weighted_at_r_zero_read_only_the_zero_block(kind, block):
-    """At r = 0 the maps weighted at lambda = 0 read only the fixed density's
-    (0, 0) block of ``block`` entries, no lower pair on ket or bra, and do not
-    depend on phi.  So the row's quadratics, read off the channel's three
-    branches of the whole density (the stage table counts them), are those of
-    the block alone, bit for bit, and give what the full density gives under
-    the channel to 1e-15."""
+    """At r = 0 only the (0, 0) blocks of the maps carry a weight, so they
+    read only the fixed density's (0, 0) block of ``block`` entries, no lower
+    pair on ket or bra, and the weights do not depend on phi.  So the row's
+    quadratics, read off the channel's three branches of the whole density
+    (the stage table counts them), are those of the block alone, bit for bit;
+    they are what the maps weighted entry by entry read to 1e-15, and give
+    what the full density gives under the channel to 1e-15."""
     row = protocol_module._row(kind)
     assert len(zero_block(row).entries) == block
-    lower = protocol_module._lower_pairs
-    zero = protocol_module._readouts(row, 0.0, 0.0)
+    zero = protocol_module._weighted(row, 0.0, 0.0)
     for phi in BLOCK_GRID_PHI:
-        weighted = protocol_module._readouts(row, 0.0, phi)
-        assert [a.entries for a in weighted] == [a.entries for a in zero]
-        assert all(lower(ket) == lower(bra) == 0 for a in weighted for ket, bra in a.entries)
-    assert row.zero_quadratics == _branch_sums(zero_block(row), zero)
-    assert row.zero_quadratics == _branch_sums(row.density, zero)
+        assert protocol_module._weighted(row, 0.0, phi) == zero
+    for blocks, weighted in zip((row.projector, row.witness), zero):
+        assert len(blocks) == len(weighted)
+        for (j, k, _, _), (w, _) in zip(blocks, weighted):
+            assert (w != 0) == (j == k == 0)
+    assert row.zero_quadratics == _branch_sums(zero_block(row), _block_reads(zero))
+    assert row.zero_quadratics == _branch_sums(row.density, _block_reads(zero))
+    reference = _branch_sums(row.density, _reference_reads(weighted_readouts(kind, 0.0, 0.0)))
+    for quadratic, expected in zip(row.zero_quadratics, reference):
+        assert max(abs(a - b) for a, b in zip(quadratic, expected)) <= 1e-15
     for s in (0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0):
-        rho_s = depolarize_alice(row.density, s)
-        for (a, b, c), readout in zip(row.zero_quadratics, zero):
-            read = protocol_module._expect(rho_s, readout).real
+        rho_s = depolarize_alice(row.density, s).entries
+        for (a, b, c), weighted in zip(row.zero_quadratics, zero):
+            read = protocol_module._read(weighted, rho_s)
             assert abs(s * s * a + s * (1 - s) * b + (1 - s) ** 2 * c - read) <= 1e-15
 
 
@@ -552,19 +637,20 @@ def test_independent_pairs_fidelity_is_bbpssw_exactly():
 
 
 def _weighted_per_call(kind, r, phi, s):
-    """The run with its maps weighted through ``_readouts`` at this call, the
-    row's factor included, and the channel run at this call on the row's
-    fixed density: independent pairs at lambda = 1, the two-pass source at its
-    own (r, phi).  The reference that the reads at lambda = 0 must match."""
+    """The run with its maps weighted entry by entry at this call
+    (``weighted_readouts``, the row's factor included) and read with
+    ``expect`` off the channel run at this call on the row's fixed density:
+    independent pairs at lambda = 1, the two-pass source at its own (r, phi).
+    The reference that the reads at lambda = 0 must match."""
     row = protocol_module._row(kind)
     if row.pairs is None:
         r = phi = None
-        maps = protocol_module._readouts(row, 1.0, 0.0)
+        maps = weighted_readouts(kind, 1.0, 0.0)
     else:
         source = SourceParams(r, phi, row.pairs)
-        maps = protocol_module._readouts(row, source.r, source.phi)
+        maps = weighted_readouts(kind, source.r, source.phi)
     rho_s = depolarize_alice(row.density, s)
-    p, weighted = (protocol_module._expect(rho_s, a).real for a in maps)
+    p, weighted = (expect(rho_s, a).real for a in maps)
     f = weighted / p if p > ZERO_PROBABILITY else None
     return ProtocolResult(kind.value, r, phi, s, p, f, f if row.mirrored else None)
 
