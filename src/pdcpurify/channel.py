@@ -5,11 +5,13 @@ fully depolarizes it otherwise.  Full depolarization preserves photon number:
 every density-matrix entry whose bra and ket occupations differ on that mode
 is erased, and every diagonal entry with n photons in the mode is replaced by
 the uniform mixture over the n+1 ways of distributing those photons between
-H and V.  This also erases coherence between different photon numbers of the
-target mode, so it degrades spatial superpositions as well as polarization;
-that is intentional.  ``depolarize_partial`` applies ``C_s`` to one spatial
-mode or to several in turn, as one map pruned once; the paper's noise model,
-``C_s`` on Alice's a1 and a2, is ``depolarize_alice``.
+H and V; with the mode empty (n = 0) that one way is the entry itself, so
+the entry keeps its key.  This also erases coherence between different
+photon numbers of the target mode, so it degrades spatial superpositions as
+well as polarization; that is intentional.  ``depolarize_partial`` applies
+``C_s`` to one spatial mode or to several in turn, as one map pruned once;
+the paper's noise model, ``C_s`` on Alice's a1 and a2, is
+``depolarize_alice``.
 """
 
 from __future__ import annotations
@@ -27,22 +29,34 @@ def survival_refusal(s) -> ValueError:
 
 def _depolarized(entries: dict, h: int, s: float) -> dict:
     """``s * v + (1 - s) * m`` on the spatial mode whose (H, V) modes are h and
-    h + 1, as a new map, unpruned."""
+    h + 1, as a new map, unpruned.
+
+    The map starts at ``s * v``; then each entry, in order, is one of three
+    cases.  Off-diagonal in the mode (its ket's and bra's (H, V) counts there
+    differ), it adds nothing and is skipped on four int comparisons.  Diagonal
+    with the mode empty, its one split is its own key, so its share is added
+    there in place.  Diagonal with n >= 1 photons, its share goes to each of
+    its n+1 splits."""
     # a spatial mode's (H, V) modes are adjacent, h and h + 1, so a split's
     # key is the occupations around them with the split in between
+    v_mode = h + 1
     end = h + 2
+    t = 1.0 - s
     out = {key: s * value for key, value in entries.items()}
-    for (ket, bra), value in entries.items():
-        nh, nv = ket[h:end]
-        if bra[h] != nh or bra[h + 1] != nv:
+    for key, value in entries.items():
+        ket, bra = key
+        if ket[h] != bra[h] or ket[v_mode] != bra[v_mode]:
             continue
-        n = nh + nv
-        share = (1.0 - s) * (value / (n + 1))
+        n = ket[h] + ket[v_mode]
+        share = t * (value / (n + 1))
+        if not n:
+            out[key] += share
+            continue
         ket_head, ket_tail, bra_head, bra_tail = ket[:h], ket[end:], bra[:h], bra[end:]
         for k in range(n + 1):
             split = (k, n - k)
-            key = (ket_head + split + ket_tail, bra_head + split + bra_tail)
-            out[key] = out.get(key, 0.0) + share
+            split_key = (ket_head + split + ket_tail, bra_head + split + bra_tail)
+            out[split_key] = out.get(split_key, 0.0) + share
     return out
 
 

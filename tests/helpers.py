@@ -323,6 +323,28 @@ def depolarize_full(rho, target):
     return depolarize_partial(rho, target, 0.0)
 
 
+def reference_depolarized(entries: dict, h: int, s: float) -> dict:
+    """The channel's one-mode step with no case skipped: every entry is
+    sliced, and every diagonal entry, an empty mode's too, is split onto its
+    keys.  ``channel._depolarized`` matches it bit for bit, in dict order."""
+    # a spatial mode's (H, V) modes are adjacent, h and h + 1, so a split's
+    # key is the occupations around them with the split in between
+    end = h + 2
+    out = {key: s * value for key, value in entries.items()}
+    for (ket, bra), value in entries.items():
+        nh, nv = ket[h:end]
+        if bra[h] != nh or bra[h + 1] != nv:
+            continue
+        n = nh + nv
+        share = (1.0 - s) * (value / (n + 1))
+        ket_head, ket_tail, bra_head, bra_tail = ket[:h], ket[end:], bra[:h], bra[end:]
+        for k in range(n + 1):
+            split = (k, n - k)
+            key = (ket_head + split + ket_tail, bra_head + split + bra_tail)
+            out[key] = out.get(key, 0.0) + share
+    return out
+
+
 def eigenvalues(rho):
     """Eigenvalues of a ``DensityOperator`` over its stored support, ascending."""
     if not rho.entries:

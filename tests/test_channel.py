@@ -2,6 +2,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdcpurify import (
     BOTH_DOWN,
@@ -20,7 +22,7 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
-from pdcpurify.fock import PRUNE_TOL, shown
+from pdcpurify.fock import PRUNE_TOL, pruned, shown
 from pdcpurify.protocol import _row
 from helpers import (
     added,
@@ -31,6 +33,7 @@ from helpers import (
     ket,
     postselect,
     reduce_to_pair,
+    reference_depolarized,
     scaled,
     spatial_totals,
     superposed,
@@ -274,6 +277,61 @@ def test_two_mode_map_is_its_three_branches(kind, s):
     assert kept.keys() <= expected.keys()
     assert all(abs(v - expected[key]) <= 1e-15 for key, v in kept.items())
     assert all(abs(v) < PRUNE_TOL for key, v in expected.items() if key not in kept)
+
+
+#: the most photons a drawn ket puts in one spatial mode
+MAX_IN_MODE = 6
+
+
+@st.composite
+def superposed_densities(draw):
+    """|psi><psi| for psi a superposition of one to five kets of one photon
+    total, each with 0-6 photons in every spatial mode: its entries are
+    off-diagonal in a mode, diagonal with the mode empty, or diagonal with up
+    to six photons there."""
+    total = draw(st.integers(0, 10))
+
+    def one_ket():
+        occupations, left = [], total
+        for after in (3, 2, 1, 0):  # spatial modes still to fill after this one
+            low = max(0, left - MAX_IN_MODE * after)
+            n = draw(st.integers(low, min(MAX_IN_MODE, left)))
+            nh = draw(st.integers(0, n))
+            occupations += (nh, n - nh)
+            left -= n
+        return tuple(occupations)
+
+    kets = {one_ket() for _ in range(draw(st.integers(1, 5)))}
+    amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0)
+    return to_density(PureState({occ: draw(amplitude) for occ in sorted(kets)}))
+
+
+CHANNEL_TARGETS = [*SpatialMode, (SpatialMode.A1, SpatialMode.A2)]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(rho=superposed_densities(), s=st.floats(min_value=0.0, max_value=1.0))
+@example(
+    # six or five photons in a1, split three ways, and a2 empty on every entry
+    rho=to_density(PureState({
+        (6, 0, 0, 0, 0, 0, 0, 0): 0.6,
+        (2, 3, 0, 0, 1, 0, 0, 0): 0.8j,
+        (0, 5, 0, 0, 0, 0, 0, 1): -0.4,
+    })),
+    s=0.3,
+)
+def test_channel_is_its_reference_bit_for_bit(rho, s):
+    """Every target, at the grid's edges and at a drawn s, gives the same
+    keys in the same order with the same ``repr`` of each value as the
+    one-mode step that splits every diagonal entry, pruned once."""
+    for target in CHANNEL_TARGETS:
+        modes = (target,) if isinstance(target, SpatialMode) else target
+        for each_s in (*EDGE_S, s):
+            expected = rho.entries
+            for mode in modes:
+                expected = reference_depolarized(expected, mode.value[0], each_s)
+            out = depolarize_partial(rho, target, each_s)
+            assert _bits(out) == repr(list(pruned(expected).items()))
 
 
 #: each channel and beam-splitter call, with its other arguments valid
