@@ -209,6 +209,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+class _Once(argparse.Action):
+    """Stores a flag's value and refuses the flag's second occurrence, in
+    either spelling: each subparser suppresses defaults, so the namespace
+    holds a flag's dest only once the flag is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if hasattr(namespace, self.dest):
+            raise argparse.ArgumentError(self, "given twice; give it once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; its namespace holds ``command`` and only the flags given."""
     parser = _Parser(
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for flag, (names, _, options, _) in _FLAGS.items():
         for name in names:
-            commands[name].add_argument("--" + flag, **options)
+            commands[name].add_argument("--" + flag, action=_Once, **options)
     return parser
 
 

@@ -7,12 +7,13 @@ are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 
 Every stored value is complex, finite and of modulus at least ``PRUNE_TOL``.
-The public constructors convert, check and prune what they are given.  A map
-the package builds itself from valid keys is wrapped by ``_trusted`` as it
-is; only a builder that can make a value below ``PRUNE_TOL`` (a product, a
-quotient or a sum) prunes its result, once, through ``pruned``, after the
-whole map is built: ``to_density``, ``PureState.scaled``, the channel (once
-per call, after its last target mode) and the source's pair emission.
+The public constructors convert and check every value and every key, then
+prune, so a malformed key is refused whatever its value.  A map the package
+builds itself from valid keys is wrapped by ``_trusted`` as it is; only a
+builder that can make a value below ``PRUNE_TOL`` (a product, a quotient or
+a sum) prunes its result, once, through ``pruned``, after the whole map is
+built: ``to_density``, ``PureState.scaled``, the channel (once per call,
+after its last target mode) and the source's pair emission.
 No builder prunes a term before it is summed, and no other module of the
 package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
 values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
@@ -139,6 +140,14 @@ def _clean_key(occ: Iterable[int]) -> Occupations:
     return counts
 
 
+def _clean_pair(key) -> tuple[Occupations, Occupations]:
+    try:
+        ket, bra = key
+    except (TypeError, ValueError):  # not iterable (an int), or no pair
+        raise ValueError(f"entry key {shown(key)} is not a (ket, bra) pair") from None
+    return _clean_key(ket), _clean_key(bra)
+
+
 def _finite(name: str, values: Mapping) -> dict:
     """``values`` as complex, in order; a ``values`` that is no mapping
     (``None``) raises ``ValueError`` naming ``name``, and a value that is no
@@ -185,9 +194,11 @@ class PureState:
     ):
         if sector is not None and (type(sector) is not int or sector < 0):
             raise ValueError(f"sector must be a non-negative int, got {shown(sector)}")
+        values = _finite("amplitudes", amplitudes)
+        keys = {occ: _clean_key(occ) for occ in values}  # each key, kept or not
         checked: dict[Occupations, complex] = {}
-        for occ, value in pruned(_finite("amplitudes", amplitudes)).items():
-            key = _clean_key(occ)
+        for occ, value in pruned(values).items():
+            key = keys[occ]
             total = sum(key)
             if sector is None:
                 sector = total
@@ -270,16 +281,11 @@ class DensityOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
+        values = _finite("entries", entries)
+        keys = {key: _clean_pair(key) for key in values}  # each key, kept or not
         checked: dict[tuple[Occupations, Occupations], complex] = {}
-        for key, v in pruned(_finite("entries", entries)).items():
-            try:
-                ket, bra = key
-            except (TypeError, ValueError):  # not iterable (an int), or no pair
-                raise ValueError(
-                    f"entry key {shown(key)} is not a (ket, bra) pair"
-                ) from None
-            k = _clean_key(ket)
-            b = _clean_key(bra)
+        for key, v in pruned(values).items():
+            k, b = keys[key]
             if sum(k) != sum(b):
                 raise ValueError(
                     f"entry ({shown(k)}, {shown(b)}) mixes different photon totals"

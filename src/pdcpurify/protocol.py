@@ -16,17 +16,19 @@ the same key.  The two-pass source's amplitude on a ket with j lower pairs
 lambda = r e^(i phi).  So its density at (r, phi) is the fixed r = 1,
 phi = 0 density rho_1 with each entry times lambda^j conj(lambda)^k / N(r),
 for j and k the lower pairs of its ket and bra and N(r) = sum_k tr(rho_1's
-(k, k) block) r^(2k).  The channel moves photons only between the H and V
-modes of one spatial mode, so each entry of its output keeps its (j, k).  So
-a row holds each map by its (j, k) blocks, and a map's read is the sum over
-its blocks of the block's weight lambda^j conj(lambda)^k / N(r) times what
-the block reads off the channel's output of rho_1.  That output is
-Hermitian and each map symmetric, so block (k, j) reads the conjugate of
-block (j, k): a row keeps the blocks with j <= k, the others folded in as
-twice the real part (four-photon's 16 + 16 map entries are 16 + 12 keys in
-3 + 5 blocks).  A curve computes the blocks' weights, with two-photon's
-mirror factor, and builds no operator; a point runs the channel on rho_1
-and reads each map's blocks once.  Where lambda = 0 (independent pairs,
+(k, k) block) r^(2k).  A row holds the norm polynomial
+sum_k norm_k r^(2k) = N(r) / factor, with two-photon's mirror factor 2
+(1 for the others) divided into each norm_k.  The channel moves photons
+only between the H and V modes of one spatial mode, so each entry of its
+output keeps its (j, k).  So a row holds each map by its (j, k) blocks, and
+a map's read is the sum over its blocks of the block's weight
+lambda^j conj(lambda)^k over the norm polynomial times what the block reads
+off the channel's output of rho_1.  That output is Hermitian and each map
+symmetric, so block (k, j) reads the conjugate of block (j, k): a row keeps
+the blocks with j <= k, the others folded in as twice the real part
+(four-photon's 16 + 16 map entries are 16 + 12 keys in 3 + 5 blocks).  A
+curve computes the blocks' weights and builds no operator; a point runs the
+channel on rho_1 and reads each map's blocks once.  Where lambda = 0 (independent pairs,
 which take no lambda, and r = 0 at any phi) a point runs no channel at all.
 On Alice's two modes the channel is C_s = s^2 id + s(1 - s)(D_a1 + D_a2) +
 (1 - s)^2 D_a1 D_a2, with D the full depolarization of one mode; D_a1 and
@@ -54,7 +56,7 @@ from __future__ import annotations
 import cmath
 import functools
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import combinations_with_replacement, product
 from types import MappingProxyType
@@ -215,8 +217,8 @@ def _lower_pairs(occ: Occupations) -> int:
 
 #: what each protocol's row is built from: its source's pairs (``None`` for
 #: two independent pairs, which take no r or phi), its pattern, its witness
-#: behind the beam splitters, the factor its block weights carry, and
-#: whether ``f_lower`` mirrors ``f_upper``
+#: behind the beam splitters, the factor its row's norm polynomial is
+#: divided by, and whether ``f_lower`` mirrors ``f_upper``
 _RECIPES = {
     ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
     ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2.0, False),
@@ -224,15 +226,15 @@ _RECIPES = {
 }
 
 #: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
-#: (at r = 1, phi = 0) and ``traces``, tr of its (k, k) block by k; the
-#: pattern's projector and the witness in front of the beam splitters, each
-#: by lower-pair block as ``_blocks`` groups it; ``zero_quadratics``, all that
-#: independent pairs and r = 0 read: p and the witness sum at lambda = 0, each
-#: as its coefficients on s^2, s(1 - s) and (1 - s)^2, the maps read at
-#: lambda = 0 off the density's three channel branches; and the recipe's
-#: factor and mirror
-_Row = namedtuple("_Row", "pairs density traces projector witness "
-                          "zero_quadratics factor mirrored")
+#: (at r = 1, phi = 0); ``norm``, the norm polynomial's coefficients by k,
+#: tr of the density's (k, k) block over the recipe's factor, so that
+#: sum_k norm[k] r^(2k) = N(r) / factor; the pattern's projector and the
+#: witness in front of the beam splitters, each by lower-pair block as
+#: ``_blocks`` groups it; ``zero_quadratics``, all that independent pairs and
+#: r = 0 read: p and the witness sum at lambda = 0, each as its coefficients
+#: on s^2, s(1 - s) and (1 - s)^2, the maps read at lambda = 0 off the
+#: density's three channel branches; and the recipe's mirror
+_Row = namedtuple("_Row", "pairs density norm projector witness zero_quadratics mirrored")
 
 
 def _blocks(a: DensityOperator, power: Callable[[Occupations], int]) -> tuple:
@@ -251,17 +253,19 @@ def _blocks(a: DensityOperator, power: Callable[[Occupations], int]) -> tuple:
     return tuple((*jkv, tuple(keys)) for jkv, keys in sorted(blocks.items()))
 
 
-def _weighted(row: _Row, r: float, phi: float) -> tuple[tuple, tuple]:
-    """The row's projector and witness, each block as (w v, keys) for its
-    value v and its weight w = lambda^j conj(lambda)^k times the row's factor
-    over N(r), lambda = r e^(i phi): the weight of the density entries whose
-    ket and bra hold j and k lower pairs, as the module docstring describes."""
+def _weighted(norm: Sequence[float], maps: tuple, r: float, phi: float) -> tuple[tuple, tuple]:
+    """Each of ``maps``, a row's projector and witness, as blocks (w v, keys)
+    for its value v and its weight w = lambda^j conj(lambda)^k over the norm
+    polynomial sum_k norm[k] r^(2k) = N(r) / factor, lambda = r e^(i phi),
+    with ``norm`` and the factor as ``_Row`` holds them: the weight of the
+    density entries whose ket and bra hold j and k lower pairs, as the module
+    docstring describes."""
     lam = r * cmath.exp(1j * phi)
-    powers = [lam**k for k in range(len(row.traces))]
-    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces)) / row.factor
+    powers = [lam**k for k in range(len(norm))]
+    total = sum(n * r ** (2 * k) for k, n in enumerate(norm))
     return tuple(
-        tuple((powers[j] * powers[k].conjugate() / norm * v, keys) for j, k, v, keys in blocks)
-        for blocks in (row.projector, row.witness)
+        tuple((powers[j] * powers[k].conjugate() / total * v, keys) for j, k, v, keys in blocks)
+        for blocks in maps
     )
 
 
@@ -292,14 +296,11 @@ def _row(kind: ProtocolKind) -> _Row:
     else:
         source = SourceParams(1.0, 0.0, pairs)
         rho, power = to_density(spatially_entangled_state(source)), _lower_pairs
-    traces = [0.0] * ((pairs or 0) + 1)
+    norm = [0.0] * ((pairs or 0) + 1)
     for (ket, bra), v in rho.entries.items():
         if ket == bra:
-            traces[power(ket)] += v.real
-    projector, witness = (
-        _blocks(_in_front(a), power) for a in (_projector(pattern), witness)
-    )
-    row = _Row(pairs, rho, tuple(traces), projector, witness, None, factor, mirrored)
+            norm[power(ket)] += v.real / factor
+    maps = tuple(_blocks(_in_front(a), power) for a in (_projector(pattern), witness))
     # C_s's three branches on the fixed density: id, D_a1 + D_a2 and D_a1 D_a2,
     # each read at lambda = 0, where only the (0, 0) block has a weight
     branches = (
@@ -307,10 +308,11 @@ def _row(kind: ProtocolKind) -> _Row:
         tuple(depolarize_partial(rho, mode, 0.0) for mode in _ALICE),
         (depolarize_alice(rho, 0.0),),
     )
-    return row._replace(zero_quadratics=tuple(
+    zero_quadratics = tuple(
         tuple(sum(_read(a, rho_b.entries) for rho_b in branch) for branch in branches)
-        for a in _weighted(row, 0.0, 0.0)
-    ))
+        for a in _weighted(norm, maps, 0.0, 0.0)
+    )
+    return _Row(pairs, rho, tuple(norm), *maps, zero_quadratics, mirrored)
 
 
 def _curve(
@@ -326,7 +328,7 @@ def _curve(
     else:
         source = SourceParams(r=r, phi=phi, pairs=row.pairs)
         if source.r != 0:
-            blocks = _weighted(row, source.r, source.phi)
+            blocks = _weighted(row.norm, (row.projector, row.witness), source.r, source.phi)
 
     def at(s: float) -> ProtocolResult:
         # checked once here, so both branches refuse a bad s alike

@@ -118,9 +118,10 @@ def fixed_readouts(kind):
 
 
 def weighted_readouts(kind, r, phi):
-    """``kind``'s fixed projector and witness with every entry times the
-    row's factor and lambda^j conj(lambda)^k / N(r), for lambda = r e^(i phi)
-    and j and k the lower pairs of its ket and bra, unpruned (independent
+    """``kind``'s fixed projector and witness with every entry times
+    lambda^j conj(lambda)^k over the row's norm polynomial N(r) / factor, for
+    lambda = r e^(i phi) and j and k the lower pairs of its ket and bra,
+    the recipe's factor being two-photon's mirror 2, unpruned (independent
     pairs tag every entry j = k = 0, so their weight is 1 at any lambda).
     Read with ``expect`` off the channel's output of the row's fixed
     density, they are the reference for the row's block read, which weights
@@ -128,10 +129,10 @@ def weighted_readouts(kind, r, phi):
     row = protocol._row(kind)
     tag = (lambda occ: 0) if row.pairs is None else lower_pairs
     lam = r * cmath.exp(1j * phi)
-    norm = sum(t * r ** (2 * k) for k, t in enumerate(row.traces))
+    norm = sum(n * r ** (2 * k) for k, n in enumerate(row.norm))
     return tuple(
         DensityOperator._trusted({
-            (ket, bra): v * row.factor * lam ** tag(ket) * lam.conjugate() ** tag(bra) / norm
+            (ket, bra): v * lam ** tag(ket) * lam.conjugate() ** tag(bra) / norm
             for (ket, bra), v in a.entries.items()
         })
         for a in fixed_readouts(kind)

@@ -150,7 +150,7 @@ def test_non_finite_phi_exits_2(command, flag, value, tmp_path, monkeypatch, cap
 def test_negative_value_after_a_space_is_the_flags_value(flag, value, err, capsys):
     """argparse alone takes ``-5e-1`` or ``-inf`` after a flag for an option;
     ``--flag -5e-1`` reads as ``--flag=-5e-1`` does."""
-    command = ["run", "--protocol", "two-photon", "--s", "0.5"]
+    command = ["run", "--protocol", "two-photon"] + ([] if flag == "s" else ["--s", "0.5"])
     spaced = run_cli(command + [f"--{flag}", value], capsys)
     assert spaced == run_cli(command + [f"--{flag}={value}"], capsys)
     assert spaced[0] == (2 if err else 0)
@@ -244,6 +244,34 @@ VALID_FLAGS = {
     "sweep": {"protocol": "two-photon", "steps": 2, "format": "json", "out": "c.json"},
     "state": {},
 }
+
+#: a valid value for every flag; ``empty.cfg`` is written by the test
+ONCE_VALUES = {"config": "empty.cfg", "r": "0.5", "phi": "0.45", "cos-phi": "0.9",
+               "protocol": "two-photon", "s": "0.5", "s-min": "0.1", "s-max": "0.9",
+               "steps": "3", "out": "c.json", "format": "json", "pairs": "2"}
+#: every flag with each subcommand that takes it
+FLAG_USES = [(command, flag) for flag, row in cli._FLAGS.items() for command in row[0]]
+
+
+@pytest.mark.parametrize("command, flag", FLAG_USES, ids=[f"{c}-{f}" for c, f in FLAG_USES])
+def test_a_flag_given_twice_exits_2_naming_it(command, flag, tmp_path, monkeypatch, capsys):
+    """A flag given twice, spaced or joined with ``=``, even with one value,
+    is refused with one ``error:`` line, as a config key set twice is: no run
+    quietly takes the last value.  The same command with the flag once runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.cfg").write_text("")
+    command = [command] + [
+        f"--{name}={value}" for name, value in VALID_FLAGS[command].items() if name != flag
+    ]
+    value = ONCE_VALUES[flag]
+    for twice in ([f"--{flag}", value, f"--{flag}", value],
+                  [f"--{flag}={value}", f"--{flag}", value]):
+        status, out, err = run_cli(command + twice, capsys)
+        assert (status, out) == (2, "")
+        assert err == f"error: argument --{flag}: given twice; give it once\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["empty.cfg"]
+    assert run_cli(command + [f"--{flag}", value], capsys)[0] == 0
+
 
 #: digit groups, drawn from atoms that include each rule's bounds, joined
 #: by single underscores as Python number literals allow

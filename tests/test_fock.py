@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,34 @@ def test_public_constructors_reject_bad_keys(key):
         PureState({key: 1.0})
     with pytest.raises(ValueError, match="occupation"):
         DensityOperator({(key, key): 1.0})
+
+
+VACUUM = (0,) * 8
+NEGATIVE = (-1, 0, 0, 0, 0, 0, 0, 0)
+HALF = (0.5, 0, 0, 0, 0, 0, 0, 0)
+
+#: a constructor call for a value, with a malformed key, and what the refusal
+#: shows of that key
+MALFORMED_KEYS = {
+    "str-pair": (lambda v: DensityOperator({"bad": v}), "entry key 'bad'"),
+    "negative-ket": (lambda v: DensityOperator({(NEGATIVE, VACUUM): v}), repr(NEGATIVE)),
+    "str-term": (lambda v: PureState({VACUUM: 1, "x": v}), "('x',)"),
+    "non-integral-term": (lambda v: PureState({VACUUM: 1, HALF: v}), repr(HALF)),
+    "non-integral-bra": (lambda v: DensityOperator({(VACUUM, HALF): v}), repr(HALF)),
+    "three-tuple-entry": (
+        lambda v: DensityOperator({(VACUUM,) * 3: v}), f"entry key {(VACUUM,) * 3!r}"
+    ),
+    "three-tuple-term": (lambda v: PureState({VACUUM: 1, (0, 0, 0): v}), "(0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-20])
+@pytest.mark.parametrize("build, shown_key", MALFORMED_KEYS.values(), ids=MALFORMED_KEYS.keys())
+def test_public_constructors_check_every_key_whatever_its_value(build, shown_key, value):
+    """A key is checked before its value is pruned: a malformed key with a
+    value below ``PRUNE_TOL`` used to be dropped without a word."""
+    with pytest.raises(ValueError, match=re.escape(shown_key)):
+        build(value)
 
 
 ONE = (1, 0, 0, 0, 0, 0, 0, 0)

@@ -369,6 +369,12 @@ def _row(pairs):
     return row
 
 
+def _weighted(row, r, phi):
+    """The row's projector and witness blocks weighted at (r, phi), as a
+    curve weights them."""
+    return protocol_module._weighted(row.norm, (row.projector, row.witness), r, phi)
+
+
 def _assert_block_read_matches_the_fock_build(r, phi, pairs):
     """The density the lambda-weights stand for, read off the row's fixed
     density, is the Fock build at (r, phi)."""
@@ -382,17 +388,19 @@ def _assert_block_read_matches_the_fock_build(r, phi, pairs):
 @pytest.mark.parametrize(
     "pairs, rows, exact",
     [
-        (1, 16, (Fraction(1, 2), Fraction(1, 2))),
+        (1, 16, (Fraction(1, 4), Fraction(1, 4))),
         (2, 100, (Fraction(3, 10), Fraction(2, 5), Fraction(3, 10))),
     ],
 )
 def test_source_block_traces_are_exact(pairs, rows, exact):
-    """The traces of the fixed density's (k, k) blocks, k lower pairs on ket
-    and bra, are (2, 2)/4 for one pair and (12, 16, 12)/40 for two."""
+    """The row's norm polynomial holds the traces of the fixed density's
+    (k, k) blocks, k lower pairs on ket and bra, over the recipe's factor:
+    (2, 2)/4 over two-photon's mirror 2 for one pair, (12, 16, 12)/40 over 1
+    for two."""
     row = _row(pairs)
     assert len(row.density.entries) == rows  # one per pair of kets
-    assert len(row.traces) == len(exact)
-    for value, fraction in zip(row.traces, exact):
+    assert len(row.norm) == len(exact)
+    for value, fraction in zip(row.norm, exact):
         assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
 
 
@@ -482,10 +490,12 @@ def test_block_reads_of_the_fixed_density_read_the_fock_build(kind):
     """Tr(A_lambda C_s(rho_1)) = factor Tr(A C_s(rho)) for the projector and
     the witness on the grid: the channel keeps each entry's lower pairs, so
     the lambda-weights can sit on the readout maps in place of the density,
-    and the weights also carry the row's factor (two-photon's 2).  This holds
-    for the maps weighted entry by entry (``weighted_readouts``), and for the
-    row's blocks weighted once per curve and read with the fold."""
+    and the weights also carry the recipe's factor (two-photon's 2), divided
+    into the row's norm polynomial.  This holds for the maps weighted entry
+    by entry (``weighted_readouts``), and for the row's blocks weighted once
+    per curve and read with the fold."""
     row = protocol_module._row(kind)
+    factor = protocol_module._RECIPES[kind][3]
     fixed = fixed_readouts(kind)
     for r in BLOCK_GRID_R:
         for phi in BLOCK_GRID_PHI:
@@ -495,12 +505,12 @@ def test_block_reads_of_the_fixed_density_read_the_fock_build(kind):
                 source = SourceParams(r, phi, row.pairs)
                 state, weights = spatially_entangled_state(source), (source.r, source.phi)
             maps = weighted_readouts(kind, *weights)
-            blocks = protocol_module._weighted(row, *weights)
+            blocks = _weighted(row, *weights)
             for s in (0.0, 0.5, 1.0):
                 fixed_s = depolarize_alice(row.density, s)
                 built_s = depolarize_alice(to_density(state), s)
                 for a_lambda, weighted, a in zip(maps, blocks, fixed):
-                    expected = row.factor * expect(built_s, a)
+                    expected = factor * expect(built_s, a)
                     assert abs(expect(fixed_s, a_lambda) - expected) <= 1e-15
                     read = protocol_module._read(weighted, fixed_s.entries)
                     assert abs(read - expected.real) <= 1e-15
@@ -544,14 +554,14 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
     kind = ProtocolKind.INDEPENDENT_PAIRS
     row = _row(None)
     built = to_density(independent_pairs_state())
-    assert row.traces == (1.0,)
+    assert row.norm == (1.0,)
     assert row.density.entries == built.entries
     fixed = fixed_readouts(kind)
     own_values = tuple(
         tuple((v, keys) for _, _, v, keys in blocks) for blocks in (row.projector, row.witness)
     )
     for weights in ((1.0, 0.0), (0.0, 0.0)):
-        assert protocol_module._weighted(row, *weights) == own_values
+        assert _weighted(row, *weights) == own_values
         weighted = weighted_readouts(kind, *weights)
         assert [a.entries for a in weighted] == [a.entries for a in fixed]
     assert row.zero_quadratics == _branch_sums(built, _reference_reads(fixed))
@@ -572,9 +582,9 @@ def test_maps_weighted_at_r_zero_read_only_the_zero_block(kind, block):
     what the full density gives under the channel to 1e-15."""
     row = protocol_module._row(kind)
     assert len(zero_block(row).entries) == block
-    zero = protocol_module._weighted(row, 0.0, 0.0)
+    zero = _weighted(row, 0.0, 0.0)
     for phi in BLOCK_GRID_PHI:
-        assert protocol_module._weighted(row, 0.0, phi) == zero
+        assert _weighted(row, 0.0, phi) == zero
     for blocks, weighted in zip((row.projector, row.witness), zero):
         assert len(blocks) == len(weighted)
         for (j, k, _, _), (w, _) in zip(blocks, weighted):
@@ -638,7 +648,7 @@ def test_independent_pairs_fidelity_is_bbpssw_exactly():
 
 def _weighted_per_call(kind, r, phi, s):
     """The run with its maps weighted entry by entry at this call
-    (``weighted_readouts``, the row's factor included) and read with
+    (``weighted_readouts``, the recipe's factor included) and read with
     ``expect`` off the channel run at this call on the row's fixed density:
     independent pairs at lambda = 1, the two-pass source at its own (r, phi).
     The reference that the reads at lambda = 0 must match."""
