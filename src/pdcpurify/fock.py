@@ -17,8 +17,12 @@ after its last target mode) and the source's pair emission.
 No builder prunes a term before it is summed, and no other module of the
 package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
 values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
-the protocols' fixed readout maps (exact sums of +-1/2^n, whose zeros they
-drop) cannot, so they do not prune.
+the protocols' fixed densities and readout maps (summed exactly, their zeros
+dropped, then rounded once: 1/10, 1/4, 1/2 or 1) cannot, so they do not
+prune.  Exact values live only inside a protocol row's build:
+maps of ``Fraction``s from ``protocol._onto`` and the channel's one-mode
+step, which no public function returns.  Every operator a public function
+returns, and every operator a row keeps, holds complex values.
 
 ``in_range``, ``must_be``, ``pruned`` and ``shown`` are the package's shared
 number check, type check, pruning rule and message formatter; the other
@@ -121,22 +125,27 @@ def must_be(name: str, value, kind: type):
 
 
 def _clean_key(occ: Iterable[int]) -> Occupations:
+    """``occ`` as a tuple of ``N_MODES`` non-negative ints; a refusal names
+    ``occ`` as the caller wrote it.  A str, bytes or bytearray is refused
+    whole: its items are characters or byte values, not counts."""
+    if isinstance(occ, (str, bytes, bytearray)):
+        raise ValueError(f"occupation tuple must hold counts, got {shown(occ)}")
     try:
         key = tuple(occ)
-    except TypeError:  # not iterable (an int): refused as given
-        key = occ
-    if type(key) is not tuple or len(key) != N_MODES:
+    except TypeError:  # not iterable (an int)
+        key = None
+    if key is None or len(key) != N_MODES:
         raise ValueError(
-            f"occupation tuple must have {N_MODES} entries, got {shown(key)}"
+            f"occupation tuple must have {N_MODES} entries, got {shown(occ)}"
         )
     try:
         counts = tuple(int(n) for n in key)
     except (TypeError, ValueError, OverflowError):
         counts = None
     if counts is None or counts != key:
-        raise ValueError(f"non-integral occupation in {shown(key)}")
+        raise ValueError(f"non-integral occupation in {shown(occ)}")
     if any(n < 0 for n in counts):
-        raise ValueError(f"negative occupation in {shown(key)}")
+        raise ValueError(f"negative occupation in {shown(occ)}")
     return counts
 
 

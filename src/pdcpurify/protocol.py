@@ -32,19 +32,28 @@ channel on rho_1 and reads each map's blocks once.  Where lambda = 0 (independen
 which take no lambda, and r = 0 at any phi) a point runs no channel at all.
 On Alice's two modes the channel is C_s = s^2 id + s(1 - s)(D_a1 + D_a2) +
 (1 - s)^2 D_a1 D_a2, with D the full depolarization of one mode; D_a1 and
-D_a2 act on disjoint modes, so they commute.  So a row reads its blocks at
-lambda = 0 once, by a point's read, off three branches of its fixed density,
-each built by the channel at s = 0: the density, D_a1 + D_a2 of it and
-D_a1 D_a2 of it.  These are the row's quadratics: such a point is two
-quadratics in s and one division.  Reading the whole density gives what its
-(0, 0) block alone gives, bit for bit: at lambda = 0 only that block, no
-lower pair on ket or bra, has a nonzero weight (for independent pairs it is
-the whole density), and the channel fills each of its keys from the block's
-entries alone, as it keeps every entry's (j, k).  A point checks its s
-before either branch.  The three pipelines differ only in data: each is one
-row, built by ``_row`` from ``_RECIPES`` on its kind's first use and kept,
-so importing the package builds none, and ``_curve`` reads every row, for a
-run as for a sweep.
+D_a2 act on disjoint modes, so they commute.  So a row reads its maps at
+lambda = 0 once off three branches of its fixed density, each built by the
+channel at s = 0: the density, D_a1 + D_a2 of it and D_a1 D_a2 of it.
+These are the row's quadratics: such a point is two quadratics in s and one
+division.  At lambda = 0 only the (0, 0) block, no lower pair on ket or bra,
+has a nonzero weight (for independent pairs it is the whole density), and
+the channel fills each of its keys from the block's entries alone, as it
+keeps every entry's (j, k); so the quadratics read the maps' (0, 0) blocks
+off the branches.  A point checks its s before either branch.
+
+The row build.  The three pipelines differ only in data: each is one row,
+built by ``_row`` from ``_RECIPES`` on its kind's first use and kept, so
+importing the package builds none, and ``_curve`` reads every row, for a
+run as for a sweep.  A row is built from kets, in exact arithmetic.  At
+r = 1, phi = 0 the two-pass source is an equal-weight superposition of its
+kets (10 for two pairs, 4 for one), and independent pairs are upper Phi+
+times lower Phi+.  ``_onto`` sums |k><k| / <k|k> over kets in
+``Fraction``s, for the fixed density as for every readout map; the channel's
+one-mode step builds the three branches on those exact entries, and the
+build rounds each number it stores (the density, the maps, the norm
+polynomial and the quadratics) to its nearest float once.  So no run builds
+a source state or calls ``to_density``.
 
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  Across versions the last bit may differ, because
@@ -58,10 +67,11 @@ import functools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 
-from .channel import _ALICE, depolarize_alice, depolarize_partial, survival_refusal
+from .channel import _ALICE, _depolarized, depolarize_alice, survival_refusal
 from .fock import (
     MODES,
     DensityOperator,
@@ -72,10 +82,9 @@ from .fock import (
     in_range,
     must_be,
     shown,
-    to_density,
 )
 from .optics import apply_pbs
-from .source import SourceParams, independent_pairs_state, spatially_entangled_state
+from .source import SourceParams
 
 #: the fewest and the most points ``linear_grid`` makes
 STEP_BOUNDS = (2, 1_000_000)
@@ -141,10 +150,11 @@ def input_fidelity(s: float) -> float:
     return (1.0 + 3.0 * s) / 4.0
 
 
-def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> DensityOperator:
+def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> dict:
     """The sum of |k><k| / <k|k> over ``kets``, each a product of factors
-    {the modes of its photons: +-1} on disjoint modes.  Every term is +-1 over
-    a power of two, so the sums are exact and a cancelled entry is left out."""
+    {the modes of its photons: +-1} on disjoint modes, summed exactly: the
+    entries as ``Fraction``s, a cancelled entry left out.  ``_rounded`` makes
+    the operator."""
     total: dict = {}
     for factors in kets:
         ket = {(): 1}
@@ -152,45 +162,63 @@ def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> DensityOpera
             ket = {m + n: a * b for m, a in ket.items() for n, b in factor.items()}
         ket = {tuple(map(photons.count, MODES)): a for photons, a in ket.items()}
         for (k, a), (b, c) in product(ket.items(), repeat=2):
-            total[k, b] = total.get((k, b), 0) + a * c / len(ket)
-    return DensityOperator._trusted({key: complex(v) for key, v in total.items() if v})
+            total[k, b] = total.get((k, b), 0) + Fraction(a * c, len(ket))
+    return {key: v for key, v in total.items() if v}
+
+
+def _rounded(exact: dict) -> DensityOperator:
+    """The operator of ``_onto``'s exact entries, each rounded to its nearest
+    float once."""
+    return DensityOperator._trusted({key: complex(v) for key, v in exact.items()})
 
 
 def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator:
     """The diagonal projector onto a detection pattern, so that Tr(P rho) is
     the pattern's probability: onto each basis ket that puts each spatial
     mode's n photons on its H and V modes, H first (k on H, for k = n, ..., 0)."""
-    return _onto(
+    return _rounded(_onto(
         [{photons: 1} for photons in split]
         for counts in pattern
         for split in product(
             *map(combinations_with_replacement, (m.value for m in SpatialMode), counts)
         )
-    )
+    ))
 
 
+#: the source's four pair channels, one photon into Alice's and one into
+#: Bob's mode of one spatial mode and polarization: (a1H, b1H), (a1V, b1V),
+#: (a2H, b2H), (a2V, b2V)
+_CHANNELS = tuple(zip(MODES[:4], MODES[4:]))
 #: |HH> + sign |VV> on (a1, b1), unnormalized: Phi+ for sign 1, Phi- for -1
-_PHI = {sign: {(Mode.A1H, Mode.B1H): 1, (Mode.A1V, Mode.B1V): sign} for sign in (1, -1)}
+_PHI = {sign: {_CHANNELS[0]: 1, _CHANNELS[1]: sign} for sign in (1, -1)}
 #: |Phi+><Phi+| on (a1, b1) times the identity on one photon in each of a2
 #: and b2: the upper pair's Bell witness on the four-mode pattern (16 entries)
-_UPPER_WITNESS = _onto(
+_UPPER_WITNESS = _rounded(_onto(
     (_PHI[1], {(a,): 1}, {(b,): 1})
     for a in SpatialMode.A2.value
     for b in SpatialMode.B2.value
-)
+))
 #: |Phi+><Phi+| on (a1, b1) times the vacuum of a2 and b2: the upper pair's
 #: Bell witness on the both-up pattern (4 entries)
-_BOTH_UP_WITNESS = _onto([(_PHI[1],)])
+_BOTH_UP_WITNESS = _rounded(_onto([(_PHI[1],)]))
 #: The lower photons measured at 45 degrees, onto |H> + x|V> (a2) and
 #: |H> + y|V> (b2) for x, y = +-1, with a phase flip Z on a1 when x != y.  Z
 #: turns Phi+ into Phi-, so a branch's overlap with Phi+ is
 #: <Phi_xy, x, y| rho |Phi_xy, x, y> with Phi_xy = Phi+ if x = y, else Phi-;
 #: the witness sums the four branches (16 entries).
-_MEASURED_OUT_WITNESS = _onto(
+_MEASURED_OUT_WITNESS = _rounded(_onto(
     (_PHI[x * y], {(Mode.A2H,): 1, (Mode.A2V,): x}, {(Mode.B2H,): 1, (Mode.B2V,): y})
     for x in (1, -1)
     for y in (1, -1)
-)
+))
+
+
+def _emitted(pairs: int) -> dict:
+    """The two-pass source's ket of ``pairs`` pairs at r = 1, phi = 0, as one
+    factor: every multiset of ``pairs`` channels, each of amplitude 1.  For
+    one or two pairs the emitted amplitudes are equal: a channel taken twice
+    gets sqrt(2) twice from ``create``, and two channels their two orders."""
+    return {sum(c, ()): 1 for c in combinations_with_replacement(_CHANNELS, pairs)}
 
 
 def _in_front(behind: DensityOperator) -> DensityOperator:
@@ -216,24 +244,30 @@ def _lower_pairs(occ: Occupations) -> int:
 # four-photon's f_lower equals its f_upper.
 
 #: what each protocol's row is built from: its source's pairs (``None`` for
-#: two independent pairs, which take no r or phi), its pattern, its witness
-#: behind the beam splitters, the factor its row's norm polynomial is
-#: divided by, and whether ``f_lower`` mirrors ``f_upper``
+#: two independent pairs, which take no r or phi), the source's ket at r = 1,
+#: phi = 0 as ``_onto``'s factors, its pattern, its witness behind the beam
+#: splitters, the factor its row's norm polynomial is divided by, and whether
+#: ``f_lower`` mirrors ``f_upper``
 _RECIPES = {
-    ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1.0, True),
-    ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2.0, False),
-    ProtocolKind.INDEPENDENT_PAIRS: (None, FOUR_MODE, _MEASURED_OUT_WITNESS, 1.0, False),
+    ProtocolKind.FOUR_PHOTON: (2, (_emitted(2),), FOUR_MODE, _UPPER_WITNESS, 1, True),
+    ProtocolKind.TWO_PHOTON: (1, (_emitted(1),), BOTH_UP, _BOTH_UP_WITNESS, 2, False),
+    ProtocolKind.INDEPENDENT_PAIRS: (
+        None, (_PHI[1], dict.fromkeys(_CHANNELS[2:], 1)),  # upper Phi+, lower Phi+
+        FOUR_MODE, _MEASURED_OUT_WITNESS, 1, False,
+    ),
 }
 
 #: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
-#: (at r = 1, phi = 0); ``norm``, the norm polynomial's coefficients by k,
-#: tr of the density's (k, k) block over the recipe's factor, so that
-#: sum_k norm[k] r^(2k) = N(r) / factor; the pattern's projector and the
-#: witness in front of the beam splitters, each by lower-pair block as
-#: ``_blocks`` groups it; ``zero_quadratics``, all that independent pairs and
-#: r = 0 read: p and the witness sum at lambda = 0, each as its coefficients
-#: on s^2, s(1 - s) and (1 - s)^2, the maps read at lambda = 0 off the
-#: density's three channel branches; and the recipe's mirror
+#: (at r = 1, phi = 0), each entry the nearest float of 1/10 or 1/4;
+#: ``norm``, the norm polynomial's coefficients by k, tr of the density's
+#: (k, k) block over the recipe's factor, so that sum_k norm[k] r^(2k) =
+#: N(r) / factor; the pattern's projector and the witness in front of the
+#: beam splitters, each by lower-pair block as ``_blocks`` groups it;
+#: ``zero_quadratics``, all that independent pairs and r = 0 read: p and the
+#: witness sum at lambda = 0, each as its coefficients on s^2, s(1 - s) and
+#: (1 - s)^2, the maps' (0, 0) blocks read off the density's three channel
+#: branches; and the recipe's mirror.  ``norm`` and ``zero_quadratics`` are
+#: exact rationals rounded once
 _Row = namedtuple("_Row", "pairs density norm projector witness zero_quadratics mirrored")
 
 
@@ -289,30 +323,29 @@ def _row(kind: ProtocolKind) -> _Row:
     """``kind``'s row, built from its recipe on the kind's first use and kept
     for the process.  A row depends on its kind alone and is never changed,
     so every caller shares it; two threads that race may both build it, and
-    build equal rows."""
-    pairs, pattern, witness, factor, mirrored = _RECIPES[kind]
-    if pairs is None:
-        rho, power = to_density(independent_pairs_state()), lambda occ: 0
-    else:
-        source = SourceParams(1.0, 0.0, pairs)
-        rho, power = to_density(spatially_entangled_state(source)), _lower_pairs
-    norm = [0.0] * ((pairs or 0) + 1)
-    for (ket, bra), v in rho.entries.items():
+    build equal rows.  The build runs on the exact density and rounds each
+    number it stores once."""
+    pairs, source, pattern, witness, factor, mirrored = _RECIPES[kind]
+    power = _lower_pairs if pairs else lambda occ: 0  # no lambda: one (0, 0) block
+    exact = _onto([source])
+    norm = [0] * ((pairs or 0) + 1)
+    for (ket, bra), v in exact.items():
         if ket == bra:
-            norm[power(ket)] += v.real / factor
+            norm[power(ket)] += v / factor
     maps = tuple(_blocks(_in_front(a), power) for a in (_projector(pattern), witness))
-    # C_s's three branches on the fixed density: id, D_a1 + D_a2 and D_a1 D_a2,
-    # each read at lambda = 0, where only the (0, 0) block has a weight
-    branches = (
-        (rho,),
-        tuple(depolarize_partial(rho, mode, 0.0) for mode in _ALICE),
-        (depolarize_alice(rho, 0.0),),
-    )
+    # C_s's three branches at s = 0, exactly: id, D_a1 + D_a2 and D_a1 D_a2.  At
+    # lambda = 0 only the maps' (0, 0) blocks have a weight, 1 / norm[0]; their
+    # values, 1/2 or 1, are exact as floats
+    a1, a2 = (mode.value[0] for mode in _ALICE)
+    d_a1 = _depolarized(exact, a1, 0)
+    branches = ((exact,), (d_a1, _depolarized(exact, a2, 0)), (_depolarized(d_a1, a2, 0),))
     zero_quadratics = tuple(
-        tuple(sum(_read(a, rho_b.entries) for rho_b in branch) for branch in branches)
-        for a in _weighted(norm, maps, 0.0, 0.0)
+        tuple(float(sum(Fraction(v) * sum(rho.get(key, 0) for rho in branch for key in keys)
+                        for j, k, v, keys in blocks if j == k == 0) / norm[0])
+              for branch in branches)
+        for blocks in maps
     )
-    return _Row(pairs, rho, tuple(norm), *maps, zero_quadratics, mirrored)
+    return _Row(pairs, _rounded(exact), tuple(map(float, norm)), *maps, zero_quadratics, mirrored)
 
 
 def _curve(

@@ -110,7 +110,7 @@ def expect(rho, a):
 def fixed_readouts(kind):
     """``kind``'s fixed projector and witness, which read the Fock build,
     moved in front of both beam splitters from the kind's recipe."""
-    _, pattern, witness, _, _ = protocol._RECIPES[kind]
+    _, _, pattern, witness, _, _ = protocol._RECIPES[kind]
     return (
         protocol._in_front(protocol._projector(pattern)),
         protocol._in_front(witness),
@@ -523,43 +523,43 @@ def run_direct(kind, r, phi, s):
 
 
 #: The run path's stages, by their names on the ``protocol`` module, each with
-#: its empty cell in the stage table: for the channel and the PBS, a tuple of
-#: the entry counts of the operators their calls receive, in call order; for
-#: the others a count of calls (a source build and ``_weighted``, the
-#: per-curve weighting of the row's blocks, receive no operator,
-#: ``to_density`` a ket, and ``_read`` the entries of the channel's output).
-STAGES = {"spatially_entangled_state": 0, "independent_pairs_state": 0, "to_density": 0,
-          "depolarize_partial": (), "depolarize_alice": (), "apply_pbs": (),
+#: its empty cell in the stage table: for the channel, its one-mode step and
+#: the PBS, a tuple of the entry counts of the operators or exact maps their
+#: calls receive, in call order; for the others a count of calls (``_onto``,
+#: the exact sum over kets, receives kets, ``_weighted``, the per-curve
+#: weighting of the row's blocks, no operator, and ``_read`` the entries of
+#: the channel's output).
+STAGES = {"_onto": 0, "_depolarized": (), "depolarize_alice": (), "apply_pbs": (),
           "_weighted": 0, "_read": 0}
 
 #: The mechanism of the run path: what each stage does per row build, and per
 #: curve and per point where lambda = r e^(i phi) is not 0 and where it is
-#: (independent pairs, and r = 0).  Where lambda != 0 a curve weights its
-#: blocks once and builds no operator (``_weighted`` returns numbers and key
-#: tuples; ``test_a_curve_builds_no_operator`` counts), and a point runs the
-#: channel on the fixed density and reads each map's blocks; where lambda = 0
-#: a point reads the row's quadratics and calls no stage.
+#: (independent pairs, and r = 0).  A row build sums the source's ket and the
+#: pattern's projector exactly, moves the projector and the witness in front
+#: of the beam splitters and runs the channel's one-mode step three times on
+#: the exact density at s = 0 (D_a1, D_a2, then D_a2 of D_a1; a step keeps
+#: the zeros it makes, so D_a1 D_a2 receives more entries than the density
+#: has); it builds no source state and reads no block through ``_read``.
+#: Where lambda != 0 a curve weights its blocks once and builds no operator
+#: (``_weighted`` returns numbers and key tuples;
+#: ``test_a_curve_builds_no_operator`` counts), and a point runs the channel
+#: on the fixed density and reads each map's blocks; where lambda = 0 a point
+#: reads the row's quadratics and calls no stage.
 STAGE_TABLE = {
     ProtocolKind.FOUR_PHOTON: {
-        "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
-                  "depolarize_partial": (100, 100), "depolarize_alice": (100,),
-                  "_weighted": 1, "_read": 8},
+        "build": {"_onto": 2, "apply_pbs": (16,) * 4, "_depolarized": (100, 100, 114)},
         "curve": {"_weighted": 1},
         "point": {"depolarize_alice": (100,), "_read": 2},
         "zero curve": {}, "zero point": {},
     },
     ProtocolKind.TWO_PHOTON: {
-        "build": {"spatially_entangled_state": 1, "to_density": 1, "apply_pbs": (4,) * 4,
-                  "depolarize_partial": (16, 16), "depolarize_alice": (16,),
-                  "_weighted": 1, "_read": 8},
+        "build": {"_onto": 2, "apply_pbs": (4,) * 4, "_depolarized": (16, 16, 18)},
         "curve": {"_weighted": 1},
         "point": {"depolarize_alice": (16,), "_read": 2},
         "zero curve": {}, "zero point": {},
     },
     ProtocolKind.INDEPENDENT_PAIRS: {
-        "build": {"independent_pairs_state": 1, "to_density": 1, "apply_pbs": (16,) * 4,
-                  "depolarize_partial": (16, 16), "depolarize_alice": (16,),
-                  "_weighted": 1, "_read": 8},
+        "build": {"_onto": 2, "apply_pbs": (16,) * 4, "_depolarized": (16, 16, 24)},
         "zero curve": {}, "zero point": {},
     },
 }
@@ -583,7 +583,8 @@ def record_stages(monkeypatch):
     for stage in STAGES:
 
         def recorded(*args, _stage=stage, _original=getattr(protocol, stage)):
-            calls[_stage] += (len(args[0].entries),) if STAGES[_stage] == () else 1
+            received = getattr(args[0], "entries", args[0])
+            calls[_stage] += (len(received),) if STAGES[_stage] == () else 1
             return _original(*args)
 
         monkeypatch.setattr(protocol, stage, recorded)

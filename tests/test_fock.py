@@ -188,15 +188,22 @@ BAD_KEYS = {
     "none-count": (None, 0, 0, 0, 0, 0, 0, 0),
     "str-count": ("x", 0, 0, 0, 0, 0, 0, 0),
     "inf-count": (math.inf, 0, 0, 0, 0, 0, 0, 0),
+    # a str, bytes or bytearray is refused whole, not read as its characters
+    # or byte values: eight bytes would otherwise be eight counts
+    "str": "x",
+    "eight-char-str": "00000000",
+    "eight-bytes": b"\x00\x00\x01\x00\x00\x00\x00\x00",
 }
 
 
 @pytest.mark.parametrize("key", BAD_KEYS.values(), ids=BAD_KEYS.keys())
 def test_public_constructors_reject_bad_keys(key):
-    """Users' keys are checked; ``int(n)`` must not truncate 1.5 or 0.9."""
-    with pytest.raises(ValueError, match="occupation"):
+    """Users' keys are checked, and a refusal names the key as written;
+    ``int(n)`` must not truncate 1.5 or 0.9."""
+    shown_key = f"occupation.*{re.escape(repr(key))}"
+    with pytest.raises(ValueError, match=shown_key):
         PureState({key: 1.0})
-    with pytest.raises(ValueError, match="occupation"):
+    with pytest.raises(ValueError, match=shown_key):
         DensityOperator({(key, key): 1.0})
 
 
@@ -209,7 +216,7 @@ HALF = (0.5, 0, 0, 0, 0, 0, 0, 0)
 MALFORMED_KEYS = {
     "str-pair": (lambda v: DensityOperator({"bad": v}), "entry key 'bad'"),
     "negative-ket": (lambda v: DensityOperator({(NEGATIVE, VACUUM): v}), repr(NEGATIVE)),
-    "str-term": (lambda v: PureState({VACUUM: 1, "x": v}), "('x',)"),
+    "str-term": (lambda v: PureState({VACUUM: 1, "x": v}), "got 'x'"),
     "non-integral-term": (lambda v: PureState({VACUUM: 1, HALF: v}), repr(HALF)),
     "non-integral-bra": (lambda v: DensityOperator({(VACUUM, HALF): v}), repr(HALF)),
     "three-tuple-entry": (

@@ -528,22 +528,44 @@ def test_four_photon_matches_its_closed_form(r, phi, s):
     assert abs(result.f_upper - n / p) <= 1e-12
 
 
-@PROPERTY_SETTINGS
-@_at_r_zero_and_the_s_ends
-@given(r=unit, phi=phase, s=unit)
-def test_two_photon_matches_its_closed_form(r, phi, s):
-    """With x = r^2 and c = r cos phi: p = (1 + s)/2 at every (r, phi), and
-    ((1 + x)/2) p f = 2[s^2((1 + x)/8 + c/4) + s(1 - s) 3(1 + x)/16
-    + (1 - s)^2 (1 + x)/16]."""
-    result = run_two_photon(r, phi, s)
+def two_photon_closed_form(r, phi, s):
+    """Two-photon (P, M) = (p, ((1 + x)/2) p f_upper), two quadratics in s.
+
+    With x = r^2 and c = r cos phi: P = (1 + s)/2 at every (r, phi), and
+        M = 2[s^2((1 + x)/8 + c/4) + s(1 - s) 3(1 + x)/16
+              + (1 - s)^2 (1 + x)/16].
+    """
     x, c = r * r, r * math.cos(phi)
-    n = 2.0 * (
+    m = 2.0 * (
         s * s * ((1.0 + x) / 8.0 + c / 4.0)
         + s * (1.0 - s) * 3.0 * (1.0 + x) / 16.0
         + (1.0 - s) ** 2 * (1.0 + x) / 16.0
     )
-    assert abs(result.p_success - (1.0 + s) / 2.0) <= 1e-12
-    assert abs((1.0 + x) / 2.0 * result.p_success * result.f_upper - n) <= 1e-12
+    return (1.0 + s) / 2.0, m
+
+
+@PROPERTY_SETTINGS
+@_at_r_zero_and_the_s_ends
+@given(r=unit, phi=phase, s=unit)
+def test_two_photon_matches_its_closed_form(r, phi, s):
+    result = run_two_photon(r, phi, s)
+    p, m = two_photon_closed_form(r, phi, s)
+    assert abs(result.p_success - p) <= 1e-12
+    assert abs((1.0 + r * r) / 2.0 * result.p_success * result.f_upper - m) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.FOUR_PHOTON, ProtocolKind.TWO_PHOTON])
+def test_runs_just_above_r_zero_weight_the_lower_pairs(kind):
+    """At 0 < r <= 1e-12 a run still weights the blocks with lower pairs:
+    its f_upper is the closed form's to 1e-15, while the lambda = 0 reads,
+    which drop the O(r cos phi) term, are at least 3.3e-14 off there."""
+    for r, phi, s in itertools.product((1e-13, 3e-13), (0.0, math.pi), (0.5, 1.0)):
+        if kind is ProtocolKind.FOUR_PHOTON:
+            p, n = four_photon_closed_form(r, phi, s)
+        else:
+            p, m = two_photon_closed_form(r, phi, s)
+            n = m / ((1.0 + r * r) / 2.0)
+        assert abs(run_direct(kind, r, phi, s).f_upper - n / p) <= 1e-15, (r, phi, s)
 
 
 @PROPERTY_SETTINGS

@@ -390,18 +390,20 @@ def _assert_block_read_matches_the_fock_build(r, phi, pairs):
     [
         (1, 16, (Fraction(1, 4), Fraction(1, 4))),
         (2, 100, (Fraction(3, 10), Fraction(2, 5), Fraction(3, 10))),
+        (None, 16, (Fraction(1),)),
     ],
 )
 def test_source_block_traces_are_exact(pairs, rows, exact):
-    """The row's norm polynomial holds the traces of the fixed density's
-    (k, k) blocks, k lower pairs on ket and bra, over the recipe's factor:
-    (2, 2)/4 over two-photon's mirror 2 for one pair, (12, 16, 12)/40 over 1
-    for two."""
+    """The fixed density is uniform over its kets, each entry the nearest
+    float of 1 over their number, and the row's norm polynomial holds the
+    nearest floats of the traces of its (k, k) blocks, k lower pairs on ket
+    and bra, over the recipe's factor: (2, 2)/4 over two-photon's mirror 2
+    for one pair, (12, 16, 12)/40 over 1 for two, and the whole trace for
+    independent pairs."""
     row = _row(pairs)
     assert len(row.density.entries) == rows  # one per pair of kets
-    assert len(row.norm) == len(exact)
-    for value, fraction in zip(row.norm, exact):
-        assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
+    assert set(row.density.entries.values()) == {complex(Fraction(1, math.isqrt(rows)))}
+    assert row.norm == tuple(map(float, exact))
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind))
@@ -495,7 +497,7 @@ def test_block_reads_of_the_fixed_density_read_the_fock_build(kind):
     by entry (``weighted_readouts``), and for the row's blocks weighted once
     per curve and read with the fold."""
     row = protocol_module._row(kind)
-    factor = protocol_module._RECIPES[kind][3]
+    factor = protocol_module._RECIPES[kind][4]
     fixed = fixed_readouts(kind)
     for r in BLOCK_GRID_R:
         for phi in BLOCK_GRID_PHI:
@@ -575,11 +577,12 @@ def test_independent_pairs_density_is_the_fock_build_exactly():
 def test_maps_weighted_at_r_zero_read_only_the_zero_block(kind, block):
     """At r = 0 only the (0, 0) blocks of the maps carry a weight, so they
     read only the fixed density's (0, 0) block of ``block`` entries, no lower
-    pair on ket or bra, and the weights do not depend on phi.  So the row's
-    quadratics, read off the channel's three branches of the whole density
-    (the stage table counts them), are those of the block alone, bit for bit;
-    they are what the maps weighted entry by entry read to 1e-15, and give
-    what the full density gives under the channel to 1e-15."""
+    pair on ket or bra, and the weights do not depend on phi.  So a float
+    read off the channel's three branches of the whole density is that of
+    the block alone, bit for bit.  The row's quadratics, read exactly off
+    those branches, are the nearest floats of their rationals; they are what
+    the maps weighted entry by entry read to 1e-15, and give what the full
+    density gives under the channel to 1e-15."""
     row = protocol_module._row(kind)
     assert len(zero_block(row).entries) == block
     zero = _weighted(row, 0.0, 0.0)
@@ -589,8 +592,10 @@ def test_maps_weighted_at_r_zero_read_only_the_zero_block(kind, block):
         assert len(blocks) == len(weighted)
         for (j, k, _, _), (w, _) in zip(blocks, weighted):
             assert (w != 0) == (j == k == 0)
-    assert row.zero_quadratics == _branch_sums(zero_block(row), _block_reads(zero))
-    assert row.zero_quadratics == _branch_sums(row.density, _block_reads(zero))
+    assert _branch_sums(zero_block(row), _block_reads(zero)) == _branch_sums(
+        row.density, _block_reads(zero)
+    )
+    assert row.zero_quadratics == _nearest_floats(ZERO_QUADRATICS[kind])
     reference = _branch_sums(row.density, _reference_reads(weighted_readouts(kind, 0.0, 0.0)))
     for quadratic, expected in zip(row.zero_quadratics, reference):
         assert max(abs(a - b) for a, b in zip(quadratic, expected)) <= 1e-15
@@ -619,17 +624,17 @@ ZERO_QUADRATICS = {
 }
 
 
+def _nearest_floats(quadratics):
+    """Each coefficient of ``quadratics`` as its nearest float."""
+    return tuple(tuple(map(float, quadratic)) for quadratic in quadratics)
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_zero_quadratics_are_exact(kind):
-    """The row's float coefficients at lambda = 0 are the exact rationals to
-    1e-15 (two-photon's carry its mirror factor 2)."""
+    """The row's float coefficients at lambda = 0 are the nearest floats of
+    the exact rationals (two-photon's carry its mirror factor 2)."""
     quadratics = protocol_module._row(kind).zero_quadratics
-    exact = ZERO_QUADRATICS[kind]
-    assert len(quadratics) == len(exact) == 2
-    for floats, fractions in zip(quadratics, exact):
-        assert len(floats) == len(fractions) == 3
-        for value, fraction in zip(floats, fractions):
-            assert abs(Fraction(value) - fraction) <= Fraction(1, 10**15)
+    assert quadratics == _nearest_floats(ZERO_QUADRATICS[kind])
 
 
 def test_independent_pairs_fidelity_is_bbpssw_exactly():
