@@ -29,9 +29,9 @@ def survival_refusal(s) -> ValueError:
 
 def _depolarized(entries: dict, h: int, s: float) -> dict:
     """``s * v + (1 - s) * m`` on the spatial mode whose (H, V) modes are h and
-    h + 1, as a new map, unpruned.  It mixes in no float of its own, so on
-    ``Fraction`` entries at an int s it is exact, as a protocol row's build
-    runs it.
+    h + 1, as a new map, unpruned.  At the int s = 0 it is exact on integer
+    entries that each split divides evenly: every share is an integer-valued
+    float, as a protocol row's build runs it on its scaled numerators.
 
     The map starts at ``s * v``; then each entry, in order, is one of three
     cases.  Off-diagonal in the mode (its ket's and bra's (H, V) counts there

@@ -19,10 +19,10 @@ package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
 values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
 the protocols' fixed densities and readout maps (summed exactly, their zeros
 dropped, then rounded once: 1/10, 1/4, 1/2 or 1) cannot, so they do not
-prune.  Exact values live only inside a protocol row's build:
-maps of ``Fraction``s from ``protocol._onto`` and the channel's one-mode
-step, which no public function returns.  Every operator a public function
-returns, and every operator a row keeps, holds complex values.
+prune.  Exact values live only inside a protocol row's build: maps of
+integer numerators from ``protocol._onto`` and, scaled, the channel's
+one-mode step, which no public function returns.  Every operator a public
+function returns, and every operator a row keeps, holds complex values.
 
 ``in_range``, ``must_be``, ``pruned`` and ``shown`` are the package's shared
 number check, type check, pruning rule and message formatter; the other

@@ -45,19 +45,24 @@ off the branches.  A point checks its s before either branch.
 The row build.  The three pipelines differ only in data: each is one row,
 built by ``_row`` from ``_RECIPES`` on its kind's first use and kept, so
 importing the package builds none, and ``_curve`` reads every row, for a
-run as for a sweep.  A row is built from kets, in exact arithmetic.  At
-r = 1, phi = 0 the two-pass source is an equal-weight superposition of its
-kets (10 for two pairs, 4 for one), and independent pairs are upper Phi+
-times lower Phi+.  ``_onto`` sums |k><k| / <k|k> over kets in
-``Fraction``s, for the fixed density as for every readout map; the channel's
-one-mode step builds the three branches on those exact entries, and the
-build rounds each number it stores (the density, the maps, the norm
-polynomial and the quadratics) to its nearest float once.  So no run builds
-a source state or calls ``to_density``.
+run as for a sweep.  A row is built from kets, in exact integer
+arithmetic.  At r = 1, phi = 0 the two-pass source is an equal-weight
+superposition of its kets (10 for two pairs, 4 for one), and independent
+pairs are upper Phi+ times lower Phi+.  Each ket passed to one ``_onto``
+call has the same number n of terms, each +-1, so ``_onto`` sums
+|k><k| / <k|k> as integer numerators over n, for the fixed density as for
+every readout map.  The norm polynomial is integer counts over n times the
+factor.  The channel's one-mode step builds the three branches at s = 0 on
+the numerators scaled by 36: each of Alice's two modes holds at most two
+photons, so every split divides evenly and every branch value is an
+integer.  Each number a row stores (the density, the maps, the norm
+polynomial and the quadratics) is then one division, rounded to its nearest
+float once.  So no run builds a source state or calls ``to_density``.
 
 Everything is deterministic: under one Python version, identical inputs give
-bit-identical results.  Across versions the last bit may differ, because
-``sum`` of floats rounds differently from Python 3.12 on (it compensates).
+bit-identical results.  The run path reduces its floats in fixed-order loops,
+not with the builtin ``sum``, whose rounding changes in Python 3.12 (it
+compensates).
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ import functools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 
@@ -150,26 +154,32 @@ def input_fidelity(s: float) -> float:
     return (1.0 + 3.0 * s) / 4.0
 
 
-def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> dict:
+def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> tuple[dict, int]:
     """The sum of |k><k| / <k|k> over ``kets``, each a product of factors
-    {the modes of its photons: +-1} on disjoint modes, summed exactly: the
-    entries as ``Fraction``s, a cancelled entry left out.  ``_rounded`` makes
-    the operator."""
+    {the modes of its photons: +-1} on disjoint modes, summed exactly: as
+    integer numerators over the kets' common number of terms n, which is
+    <k|k> for each, a cancelled entry left out.  Kets of different lengths
+    raise ``ValueError``.  ``_rounded`` makes the operator."""
     total: dict = {}
+    terms = None
     for factors in kets:
         ket = {(): 1}
         for factor in factors:
             ket = {m + n: a * b for m, a in ket.items() for n, b in factor.items()}
         ket = {tuple(map(photons.count, MODES)): a for photons, a in ket.items()}
+        terms = terms or len(ket)
+        if len(ket) != terms:
+            raise ValueError(f"kets must have equal lengths, got {terms} and {len(ket)} terms")
         for (k, a), (b, c) in product(ket.items(), repeat=2):
-            total[k, b] = total.get((k, b), 0) + Fraction(a * c, len(ket))
-    return {key: v for key, v in total.items() if v}
+            total[k, b] = total.get((k, b), 0) + a * c
+    return {key: v for key, v in total.items() if v}, terms
 
 
-def _rounded(exact: dict) -> DensityOperator:
-    """The operator of ``_onto``'s exact entries, each rounded to its nearest
-    float once."""
-    return DensityOperator._trusted({key: complex(v) for key, v in exact.items()})
+def _rounded(exact: tuple[dict, int]) -> DensityOperator:
+    """The operator of ``_onto``'s numerators over n, each divided by n once:
+    int / int is the quotient's nearest float."""
+    numerators, n = exact
+    return DensityOperator._trusted({key: complex(v / n) for key, v in numerators.items()})
 
 
 def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator:
@@ -267,7 +277,7 @@ _RECIPES = {
 #: witness sum at lambda = 0, each as its coefficients on s^2, s(1 - s) and
 #: (1 - s)^2, the maps' (0, 0) blocks read off the density's three channel
 #: branches; and the recipe's mirror.  ``norm`` and ``zero_quadratics`` are
-#: exact rationals rounded once
+#: exact rationals, each rounded by its one division
 _Row = namedtuple("_Row", "pairs density norm projector witness zero_quadratics mirrored")
 
 
@@ -296,7 +306,9 @@ def _weighted(norm: Sequence[float], maps: tuple, r: float, phi: float) -> tuple
     docstring describes."""
     lam = r * cmath.exp(1j * phi)
     powers = [lam**k for k in range(len(norm))]
-    total = sum(n * r ** (2 * k) for k, n in enumerate(norm))
+    total = 0.0  # a fixed-order loop: the builtin sum compensates from 3.12 on
+    for k, n in enumerate(norm):
+        total += n * r ** (2 * k)
     return tuple(
         tuple((powers[j] * powers[k].conjugate() / total * v, keys) for j, k, v, keys in blocks)
         for blocks in maps
@@ -318,34 +330,53 @@ def _read(weighted: tuple, entries: dict) -> float:
     return total
 
 
+#: what a row's density numerators are scaled by for the channel's branches:
+#: each of Alice's two modes holds at most two photons, so a one-mode step
+#: divides an entry by 1, 2 or 3, and two steps by a divisor of (2 * 3)^2
+_BRANCH_SCALE = 36
+
+
+def _branches(numerators: dict) -> tuple:
+    """C_s's three branches at s = 0 on the density of ``numerators`` scaled
+    by ``_BRANCH_SCALE``: id, D_a1 + D_a2 and D_a1 D_a2, each a tuple of maps.
+    Every split divides evenly, so every value is an integer, exact."""
+    scaled = {key: _BRANCH_SCALE * v for key, v in numerators.items()}
+    a1, a2 = (mode.value[0] for mode in _ALICE)
+    d_a1 = _depolarized(scaled, a1, 0)
+    return (scaled,), (d_a1, _depolarized(scaled, a2, 0)), (_depolarized(d_a1, a2, 0),)
+
+
 @functools.cache
 def _row(kind: ProtocolKind) -> _Row:
     """``kind``'s row, built from its recipe on the kind's first use and kept
     for the process.  A row depends on its kind alone and is never changed,
     so every caller shares it; two threads that race may both build it, and
-    build equal rows.  The build runs on the exact density and rounds each
-    number it stores once."""
+    build equal rows.  The build runs on the density's integer numerators
+    over n and divides each number it stores once."""
     pairs, source, pattern, witness, factor, mirrored = _RECIPES[kind]
     power = _lower_pairs if pairs else lambda occ: 0  # no lambda: one (0, 0) block
     exact = _onto([source])
-    norm = [0] * ((pairs or 0) + 1)
-    for (ket, bra), v in exact.items():
+    numerators, n = exact
+    counts = [0] * ((pairs or 0) + 1)
+    for (ket, bra), v in numerators.items():
         if ket == bra:
-            norm[power(ket)] += v / factor
+            counts[power(ket)] += v
     maps = tuple(_blocks(_in_front(a), power) for a in (_projector(pattern), witness))
-    # C_s's three branches at s = 0, exactly: id, D_a1 + D_a2 and D_a1 D_a2.  At
-    # lambda = 0 only the maps' (0, 0) blocks have a weight, 1 / norm[0]; their
-    # values, 1/2 or 1, are exact as floats
-    a1, a2 = (mode.value[0] for mode in _ALICE)
-    d_a1 = _depolarized(exact, a1, 0)
-    branches = ((exact,), (d_a1, _depolarized(exact, a2, 0)), (_depolarized(d_a1, a2, 0),))
+    # at lambda = 0 only the maps' (0, 0) blocks have a weight, 1 / norm[0];
+    # their values, 1/2 or 1, are exact as floats, so each block's read off a
+    # branch is exact.  The branches hold _BRANCH_SCALE n times the density's
+    # values and norm[0] is counts[0] / (n factor), so n cancels and each
+    # quadratic is one division
+    branches = _branches(numerators)
     zero_quadratics = tuple(
-        tuple(float(sum(Fraction(v) * sum(rho.get(key, 0) for rho in branch for key in keys)
-                        for j, k, v, keys in blocks if j == k == 0) / norm[0])
+        tuple(sum(v * sum(rho.get(key, 0) for rho in branch for key in keys)
+                  for j, k, v, keys in blocks if j == k == 0) * factor
+              / (_BRANCH_SCALE * counts[0])
               for branch in branches)
         for blocks in maps
     )
-    return _Row(pairs, _rounded(exact), tuple(map(float, norm)), *maps, zero_quadratics, mirrored)
+    norm = tuple(c / (n * factor) for c in counts)
+    return _Row(pairs, _rounded(exact), norm, *maps, zero_quadratics, mirrored)
 
 
 def _curve(

@@ -532,9 +532,9 @@ README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"
 
 
 def test_readme_version_note_quotes_what_run_prints(capsys):
-    """The README's example of a last-bit difference between Python versions
-    quotes a command, the p_success it prints and the version that was
-    measured; on that version the command prints exactly that text."""
+    """The README's determinism example quotes a command, the p_success it
+    prints and the Python version that was measured; on that version the
+    command prints exactly that text."""
     note = re.search(
         r"`pdcpurify (run [^`]+)`\s+prints `(\"p_success\": [^`]+)` under Python "
         r"(\d+\.\d+\.\d+)",
@@ -940,7 +940,7 @@ import sys
 bare = set(sys.modules)
 import json
 from pdcpurify.cli import main
-heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
 for argv in json.loads(sys.argv[1]):
     status = main(argv)
     print(status, "numpy" in sys.modules, *sorted(heavy & set(sys.modules) - bare),
@@ -949,10 +949,10 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_no_command_imports_numpy(tmp_path):
-    """Every command works in one fresh interpreter without loading numpy, or
-    ``dataclasses`` and what it imports: ``run`` per protocol, both sweeps and
-    ``state`` for one and for two pairs, whose Schmidt decomposition is pure
-    Python."""
+    """Every command works in one fresh interpreter without loading numpy,
+    ``dataclasses`` and what it imports, or ``fractions`` and ``decimal`` (a
+    row is built in integers): ``run`` per protocol, both sweeps and ``state``
+    for one and for two pairs, whose Schmidt decomposition is pure Python."""
     commands = [["run", "--protocol", kind.value, "--s", "0.5"] for kind in ProtocolKind]
     commands += [
         ["sweep", "--protocol", "four-photon", "--steps", "3", "--out", "c.csv"],
@@ -975,6 +975,41 @@ def test_no_command_imports_numpy(tmp_path):
     assert (tmp_path / "c.csv").is_file() and (tmp_path / "c.json").is_file()
     assert done.stdout.count('"p_success"') == 3
     assert done.stdout.count('"schmidt_coefficients"') == 2
+
+
+def test_outputs_are_the_same_under_every_hash_seed(tmp_path):
+    """Each command prints and writes the same bytes under two hash seeds, so
+    no output follows the order of a ``str``-hashed ``set`` or ``dict``:
+    ``run`` per protocol, a JSON ``sweep`` to a file and ``state --pairs 2``,
+    each seed in its own interpreter and directory."""
+    commands = [
+        ["run", "--protocol", kind.value, "--r", "0.9", "--phi", "0.45", "--s", "0.5"]
+        for kind in ProtocolKind
+    ]
+    commands += [
+        ["sweep", "--protocol", "four-photon", "--r", "0.9", "--phi", "0.45",
+         "--steps", "5", "--format", "json", "--out", "c.json"],
+        ["state", "--pairs", "2"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("0", "12345"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [b"0 False"] * len(commands)
+        outputs.append((done.stdout, (cwd / "c.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    stdout, written = outputs[0]
+    assert stdout.count(b'"p_success"') == 3 and b'"schmidt_coefficients"' in stdout
+    assert written.count(b'"p_success"') == 5
 
 
 def test_module_entry_point_exit_status(tmp_path):

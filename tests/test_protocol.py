@@ -1,3 +1,6 @@
+import ast
+import builtins
+import functools
 import itertools
 import math
 import os
@@ -62,6 +65,7 @@ from pdcpurify import (
     sweep,
     to_density,
 )
+import pdcpurify.channel as channel_module
 import pdcpurify.protocol as protocol_module
 from pdcpurify.protocol import linear_grid
 
@@ -635,6 +639,86 @@ def test_zero_quadratics_are_exact(kind):
     the exact rationals (two-photon's carry its mirror factor 2)."""
     quadratics = protocol_module._row(kind).zero_quadratics
     assert quadratics == _nearest_floats(ZERO_QUADRATICS[kind])
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_the_scaled_channel_branches_hold_integers(kind):
+    """The row build runs the channel's three branches at s = 0 on its
+    density's integer numerators scaled by ``_BRANCH_SCALE``: every split
+    divides evenly, so every entry of every branch is an integer, and the
+    quadratics read off them are exact."""
+    numerators, _ = protocol_module._onto([protocol_module._RECIPES[kind][1]])
+    branches = protocol_module._branches(numerators)
+    assert [len(branch) for branch in branches] == [1, 2, 1]
+    for rho in itertools.chain(*branches):
+        assert rho and all(float(v).is_integer() for v in rho.values())
+
+
+def test_onto_refuses_kets_of_different_lengths():
+    """``_onto`` sums integer numerators over one term count, so a ket with
+    a different number of terms from the first is refused."""
+    one_term, two_terms = ({(Mode.A1H, Mode.B1H): 1},), (protocol_module._PHI[1],)
+    assert protocol_module._onto([one_term, one_term]) == ({((1, 0, 0, 0, 1, 0, 0, 0),) * 2: 2}, 1)
+    with pytest.raises(ValueError, match="equal lengths, got 1 and 2 terms"):
+        protocol_module._onto([one_term, two_terms])
+
+
+#: the grid on which no output bit may move: r and phi for every kind (the
+#: independent pairs ignore them), s on the 21-point grid and near its ends
+SUM_GRID_R = (0, 1e-9, 1e-4, 0.3, 0.7, 0.9, 0.95, 1)
+SUM_GRID_S = sorted(linear_grid(0.0, 1.0, 21) + (1e-15, 1e-13, 1.0 - 1e-15))
+
+
+def _sum_grid_results():
+    """``repr`` of every result on the grid, one sweep per (kind, r, phi)."""
+    return [
+        repr(result)
+        for kind, r, phi in itertools.product(ProtocolKind, SUM_GRID_R, BLOCK_GRID_PHI)
+        for result in sweep(SweepSpec(SUM_GRID_S, r, phi, kind))
+    ]
+
+
+def _compensated_sum(iterable, start=0):
+    """``sum`` as it rounds from Python 3.12 on: a Neumaier sum when every
+    term is an int or a float, else the builtin's."""
+    terms = list(iterable)
+    if not all(type(x) in (int, float) for x in (start, *terms)):
+        return builtins.sum(terms, start)
+    total, compensation = float(start), 0.0
+    for x in terms:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_no_result_depends_on_how_sum_rounds(monkeypatch):
+    """With a compensated ``sum`` in ``protocol`` and ``channel`` and every
+    row built again, each of the 3456 results on the grid is the same, bit
+    for bit: the run path reduces its floats in fixed-order loops."""
+    expected = _sum_grid_results()
+    assert len(expected) == 3456
+    for module in (protocol_module, channel_module):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(protocol_module, "_row", functools.cache(protocol_module._row.__wrapped__))
+    assert _sum_grid_results() == expected
+
+
+def test_the_run_path_calls_no_builtin_sum():
+    """``_weighted``, ``_read`` and ``_curve`` call no builtin ``sum``, which
+    compensates from Python 3.12 on and so could move an output bit."""
+    tree = ast.parse(Path(protocol_module.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_weighted", "_read", "_curve"):
+        called = {
+            node.func.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "sum" not in called, name
 
 
 def test_independent_pairs_fidelity_is_bbpssw_exactly():
