@@ -40,7 +40,9 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
         rotated = False
         for i, j in combinations(range(len(vectors)), 2):
             a, b = vectors[i], vectors[j]
-            g = sum(x.conjugate() * y for x, y in zip(a, b))
+            g = 0j  # a fixed-order loop: the builtin sum compensates from 3.12 on
+            for x, y in zip(a, b):
+                g += x.conjugate() * y
             magnitude = abs(g)
             if magnitude <= tol * norms[i] * norms[j]:
                 continue
@@ -105,5 +107,7 @@ def schmidt(
         row[b_index[tuple(occ[m] for m in bob)]] += amp
 
     coefficients = [c for c in _singular_values(matrix) if c > 1e-12]
-    entropy = -sum(c * c * math.log2(c * c) for c in coefficients if c > 0.0)
-    return coefficients, entropy
+    total = 0.0  # a fixed-order loop, as in ``_singular_values``
+    for c in coefficients:
+        total += c * c * math.log2(c * c)
+    return coefficients, -total

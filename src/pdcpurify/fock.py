@@ -13,20 +13,22 @@ builds itself from valid keys is wrapped by ``_trusted`` as it is; only a
 builder that can make a value below ``PRUNE_TOL`` (a product, a quotient or
 a sum) prunes its result, once, through ``pruned``, after the whole map is
 built: ``to_density``, ``PureState.scaled``, the channel (once per call,
-after its last target mode) and the source's pair emission.
+after its last target mode) and ``spatially_entangled_state``.
 No builder prunes a term before it is summed, and no other module of the
 package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
 values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
 the protocols' fixed densities and readout maps (summed exactly, their zeros
 dropped, then rounded once: 1/10, 1/4, 1/2 or 1) cannot, so they do not
-prune.  Exact values live only inside a protocol row's build: maps of
-integer numerators from ``protocol._onto`` and, scaled, the channel's
-one-mode step, which no public function returns.  Every operator a public
+prune.  Exact values live only inside the builds of the source state and
+of a protocol row: the integer kets of ``expanded``, maps of integer
+numerators from ``protocol._onto`` and, scaled, the channel's one-mode
+step, which no public function returns.  Every operator a public
 function returns, and every operator a row keeps, holds complex values.
 
-``in_range``, ``must_be``, ``pruned`` and ``shown`` are the package's shared
-number check, type check, pruning rule and message formatter; the other
-modules import them, and ``pdcpurify`` does not export them.
+``in_range``, ``must_be``, ``pruned``, ``shown`` and ``expanded`` are the
+package's shared number check, type check, pruning rule, message formatter
+and ket expansion; the other modules import them, and ``pdcpurify`` does not
+export them.
 """
 
 from __future__ import annotations
@@ -73,6 +75,17 @@ class Mode(IntEnum):
 
 
 MODES: tuple[Mode, ...] = tuple(Mode)
+
+
+def expanded(factors: Iterable[Mapping[tuple[Mode, ...], int]]) -> dict[Occupations, int]:
+    """The ket of a product of ``factors``, each {the modes of its photons:
+    amplitude} on modes no other factor uses, as {occupation tuple:
+    amplitude}: the integer kets from which the source state and the
+    protocols' fixed densities and readout maps are built."""
+    ket = {(): 1}
+    for factor in factors:
+        ket = {m + n: a * b for m, a in ket.items() for n, b in factor.items()}
+    return {tuple(map(photons.count, MODES)): a for photons, a in ket.items()}
 
 
 class SpatialMode(Enum):

@@ -46,18 +46,18 @@ The row build.  The three pipelines differ only in data: each is one row,
 built by ``_row`` from ``_RECIPES`` on its kind's first use and kept, so
 importing the package builds none, and ``_curve`` reads every row, for a
 run as for a sweep.  A row is built from kets, in exact integer
-arithmetic.  At r = 1, phi = 0 the two-pass source is an equal-weight
-superposition of its kets (10 for two pairs, 4 for one), and independent
-pairs are upper Phi+ times lower Phi+.  Each ket passed to one ``_onto``
-call has the same number n of terms, each +-1, so ``_onto`` sums
-|k><k| / <k|k> as integer numerators over n, for the fixed density as for
-every readout map.  The norm polynomial is integer counts over n times the
-factor.  The channel's one-mode step builds the three branches at s = 0 on
-the numerators scaled by 36: each of Alice's two modes holds at most two
-photons, so every split divides evenly and every branch value is an
-integer.  Each number a row stores (the density, the maps, the norm
-polynomial and the quadratics) is then one division, rounded to its nearest
-float once.  So no run builds a source state or calls ``to_density``.
+arithmetic; the source's kets at r = 1, phi = 0 and their term counts come
+from ``source``, which builds its states from the same kets.  Each ket
+passed to one ``_onto`` call has the same number n of terms, each +-1, so
+``_onto`` sums |k><k| / <k|k> as integer numerators over n, for the fixed
+density as for every readout map.  The norm polynomial is integer counts
+over n times the factor.  The channel's one-mode step builds the three
+branches at s = 0 on the numerators scaled by 36: each of Alice's two
+modes holds at most two photons, so every split divides evenly and every
+branch value is an integer.  Each number a row stores (the density, the
+maps, the norm polynomial and the quadratics) is then one division, rounded
+to its nearest float once.  So no run builds a source state or calls
+``to_density``.
 
 Everything is deterministic: under one Python version, identical inputs give
 bit-identical results.  The run path reduces its floats in fixed-order loops,
@@ -77,18 +77,18 @@ from types import MappingProxyType
 
 from .channel import _ALICE, _depolarized, depolarize_alice, survival_refusal
 from .fock import (
-    MODES,
     DensityOperator,
     Mode,
     Occupations,
     Side,
     SpatialMode,
+    expanded,
     in_range,
     must_be,
     shown,
 )
 from .optics import apply_pbs
-from .source import SourceParams
+from .source import _PHI, SourceParams, _counts, _factors, _lower_pairs
 
 #: the fewest and the most points ``linear_grid`` makes
 STEP_BOUNDS = (2, 1_000_000)
@@ -163,10 +163,7 @@ def _onto(kets: Iterable[Iterable[dict[tuple[Mode, ...], int]]]) -> tuple[dict, 
     total: dict = {}
     terms = None
     for factors in kets:
-        ket = {(): 1}
-        for factor in factors:
-            ket = {m + n: a * b for m, a in ket.items() for n, b in factor.items()}
-        ket = {tuple(map(photons.count, MODES)): a for photons, a in ket.items()}
+        ket = expanded(factors)
         terms = terms or len(ket)
         if len(ket) != terms:
             raise ValueError(f"kets must have equal lengths, got {terms} and {len(ket)} terms")
@@ -195,12 +192,6 @@ def _projector(pattern: frozenset[tuple[int, int, int, int]]) -> DensityOperator
     ))
 
 
-#: the source's four pair channels, one photon into Alice's and one into
-#: Bob's mode of one spatial mode and polarization: (a1H, b1H), (a1V, b1V),
-#: (a2H, b2H), (a2V, b2V)
-_CHANNELS = tuple(zip(MODES[:4], MODES[4:]))
-#: |HH> + sign |VV> on (a1, b1), unnormalized: Phi+ for sign 1, Phi- for -1
-_PHI = {sign: {_CHANNELS[0]: 1, _CHANNELS[1]: sign} for sign in (1, -1)}
 #: |Phi+><Phi+| on (a1, b1) times the identity on one photon in each of a2
 #: and b2: the upper pair's Bell witness on the four-mode pattern (16 entries)
 _UPPER_WITNESS = _rounded(_onto(
@@ -223,24 +214,11 @@ _MEASURED_OUT_WITNESS = _rounded(_onto(
 ))
 
 
-def _emitted(pairs: int) -> dict:
-    """The two-pass source's ket of ``pairs`` pairs at r = 1, phi = 0, as one
-    factor: every multiset of ``pairs`` channels, each of amplitude 1.  For
-    one or two pairs the emitted amplitudes are equal: a channel taken twice
-    gets sqrt(2) twice from ``create``, and two channels their two orders."""
-    return {sum(c, ()): 1 for c in combinations_with_replacement(_CHANNELS, pairs)}
-
-
 def _in_front(behind: DensityOperator) -> DensityOperator:
     """A projector or witness A behind both beam splitters, moved in front:
     they permute basis states by a P that is its own inverse, so
     Tr(A P rho P) = Tr(P A P rho), and P A P relabels A as a state would be."""
     return apply_pbs(apply_pbs(behind, Side.ALICE), Side.BOB)
-
-
-def _lower_pairs(occ: Occupations) -> int:
-    """The pairs emitted into the lower modes: one photon in a2 per pair."""
-    return occ[Mode.A2H] + occ[Mode.A2V]
 
 
 # The mirror.  With F exchanging H and V in every spatial mode and S the upper
@@ -254,17 +232,13 @@ def _lower_pairs(occ: Occupations) -> int:
 # four-photon's f_lower equals its f_upper.
 
 #: what each protocol's row is built from: its source's pairs (``None`` for
-#: two independent pairs, which take no r or phi), the source's ket at r = 1,
-#: phi = 0 as ``_onto``'s factors, its pattern, its witness behind the beam
-#: splitters, the factor its row's norm polynomial is divided by, and whether
-#: ``f_lower`` mirrors ``f_upper``
+#: two independent pairs, which take no r or phi), its pattern, its witness
+#: behind the beam splitters, the factor its row's norm polynomial is divided
+#: by, and whether ``f_lower`` mirrors ``f_upper``
 _RECIPES = {
-    ProtocolKind.FOUR_PHOTON: (2, (_emitted(2),), FOUR_MODE, _UPPER_WITNESS, 1, True),
-    ProtocolKind.TWO_PHOTON: (1, (_emitted(1),), BOTH_UP, _BOTH_UP_WITNESS, 2, False),
-    ProtocolKind.INDEPENDENT_PAIRS: (
-        None, (_PHI[1], dict.fromkeys(_CHANNELS[2:], 1)),  # upper Phi+, lower Phi+
-        FOUR_MODE, _MEASURED_OUT_WITNESS, 1, False,
-    ),
+    ProtocolKind.FOUR_PHOTON: (2, FOUR_MODE, _UPPER_WITNESS, 1, True),
+    ProtocolKind.TWO_PHOTON: (1, BOTH_UP, _BOTH_UP_WITNESS, 2, False),
+    ProtocolKind.INDEPENDENT_PAIRS: (None, FOUR_MODE, _MEASURED_OUT_WITNESS, 1, False),
 }
 
 #: a protocol's row: ``pairs`` as in its recipe; the source's fixed density
@@ -353,14 +327,11 @@ def _row(kind: ProtocolKind) -> _Row:
     so every caller shares it; two threads that race may both build it, and
     build equal rows.  The build runs on the density's integer numerators
     over n and divides each number it stores once."""
-    pairs, source, pattern, witness, factor, mirrored = _RECIPES[kind]
-    power = _lower_pairs if pairs else lambda occ: 0  # no lambda: one (0, 0) block
-    exact = _onto([source])
+    pairs, pattern, witness, factor, mirrored = _RECIPES[kind]
+    exact = _onto([_factors(pairs)])
     numerators, n = exact
-    counts = [0] * ((pairs or 0) + 1)
-    for (ket, bra), v in numerators.items():
-        if ket == bra:
-            counts[power(ket)] += v
+    # independent pairs take no lambda: one (0, 0) block holds all n terms
+    power, counts = (_lower_pairs, _counts(pairs)) if pairs else ((lambda occ: 0), [n])
     maps = tuple(_blocks(_in_front(a), power) for a in (_projector(pattern), witness))
     # at lambda = 0 only the maps' (0, 0) blocks have a weight, 1 / norm[0];
     # their values, 1/2 or 1, are exact as floats, so each block's read off a

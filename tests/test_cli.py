@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdcpurify
-from helpers import run_direct
+import pdcpurify.analysis as analysis_module
+import pdcpurify.fock as fock_module
+import pdcpurify.source as source_module
+from helpers import called_names, compensated_sum, run_direct
 from pdcpurify import (
     ProtocolKind,
     ProtocolResult,
@@ -924,12 +928,56 @@ def test_state_diagnostics(capsys):
     assert payload["entropy_ebits"] == pytest.approx(math.log2(10), abs=1e-9)
     assert len(payload["terms"]) == 10
     assert len(payload["schmidt_coefficients"]) == 10
+    # the ten kets have equal weights, and so do the ten Schmidt terms, to
+    # the last bit
+    assert {tuple(term["amplitude"]) for term in payload["terms"]} == {(0.31622776601683794, 0.0)}
+    assert payload["schmidt_coefficients"] == [0.31622776601683794] * 10
 
     status, out, _ = run_cli(["state", "--pairs", "1"], capsys)
-    assert json.loads(out)["entropy_ebits"] == pytest.approx(2.0, abs=1e-9)
+    payload = json.loads(out)
+    assert payload["entropy_ebits"] == pytest.approx(2.0, abs=1e-9)
+    assert [term["amplitude"] for term in payload["terms"]] == [[0.5, 0.0]] * 4
 
     status, out, _ = run_cli(["state", "--pairs", "1", "--r", "0"], capsys)
     assert json.loads(out)["entropy_ebits"] == pytest.approx(1.0, abs=1e-9)
+
+
+#: pairs, r and phi of the ``state`` runs whose output may not depend on how
+#: the builtin ``sum`` rounds
+STATE_SUM_GRID = tuple(itertools.product(
+    (1, 2), (0, 1e-9, 0.3, 0.7, 0.9, 0.95, 1), (0, 0.45, 2, 3.1)
+))
+
+
+def _state_outputs(capsys):
+    return [
+        run_cli(["state", "--pairs", str(pairs), "--r", repr(r), "--phi", repr(phi)], capsys)[1]
+        for pairs, r, phi in STATE_SUM_GRID
+    ]
+
+
+def test_no_state_output_depends_on_how_sum_rounds(monkeypatch, capsys):
+    """With a compensated ``sum`` in ``fock``, ``analysis`` and ``source``,
+    each of the 56 ``state`` outputs on the grid is the same, byte for byte:
+    the source norm, the Jacobi inner products and the entropy are
+    fixed-order loops.  (``PureState.norm`` still calls ``sum``, but only
+    for ``schmidt``'s 1e-9 normalization check.)"""
+    expected = _state_outputs(capsys)
+    assert len(expected) == 56
+    for module in (fock_module, analysis_module, source_module):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert _state_outputs(capsys) == expected
+
+
+@pytest.mark.parametrize("module, names", [
+    (source_module, ("spatially_entangled_state",)),
+    (analysis_module, ("_singular_values", "schmidt")),
+])
+def test_state_calls_no_builtin_sum(module, names):
+    """The functions behind ``state``'s numbers call no builtin ``sum``,
+    which compensates from Python 3.12 on and so could move an output bit."""
+    for name in names:
+        assert "sum" not in called_names(module, name), name
 
 
 #: runs each command in one interpreter; prints its exit status, whether numpy

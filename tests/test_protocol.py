@@ -1,5 +1,3 @@
-import ast
-import builtins
 import functools
 import itertools
 import math
@@ -21,6 +19,8 @@ from helpers import (
     ZERO_PROBABILITY,
     allclose,
     block_density,
+    called_names,
+    compensated_sum,
     expect,
     fidelity,
     fixed_readouts,
@@ -67,6 +67,7 @@ from pdcpurify import (
 )
 import pdcpurify.channel as channel_module
 import pdcpurify.protocol as protocol_module
+import pdcpurify.source as source_module
 from pdcpurify.protocol import linear_grid
 
 ORACLE_POINTS = [
@@ -501,7 +502,7 @@ def test_block_reads_of_the_fixed_density_read_the_fock_build(kind):
     by entry (``weighted_readouts``), and for the row's blocks weighted once
     per curve and read with the fold."""
     row = protocol_module._row(kind)
-    factor = protocol_module._RECIPES[kind][4]
+    factor = protocol_module._RECIPES[kind][3]
     fixed = fixed_readouts(kind)
     for r in BLOCK_GRID_R:
         for phi in BLOCK_GRID_PHI:
@@ -647,7 +648,8 @@ def test_the_scaled_channel_branches_hold_integers(kind):
     density's integer numerators scaled by ``_BRANCH_SCALE``: every split
     divides evenly, so every entry of every branch is an integer, and the
     quadratics read off them are exact."""
-    numerators, _ = protocol_module._onto([protocol_module._RECIPES[kind][1]])
+    pairs = protocol_module._RECIPES[kind][0]
+    numerators, _ = protocol_module._onto([source_module._factors(pairs)])
     branches = protocol_module._branches(numerators)
     assert [len(branch) for branch in branches] == [1, 2, 1]
     for rho in itertools.chain(*branches):
@@ -657,7 +659,7 @@ def test_the_scaled_channel_branches_hold_integers(kind):
 def test_onto_refuses_kets_of_different_lengths():
     """``_onto`` sums integer numerators over one term count, so a ket with
     a different number of terms from the first is refused."""
-    one_term, two_terms = ({(Mode.A1H, Mode.B1H): 1},), (protocol_module._PHI[1],)
+    one_term, two_terms = ({(Mode.A1H, Mode.B1H): 1},), (source_module._PHI[1],)
     assert protocol_module._onto([one_term, one_term]) == ({((1, 0, 0, 0, 1, 0, 0, 0),) * 2: 2}, 1)
     with pytest.raises(ValueError, match="equal lengths, got 1 and 2 terms"):
         protocol_module._onto([one_term, two_terms])
@@ -678,31 +680,15 @@ def _sum_grid_results():
     ]
 
 
-def _compensated_sum(iterable, start=0):
-    """``sum`` as it rounds from Python 3.12 on: a Neumaier sum when every
-    term is an int or a float, else the builtin's."""
-    terms = list(iterable)
-    if not all(type(x) in (int, float) for x in (start, *terms)):
-        return builtins.sum(terms, start)
-    total, compensation = float(start), 0.0
-    for x in terms:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation
-
-
 def test_no_result_depends_on_how_sum_rounds(monkeypatch):
-    """With a compensated ``sum`` in ``protocol`` and ``channel`` and every
-    row built again, each of the 3456 results on the grid is the same, bit
-    for bit: the run path reduces its floats in fixed-order loops."""
+    """With a compensated ``sum`` in ``protocol``, ``channel`` and ``source``
+    (which the rows read their kets from) and every row built again, each
+    of the 3456 results on the grid is the same, bit for bit: the run path
+    reduces its floats in fixed-order loops."""
     expected = _sum_grid_results()
     assert len(expected) == 3456
-    for module in (protocol_module, channel_module):
-        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    for module in (protocol_module, channel_module, source_module):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     monkeypatch.setattr(protocol_module, "_row", functools.cache(protocol_module._row.__wrapped__))
     assert _sum_grid_results() == expected
 
@@ -710,15 +696,8 @@ def test_no_result_depends_on_how_sum_rounds(monkeypatch):
 def test_the_run_path_calls_no_builtin_sum():
     """``_weighted``, ``_read`` and ``_curve`` call no builtin ``sum``, which
     compensates from Python 3.12 on and so could move an output bit."""
-    tree = ast.parse(Path(protocol_module.__file__).read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("_weighted", "_read", "_curve"):
-        called = {
-            node.func.id
-            for node in ast.walk(functions[name])
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        }
-        assert "sum" not in called, name
+        assert "sum" not in called_names(protocol_module, name), name
 
 
 def test_independent_pairs_fidelity_is_bbpssw_exactly():

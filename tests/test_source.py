@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,6 @@ from pdcpurify import (
     vacuum,
 )
 from helpers import inner_product, map_basis, spatial_totals, superposed
-from pdcpurify.source import _emit_pair
 
 ALICE_MODES = [m for m in MODES if m < Mode.B1H]
 BOB_MODES = [m for m in MODES if m >= Mode.B1H]
@@ -175,38 +176,55 @@ def _pairs_built_stepwise(weights):
     return state
 
 
-def _emitted(weights):
-    """The unnormalized state after one ``_emit_pair`` per weight pair."""
-    state = vacuum()
-    for upper, lower in weights:
-        state = _emit_pair(state, upper, lower)
-    return state
-
-
-def _same_map(x, y):
-    """Equal sectors, and equal values under the same keys in the same order."""
+def _agree(x, y):
+    """Equal sectors and key sets, and each amplitude within 4.5e-16."""
     return (
         x.sector == y.sector
-        and x.amplitudes == y.amplitudes
-        and list(x.amplitudes) == list(y.amplitudes)
+        and x.amplitudes.keys() == y.amplitudes.keys()
+        and all(abs(v - y.amplitudes[occ]) <= 4.5e-16 for occ, v in x.amplitudes.items())
     )
 
 
 @pytest.mark.parametrize("pairs", [1, 2])
 @pytest.mark.parametrize("r", [0.0, 1e-9, 0.9, 1.0])
 @pytest.mark.parametrize("phi", [0.0, 0.45, 2.0, math.pi])
-def test_emission_sums_channels_as_the_stepwise_build(r, phi, pairs):
-    """Summing the four channels into one map and pruning once changes no
-    amplitude and no term order against pruning after every step."""
+def test_state_agrees_with_the_stepwise_build(r, phi, pairs):
+    """The state built from the source's integer kets, lambda^j / sqrt(N(r))
+    on a ket with j lower pairs, keeps every term of the normalized
+    create-operator build and no other, each amplitude to 4.5e-16."""
     params = SourceParams(r=r, phi=phi, pairs=pairs)
     weights = [(1.0, r * cmath.exp(1j * params.phi))] * pairs
-    expected = _pairs_built_stepwise(weights)
-    assert _same_map(_emitted(weights), expected)
-    assert _same_map(spatially_entangled_state(params), expected.normalized())
+    expected = _pairs_built_stepwise(weights).normalized()
+    assert _agree(spatially_entangled_state(params), expected)
 
 
-def test_independent_pairs_sum_channels_as_the_stepwise_build():
-    weights = [(1.0, 0.0), (0.0, 1.0)]
-    expected = _pairs_built_stepwise(weights)
-    assert _same_map(_emitted(weights), expected)
-    assert _same_map(independent_pairs_state(), expected.normalized())
+def test_independent_pairs_agree_with_the_stepwise_build():
+    expected = _pairs_built_stepwise([(1.0, 0.0), (0.0, 1.0)]).normalized()
+    assert _agree(independent_pairs_state(), expected)
+
+
+def test_the_source_kets_have_one_home():
+    """The pair channels, Phi+-, the emitted multisets and the lower-pair
+    count are defined in ``source`` alone, which the protocols' rows read
+    them from; ``source`` builds its states from them, not through
+    ``create`` and ``vacuum``, and no module defines ``_emit_pair``."""
+    package = Path(__file__).resolve().parent.parent / "src" / "pdcpurify"
+    homes = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            for name in defined:
+                homes.setdefault(name, []).append(path.name)
+    for name in ("_CHANNELS", "_PHI", "_emitted", "_lower_pairs"):
+        assert homes.get(name) == ["source.py"], name
+    assert "_emit_pair" not in homes
+    # every name, attribute and imported name that source.py mentions
+    source = ast.parse((package / "source.py").read_text(encoding="utf-8"))
+    named = {getattr(node, field, None) for node in ast.walk(source) for field in ("id", "attr", "name")}
+    assert not {"create", "vacuum"} & named
