@@ -38,7 +38,12 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
     norms = [_norm(v) for v in vectors]
     for _ in range(_MAX_SWEEPS):
         rotated = False
+        # a vector this short is rounding noise of a zero singular value: its
+        # inner products scale with its own length and never fall below tol
+        negligible = tol * max(norms)
         for i, j in combinations(range(len(vectors)), 2):
+            if norms[i] <= negligible or norms[j] <= negligible:
+                continue
             a, b = vectors[i], vectors[j]
             g = 0j  # a fixed-order loop: the builtin sum compensates from 3.12 on
             for x, y in zip(a, b):
@@ -107,7 +112,9 @@ def schmidt(
         row[b_index[tuple(occ[m] for m in bob)]] += amp
 
     coefficients = [c for c in _singular_values(matrix) if c > 1e-12]
-    total = 0.0  # a fixed-order loop, as in ``_singular_values``
+    # a fixed-order loop, as in ``_singular_values``, subtracting from +0.0
+    # so that a product state's entropy is 0.0, not -0.0
+    entropy = 0.0
     for c in coefficients:
-        total += c * c * math.log2(c * c)
-    return coefficients, -total
+        entropy -= c * c * math.log2(c * c)
+    return coefficients, entropy

@@ -16,7 +16,7 @@ the paper's noise model, ``C_s`` on Alice's a1 and a2, is
 
 from __future__ import annotations
 
-from .fock import DensityOperator, SpatialMode, in_range, must_be, pruned, shown
+from .fock import DensityOperator, SpatialMode, in_range, must_be, shown
 
 _ALICE = (SpatialMode.A1, SpatialMode.A2)
 
@@ -96,7 +96,7 @@ def depolarize_partial(
     entries = rho.entries
     for mode in targets:
         entries = _depolarized(entries, mode.value[0], s)
-    return DensityOperator._trusted(pruned(entries))
+    return DensityOperator._trusted(entries)
 
 
 def depolarize_alice(rho: DensityOperator, s: float) -> DensityOperator:

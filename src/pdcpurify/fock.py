@@ -7,28 +7,24 @@ are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 
 Every stored value is complex, finite and of modulus at least ``PRUNE_TOL``.
-The public constructors convert and check every value and every key, then
-prune, so a malformed key is refused whatever its value.  A map the package
-builds itself from valid keys is wrapped by ``_trusted`` as it is; only a
-builder that can make a value below ``PRUNE_TOL`` (a product, a quotient or
-a sum) prunes its result, once, through ``pruned``, after the whole map is
-built: ``to_density``, ``PureState.scaled``, the channel (once per call,
-after its last target mode) and ``spatially_entangled_state``.
-No builder prunes a term before it is summed, and no other module of the
-package reads ``PRUNE_TOL``.  A relabeling (the PBS), ``create`` (it scales
-values of modulus >= ``PRUNE_TOL`` by sqrt(n+1) >= 1, on distinct keys) and
-the protocols' fixed densities and readout maps (summed exactly, their zeros
-dropped, then rounded once: 1/10, 1/4, 1/2 or 1) cannot, so they do not
-prune.  Exact values live only inside the builds of the source state and
-of a protocol row: the integer kets of ``expanded``, maps of integer
-numerators from ``protocol._onto`` and, scaled, the channel's one-mode
-step, which no public function returns.  Every operator a public
-function returns, and every operator a row keeps, holds complex values.
+That rule has two homes.  The public constructors share ``_checked``: it
+converts and checks every value and every key, then prunes, so a malformed
+key is refused whatever its value; each constructor then adds its own rule
+(one sector for a state, equal photon totals in each operator entry).  A
+map the package builds itself from valid keys is wrapped by ``_trusted``,
+which prunes it once, after the whole map is built, so no builder prunes a
+term before it is summed or decides for itself whether to prune.  No other
+module of the package reads ``PRUNE_TOL`` or calls ``pruned``.
 
-``in_range``, ``must_be``, ``pruned``, ``shown`` and ``expanded`` are the
-package's shared number check, type check, pruning rule, message formatter
-and ket expansion; the other modules import them, and ``pdcpurify`` does not
-export them.
+Exact values live only inside the builds of the source state and of a
+protocol row: the integer kets of ``expanded``, maps of integer numerators
+from ``protocol._onto`` and, scaled, the channel's one-mode step, which no
+public function returns.  Every operator a public function returns, and
+every operator a row keeps, holds complex values.
+
+``in_range``, ``must_be``, ``shown`` and ``expanded`` are the package's
+shared number check, type check, message formatter and ket expansion; the
+other modules import them, and ``pdcpurify`` does not export them.
 """
 
 from __future__ import annotations
@@ -38,9 +34,9 @@ import math
 from collections.abc import Iterable, Mapping
 from enum import Enum, IntEnum
 
-# Values below this modulus are not stored: the builders that can make such a
-# value (products, quotients, sums) drop it once, where they make it, so the
-# sparse maps hold no numerical dust and stay small.
+# Values below this modulus are not stored: ``_checked`` and ``_trusted`` drop
+# them once, after the whole map is built, so the sparse maps hold no
+# numerical dust and stay small.
 PRUNE_TOL = 1e-14
 
 N_MODES = 8
@@ -199,6 +195,14 @@ def pruned(values: dict) -> dict:
     return {key: v for key, v in values.items() if abs(v) >= PRUNE_TOL}
 
 
+def _checked(name: str, values: Mapping, clean) -> dict:
+    """The storage rule of both public constructors: ``values`` as complex
+    (``_finite``), every key cleaned by ``clean`` whatever its value, so a
+    malformed key is refused even where its value would be dropped, then
+    pruned."""
+    return pruned({clean(key): v for key, v in _finite(name, values).items()})
+
+
 class PureState:
     """Sparse ket over occupation tuples with a fixed total photon number.
 
@@ -216,11 +220,8 @@ class PureState:
     ):
         if sector is not None and (type(sector) is not int or sector < 0):
             raise ValueError(f"sector must be a non-negative int, got {shown(sector)}")
-        values = _finite("amplitudes", amplitudes)
-        keys = {occ: _clean_key(occ) for occ in values}  # each key, kept or not
-        checked: dict[Occupations, complex] = {}
-        for occ, value in pruned(values).items():
-            key = keys[occ]
+        checked = _checked("amplitudes", amplitudes, _clean_key)
+        for key in checked:
             total = sum(key)
             if sector is None:
                 sector = total
@@ -229,7 +230,6 @@ class PureState:
                     f"term {shown(key)} has {shown(total)} photons, "
                     f"expected sector {shown(sector)}"
                 )
-            checked[key] = value
         if sector is None:
             raise ValueError("sector is required for a state without terms")
         self.amplitudes = checked
@@ -237,10 +237,10 @@ class PureState:
 
     @classmethod
     def _trusted(cls, amplitudes: dict[Occupations, complex], sector: int) -> "PureState":
-        """Wrap a map the package built from valid keys, as it is: no key
-        checks and no pruning (the builder prunes where it must)."""
+        """Wrap a map the package built whole from valid keys, pruned once
+        here: no key checks."""
         state = cls.__new__(cls)
-        state.amplitudes = amplitudes
+        state.amplitudes = pruned(amplitudes)
         state.sector = sector
         return state
 
@@ -249,18 +249,21 @@ class PureState:
         return sorted(self.amplitudes.items())
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for _, a in self.terms()))
+        """``math.hypot`` of the moduli: no square overflows, so the norm is
+        inf only where it is too large for a float itself."""
+        return math.hypot(*map(abs, self.amplitudes.values()))
 
     def normalized(self) -> "PureState":
         n = self.norm()
         if n <= 0.0:
             raise ValueError("cannot normalize a zero state")
+        if n == math.inf:
+            raise ValueError("cannot normalize a state whose norm is too large for a float")
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "PureState":
         return PureState._trusted(
-            pruned({occ: factor * amp for occ, amp in self.amplitudes.items()}),
-            self.sector,
+            {occ: factor * amp for occ, amp in self.amplitudes.items()}, self.sector
         )
 
     def __repr__(self) -> str:
@@ -276,7 +279,6 @@ def create(mode: Mode, state: PureState) -> PureState:
     """Apply the bosonic creation operator of one mode.
 
     Each term picks up the usual sqrt(n+1) factor; the sector rises by one.
-    Distinct terms stay distinct and no value shrinks, so nothing is pruned.
     A ``mode`` that is not a ``Mode`` (an int, ``True``) or a ``state`` that is
     not a ``PureState`` raises ``ValueError``.
     """
@@ -303,26 +305,22 @@ class DensityOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict[tuple[Occupations, Occupations], complex]):
-        values = _finite("entries", entries)
-        keys = {key: _clean_pair(key) for key in values}  # each key, kept or not
-        checked: dict[tuple[Occupations, Occupations], complex] = {}
-        for key, v in pruned(values).items():
-            k, b = keys[key]
+        checked = _checked("entries", entries, _clean_pair)
+        for k, b in checked:
             if sum(k) != sum(b):
                 raise ValueError(
                     f"entry ({shown(k)}, {shown(b)}) mixes different photon totals"
                 )
-            checked[(k, b)] = v
         self.entries = checked
 
     @classmethod
     def _trusted(
         cls, entries: dict[tuple[Occupations, Occupations], complex]
     ) -> "DensityOperator":
-        """Wrap a map the package built from valid keys, as it is: no key
-        checks and no pruning (the builder prunes where it must)."""
+        """Wrap a map the package built whole from valid keys, pruned once
+        here: no key checks."""
         rho = cls.__new__(cls)
-        rho.entries = entries
+        rho.entries = pruned(entries)
         return rho
 
     def trace(self) -> float:
@@ -339,7 +337,10 @@ def to_density(state: PureState) -> DensityOperator:
     """Normalized projector |psi><psi| / <psi|psi>; a ``state`` that is not a
     ``PureState`` raises ``ValueError``."""
     must_be("state", state, PureState)
-    norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
+    try:
+        norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
+    except OverflowError:  # abs(a) ** 2 raises past about 1.3e154
+        norm_sq = math.inf
     if norm_sq <= 0.0:
         raise ValueError("cannot build a density operator from a zero state")
     if not math.isfinite(norm_sq):
@@ -349,4 +350,4 @@ def to_density(state: PureState) -> DensityOperator:
         for ki, ai in state.amplitudes.items()
         for kj, aj in state.amplitudes.items()
     }
-    return DensityOperator._trusted(pruned(entries))
+    return DensityOperator._trusted(entries)

@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from itertools import combinations_with_replacement
 
-from .fock import MODES, Mode, Occupations, PureState, expanded, in_range, must_be, pruned, shown
+from .fock import MODES, Mode, Occupations, PureState, expanded, in_range, must_be, shown
 
 #: the source's four pair channels, one photon into Alice's and one into
 #: Bob's mode of one spatial mode and polarization: (a1H, b1H), (a1V, b1V),
@@ -106,7 +106,7 @@ def spatially_entangled_state(params: SourceParams) -> PureState:
         norm_sq += count * params.r ** (2 * j)
     norm = math.sqrt(norm_sq)
     amplitudes = {occ: lam ** _lower_pairs(occ) / norm for occ in expanded(_factors(params.pairs))}
-    return PureState._trusted(pruned(amplitudes), 2 * params.pairs)
+    return PureState._trusted(amplitudes, 2 * params.pairs)
 
 
 def independent_pairs_state() -> PureState:

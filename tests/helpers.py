@@ -26,7 +26,7 @@ from pdcpurify import (
     run_two_photon,
     vacuum,
 )
-from pdcpurify.fock import PRUNE_TOL, pruned
+from pdcpurify.fock import PRUNE_TOL
 
 
 def compensated_sum(iterable, start=0):
@@ -72,9 +72,7 @@ MIRROR = itemgetter(2, 3, 0, 1, 6, 7, 4, 5)
 
 def scaled(rho, factor):
     """``rho`` with every entry multiplied by ``factor``."""
-    return DensityOperator._trusted(
-        pruned({key: factor * v for key, v in rho.entries.items()})
-    )
+    return DensityOperator._trusted({key: factor * v for key, v in rho.entries.items()})
 
 
 def added(*operators):
@@ -83,7 +81,7 @@ def added(*operators):
     for rho in operators:
         for key, v in rho.entries.items():
             out[key] = out.get(key, 0.0) + v
-    return DensityOperator._trusted(pruned(out))
+    return DensityOperator._trusted(out)
 
 
 def superposed(first, *others):
@@ -94,7 +92,7 @@ def superposed(first, *others):
             raise ValueError(f"sector mismatch: {first.sector} vs {state.sector}")
         for occ, amp in state.amplitudes.items():
             out[occ] = out.get(occ, 0.0) + amp
-    return PureState._trusted(pruned(out), first.sector)
+    return PureState._trusted(out, first.sector)
 
 
 def lower_pairs(occ):
@@ -115,9 +113,9 @@ def block_density(rho_1, r, phi):
     lam = r * cmath.exp(1j * phi)
     tagged = [(key, v, *map(lower_pairs, key)) for key, v in rho_1.entries.items()]
     norm = sum(v.real * r ** (2 * j) for (ket, bra), v, j, _ in tagged if ket == bra)
-    return DensityOperator._trusted(pruned({
+    return DensityOperator._trusted({
         key: v * lam**j * lam.conjugate() ** k / norm for key, v, j, k in tagged
-    }))
+    })
 
 
 def zero_block(row):
@@ -164,12 +162,21 @@ def weighted_readouts(kind, r, phi):
     lam = r * cmath.exp(1j * phi)
     norm = sum(n * r ** (2 * k) for k, n in enumerate(row.norm))
     return tuple(
-        DensityOperator._trusted({
+        unpruned({
             (ket, bra): v * lam ** tag(ket) * lam.conjugate() ** tag(bra) / norm
             for (ket, bra), v in a.entries.items()
         })
         for a in fixed_readouts(kind)
     )
+
+
+def unpruned(entries):
+    """A ``DensityOperator`` that holds ``entries`` as they are, where
+    ``_trusted`` would prune them: a reference whose weights below
+    ``PRUNE_TOL`` must still count."""
+    rho = DensityOperator.__new__(DensityOperator)
+    rho.entries = entries
+    return rho
 
 
 def unfolded(blocks):

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -237,6 +238,7 @@ def test_public_constructors_check_every_key_whatever_its_value(build, shown_key
 
 ONE = (1, 0, 0, 0, 0, 0, 0, 0)
 TWO = (1, 0, 0, 0, 1, 0, 0, 0)
+TWO_VV = (0, 1, 0, 0, 0, 1, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -298,16 +300,54 @@ def test_prune_keeps_maps_canonical():
     state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e-15}, sector=1)
     assert state.amplitudes == {}
     assert create(Mode.A1H, vacuum()).scaled(1e-15).amplitudes == {}
+    # a value of exactly PRUNE_TOL, the documented 1e-14, is kept and the float
+    # just below it is dropped, by both constructors and by both ``_trusted``
+    tol, below = 1e-14, math.nextafter(1e-14, 0.0)
+    amplitudes = {TWO: tol, TWO_VV: below}
+    assert PureState(amplitudes).amplitudes == {TWO: tol}
+    assert PureState._trusted(amplitudes, 2).amplitudes == {TWO: tol}
+    entries = {(TWO, TWO): tol, (TWO, TWO_VV): below}
+    assert DensityOperator(entries).entries == {(TWO, TWO): tol}
+    assert DensityOperator._trusted(entries).entries == {(TWO, TWO): tol}
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pdcpurify"
+
+
+def _callers_of(tree, name):
+    """The functions of a module's syntax tree, as ``Class.method`` or
+    ``function``, that refer to ``name`` (call it or pass it on); a
+    reference outside every function, an import included, shows as ``""``."""
+    callers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+            elif isinstance(child, ast.Name) and child.id == name:
+                callers.add(where)
+            elif isinstance(child, ast.alias) and name in (child.name, child.asname):
+                callers.add(where)
+            else:
+                visit(child, where)
+
+    visit(tree, "")
+    return callers
 
 
 def test_only_fock_reads_the_pruning_rule():
-    """``PRUNE_TOL`` has one home: every builder prunes through ``fock``, so
-    no other module keeps a pruning rule of its own."""
-    package = Path(__file__).resolve().parent.parent / "src" / "pdcpurify"
-    modules = sorted(package.glob("*.py"))
+    """``PRUNE_TOL`` and ``pruned`` have one home: no module but ``fock``
+    names either, and in ``fock`` only the constructors' shared ``_checked``
+    and the two ``_trusted`` prune, so no builder keeps a pruning rule of
+    its own."""
+    modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
     readers = [path.name for path in modules if "PRUNE_TOL" in path.read_text()]
     assert readers == ["fock.py"]
+    pruners = {path.name: _callers_of(ast.parse(path.read_text()), "pruned") for path in modules}
+    assert {name: where for name, where in pruners.items() if where} == {
+        "fock.py": {"_checked", "PureState._trusted", "DensityOperator._trusted"}
+    }
 
 
 NON_FINITE = {
@@ -367,3 +407,23 @@ def test_to_density_rejects_an_overflowing_norm():
     state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e200}).scaled(1e200)
     with pytest.raises(ValueError, match="squared norm"):
         to_density(state)
+
+
+def test_norms_of_huge_amplitudes_are_right_or_refused():
+    """``abs(a) ** 2`` used to escape as ``OverflowError`` past about 1.3e154,
+    and a squared norm summed to inf scaled every amplitude to 0: an empty
+    state for a nonzero one."""
+    huge = PureState({TWO: 1e160})
+    assert huge.norm() == 1e160
+    assert huge.normalized().amplitudes == {TWO: 1.0}
+    with pytest.raises(ValueError, match="squared norm"):
+        to_density(huge)
+    pair = PureState({TWO: 1e154, TWO_VV: 1e154})
+    assert pair.norm() == math.hypot(1e154, 1e154)
+    normalized = pair.normalized()
+    assert normalized.amplitudes.keys() == {TWO, TWO_VV}
+    assert normalized.norm() == pytest.approx(1.0, rel=1e-15)
+    past_a_float = PureState({TWO: 1.5e308, TWO_VV: 1.5e308})
+    assert past_a_float.norm() == math.inf
+    with pytest.raises(ValueError, match="too large for a float"):
+        past_a_float.normalized()
