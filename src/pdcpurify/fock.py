@@ -6,15 +6,19 @@ tuples to complex amplitudes; nothing here builds a dense matrix.  Values
 are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 
-Every stored value is complex, finite and of modulus at least ``PRUNE_TOL``.
-That rule has two homes.  The public constructors share ``_checked``: it
-converts and checks every value and every key, then prunes, so a malformed
-key is refused whatever its value; each constructor then adds its own rule
-(one sector for a state, equal photon totals in each operator entry).  A
-map the package builds itself from valid keys is wrapped by ``_trusted``,
-which prunes it once, after the whole map is built, so no builder prunes a
-term before it is summed or decides for itself whether to prune.  No other
-module of the package reads ``PRUNE_TOL`` or calls ``pruned``.
+Every stored value is complex, finite and nonzero.  The rule is exact: only
+a value of exactly zero (``0``, ``-0.0``, ``0j``) is left out, so no true
+term is hidden however small (``5e-324`` is kept).  That rule has two homes.
+The public constructors share ``_checked``: it converts and checks every
+value and every key, then drops the zeros, so a malformed key is refused
+whatever its value; each constructor then adds its own rule (one sector for
+a state, equal photon totals in each operator entry), which holds for every
+nonzero value, a 1e-20 one included.  A map the package builds itself from
+valid keys is wrapped by ``_trusted``, which drops its zeros once, after the
+whole map is built, so no builder decides for itself what to keep.  No other
+module of the package calls ``pruned``.  ``PureState.scaled`` and
+``create``, which take a caller's state, refuse a value they would make
+too large for a float.
 
 Exact values live only inside the builds of the source state and of a
 protocol row: the integer kets of ``expanded``, maps of integer numerators
@@ -33,11 +37,6 @@ import cmath
 import math
 from collections.abc import Iterable, Mapping
 from enum import Enum, IntEnum
-
-# Values below this modulus are not stored: ``_checked`` and ``_trusted`` drop
-# them once, after the whole map is built, so the sparse maps hold no
-# numerical dust and stay small.
-PRUNE_TOL = 1e-14
 
 N_MODES = 8
 
@@ -191,15 +190,16 @@ def _finite(name: str, values: Mapping) -> dict:
 
 
 def pruned(values: dict) -> dict:
-    """The entries of ``values`` (complex) at or above ``PRUNE_TOL``, in order."""
-    return {key: v for key, v in values.items() if abs(v) >= PRUNE_TOL}
+    """The entries of ``values`` that are not zero, in order: ``0``, ``-0.0``
+    and ``0j`` are dropped, ``5e-324`` is kept."""
+    return {key: v for key, v in values.items() if v}
 
 
 def _checked(name: str, values: Mapping, clean) -> dict:
     """The storage rule of both public constructors: ``values`` as complex
     (``_finite``), every key cleaned by ``clean`` whatever its value, so a
-    malformed key is refused even where its value would be dropped, then
-    pruned."""
+    malformed key is refused even where its value is zero, then the zeros
+    dropped (``pruned``)."""
     return pruned({clean(key): v for key, v in _finite(name, values).items()})
 
 
@@ -237,8 +237,8 @@ class PureState:
 
     @classmethod
     def _trusted(cls, amplitudes: dict[Occupations, complex], sector: int) -> "PureState":
-        """Wrap a map the package built whole from valid keys, pruned once
-        here: no key checks."""
+        """Wrap a map the package built whole from valid keys and finite
+        values, its zeros dropped once here (``pruned``): no key checks."""
         state = cls.__new__(cls)
         state.amplitudes = pruned(amplitudes)
         state.sector = sector
@@ -254,17 +254,25 @@ class PureState:
         return math.hypot(*map(abs, self.amplitudes.values()))
 
     def normalized(self) -> "PureState":
+        """Every amplitude divided by ``norm()``: a division, not a product
+        with the reciprocal, which is inf for a subnormal norm (one 5e-324
+        term)."""
         n = self.norm()
         if n <= 0.0:
             raise ValueError("cannot normalize a zero state")
         if n == math.inf:
             raise ValueError("cannot normalize a state whose norm is too large for a float")
-        return self.scaled(1.0 / n)
+        quotients = {occ: amp / n for occ, amp in self.amplitudes.items()}
+        return PureState._trusted(quotients, self.sector)
 
     def scaled(self, factor: complex) -> "PureState":
-        return PureState._trusted(
-            {occ: factor * amp for occ, amp in self.amplitudes.items()}, self.sector
-        )
+        """Every amplitude times ``factor``.  A factor that is no finite number
+        (``None``, ``"x"``, ``True``, NaN, inf) or that takes an amplitude past
+        a float's range raises ``ValueError`` naming it."""
+        if not in_range(factor, cmath.isfinite):
+            raise ValueError(f"factor must be a finite number, got {shown(factor)}")
+        products = {occ: factor * amp for occ, amp in self.amplitudes.items()}
+        return _finite_state(products, self.sector, f"factor {shown(factor)}")
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{occ}: {amp:.6g}" for occ, amp in self.terms())
@@ -279,8 +287,9 @@ def create(mode: Mode, state: PureState) -> PureState:
     """Apply the bosonic creation operator of one mode.
 
     Each term picks up the usual sqrt(n+1) factor; the sector rises by one.
-    A ``mode`` that is not a ``Mode`` (an int, ``True``) or a ``state`` that is
-    not a ``PureState`` raises ``ValueError``.
+    A ``mode`` that is not a ``Mode`` (an int, ``True``), a ``state`` that is
+    not a ``PureState`` and an amplitude that the factor takes past a float's
+    range (1.5e308 on a mode that holds a photon) raise ``ValueError``.
     """
     must_be("mode", mode, Mode)
     must_be("state", state, PureState)
@@ -289,7 +298,17 @@ def create(mode: Mode, state: PureState) -> PureState:
         n = occ[mode]
         raised = occ[:mode] + (n + 1,) + occ[mode + 1 :]
         out[raised] = out.get(raised, 0.0) + amp * math.sqrt(n + 1)
-    return PureState._trusted(out, state.sector + 1)
+    return _finite_state(out, state.sector + 1, f"raising mode {mode.label}")
+
+
+def _finite_state(amplitudes: dict, sector: int, cause: str) -> PureState:
+    """``PureState._trusted(amplitudes, sector)`` for ``scaled`` and ``create``,
+    which multiply a caller's finite amplitudes: a product past a float's
+    range (``inf``, or ``nan`` from ``inf - inf``) raises ``ValueError``
+    naming ``cause``."""
+    if not all(map(cmath.isfinite, amplitudes.values())):
+        raise ValueError(f"{cause} takes an amplitude past a float's range")
+    return PureState._trusted(amplitudes, sector)
 
 
 class DensityOperator:
@@ -317,8 +336,8 @@ class DensityOperator:
     def _trusted(
         cls, entries: dict[tuple[Occupations, Occupations], complex]
     ) -> "DensityOperator":
-        """Wrap a map the package built whole from valid keys, pruned once
-        here: no key checks."""
+        """Wrap a map the package built whole from valid keys and finite
+        values, its zeros dropped once here (``pruned``): no key checks."""
         rho = cls.__new__(cls)
         rho.entries = pruned(entries)
         return rho

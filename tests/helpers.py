@@ -26,7 +26,6 @@ from pdcpurify import (
     run_two_photon,
     vacuum,
 )
-from pdcpurify.fock import PRUNE_TOL
 
 
 def compensated_sum(iterable, start=0):
@@ -152,8 +151,8 @@ def weighted_readouts(kind, r, phi):
     """``kind``'s fixed projector and witness with every entry times
     lambda^j conj(lambda)^k over the row's norm polynomial N(r) / factor, for
     lambda = r e^(i phi) and j and k the lower pairs of its ket and bra,
-    the recipe's factor being two-photon's mirror 2, unpruned (independent
-    pairs tag every entry j = k = 0, so their weight is 1 at any lambda).
+    the recipe's factor being two-photon's mirror 2 (independent pairs tag
+    every entry j = k = 0, so their weight is 1 at any lambda).
     Read with ``expect`` off the channel's output of the row's fixed
     density, they are the reference for the row's block read, which weights
     whole blocks and folds (k, j) onto (j, k)."""
@@ -162,21 +161,12 @@ def weighted_readouts(kind, r, phi):
     lam = r * cmath.exp(1j * phi)
     norm = sum(n * r ** (2 * k) for k, n in enumerate(row.norm))
     return tuple(
-        unpruned({
+        DensityOperator._trusted({
             (ket, bra): v * lam ** tag(ket) * lam.conjugate() ** tag(bra) / norm
             for (ket, bra), v in a.entries.items()
         })
         for a in fixed_readouts(kind)
     )
-
-
-def unpruned(entries):
-    """A ``DensityOperator`` that holds ``entries`` as they are, where
-    ``_trusted`` would prune them: a reference whose weights below
-    ``PRUNE_TOL`` must still count."""
-    rho = DensityOperator.__new__(DensityOperator)
-    rho.entries = entries
-    return rho
 
 
 def unfolded(blocks):
@@ -447,8 +437,6 @@ def polarization_qubit_matrix(rho, spatial_modes):
     for (ket, bra), value in rho.entries.items():
         if all(ket[m] == bra[m] for m in traced):
             matrix[qubit_index(ket), qubit_index(bra)] += value
-    # like a stored operator entry, a cell below PRUNE_TOL is dropped
-    matrix[abs(matrix) < PRUNE_TOL] = 0.0
     return matrix
 
 

@@ -22,7 +22,7 @@ from pdcpurify import (
     to_density,
     vacuum,
 )
-from pdcpurify.fock import PRUNE_TOL, pruned, shown
+from pdcpurify.fock import pruned, shown
 from pdcpurify.protocol import _row
 from helpers import (
     added,
@@ -240,17 +240,17 @@ def test_one_mode_tuple_is_the_mode_bit_for_bit(target, s):
 @pytest.mark.parametrize("row", ROW_DENSITIES.values(), ids=ROW_DENSITIES.keys())
 @pytest.mark.parametrize("s", EDGE_S)
 def test_two_mode_map_is_two_single_mode_calls(row, s):
-    """One map pruned once equals a1 then a2 each pruned, to 1e-16 on every
-    key of either, and stores no entry below ``PRUNE_TOL``."""
+    """One map, its zeros dropped once, equals a1 then a2 each with its zeros
+    dropped, value for value: a zero adds exactly nothing to the sums after
+    it.  Neither stores a zero."""
     kind, part = row
     rho = zero_block(_row(kind)) if part == "zero_block" else _row(kind).density
     one = depolarize_partial(rho, (SpatialMode.A1, SpatialMode.A2), s).entries
     two = depolarize_partial(
         depolarize_partial(rho, SpatialMode.A1, s), SpatialMode.A2, s
     ).entries
-    keys = one.keys() | two.keys()
-    assert max(abs(one.get(k, 0) - two.get(k, 0)) for k in keys) <= 1e-16
-    assert all(abs(v) >= PRUNE_TOL for v in one.values())
+    assert one == two
+    assert all(one.values())
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=[k.value for k in ProtocolKind])
@@ -259,8 +259,8 @@ def test_two_mode_map_is_its_three_branches(kind, s):
     """C_s on a1 and a2 is s^2 rho + s(1 - s)(D_a1 rho + D_a2 rho) +
     (1 - s)^2 D_a1 D_a2 rho, the branches built by the channel at s = 0, on
     each row's fixed density: the quadratics at lambda = 0 rest on it.  Each
-    key the channel keeps agrees to 1e-15; each it drops is expected below
-    ``PRUNE_TOL``."""
+    key the channel keeps agrees to 1e-15; each it drops, a zero, sums to
+    exactly 0."""
     rho = _row(kind).density
     t = 1.0 - s
     branches = (
@@ -276,7 +276,7 @@ def test_two_mode_map_is_its_three_branches(kind, s):
     kept = depolarize_alice(rho, s).entries
     assert kept.keys() <= expected.keys()
     assert all(abs(v - expected[key]) <= 1e-15 for key, v in kept.items())
-    assert all(abs(v) < PRUNE_TOL for key, v in expected.items() if key not in kept)
+    assert all(v == 0 for key, v in expected.items() if key not in kept)
 
 
 #: the most photons a drawn ket puts in one spatial mode

@@ -942,6 +942,30 @@ def test_state_diagnostics(capsys):
     assert json.loads(out)["entropy_ebits"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_state_shows_every_term_of_the_source(capsys):
+    """At r = 1e-9 the two-pair state shows all ten kets: the three with two
+    lower pairs have amplitude r^2 / sqrt(N(r)), N = 3 + 4 r^2 + 3 r^4, about
+    5.8e-19, which a 1e-14 storage tolerance used to drop.  The Schmidt
+    coefficients and the entropy stay those of the seven larger kets."""
+    r = 1e-9
+    status, out, _ = run_cli(["state", "--pairs", "2", "--r", repr(r), "--phi", "0"], capsys)
+    assert status == 0
+    payload = json.loads(out)
+    assert len(payload["terms"]) == 10
+    smallest = [
+        term["amplitude"] for term in payload["terms"]
+        if term["occupations"][2] + term["occupations"][3] == 2
+    ]
+    assert len(smallest) == 3
+    expected = r * r / math.sqrt(3 + 4 * r * r + 3 * r**4)
+    for real, imag in smallest:
+        assert abs(real - expected) <= 1e-30 and imag == 0.0
+    assert payload["schmidt_coefficients"] == (
+        [0.5773502691896258] * 3 + [5.773502691896259e-10] * 4
+    )
+    assert payload["entropy_ebits"] == 1.584962500721156
+
+
 #: pairs, r and phi of the ``state`` runs whose output may not depend on how
 #: the builtin ``sum`` rounds
 STATE_SUM_GRID = tuple(itertools.product(

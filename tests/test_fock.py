@@ -176,8 +176,10 @@ def test_partial_trace_two_pairs_rank_ten():
 
 
 def test_density_operator_rejects_photon_number_mixing():
-    with pytest.raises(ValueError):
-        DensityOperator({((1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8): 1.0})
+    """However small the value: a 1e-20 entry is stored, so it is checked."""
+    for value in (1.0, 1e-20):
+        with pytest.raises(ValueError, match="mixes different photon totals"):
+            DensityOperator({((1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8): value})
 
 
 BAD_KEYS = {
@@ -230,8 +232,8 @@ MALFORMED_KEYS = {
 @pytest.mark.parametrize("value", [0.0, 1e-20])
 @pytest.mark.parametrize("build, shown_key", MALFORMED_KEYS.values(), ids=MALFORMED_KEYS.keys())
 def test_public_constructors_check_every_key_whatever_its_value(build, shown_key, value):
-    """A key is checked before its value is pruned: a malformed key with a
-    value below ``PRUNE_TOL`` used to be dropped without a word."""
+    """A key is checked before a zero value is dropped, so a malformed key is
+    refused whatever its value, 0 included."""
     with pytest.raises(ValueError, match=re.escape(shown_key)):
         build(value)
 
@@ -243,10 +245,11 @@ TWO_VV = (0, 1, 0, 0, 0, 1, 0, 0)
 
 @pytest.mark.parametrize(
     "amplitudes, sector",
-    [({TWO: 1.0, ONE: 1.0}, None), ({ONE: 1.0}, 2)],
-    ids=["derived", "given"],
+    [({TWO: 1.0, ONE: 1.0}, None), ({ONE: 1.0}, 2), ({TWO: 1.0, ONE: 1e-20}, None)],
+    ids=["derived", "given", "tiny"],
 )
 def test_pure_state_rejects_a_term_outside_its_sector(amplitudes, sector):
+    """Every nonzero term is stored, so a 1e-20 one is checked too."""
     with pytest.raises(ValueError, match=r"has 1 photons, expected sector 2"):
         PureState(amplitudes, sector=sector)
 
@@ -296,19 +299,37 @@ def test_density_validate_catches_negative_eigenvalue():
         validate(rho)
 
 
+#: five two-photon kets
+TWO_PHOTON_KETS = (
+    TWO,
+    TWO_VV,
+    (2, 0, 0, 0, 0, 0, 0, 0),
+    (0, 2, 0, 0, 0, 0, 0, 0),
+    (1, 1, 0, 0, 0, 0, 0, 0),
+)
+
+
 def test_prune_keeps_maps_canonical():
+    """The storage rule is exact: both constructors and both ``_trusted`` keep
+    every nonzero value, the smallest float included, and drop exactly the
+    zeros, ``0``, ``-0.0`` and ``0j``."""
+    values = dict(zip(TWO_PHOTON_KETS, (5e-324, 1e-300j, 0, -0.0, 0j)))
+    kept = dict(zip(TWO_PHOTON_KETS, (5e-324, 1e-300j)))
+    assert PureState(values).amplitudes == kept
+    assert PureState._trusted(values, 2).amplitudes == kept
+    entries = {(TWO, ket): v for ket, v in values.items()}
+    kept_entries = {(TWO, ket): v for ket, v in kept.items()}
+    assert DensityOperator(entries).entries == kept_entries
+    assert DensityOperator._trusted(entries).entries == kept_entries
     state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e-15}, sector=1)
-    assert state.amplitudes == {}
-    assert create(Mode.A1H, vacuum()).scaled(1e-15).amplitudes == {}
-    # a value of exactly PRUNE_TOL, the documented 1e-14, is kept and the float
-    # just below it is dropped, by both constructors and by both ``_trusted``
-    tol, below = 1e-14, math.nextafter(1e-14, 0.0)
-    amplitudes = {TWO: tol, TWO_VV: below}
-    assert PureState(amplitudes).amplitudes == {TWO: tol}
-    assert PureState._trusted(amplitudes, 2).amplitudes == {TWO: tol}
-    entries = {(TWO, TWO): tol, (TWO, TWO_VV): below}
-    assert DensityOperator(entries).entries == {(TWO, TWO): tol}
-    assert DensityOperator._trusted(entries).entries == {(TWO, TWO): tol}
+    assert state.amplitudes == {(1, 0, 0, 0, 0, 0, 0, 0): 1e-15}
+    assert create(Mode.A1H, vacuum()).scaled(1e-15).amplitudes == state.amplitudes
+
+
+def test_a_state_of_the_smallest_float_normalizes():
+    """Its norm, 5e-324, has no finite reciprocal, so the amplitudes are
+    divided by it."""
+    assert PureState({TWO: 5e-324}).normalized().amplitudes == {TWO: 1.0}
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pdcpurify"
@@ -336,14 +357,14 @@ def _callers_of(tree, name):
 
 
 def test_only_fock_reads_the_pruning_rule():
-    """``PRUNE_TOL`` and ``pruned`` have one home: no module but ``fock``
-    names either, and in ``fock`` only the constructors' shared ``_checked``
-    and the two ``_trusted`` prune, so no builder keeps a pruning rule of
-    its own."""
+    """``pruned``, which drops exactly the zeros, has one home: no module names
+    a storage tolerance (the retired ``PRUNE_TOL``), no module but ``fock``
+    calls ``pruned``, and in ``fock`` only the constructors' shared
+    ``_checked`` and the two ``_trusted`` do, so no builder keeps a pruning
+    rule of its own."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
-    readers = [path.name for path in modules if "PRUNE_TOL" in path.read_text()]
-    assert readers == ["fock.py"]
+    assert [path.name for path in modules if "PRUNE_TOL" in path.read_text()] == []
     pruners = {path.name: _callers_of(ast.parse(path.read_text()), "pruned") for path in modules}
     assert {name: where for name, where in pruners.items() if where} == {
         "fock.py": {"_checked", "PureState._trusted", "DensityOperator._trusted"}
@@ -404,9 +425,43 @@ def test_pure_state_refuses_a_sector_that_is_no_count(sector):
 
 
 def test_to_density_rejects_an_overflowing_norm():
-    state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e200}).scaled(1e200)
+    state = PureState({(1, 0, 0, 0, 0, 0, 0, 0): 1e200})
     with pytest.raises(ValueError, match="squared norm"):
         to_density(state)
+
+
+#: factors that are no finite number, each as its refusal shows it
+NOT_FINITE_FACTORS = {
+    "none": (None, "None"),
+    "str": ("x", "'x'"),
+    "bool": (True, "True"),
+    "nan": (math.nan, "nan"),
+    "inf": (math.inf, "inf"),
+    "inf-imag": (complex(1.0, math.inf), "(1+infj)"),
+}
+
+
+@pytest.mark.parametrize("factor, shown_factor", NOT_FINITE_FACTORS.values(), ids=NOT_FINITE_FACTORS.keys())
+def test_scaled_refuses_a_factor_that_is_no_finite_number(factor, shown_factor):
+    """``None`` and ``"x"`` used to raise ``TypeError``, and NaN left an empty
+    state where the storage tolerance dropped its ``nan+nanj`` amplitudes."""
+    message = f"factor must be a finite number, got {re.escape(shown_factor)}$"
+    for state in (PureState({TWO: 1.0}), PureState({}, sector=2)):
+        with pytest.raises(ValueError, match=message):
+            state.scaled(factor)
+
+
+def test_scaled_and_create_refuse_an_amplitude_past_a_float():
+    """``scaled(1e200)`` on a 1e200 amplitude used to store ``inf+0j``, and
+    ``create`` stored sqrt(2) * 1.5e308 as ``inf+0j``."""
+    with pytest.raises(ValueError, match=r"^factor 1e\+200 takes an amplitude past a float's range$"):
+        PureState({TWO: 1e200}).scaled(1e200)
+    with pytest.raises(ValueError, match=r"^factor 1e\+200j takes an amplitude"):
+        PureState({TWO: complex(1e200, 1e200)}).scaled(1e200j)
+    with pytest.raises(ValueError, match=r"^raising mode a1H takes an amplitude past a float's range$"):
+        create(Mode.A1H, PureState({ONE: 1.5e308}))
+    raised = create(Mode.A1V, PureState({ONE: 1.5e308}))
+    assert raised.amplitudes == {(1, 1, 0, 0, 0, 0, 0, 0): 1.5e308}
 
 
 def test_norms_of_huge_amplitudes_are_right_or_refused():

@@ -54,7 +54,6 @@ from pdcpurify import (
     spatially_entangled_state,
     to_density,
 )
-from pdcpurify.fock import PRUNE_TOL
 from pdcpurify.optics import _PBS
 from pdcpurify.protocol import (
     _BOTH_UP_WITNESS,
@@ -165,7 +164,7 @@ def test_internal_builds_pass_the_public_checks(kind, r, phi, s):
         assert allclose(DensityOperator(op.entries), op, tol=0.0)
 
 
-#: the edges of r and s at which a stage could store a value below PRUNE_TOL
+#: the edges of r and s at which a stage stores its smallest nonzero values
 EDGE_R = (0.0, 1e-9)
 EDGE_S = (0.0, 1e-15, 1.0 - 1e-15, 1.0)
 
@@ -185,12 +184,12 @@ def _at_the_edges(test):
     phi=phase,
     s=st.one_of(st.sampled_from(EDGE_S), unit),
 )
-def test_stage_maps_hold_only_complex_values_at_or_above_the_tolerance(kind, r, phi, s):
-    """Only the builders that can make a small value prune; the PBS relabels
-    its input's values and ``project`` keeps a sub-map of its input."""
+def test_stage_maps_hold_only_complex_nonzero_values(kind, r, phi, s):
+    """Every stage stores complex values and no zero; the PBS relabels its
+    input's values and ``project`` keeps a sub-map of its input."""
     state, stages = _pipeline_stages(kind, r, phi, s)
     for values in [state.amplitudes] + [op.entries for op in stages]:
-        assert all(type(v) is complex and abs(v) >= PRUNE_TOL for v in values.values())
+        assert all(type(v) is complex and v for v in values.values())
     _, _, depolarized, alice, bob, *projected = stages
     for before, after, side in ((depolarized, alice, Side.ALICE), (alice, bob, Side.BOB)):
         swap = _PBS[side]
@@ -419,8 +418,8 @@ EDGE_S = (1e-15, 1e-13, 1 - 1e-15)
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_runs_match_the_dense_oracle_at_the_edges(kind):
     """At s next to 0 or 1 one branch of the channel is tiny: the channel sums
-    both branches into one map and prunes it once, so no term is dropped
-    before the sum and every number stays at rounding distance from the oracle."""
+    both branches into one map and drops only its zeros, so no term is
+    dropped and every number stays at rounding distance from the oracle."""
     if kind is ProtocolKind.INDEPENDENT_PAIRS:
         points = [(None, None, s) for s in EDGE_S]
     else:

@@ -456,16 +456,16 @@ def test_block_read_matches_the_fock_build_at_random_points(r, phi, pairs):
     _assert_block_read_matches_the_fock_build(r, phi, pairs)
 
 
-#: r where the weights of the blocks with lower pairs fall below PRUNE_TOL:
-#: r^3 is 1e-15 to 3e-14 and r^4 1e-20 to 1e-18
+#: r where the weights of the blocks with lower pairs are tiny: r^3 is 1e-15
+#: to 3e-14 and r^4 1e-20 to 1e-18
 SMALL_R = (1e-5, 10**-4.75, 10**-4.5)
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.FOUR_PHOTON, ProtocolKind.TWO_PHOTON])
 def test_runs_at_small_r_match_the_dense_oracle_to_rounding(kind):
-    """A block's weight below PRUNE_TOL still counts: no weighted term is
-    dropped before it is summed, so at small r every number is at rounding
-    distance, 1e-15, from the dense oracle."""
+    """A block's weight of 1e-20 still counts: no weighted term is dropped
+    before it is summed, so at small r every number is at rounding distance,
+    1e-15, from the dense oracle."""
     if kind is ProtocolKind.FOUR_PHOTON:
         reference = oracle.four_photon_reference
     else:
